@@ -6,7 +6,9 @@ n = 1, 2 cases) and for odd n; for other n only necessary conditions are
 known, reported as NECESSARY_ONLY.  prescribe runs the construction
 pipeline: pick a normal base element, invert its vector in the cyclic
 ring, factor the quotient as g * reciprocal(g), and apply g as a basis
-change.  compose multiplies prescriptions from the coprime 2-power and odd
+change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
+subfield, starting from the relative trace of an ambient normal element.
+compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
 """
@@ -15,12 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 from .factor import _odd_half_sum, factor_2power, factor_odd
-from .field import FieldSpec, elem_mul, elem_square, rel_trace
+from .field import FieldSpec, _conjugate_sum, elem_mul, rel_trace
 from .normal import (
     TraceVector,
-    apply_basis_change,
     corresponding_vector,
     corresponding_vector_in_subfield,
     find_normal,
@@ -178,6 +180,25 @@ def _require_valid(n: int, a: TraceVector) -> None:
         raise InvalidVectorError(verdict)
 
 
+def _pipeline(spec: FieldSpec, t: int, a: TraceVector, beta: int) -> Prescription:
+    """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a base beta normal there."""
+    if t == spec.n:
+        vector = partial(corresponding_vector, spec)
+    else:
+        vector = partial(corresponding_vector_in_subfield, spec, t=t)
+    b = vector(beta)
+    b_inv = cyclic_inv(b)
+    h = cyclic_mul(a, b_inv)
+    # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
+    g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
+    alpha = _conjugate_sum(spec, beta, g.bits)
+    vec = vector(alpha)
+    if vec != a:
+        raise RuntimeError(
+            f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
+    return Prescription(spec, a, beta, b, b_inv, h, g, alpha, vec)
+
+
 def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> Prescription:
     """Run the full prescription pipeline, keeping every intermediate value.
 
@@ -194,16 +215,7 @@ def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) ->
         beta = find_normal(spec)
     elif not is_normal(spec, beta):
         raise ValueError("supplied base element is not normal")
-    b = corresponding_vector(spec, beta)
-    b_inv = cyclic_inv(b)
-    h = cyclic_mul(a, b_inv)
-    g = factor_2power(h) if n >= 4 and _is_pow2(n) else factor_odd(h)
-    alpha = apply_basis_change(spec, beta, g)
-    vec = corresponding_vector(spec, alpha)
-    if vec != a:
-        raise RuntimeError(
-            f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
-    return Prescription(spec, a, beta, b, b_inv, h, g, alpha, vec)
+    return _pipeline(spec, n, a, beta)
 
 
 def prescribe(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> int:
@@ -221,32 +233,11 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
     """
     if t < 1 or spec.n % t:
         raise ValueError(f"{t} does not divide the extension degree {spec.n}")
-    if a.n != t:
-        raise ValueError(f"vector length mismatch: {a.n} != {t}")
     if t % 2 == 0 and t > 2 and not _is_pow2(t):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
     _require_valid(t, a)
-    delta = find_normal(spec)
-    alpha0 = rel_trace(spec, delta, t)
-    if t <= 2:
-        alpha = alpha0  # every normal element of GF(2) / GF(4) has the valid vector
-    else:
-        b = corresponding_vector_in_subfield(spec, alpha0, t)
-        b_inv = cyclic_inv(b)
-        h = cyclic_mul(a, b_inv)
-        g = factor_2power(h) if _is_pow2(t) else factor_odd(h)
-        alpha = 0
-        conj = alpha0
-        for i in range(t):
-            if (g.bits >> i) & 1:
-                alpha ^= conj
-            conj = elem_square(spec, conj)
-    vec = corresponding_vector_in_subfield(spec, alpha, t)
-    if vec != a:
-        raise RuntimeError(
-            f"subfield vector mismatch (implementation bug): got {vec}, wanted {a}")
-    return alpha
+    return _pipeline(spec, t, a, rel_trace(spec, find_normal(spec), t)).element
 
 
 def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, TraceVector]:
@@ -264,10 +255,7 @@ def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, Trace
     alpha = prescribe_in_subfield(spec, s2, a)
     beta = prescribe_in_subfield(spec, m, b)
     gamma = elem_mul(spec, alpha, beta)
-    bits = 0
-    for k in range(spec.n):
-        bits |= (a.coeff(k % s2) & b.coeff(k % m)) << k
-    c = CyclicPoly(spec.n, bits)
+    c = CyclicPoly.from_coeffs(a.coeff(k % s2) & b.coeff(k % m) for k in range(spec.n))
     if corresponding_vector(spec, gamma) != c or not is_normal(spec, gamma):
         raise RuntimeError("composed element fails verification (implementation bug)")
     return gamma, c

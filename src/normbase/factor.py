@@ -125,23 +125,17 @@ def _solve_unique_gf2(rows: list[int], rhs: list[int], width: int) -> list[int]:
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
     """The unique g in G with g * reciprocal(g) = h, for h in H.
 
-    For n >= 16 the product equations are linear over the free coefficients
-    of G: with z_0 = 1 and z_2 = 0 fixed, coefficient j of the product is
-    z_j + z_{j-1} for even j and z_j + z_{j-1} + z_{(n-1-j)/2} + z_{(j-1)/2}
-    for odd j (1 <= j <= n/2 - 1; repeated indices cancel).  For n = 4, 8
-    the handful of G members is searched directly.
+    The product equations are linear over the free coefficients of G: with
+    z_0 = 1 and every other index outside G's free set fixed at 0 (z_2, and
+    also z_1 when n = 4), coefficient j of the product is z_j + z_{j-1} for
+    even j and z_j + z_{j-1} + z_{(n-1-j)/2} + z_{(j-1)/2} for odd j
+    (1 <= j <= n/2 - 1; repeated indices cancel).
     """
     if not in_H(h):
         raise ValueError(
             "no structured factorization: polynomial is outside the set H "
             "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)")
     n = h.n
-    if n <= 8:
-        matches = [g for g in iter_G(n) if verify_factorization(h, g)]
-        if len(matches) != 1:
-            raise RuntimeError(f"expected exactly one factor in G, found {len(matches)}")
-        return matches[0]
-
     free = _free_indices(n)
     col = {idx: pos for pos, idx in enumerate(free)}
     rows, rhs = [], []
@@ -154,7 +148,7 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
         for z in terms:
             if z == 0:
                 const ^= 1
-            elif z != 2:
+            elif z in col:
                 row ^= 1 << col[z]
         rows.append(row)
         rhs.append(h.coeff(j) ^ const)

@@ -14,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly2 import degree, find_irreducible, is_irreducible, poly_to_text
+from .poly2 import degree, find_irreducible, is_irreducible, poly_mod, poly_mul, poly_to_text
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
+
+
+def _check_degree(n: int):
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +32,7 @@ class FieldSpec:
     modulus: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {self.n}")
+        _check_degree(self.n)
         if degree(self.modulus) != self.n:
             raise ValueError(
                 f"modulus {poly_to_text(self.modulus)} does not have degree {self.n}")
@@ -38,6 +42,7 @@ class FieldSpec:
     @classmethod
     def from_degree(cls, n: int) -> "FieldSpec":
         """Field with the smallest-encoding irreducible modulus (deterministic)."""
+        _check_degree(n)  # before the modulus search, whose cost grows with n
         return cls(n, find_irreducible(n))
 
     @property
@@ -47,20 +52,12 @@ class FieldSpec:
     @property
     def generator(self) -> int:
         """The element x mod modulus (the adjoined root g)."""
-        return _reduce(self, 2)
+        return poly_mod(2, self.modulus)
 
 
 def _check_elem(spec: FieldSpec, a: int):
     if not 0 <= a < (1 << spec.n):
         raise ValueError(f"{a:#x} is not an element of GF(2^{spec.n})")
-
-
-def _reduce(spec: FieldSpec, v: int) -> int:
-    mod = spec.modulus
-    top = spec.n + 1
-    while v.bit_length() > spec.n:
-        v ^= mod << (v.bit_length() - top)
-    return v
 
 
 def elem_add(spec: FieldSpec, a: int, b: int) -> int:
@@ -72,15 +69,7 @@ def elem_add(spec: FieldSpec, a: int, b: int) -> int:
 def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
     _check_elem(spec, a)
     _check_elem(spec, b)
-    if a < b:
-        a, b = b, a
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return _reduce(spec, acc)
+    return poly_mod(poly_mul(a, b), spec.modulus)
 
 
 def elem_square(spec: FieldSpec, a: int) -> int:
@@ -90,7 +79,7 @@ def elem_square(spec: FieldSpec, a: int) -> int:
         low = a & -a
         sq |= 1 << (2 * (low.bit_length() - 1))
         a ^= low
-    return _reduce(spec, sq)
+    return poly_mod(sq, spec.modulus)
 
 
 def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
@@ -121,14 +110,25 @@ def frobenius(spec: FieldSpec, a: int, k: int) -> int:
     return a
 
 
-def _trace_by_sum(spec: FieldSpec, a: int) -> int:
+def _conjugate_sum(spec: FieldSpec, a: int, mask: int, step: int = 1) -> int:
+    """Sum of a^(2^(step*i)) over the set bits i of mask."""
     acc = 0
-    conj = a
-    for _ in range(spec.n):
-        acc ^= conj
-        conj = elem_square(spec, conj)
-    assert acc in (0, 1), "trace must land in GF(2)"
-    return acc
+    while True:
+        if mask & 1:
+            acc ^= a
+        mask >>= 1
+        if not mask:
+            return acc
+        for _ in range(step):
+            a = elem_square(spec, a)
+
+
+def _trace_by_sum(spec: FieldSpec, a: int, t: int | None = None) -> int:
+    """Trace onto GF(2) of a in the GF(2^t) subfield (default t = n): its first t conjugates."""
+    tr = _conjugate_sum(spec, a, (1 << (t or spec.n)) - 1)
+    if tr not in (0, 1):
+        raise RuntimeError("trace must land in GF(2) (implementation bug)")
+    return tr
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +139,7 @@ def _trace_mask(spec: FieldSpec) -> int:
     for i in range(spec.n):
         if _trace_by_sum(spec, p):
             mask |= 1 << i
-        p = _reduce(spec, p << 1)
+        p = poly_mod(p << 1, spec.modulus)
     return mask
 
 
@@ -154,12 +154,7 @@ def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     _check_elem(spec, a)
     if t < 1 or spec.n % t:
         raise ValueError(f"{t} does not divide the extension degree {spec.n}")
-    acc = 0
-    conj = a
-    for _ in range(spec.n // t):
-        acc ^= conj
-        conj = frobenius(spec, conj, t)
-    return acc
+    return _conjugate_sum(spec, a, (1 << (spec.n // t)) - 1, t)
 
 
 def in_subfield(spec: FieldSpec, a: int, t: int) -> bool:

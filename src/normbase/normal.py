@@ -5,6 +5,10 @@ a_i = Tr(a * a^(2^i)); it is always symmetric and, read as a polynomial
 f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
 That gcd criterion is the production normality test here; the independent
 rank-based test lives in the oracle module.
+
+A GF(2^t) subfield element gets its length-t vector from the same loop
+with a different trace map (the sum of its first t conjugates), so the
+subfield construction runs the same pipeline.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from functools import lru_cache
 from .field import (
     FieldSpec,
     _check_elem,
+    _conjugate_sum,
+    _trace_by_sum,
     _trace_mask,
-    abs_trace,
     elem_mul,
     elem_square,
     in_subfield,
@@ -27,16 +32,20 @@ from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
 TraceVector = CyclicPoly
 
 
+def _vector(spec: FieldSpec, alpha: int, t: int, trace) -> TraceVector:
+    bits = 0
+    conj = alpha
+    for i in range(t):
+        bits |= trace(elem_mul(spec, alpha, conj)) << i
+        conj = elem_square(spec, conj)
+    return CyclicPoly(t, bits)
+
+
 def corresponding_vector(spec: FieldSpec, alpha: int) -> TraceVector:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
     _check_elem(spec, alpha)
-    bits = 0
-    conj = alpha
-    for i in range(spec.n):
-        if abs_trace(spec, elem_mul(spec, alpha, conj)):
-            bits |= 1 << i
-        conj = elem_square(spec, conj)
-    return CyclicPoly(spec.n, bits)
+    mask = _trace_mask(spec)
+    return _vector(spec, alpha, spec.n, lambda x: (x & mask).bit_count() & 1)
 
 
 def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> TraceVector:
@@ -47,18 +56,7 @@ def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> Tra
     """
     if not in_subfield(spec, alpha, t):
         raise ValueError(f"element does not lie in the GF(2^{t}) subfield")
-    bits = 0
-    conj = alpha
-    for i in range(t):
-        prod = elem_mul(spec, alpha, conj)
-        tr = 0
-        for _ in range(t):
-            tr ^= prod
-            prod = elem_square(spec, prod)
-        assert tr in (0, 1), "subfield trace must land in GF(2)"
-        bits |= tr << i
-        conj = elem_square(spec, conj)
-    return CyclicPoly(t, bits)
+    return _vector(spec, alpha, t, lambda x: _trace_by_sum(spec, x, t))
 
 
 def is_normal(spec: FieldSpec, alpha: int) -> bool:
@@ -105,13 +103,7 @@ def apply_basis_change(spec: FieldSpec, beta: int, c: CyclicPoly) -> int:
     if c.n != spec.n:
         raise ValueError(f"ring size mismatch: {c.n} != {spec.n}")
     _check_elem(spec, beta)
-    acc = 0
-    conj = beta
-    for i in range(spec.n):
-        if (c.bits >> i) & 1:
-            acc ^= conj
-        conj = elem_square(spec, conj)
-    return acc
+    return _conjugate_sum(spec, beta, c.bits)
 
 
 def vector_transform(f_b: CyclicPoly, f_c: CyclicPoly) -> CyclicPoly:

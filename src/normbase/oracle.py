@@ -3,8 +3,11 @@
 Normality here is decided by the rank of the Frobenius-conjugate
 coordinate matrix, deliberately NOT by the gcd criterion the production
 path uses; the two are compared in tests, so theorem audits stay
-non-circular.  Enumeration caps keep exhaustive runs in the minutes range
-on one core; caps are arguments, not constants.
+non-circular; vectors are computed naively, multiply then trace.  The
+subfield construction is the same pipeline as the full-field one, and is
+audited by the same rank test on the first t conjugates.  Enumeration
+caps keep exhaustive runs in the minutes range on one core; caps are
+arguments, not constants.
 """
 
 from __future__ import annotations
@@ -21,9 +24,24 @@ G_SEARCH_CAP = 24
 FULL_SEARCH_CAP = 16
 
 
-def _rank_gf2(rows) -> int:
+def _conjugate_rows(spec: FieldSpec, alpha: int, t: int | None):
+    _check_elem(spec, alpha)
+    for _ in range(spec.n if t is None else t):
+        yield alpha
+        alpha = elem_square(spec, alpha)
+
+
+def conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int]:
+    """Coordinate rows of alpha^(2^i) for i < t (default t = n)."""
+    return list(_conjugate_rows(spec, alpha, t))
+
+
+def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int] | None:
+    """The conjugate rows if independent over GF(2), else None (stops at the first dependent)."""
     basis: dict[int, int] = {}
-    for r in rows:
+    rows = []
+    for x in _conjugate_rows(spec, alpha, t):
+        r = x
         while r:
             lead = r.bit_length() - 1
             b = basis.get(lead)
@@ -31,30 +49,22 @@ def _rank_gf2(rows) -> int:
                 basis[lead] = r
                 break
             r ^= b
-    return len(basis)
-
-
-def conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int]:
-    """Coordinate rows of alpha^(2^i) for i < t (default t = n)."""
-    _check_elem(spec, alpha)
-    rows = []
-    x = alpha
-    for _ in range(t if t is not None else spec.n):
+        else:
+            return None
         rows.append(x)
-        x = elem_square(spec, x)
     return rows
 
 
 def is_normal_by_rank(spec: FieldSpec, alpha: int) -> bool:
     """Rank-based normality: the n conjugates are linearly independent."""
-    return _rank_gf2(conjugates(spec, alpha)) == spec.n
+    return _independent_conjugates(spec, alpha) is not None
 
 
 def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
     if not in_subfield(spec, alpha, t):
         return False
-    return _rank_gf2(conjugates(spec, alpha, t)) == t
+    return _independent_conjugates(spec, alpha, t) is not None
 
 
 def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, CyclicPoly]]:
@@ -64,25 +74,8 @@ def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tu
         raise ValueError(f"exhaustive enumeration capped at n <= {cap}, got {n}")
     mask = _trace_mask(spec)
     for e in range(1, 1 << n):
-        conj = []
-        basis: dict[int, int] = {}
-        x = e
-        independent = True
-        for _ in range(n):
-            conj.append(x)
-            r = x
-            while r:
-                lead = r.bit_length() - 1
-                b = basis.get(lead)
-                if b is None:
-                    basis[lead] = r
-                    break
-                r ^= b
-            else:
-                independent = False
-                break
-            x = elem_square(spec, x)
-        if not independent:
+        conj = _independent_conjugates(spec, e)
+        if conj is None:
             continue
         bits = 0
         for i, c in enumerate(conj):
@@ -143,8 +136,8 @@ class CharacterizationReport:
 
 def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> CharacterizationReport:
     """Exhaustively compare achievable vectors against the characterization."""
+    predicted = predicted_vectors(spec.n)  # first: it rejects unsupported degrees
     achieved = achievable_vectors(spec, cap)
-    predicted = predicted_vectors(spec.n)
     return CharacterizationReport(
         spec.n,
         len(achieved),

@@ -1,6 +1,7 @@
 """Command-line surface: records, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,33 @@ def test_weight3_command(capsys):
     assert code == EX_OK
     record = json.loads(out)
     assert sum(record["vector"]) == 3
+
+
+@pytest.mark.parametrize("argv, element", [
+    (("weight3", "--degree", "12"), "0x234"),
+    (("weight3", "--degree", "20", "--i0", "3"), "0xB8AB3"),
+    (("weight3", "--degree", "24", "--i0", "5"), "0x25FBE9"),
+    (("weight3", "--degree", "64"), "0x92EE5F012E15833B"),
+    (("weight3", "--degree", "4"), "0x8"),
+    (("compose", "--degree", "12", "--vector-pow2", "1,1,0,1", "--vector-odd", "1,0,0"), "0x234"),
+    (("compose", "--degree", "10", "--vector-pow2", "1,0", "--vector-odd", "1,0,1,1,0"), "0x2F9"),
+])
+def test_subfield_constructions_pick_pinned_element(capsys, argv, element):
+    # the deterministic choice of element, not only its vector, is part of the output
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EX_OK
+    assert json.loads(out)["element"] == element
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "find", "--degree", "100000"),
+    ("audit", "--degree", "18", "--mode", "characterization"),
+])
+def test_unsupported_degree_rejected_before_search(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == EX_INVALID and err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_audit_characterization(capsys):
