@@ -4,7 +4,8 @@ Subcommands define fields, find/check normal elements, compute vectors,
 run the prescription/composition constructions, and audit the exhaustive
 oracles.  Human output is a small aligned table; --json emits one line of
 machine-readable JSON with stable key order.  Every emitted element record
-is re-verified in-process before printing.
+is re-verified in-process before printing.  The oracle module decides each
+audit; audit prints the report's lines() or, with --json, its payload().
 
 Exit codes: 0 ok, 1 invalid input vector (or unsupported construction),
 2 verification/audit failure, 64 usage error.
@@ -95,19 +96,6 @@ def _spec_from(args) -> field.FieldSpec:
     return field.FieldSpec.from_degree(args.degree)
 
 
-def _record(spec, element, vector, is_normal_flag, construction, verified):
-    return {
-        "degree": spec.n,
-        "modulus": field.elem_to_hex(spec.modulus),
-        "modulus_terms": poly2.poly_to_text(spec.modulus),
-        "element": field.elem_to_hex(element),
-        "vector": vector.coeffs(),
-        "normal": is_normal_flag,
-        "construction": construction,
-        "verified": verified,
-    }
-
-
 def _emit(record: dict, as_json: bool):
     if as_json:
         print(json.dumps(record, separators=(",", ":")))
@@ -125,9 +113,16 @@ def _emit(record: dict, as_json: bool):
 def _emit_element(spec, element, construction, as_json) -> int:
     # recompute from scratch so "verified" means what it says
     vector = normal.corresponding_vector(spec, element)
-    record = _record(spec, element, vector,
-                     normal.is_normal(spec, element), construction, True)
-    _emit(record, as_json)
+    _emit({
+        "degree": spec.n,
+        "modulus": field.elem_to_hex(spec.modulus),
+        "modulus_terms": poly2.poly_to_text(spec.modulus),
+        "element": field.elem_to_hex(element),
+        "vector": vector.coeffs(),
+        "normal": poly2.is_unit_mod_cyclic(vector),  # a unit exactly when the element is normal
+        "construction": construction,
+        "verified": True,
+    }, as_json)
     return EX_OK
 
 
@@ -153,16 +148,12 @@ def _cmd_normal_find(args) -> int:
     return _emit_element(spec, element, construction, args.json)
 
 
-def _cmd_normal_check(args) -> int:
+def _cmd_element(args) -> int:
+    # "normal check" and "vector" print the same record, named after the command
     spec = _spec_from(args)
     element = field.parse_elem(spec, args.element)
-    return _emit_element(spec, element, {"name": "check"}, args.json)
-
-
-def _cmd_vector(args) -> int:
-    spec = _spec_from(args)
-    element = field.parse_elem(spec, args.element)
-    return _emit_element(spec, element, {"name": "vector"}, args.json)
+    name = getattr(args, "subcommand", None) or args.command
+    return _emit_element(spec, element, {"name": name}, args.json)
 
 
 def _cmd_prescribe(args) -> int:
@@ -195,71 +186,23 @@ def _cmd_weight3(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    spec = _spec_from(args)
-    if args.mode == "characterization":
-        report = oracle.check_characterization(spec)
-        lines = report.lines()
-        ok = report.ok
-        payload = {
-            "audit": "characterization",
-            "degree": spec.n,
-            "achievable": report.achievable_count,
-            "predicted": report.predicted_count,
-            "ok": ok,
-        }
-    elif args.mode == "factorization":
-        from .factor import factor_2power, in_G, iter_H
-        failures = []
-        count = 0
-        for h in iter_H(spec.n):
-            count += 1
-            matches = oracle.brute_factor(h, restrict_to_G=True)
-            g = factor_2power(h)
-            if len(matches) != 1 or matches[0] != g or not in_G(g):
-                failures.append(str(h))
-        ok = not failures
-        lines = [f"factorization audit, n = {spec.n}: {count} targets, "
-                 f"{len(failures)} violations"]
-        lines += [f"  violation at h = {h}" for h in failures]
-        payload = {"audit": "factorization", "degree": spec.n,
-                   "targets": count, "violations": len(failures), "ok": ok}
-    elif args.mode == "necessary":
-        failures = []
-        count = 0
-        for _, vec in oracle.enumerate_normal(spec):
-            count += 1
-            verdict = construct.necessary_conditions(spec.n, vec)
-            if construct.reasons_failed(verdict):
-                failures.append(str(vec))
-        ok = not failures
-        lines = [f"necessary-conditions audit, n = {spec.n}: {count} normal elements, "
-                 f"{len(failures)} violations"]
-        lines += [f"  violation at vector {v}" for v in failures]
-        payload = {"audit": "necessary", "degree": spec.n,
-                   "normal_elements": count, "violations": len(failures), "ok": ok}
+    if args.mode != "selfdual":
+        report = getattr(oracle, f"check_{args.mode}")(_spec_from(args))
+    elif args.modulus:
+        raise ValueError("--modulus does not apply to --mode selfdual, "
+                         "which audits every degree 2..N on its default modulus")
     else:
         report = oracle.check_self_dual_existence(args.degree)
-        lines = report.lines()
-        ok = report.ok
-        payload = {
-            "audit": "selfdual",
-            "max_degree": args.degree,
-            "rows": [{"n": r.n, "exists": r.exists, "expected": r.expected}
-                     for r in report.rows],
-            "ok": ok,
-        }
-    if args.json:
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print("\n".join(lines))
-    return EX_OK if ok else EX_VERIFY
+    print(json.dumps(report.payload(), separators=(",", ":")) if args.json
+          else "\n".join(report.lines()))
+    return EX_OK if report.ok else EX_VERIFY
 
 
 _COMMANDS = {
     ("field", "find"): _cmd_field_find,
     ("normal", "find"): _cmd_normal_find,
-    ("normal", "check"): _cmd_normal_check,
-    ("vector", None): _cmd_vector,
+    ("normal", "check"): _cmd_element,
+    ("vector", None): _cmd_element,
     ("prescribe", None): _cmd_prescribe,
     ("compose", None): _cmd_compose,
     ("weight3", None): _cmd_weight3,

@@ -26,13 +26,13 @@ from .normal import (
     corresponding_vector,
     corresponding_vector_in_subfield,
     find_normal,
-    is_normal,
 )
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,
     cyclic_mul,
     is_symmetric,
+    is_unit_mod_cyclic,
     poly_gcd,
     poly_to_text,
     ring_modulus,
@@ -148,14 +148,19 @@ def validate_vector(n: int, a: TraceVector) -> Verdict:
     return _verdict(_composite_checks(a, s2, m), Status.NECESSARY_ONLY, note)
 
 
-def necessary_conditions(n: int, a: TraceVector) -> Verdict:
-    """Necessary conditions for composite n = 2^s * m with 2^s >= 4 and odd m > 1."""
-    if a.n != n:
-        raise ValueError(f"vector length mismatch: {a.n} != {n}")
+def _composite_split(n: int) -> tuple[int, int]:
     s2, m = pow2_odd_split(n)
     if s2 < 4 or m == 1:
         raise ValueError(
             f"necessary conditions apply to n = 2^s * m with 2^s >= 4 and odd m > 1, got n = {n}")
+    return s2, m
+
+
+def necessary_conditions(n: int, a: TraceVector) -> Verdict:
+    """Necessary conditions for composite n = 2^s * m with 2^s >= 4 and odd m > 1."""
+    if a.n != n:
+        raise ValueError(f"vector length mismatch: {a.n} != {n}")
+    s2, m = _composite_split(n)
     return _verdict(_composite_checks(a, s2, m), Status.NECESSARY_ONLY)
 
 
@@ -187,7 +192,10 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, beta: int) -> Prescriptio
     else:
         vector = partial(corresponding_vector_in_subfield, spec, t=t)
     b = vector(beta)
-    b_inv = cyclic_inv(b)
+    try:
+        b_inv = cyclic_inv(b)
+    except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
+        raise ValueError("supplied base element is not normal") from None
     h = cyclic_mul(a, b_inv)
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
     g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
@@ -211,11 +219,7 @@ def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) ->
             f"prescription requires n a power of two >= 4 or odd n, got {n} "
             "(use compose/weight3 for other composite sizes)")
     _require_valid(n, a)
-    if beta is None:
-        beta = find_normal(spec)
-    elif not is_normal(spec, beta):
-        raise ValueError("supplied base element is not normal")
-    return _pipeline(spec, n, a, beta)
+    return _pipeline(spec, n, a, find_normal(spec) if beta is None else beta)
 
 
 def prescribe(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> int:
@@ -256,7 +260,7 @@ def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, Trace
     beta = prescribe_in_subfield(spec, m, b)
     gamma = elem_mul(spec, alpha, beta)
     c = CyclicPoly.from_coeffs(a.coeff(k % s2) & b.coeff(k % m) for k in range(spec.n))
-    if corresponding_vector(spec, gamma) != c or not is_normal(spec, gamma):
+    if corresponding_vector(spec, gamma) != c or not is_unit_mod_cyclic(c):
         raise RuntimeError("composed element fails verification (implementation bug)")
     return gamma, c
 

@@ -112,6 +112,5 @@ def vector_transform(f_b: CyclicPoly, f_c: CyclicPoly) -> CyclicPoly:
 
 
 def is_self_dual(spec: FieldSpec, alpha: int) -> bool:
-    """True iff alpha is normal with corresponding vector (1, 0, ..., 0)."""
-    v = corresponding_vector(spec, alpha)
-    return v.bits == 1 and is_unit_mod_cyclic(v)
+    """True iff alpha has corresponding vector (1, 0, ..., 0), a unit, so alpha is then normal."""
+    return corresponding_vector(spec, alpha).bits == 1

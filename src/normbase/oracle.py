@@ -1,4 +1,4 @@
-"""Independent brute-force ground truth at desk scale.
+"""Independent brute-force ground truth at desk scale, and the four audits.
 
 Normality here is decided by the rank of the Frobenius-conjugate
 coordinate matrix, deliberately NOT by the gcd criterion the production
@@ -8,14 +8,19 @@ subfield construction is the same pipeline as the full-field one, and is
 audited by the same rank test on the first t conjugates.  Enumeration
 caps keep exhaustive runs in the minutes range on one core; caps are
 arguments, not constants.
+
+This module owns every audit: check_characterization, check_factorization,
+check_necessary and check_self_dual_existence.  Each returns a report with
+ok, lines() (the human output) and payload() (the JSON record).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from .construct import Status, validate_vector
+from .construct import Status, _composite_split, necessary_conditions, reasons_failed, validate_vector
+from .factor import factor_2power, in_G, iter_G, iter_H
 from .field import FieldSpec, _check_elem, _trace_mask, elem_mul, elem_square, in_subfield
 from .poly2 import CyclicPoly, cyclic_mul, reciprocal
 
@@ -24,23 +29,13 @@ G_SEARCH_CAP = 24
 FULL_SEARCH_CAP = 16
 
 
-def _conjugate_rows(spec: FieldSpec, alpha: int, t: int | None):
-    _check_elem(spec, alpha)
-    for _ in range(spec.n if t is None else t):
-        yield alpha
-        alpha = elem_square(spec, alpha)
-
-
-def conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int]:
-    """Coordinate rows of alpha^(2^i) for i < t (default t = n)."""
-    return list(_conjugate_rows(spec, alpha, t))
-
-
 def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int] | None:
     """The conjugate rows if independent over GF(2), else None (stops at the first dependent)."""
+    _check_elem(spec, alpha)
     basis: dict[int, int] = {}
     rows = []
-    for x in _conjugate_rows(spec, alpha, t):
+    x = alpha
+    for _ in range(spec.n if t is None else t):
         r = x
         while r:
             lead = r.bit_length() - 1
@@ -52,6 +47,7 @@ def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -
         else:
             return None
         rows.append(x)
+        x = elem_square(spec, x)
     return rows
 
 
@@ -67,11 +63,15 @@ def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     return _independent_conjugates(spec, alpha, t) is not None
 
 
+def _require_enumerable(n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"exhaustive enumeration capped at n <= {cap}, got {n}")
+
+
 def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, CyclicPoly]]:
     """Yield every rank-normal element with its corresponding vector."""
     n = spec.n
-    if n > cap:
-        raise ValueError(f"exhaustive enumeration capped at n <= {cap}, got {n}")
+    _require_enumerable(n, cap)
     mask = _trace_mask(spec)
     for e in range(1, 1 << n):
         conj = _independent_conjugates(spec, e)
@@ -133,6 +133,10 @@ class CharacterizationReport:
         out.append("  agreement: " + ("exact" if self.ok else "VIOLATION"))
         return out
 
+    def payload(self) -> dict:
+        return {"audit": "characterization", "degree": self.n, "achievable": self.achievable_count,
+                "predicted": self.predicted_count, "ok": self.ok}
+
 
 def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> CharacterizationReport:
     """Exhaustively compare achievable vectors against the characterization."""
@@ -150,8 +154,6 @@ def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Chara
 def brute_factor(h: CyclicPoly, restrict_to_G: bool,
                  g_cap: int = G_SEARCH_CAP, full_cap: int = FULL_SEARCH_CAP) -> list[CyclicPoly]:
     """All g (in G, or anywhere) with g * reciprocal(g) = h, by exhaustion."""
-    from .factor import iter_G  # local import keeps module load cheap
-
     if restrict_to_G:
         if h.n > g_cap:
             raise ValueError(f"G-restricted search capped at n <= {g_cap}, got {h.n}")
@@ -161,6 +163,56 @@ def brute_factor(h: CyclicPoly, restrict_to_G: bool,
             raise ValueError(f"unrestricted search capped at n <= {full_cap}, got {h.n}")
         candidates = (CyclicPoly(h.n, bits) for bits in range(1 << h.n))
     return [g for g in candidates if cyclic_mul(g, reciprocal(g)) == h]
+
+
+@dataclass(frozen=True)
+class ViolationReport:
+    """A rule checked case by case: how many cases, and the ones that break it."""
+
+    audit: str                    # the "audit" value of the JSON record
+    title: str                    # the heading of the human output
+    n: int
+    cases: str                    # the JSON key for the number of cases checked
+    count: int
+    violations: tuple[str, ...]   # each failing case, as printed after "violation at"
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def lines(self) -> list[str]:
+        out = [f"{self.title} audit, n = {self.n}: {self.count} {self.cases.replace('_', ' ')}, "
+               f"{len(self.violations)} violations"]
+        return out + [f"  violation at {v}" for v in self.violations]
+
+    def payload(self) -> dict:
+        return {"audit": self.audit, "degree": self.n, self.cases: self.count,
+                "violations": len(self.violations), "ok": self.ok}
+
+
+def check_factorization(spec: FieldSpec) -> ViolationReport:
+    """Every h in H has exactly one factor g in G, found by brute force, and factor_2power returns it."""
+    count, failures = 0, []
+    for h in iter_H(spec.n):  # lazy, so a degree over the search cap fails at the first target
+        count += 1
+        matches = brute_factor(h, restrict_to_G=True)
+        g = factor_2power(h)
+        if matches != [g] or not in_G(g):
+            failures.append(f"h = {h}")
+    return ViolationReport("factorization", "factorization", spec.n, "targets", count, tuple(failures))
+
+
+def check_necessary(spec: FieldSpec) -> ViolationReport:
+    """The vector of every normal element passes the necessary conditions for composite 4 | n."""
+    _require_enumerable(spec.n, ENUMERATION_CAP)  # first: an over-cap degree is reported as such
+    _composite_split(spec.n)  # then the degree shape, still before the enumeration
+    count, failures = 0, []
+    for _, vec in enumerate_normal(spec):
+        count += 1
+        if reasons_failed(necessary_conditions(spec.n, vec)):
+            failures.append(f"vector {vec}")
+    return ViolationReport("necessary", "necessary-conditions", spec.n, "normal_elements",
+                           count, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -188,11 +240,16 @@ class SelfDualReport:
                        f"expected = {str(r.expected).lower():5s} [{verdict}]")
         return out
 
+    def payload(self) -> dict:
+        # rows run over 2..max_n, so the last row carries max_n
+        return {"audit": "selfdual", "max_degree": self.rows[-1].n,
+                "rows": [asdict(r) for r in self.rows], "ok": self.ok}
+
 
 def check_self_dual_existence(max_n: int, cap: int = ENUMERATION_CAP) -> SelfDualReport:
     """Exhaustively decide self-dual existence for every 2 <= n <= max_n."""
-    if max_n > 16:
-        raise ValueError(f"self-dual audit capped at max_n <= 16, got {max_n}")
+    if not 2 <= max_n <= 16:
+        raise ValueError(f"self-dual audit covers 2 <= max_n <= 16, got {max_n}")
     rows = []
     for n in range(2, max_n + 1):
         spec = FieldSpec.from_degree(n)

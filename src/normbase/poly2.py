@@ -230,9 +230,6 @@ class CyclicPoly:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def to_text(self) -> str:
-        return poly_to_text(self.bits)
-
     def __str__(self):
         return ",".join(str(b) for b in self.coeffs())
 

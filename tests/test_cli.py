@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from normbase import construct, normal, oracle
 from normbase.cli import EX_INVALID, EX_OK, EX_USAGE, EX_VERIFY, main
 from normbase.poly2 import CyclicPoly
 
@@ -114,6 +115,8 @@ def test_subfield_constructions_pick_pinned_element(capsys, argv, element):
 @pytest.mark.parametrize("argv", [
     ("field", "find", "--degree", "100000"),
     ("audit", "--degree", "18", "--mode", "characterization"),
+    ("audit", "--degree", "64", "--mode", "factorization"),
+    ("audit", "--degree", "16", "--mode", "necessary"),
 ])
 def test_unsupported_degree_rejected_before_search(capsys, argv):
     start = time.perf_counter()
@@ -148,14 +151,100 @@ def test_audit_selfdual(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_audit_violation_exit_code(capsys, monkeypatch):
-    from normbase import cli, oracle
+@pytest.mark.parametrize("argv, human, as_json", [
+    (("--degree", "8", "--mode", "characterization"),
+     "characterization audit, n = 8: achievable 4, predicted 4\n  agreement: exact\n",
+     '{"audit":"characterization","degree":8,"achievable":4,"predicted":4,"ok":true}\n'),
+    (("--degree", "8", "--mode", "factorization"),
+     "factorization audit, n = 8: 4 targets, 0 violations\n",
+     '{"audit":"factorization","degree":8,"targets":4,"violations":0,"ok":true}\n'),
+    (("--degree", "12", "--mode", "necessary"),
+     "necessary-conditions audit, n = 12: 1536 normal elements, 0 violations\n",
+     '{"audit":"necessary","degree":12,"normal_elements":1536,"violations":0,"ok":true}\n'),
+    (("--degree", "8", "--mode", "selfdual"),
+     "self-dual normal basis existence audit\n"
+     "  n =  2: exists = true  expected = true  [ok]\n"
+     "  n =  3: exists = true  expected = true  [ok]\n"
+     "  n =  4: exists = false expected = false [ok]\n"
+     "  n =  5: exists = true  expected = true  [ok]\n"
+     "  n =  6: exists = true  expected = true  [ok]\n"
+     "  n =  7: exists = true  expected = true  [ok]\n"
+     "  n =  8: exists = false expected = false [ok]\n",
+     '{"audit":"selfdual","max_degree":8,"rows":[{"n":2,"exists":true,"expected":true},'
+     '{"n":3,"exists":true,"expected":true},{"n":4,"exists":false,"expected":false},'
+     '{"n":5,"exists":true,"expected":true},{"n":6,"exists":true,"expected":true},'
+     '{"n":7,"exists":true,"expected":true},{"n":8,"exists":false,"expected":false}],'
+     '"ok":true}\n'),
+], ids=["characterization", "factorization", "necessary", "selfdual"])
+def test_audit_output_pinned(capsys, argv, human, as_json):
+    # exact bytes in both formats: scripts and the benchmark compare these lines verbatim
+    assert run(capsys, "audit", *argv) == (EX_OK, human, "")
+    assert run(capsys, "--json", "audit", *argv) == (EX_OK, as_json, "")
 
+
+def test_selfdual_audit_rejects_modulus(capsys):
+    # the self-dual audit runs every degree 2..N on its default modulus
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, *fmt, "audit", "--degree", "8", "--mode", "selfdual",
+                             "--modulus", "0x11D")
+        assert code == EX_INVALID and out == ""
+        assert "--modulus" in err
+
+
+def _broken_characterization(monkeypatch):
     broken = oracle.CharacterizationReport(8, 3, 4, (CyclicPoly(8, 1),), ())
-    monkeypatch.setattr(cli.oracle, "check_characterization", lambda spec: broken)
-    code, out, _ = run(capsys, "audit", "--degree", "8", "--mode", "characterization")
+    monkeypatch.setattr(oracle, "check_characterization", lambda spec: broken)
+
+
+def _broken_factor(monkeypatch):
+    monkeypatch.setattr(oracle, "factor_2power", lambda h: CyclicPoly(h.n, 1))
+
+
+def _broken_conditions(monkeypatch):
+    failed = construct.Verdict(construct.Status.INVALID, ("FAIL: broken",))
+    monkeypatch.setattr(oracle, "necessary_conditions", lambda n, a: failed)
+
+
+@pytest.mark.parametrize("break_audit, argv, lines", [
+    (_broken_characterization, ("--degree", "8", "--mode", "characterization"),
+     ["characterization audit, n = 8: achievable 3, predicted 4",
+      "  predicted but not achieved: 1,0,0,0,0,0,0,0",
+      "  agreement: VIOLATION"]),
+    (_broken_factor, ("--degree", "8", "--mode", "factorization"),
+     ["factorization audit, n = 8: 4 targets, 3 violations",
+      "  violation at h = 1,0,1,0,0,0,1,0",
+      "  violation at h = 1,1,0,1,0,1,0,1"]),
+    (_broken_conditions, ("--degree", "12", "--mode", "necessary"),
+     ["necessary-conditions audit, n = 12: 1536 normal elements, 1536 violations",
+      "  violation at vector 1,1,0,0,1,0,0,0,1,0,0,1",
+      "  violation at vector 1,1,0,0,1,0,0,0,1,0,0,1"]),
+], ids=["characterization", "factorization", "necessary"])
+def test_audit_violation_exit_code(capsys, monkeypatch, break_audit, argv, lines):
+    break_audit(monkeypatch)
+    code, out, _ = run(capsys, "audit", *argv)
     assert code == EX_VERIFY
-    assert "VIOLATION" in out
+    assert out.splitlines()[:3] == lines
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("weight3", "--degree", "40"), 2),                          # compose, then the CLI
+    (("prescribe", "--degree", "21", "--vector", "1" + ",0" * 20), 2),  # pipeline, then the CLI
+    (("normal", "check", "--degree", "8", "--element", "0x20"), 1),
+], ids=["weight3", "prescribe", "normal-check"])
+def test_printed_element_vector_computed_once_per_verification(capsys, monkeypatch, argv, calls):
+    run(capsys, *argv)  # warm-up: the find_normal scan may test the same element
+    seen = []
+    original = normal.corresponding_vector
+
+    def counting(spec, alpha):
+        seen.append(alpha)
+        return original(spec, alpha)
+
+    monkeypatch.setattr(normal, "corresponding_vector", counting)
+    monkeypatch.setattr(construct, "corresponding_vector", counting)
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == EX_OK
+    assert seen.count(int(json.loads(out)["element"], 16)) == calls
 
 
 def test_json_output_byte_identical(capsys):

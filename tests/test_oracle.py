@@ -8,6 +8,8 @@ from normbase.oracle import (
     achievable_vectors,
     brute_factor,
     check_characterization,
+    check_factorization,
+    check_necessary,
     check_self_dual_existence,
     enumerate_normal,
     predicted_vectors,
@@ -67,6 +69,25 @@ def test_characterization_report_lines(f12):
     assert "achievable 4" in text and "exact" in text
 
 
+@pytest.mark.parametrize("check, arg, payload", [
+    (check_characterization, FieldSpec.from_degree(8),
+     {"audit": "characterization", "degree": 8, "achievable": 4, "predicted": 4, "ok": True}),
+    (check_factorization, FieldSpec.from_degree(16),
+     {"audit": "factorization", "degree": 16, "targets": 64, "violations": 0, "ok": True}),
+    (check_necessary, FieldSpec.from_degree(12),
+     {"audit": "necessary", "degree": 12, "normal_elements": 1536, "violations": 0, "ok": True}),
+    (check_self_dual_existence, 3,
+     {"audit": "selfdual", "max_degree": 3, "ok": True,
+      "rows": [{"n": 2, "exists": True, "expected": True},
+               {"n": 3, "exists": True, "expected": True}]}),
+], ids=["characterization", "factorization", "necessary", "selfdual"])
+def test_every_audit_report_has_one_shape(check, arg, payload):
+    report = check(arg)
+    assert report.ok is True
+    assert report.payload() == payload
+    assert report.lines() and all(isinstance(line, str) for line in report.lines())
+
+
 def test_brute_factor_golden_target():
     h = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
     g = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
@@ -95,5 +116,6 @@ def test_self_dual_existence_small():
     assert report.ok
     by_n = {r.n: r.exists for r in report.rows}
     assert by_n == {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False}
-    with pytest.raises(ValueError):
-        check_self_dual_existence(17)
+    for max_n in (1, 17):
+        with pytest.raises(ValueError):
+            check_self_dual_existence(max_n)
