@@ -6,8 +6,10 @@ n = 1, 2 cases) and for odd n; for other n only necessary conditions are
 known, reported as NECESSARY_ONLY.  prescribe runs the construction
 pipeline: pick a normal base element, invert its vector in the cyclic
 ring, factor the quotient as g * reciprocal(g), and apply g as a basis
-change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
-subfield, starting from the relative trace of an ambient normal element.
+change.  The default base, its vector and the vector's inverse depend on
+the field alone, so they are computed once per spec and kept by it.
+prescribe_in_subfield runs that same pipeline in a GF(2^t) subfield,
+starting from the relative trace of an ambient normal element.
 compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 from .factor import _odd_half_sum, factor_2power, factor_odd
-from .field import FieldSpec, _conjugate_sum, elem_mul, rel_trace
+from .field import FieldSpec, _conjugate_sum, _owned, elem_mul, rel_trace
 from .normal import (
     TraceVector,
     corresponding_vector,
@@ -185,22 +186,29 @@ def _require_valid(n: int, a: TraceVector) -> None:
         raise InvalidVectorError(verdict)
 
 
-def _pipeline(spec: FieldSpec, t: int, a: TraceVector, beta: int) -> Prescription:
-    """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a base beta normal there."""
+def _vector(spec: FieldSpec, t: int, x: int) -> TraceVector:
     if t == spec.n:
-        vector = partial(corresponding_vector, spec)
-    else:
-        vector = partial(corresponding_vector_in_subfield, spec, t=t)
-    b = vector(beta)
+        return corresponding_vector(spec, x)
+    return corresponding_vector_in_subfield(spec, x, t)
+
+
+def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly]:
+    """A base beta normal in GF(2^t), with its vector and the vector's inverse."""
+    b = _vector(spec, t, beta)
     try:
-        b_inv = cyclic_inv(b)
+        return beta, b, cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
         raise ValueError("supplied base element is not normal") from None
+
+
+def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
+    """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a _base result."""
+    beta, b, b_inv = base
     h = cyclic_mul(a, b_inv)
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
     g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
     alpha = _conjugate_sum(spec, beta, g.bits)
-    vec = vector(alpha)
+    vec = _vector(spec, t, alpha)
     if vec != a:
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
@@ -219,7 +227,11 @@ def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) ->
             f"prescription requires n a power of two >= 4 or odd n, got {n} "
             "(use compose/weight3 for other composite sizes)")
     _require_valid(n, a)
-    return _pipeline(spec, n, a, find_normal(spec) if beta is None else beta)
+    if beta is None:
+        base = _owned(spec, "_default_base", lambda: _base(spec, n, find_normal(spec)))
+    else:
+        base = _base(spec, n, beta)
+    return _pipeline(spec, n, a, base)
 
 
 def prescribe(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> int:
@@ -241,7 +253,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
     _require_valid(t, a)
-    return _pipeline(spec, t, a, rel_trace(spec, find_normal(spec), t)).element
+    return _pipeline(spec, t, a, _base(spec, t, rel_trace(spec, find_normal(spec), t))).element
 
 
 def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, TraceVector]:

@@ -3,13 +3,16 @@
 Two regimes are covered.  For n a power of two the factorable targets form
 the set H (symmetric, constant term 1, middle coefficient 0, odd-index
 half-sum 0) and each has a unique factor g in the structured set G; that g
-is recovered by solving a linear system over GF(2).  For odd n a target
+is recovered by solving a linear system over GF(2).  The system's matrix
+depends only on n, so it is eliminated once per ring size; each target
+then costs one parity per unknown.  For odd n a target
 factors iff it is symmetric, and then g_i = h_{2i mod n} gives a symmetric
 square root (g * g^* = g^2 = h).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal
@@ -91,35 +94,49 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
             yield h
 
 
-def _solve_unique_gf2(rows: list[int], rhs: list[int], width: int) -> list[int]:
-    """Solve a GF(2) system known to have exactly one solution.
+@lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use
+def _eliminated_system(n: int) -> tuple[list[int], int, list[int], list[int]]:
+    """The factor_2power system for ring size n, eliminated once.
 
-    Rows are bit masks over `width` unknowns.  Raises RuntimeError if the
-    system turns out rank-deficient or inconsistent, which would mean the
-    caller fed it a target outside the guaranteed regime.
+    Equation j (1 <= j <= n/2 - 1) is bit j - 1 of the right-hand side
+    h_j + const_j.  Returns (free, const, picks, zero): unknown k is the
+    parity of picks[k] & rhs, and each mask in zero combines equations
+    that must sum to 0.  Raises RuntimeError if the system is
+    rank-deficient, which would be an implementation bug.
     """
-    rows = list(rows)
-    rhs = list(rhs)
+    free = _free_indices(n)
+    col = {idx: pos for pos, idx in enumerate(free)}
+    rows, const = [], 0
+    for j in range(1, n // 2):
+        if j % 2 == 0:
+            terms = (j, j - 1)
+        else:
+            terms = (j, j - 1, (n - 1 - j) // 2, (j - 1) // 2)
+        row = 0
+        for z in terms:
+            if z == 0:
+                const ^= 1 << (j - 1)
+            elif z in col:
+                row ^= 1 << col[z]
+        rows.append(row)
+    combos = [1 << i for i in range(len(rows))]  # which equations each row now sums
     m = len(rows)
-    pivot_row = {}
+    pivot_row = []
     r = 0
-    for c in range(width):
+    for c in range(len(free)):
         bit = 1 << c
         p = next((i for i in range(r, m) if rows[i] & bit), None)
         if p is None:
             raise RuntimeError("factorization system is rank-deficient (implementation bug)")
         rows[r], rows[p] = rows[p], rows[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
+        combos[r], combos[p] = combos[p], combos[r]
         for i in range(m):
             if i != r and rows[i] & bit:
                 rows[i] ^= rows[r]
-                rhs[i] ^= rhs[r]
-        pivot_row[c] = r
+                combos[i] ^= combos[r]
+        pivot_row.append(r)
         r += 1
-    for i in range(r, m):
-        if rhs[i]:
-            raise RuntimeError("factorization system is inconsistent (implementation bug)")
-    return [rhs[pivot_row[c]] for c in range(width)]
+    return free, const, [combos[i] for i in pivot_row], combos[r:]
 
 
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
@@ -136,24 +153,11 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
             "no structured factorization: polynomial is outside the set H "
             "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)")
     n = h.n
-    free = _free_indices(n)
-    col = {idx: pos for pos, idx in enumerate(free)}
-    rows, rhs = [], []
-    for j in range(1, n // 2):
-        if j % 2 == 0:
-            terms = (j, j - 1)
-        else:
-            terms = (j, j - 1, (n - 1 - j) // 2, (j - 1) // 2)
-        row = const = 0
-        for z in terms:
-            if z == 0:
-                const ^= 1
-            elif z in col:
-                row ^= 1 << col[z]
-        rows.append(row)
-        rhs.append(h.coeff(j) ^ const)
-    solution = _solve_unique_gf2(rows, rhs, len(free))
-    g = _g_from_assignment(n, free, solution)
+    free, const, picks, zero = _eliminated_system(n)
+    rhs = ((h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)) ^ const
+    if any((c & rhs).bit_count() & 1 for c in zero):
+        raise RuntimeError("factorization system is inconsistent (implementation bug)")
+    g = _g_from_assignment(n, free, [(c & rhs).bit_count() & 1 for c in picks])
     if not verify_factorization(h, g):
         raise RuntimeError("solved factor fails verification (implementation bug)")
     return g

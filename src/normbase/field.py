@@ -5,6 +5,15 @@ a root of the defining modulus.  Every n-bit pattern is an element.  The
 immutable FieldSpec context is passed explicitly to every operation, so
 elements stay compact and specs can be shared freely across threads.
 
+Squaring and the trace form are GF(2)-linear (Lidl & Niederreiter, Finite
+Fields, ch. 2), so each spec owns a kernel of byte tables, built on first
+use and freed with the spec: the squaring map (images g^(2j), by shifting
+and reducing) and the Gram matrix of the trace form (x, y) -> Tr(xy),
+whose row j, bit k is Tr(g^(j+k)).  The traces p_m = Tr(g^m), m < 2n - 1,
+come from Newton's identities on the modulus and then its recurrence; the
+trace mask is their low n bits.  Public functions validate their elements;
+the inner loops apply the tables directly.
+
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
 """
@@ -12,7 +21,7 @@ sum "pow:1,126" meaning g^1 + g^126.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .poly2 import degree, find_irreducible, is_irreducible, poly_mod, poly_mul, poly_to_text
 
@@ -54,6 +63,75 @@ class FieldSpec:
         """The element x mod modulus (the adjoined root g)."""
         return poly_mod(2, self.modulus)
 
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        # kept in this spec's own __dict__; eq and hash still see only n and modulus
+        return _Kernel(self.n, self.modulus)
+
+
+def _byte_tables(images: list[int]) -> list[list[int]]:
+    """Byte-indexed tables of the GF(2)-linear map that sends bit j to images[j]."""
+    tables = []
+    for start in range(0, len(images), 8):
+        table = [0]
+        for image in images[start:start + 8]:
+            table += [t ^ image for t in table]
+        tables.append(table)
+    return tables
+
+
+def _linear(tables: list[list[int]], a: int) -> int:
+    """Apply the linear map given by _byte_tables to a."""
+    out = 0
+    for table in tables:
+        out ^= table[a & 0xFF]
+        a >>= 8
+    return out
+
+
+class _Kernel:
+    """A field's trace mask and the byte tables of its squaring map and trace form."""
+
+    __slots__ = ("trace_mask", "square", "gram")
+
+    def __init__(self, n: int, modulus: int):
+        low = modulus ^ (1 << n)  # c_0 + c_1 x + ... + c_{n-1} x^(n-1)
+        # bit m of seq is p_m = Tr(g^m), the m-th power sum of the roots of the
+        # modulus: p_k = sum_{i=1}^{min(k,n)} c_{n-i} p_{k-i}, plus k c_{n-k}
+        # for k <= n (Newton); p_0 = Tr(1) = n mod 2 enters no sum, so it is set last
+        seq = 0
+        for k in range(1, 2 * n - 1):
+            window = seq >> (k - n) if k >= n else seq << (n - k)
+            p = (window & low).bit_count() & 1
+            if k <= n and k & 1:
+                p ^= (low >> (n - k)) & 1
+            seq |= p << k
+        seq |= n & 1
+        full = (1 << n) - 1
+        self.trace_mask = seq & full
+        self.gram = _byte_tables([(seq >> j) & full for j in range(n)])
+        images, x = [], 1
+        for _ in range(n):
+            images.append(x)
+            x <<= 2
+            if x >> (n + 1) & 1:
+                x ^= modulus << 1
+            if x >> n & 1:
+                x ^= modulus
+        self.square = _byte_tables(images)
+
+
+def _owned(spec: FieldSpec, key: str, build):
+    """build() once per spec, kept like _kernel in the spec's own __dict__ and freed with it.
+
+    For values the layers above field derive from the field alone.  Threads
+    that race here each build the same value, and one of them is kept.
+    """
+    owned = vars(spec)
+    if key not in owned:
+        owned[key] = build()
+    return owned[key]
+
 
 def _check_elem(spec: FieldSpec, a: int):
     if not 0 <= a < (1 << spec.n):
@@ -74,12 +152,7 @@ def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
 
 def elem_square(spec: FieldSpec, a: int) -> int:
     _check_elem(spec, a)
-    sq = 0
-    while a:
-        low = a & -a
-        sq |= 1 << (2 * (low.bit_length() - 1))
-        a ^= low
-    return poly_mod(sq, spec.modulus)
+    return _linear(spec._kernel.square, a)
 
 
 def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
@@ -105,13 +178,15 @@ def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
 def frobenius(spec: FieldSpec, a: int, k: int) -> int:
     """a^(2^k); k is reduced mod n, so frobenius(a, n) = a."""
     _check_elem(spec, a)
+    square = spec._kernel.square
     for _ in range(k % spec.n):
-        a = elem_square(spec, a)
+        a = _linear(square, a)
     return a
 
 
 def _conjugate_sum(spec: FieldSpec, a: int, mask: int, step: int = 1) -> int:
     """Sum of a^(2^(step*i)) over the set bits i of mask."""
+    square = spec._kernel.square
     acc = 0
     while True:
         if mask & 1:
@@ -120,7 +195,7 @@ def _conjugate_sum(spec: FieldSpec, a: int, mask: int, step: int = 1) -> int:
         if not mask:
             return acc
         for _ in range(step):
-            a = elem_square(spec, a)
+            a = _linear(square, a)
 
 
 def _trace_by_sum(spec: FieldSpec, a: int, t: int | None = None) -> int:
@@ -131,22 +206,10 @@ def _trace_by_sum(spec: FieldSpec, a: int, t: int | None = None) -> int:
     return tr
 
 
-@lru_cache(maxsize=None)
-def _trace_mask(spec: FieldSpec) -> int:
-    # bit i set iff Tr(g^i) = 1; by linearity Tr(x) = parity(popcount(x & mask))
-    mask = 0
-    p = 1
-    for i in range(spec.n):
-        if _trace_by_sum(spec, p):
-            mask |= 1 << i
-        p = poly_mod(p << 1, spec.modulus)
-    return mask
-
-
 def abs_trace(spec: FieldSpec, a: int) -> int:
     """Absolute trace onto GF(2): the sum of all 2^i-th powers of a."""
     _check_elem(spec, a)
-    return (a & _trace_mask(spec)).bit_count() & 1
+    return (a & spec._kernel.trace_mask).bit_count() & 1
 
 
 def rel_trace(spec: FieldSpec, a: int, t: int) -> int:

@@ -6,24 +6,29 @@ f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
 That gcd criterion is the production normality test here; the independent
 rank-based test lives in the oracle module.
 
-A GF(2^t) subfield element gets its length-t vector from the same loop
-with a different trace map (the sum of its first t conjugates), so the
-subfield construction runs the same pipeline.
+The full-field vector reads every entry off the trace form: with
+w = Gram * alpha, so that Tr(alpha * x) = parity(x & w), a_i is the parity
+of alpha^(2^i) & w, and the loop only squares (see the field module).  A
+GF(2^t) subfield element gets its length-t vector by multiplying and then
+taking the sum of the first t conjugates, so the subfield construction
+runs the same pipeline.
+
+The scan's normal element is computed once per spec and kept by the spec
+itself, so it is freed with the spec.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .field import (
     FieldSpec,
     _check_elem,
     _conjugate_sum,
+    _linear,
+    _owned,
     _trace_by_sum,
-    _trace_mask,
     elem_mul,
-    elem_square,
     in_subfield,
 )
 from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
@@ -32,20 +37,22 @@ from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
 TraceVector = CyclicPoly
 
 
-def _vector(spec: FieldSpec, alpha: int, t: int, trace) -> TraceVector:
+def _vector(spec: FieldSpec, alpha: int, t: int, entry) -> TraceVector:
+    # entry(conj) is Tr(alpha * conj) for conj = alpha^(2^i), i < t
+    square = spec._kernel.square
     bits = 0
     conj = alpha
     for i in range(t):
-        bits |= trace(elem_mul(spec, alpha, conj)) << i
-        conj = elem_square(spec, conj)
+        bits |= entry(conj) << i
+        conj = _linear(square, conj)
     return CyclicPoly(t, bits)
 
 
 def corresponding_vector(spec: FieldSpec, alpha: int) -> TraceVector:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
     _check_elem(spec, alpha)
-    mask = _trace_mask(spec)
-    return _vector(spec, alpha, spec.n, lambda x: (x & mask).bit_count() & 1)
+    w = _linear(spec._kernel.gram, alpha)  # w_k = Tr(alpha * g^k)
+    return _vector(spec, alpha, spec.n, lambda x: (x & w).bit_count() & 1)
 
 
 def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> TraceVector:
@@ -56,7 +63,7 @@ def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> Tra
     """
     if not in_subfield(spec, alpha, t):
         raise ValueError(f"element does not lie in the GF(2^{t}) subfield")
-    return _vector(spec, alpha, t, lambda x: _trace_by_sum(spec, x, t))
+    return _vector(spec, alpha, t, lambda x: _trace_by_sum(spec, elem_mul(spec, alpha, x), t))
 
 
 def is_normal(spec: FieldSpec, alpha: int) -> bool:
@@ -71,24 +78,27 @@ def is_normal_in_subfield(spec: FieldSpec, alpha: int, t: int) -> bool:
     return is_unit_mod_cyclic(corresponding_vector_in_subfield(spec, alpha, t))
 
 
-@lru_cache(maxsize=None)
+def _scan(spec: FieldSpec) -> int:
+    # a normal element has trace 1, so encodings below the lowest
+    # trace-one basis monomial can be skipped wholesale (the ascending
+    # order of candidates actually tested is unchanged)
+    mask = spec._kernel.trace_mask
+    for a in range(mask & -mask, spec.order):
+        if (a & mask).bit_count() & 1 and is_normal(spec, a):
+            return a
+    raise AssertionError("unreachable: every extension has a normal element")
+
+
 def find_normal(spec: FieldSpec, strategy: str = "scan", seed: int = 0) -> int:
     """Find a normal element.
 
     "scan" walks coordinate encodings in ascending order (deterministic);
-    "random" draws seed-reproducible candidates.  Cached: same arguments
-    always return the same element.
+    "random" draws seed-reproducible candidates.  Same arguments always
+    return the same element; the scan runs once per spec, which keeps
+    its result.
     """
     if strategy == "scan":
-        # a normal element has trace 1, so encodings below the lowest
-        # trace-one basis monomial can be skipped wholesale (the ascending
-        # order of candidates actually tested is unchanged)
-        mask = _trace_mask(spec)
-        start = mask & -mask
-        for a in range(start, spec.order):
-            if (a & mask).bit_count() & 1 and is_normal(spec, a):
-                return a
-        raise AssertionError("unreachable: every extension has a normal element")
+        return _owned(spec, "_normal_scan", lambda: _scan(spec))
     if strategy == "random":
         rng = random.Random(seed)
         while True:

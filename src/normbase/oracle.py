@@ -4,6 +4,9 @@ Normality here is decided by the rank of the Frobenius-conjugate
 coordinate matrix, deliberately NOT by the gcd criterion the production
 path uses; the two are compared in tests, so theorem audits stay
 non-circular; vectors are computed naively, multiply then trace.  The
+oracle has its own naive square (spread the bits, then reduce) and its own
+trace mask (each Tr(g^i) a sum of n naive conjugates), so no audit runs
+on the field kernel's tables.  The
 subfield construction is the same pipeline as the full-field one, and is
 audited by the same rank test on the first t conjugates.  Enumeration
 caps keep exhaustive runs in the minutes range on one core; caps are
@@ -21,12 +24,38 @@ from typing import Iterator
 
 from .construct import Status, _composite_split, necessary_conditions, reasons_failed, validate_vector
 from .factor import factor_2power, in_G, iter_G, iter_H
-from .field import FieldSpec, _check_elem, _trace_mask, elem_mul, elem_square, in_subfield
-from .poly2 import CyclicPoly, cyclic_mul, reciprocal
+from .field import FieldSpec, _check_elem, elem_mul
+from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
 FULL_SEARCH_CAP = 16
+
+
+def _naive_square(spec: FieldSpec, a: int) -> int:
+    sq = 0
+    while a:
+        low = a & -a
+        sq |= 1 << (2 * (low.bit_length() - 1))
+        a ^= low
+    return poly_mod(sq, spec.modulus)
+
+
+def _naive_trace_mask(spec: FieldSpec) -> int:
+    """Bit i set iff Tr(g^i) = 1, each trace the sum of n naive conjugates."""
+    mask = 0
+    p = 1
+    for i in range(spec.n):
+        tr = 0
+        x = p
+        for _ in range(spec.n):
+            tr ^= x
+            x = _naive_square(spec, x)
+        if tr not in (0, 1):
+            raise RuntimeError("trace must land in GF(2) (implementation bug)")
+        mask |= tr << i
+        p = poly_mod(p << 1, spec.modulus)
+    return mask
 
 
 def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int] | None:
@@ -47,7 +76,7 @@ def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -
         else:
             return None
         rows.append(x)
-        x = elem_square(spec, x)
+        x = _naive_square(spec, x)
     return rows
 
 
@@ -58,9 +87,11 @@ def is_normal_by_rank(spec: FieldSpec, alpha: int) -> bool:
 
 def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
-    if not in_subfield(spec, alpha, t):
-        return False
-    return _independent_conjugates(spec, alpha, t) is not None
+    if t < 1 or spec.n % t:
+        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
+    rows = _independent_conjugates(spec, alpha, t)
+    # alpha lies in GF(2^t) iff alpha^(2^t) = alpha
+    return rows is not None and _naive_square(spec, rows[-1]) == alpha
 
 
 def _require_enumerable(n: int, cap: int) -> None:
@@ -72,7 +103,7 @@ def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tu
     """Yield every rank-normal element with its corresponding vector."""
     n = spec.n
     _require_enumerable(n, cap)
-    mask = _trace_mask(spec)
+    mask = _naive_trace_mask(spec)
     for e in range(1, 1 << n):
         conj = _independent_conjugates(spec, e)
         if conj is None:
@@ -89,10 +120,14 @@ def achievable_vectors(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> set[Cycli
     return {vec for _, vec in enumerate_normal(spec, cap)}
 
 
-def predicted_vectors(n: int) -> set[CyclicPoly]:
-    """All vectors the characterization declares achievable (n = 2^s >= 4 or odd)."""
+def _require_characterized(n: int) -> None:
     if not ((n >= 4 and n & (n - 1) == 0) or n % 2 == 1):
         raise ValueError(f"characterization covers n = 2^s >= 4 or odd n, got {n}")
+
+
+def predicted_vectors(n: int) -> set[CyclicPoly]:
+    """All vectors the characterization declares achievable (n = 2^s >= 4 or odd)."""
+    _require_characterized(n)
     # corresponding vectors are symmetric, so free indices are 0..floor(n/2)
     half = n // 2
     out = set()
@@ -140,7 +175,10 @@ class CharacterizationReport:
 
 def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> CharacterizationReport:
     """Exhaustively compare achievable vectors against the characterization."""
-    predicted = predicted_vectors(spec.n)  # first: it rejects unsupported degrees
+    # both bounds before any work: the predicted set alone has 2^(n/2+1) candidates
+    _require_characterized(spec.n)
+    _require_enumerable(spec.n, cap)
+    predicted = predicted_vectors(spec.n)
     achieved = achievable_vectors(spec, cap)
     return CharacterizationReport(
         spec.n,

@@ -117,12 +117,23 @@ def test_subfield_constructions_pick_pinned_element(capsys, argv, element):
     ("audit", "--degree", "18", "--mode", "characterization"),
     ("audit", "--degree", "64", "--mode", "factorization"),
     ("audit", "--degree", "16", "--mode", "necessary"),
+    ("audit", "--degree", "32", "--mode", "characterization"),
+    ("audit", "--degree", "64", "--mode", "characterization"),
 ])
 def test_unsupported_degree_rejected_before_search(capsys, argv):
     start = time.perf_counter()
     code, _, err = run(capsys, *argv)
     assert code == EX_INVALID and err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("degree, message", [
+    ("24", "characterization covers n = 2^s >= 4 or odd n, got 24"),  # the shape is checked first
+    ("32", "exhaustive enumeration capped at n <= 20, got 32"),
+])
+def test_characterization_audit_bound_messages(capsys, degree, message):
+    assert run(capsys, "audit", "--degree", degree, "--mode", "characterization") == (
+        EX_INVALID, "", f"normbase: {message}\n")
 
 
 def test_audit_characterization(capsys):

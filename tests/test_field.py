@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normbase.field import (
     FieldSpec,
@@ -18,6 +20,9 @@ from normbase.field import (
     parse_elem,
     rel_trace,
 )
+from normbase.normal import corresponding_vector
+from normbase.oracle import _naive_square, _naive_trace_mask
+from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible
 
 
 def test_spec_rejects_bad_moduli():
@@ -153,3 +158,60 @@ def test_parse_and_format(f16):
         parse_elem(f16, "0x10000")  # out of range
     with pytest.raises(ValueError):
         parse_elem(f16, "pow:x")
+
+
+# ---------- the field kernel against the oracle's naive arithmetic ----------
+
+def _moduli(n):
+    """The default modulus and up to two seeded irreducible others (fewer exist for n <= 3)."""
+    rng = random.Random(n)
+    mods = [find_irreducible(n)]
+    for _ in range(64 * n):
+        if len(mods) == 3:
+            break
+        f = rng.randrange(1 << n, 1 << (n + 1)) | 1
+        if f not in mods and is_irreducible(f):
+            mods.append(f)
+    return mods
+
+
+def _assert_kernel_matches_reference(spec, elements):
+    mask = _naive_trace_mask(spec)
+    assert spec.n != 1 or mask & 1  # Tr(1) = n mod 2: 1 in GF(2) itself
+    assert spec.n % 2 or not mask & 1  # and 0 for every even n
+    for a in elements:
+        conjugates = [a]
+        for _ in range(spec.n):
+            conjugates.append(_naive_square(spec, conjugates[-1]))
+        assert conjugates[-1] == a
+        assert elem_square(spec, a) == conjugates[1]
+        assert [frobenius(spec, a, k) for k in range(spec.n)] == conjugates[:-1]
+        assert abs_trace(spec, a) == (a & mask).bit_count() & 1
+        naive = sum(((elem_mul(spec, a, c) & mask).bit_count() & 1) << i
+                    for i, c in enumerate(conjugates[:-1]))
+        assert corresponding_vector(spec, a) == CyclicPoly(spec.n, naive)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_kernel_matches_naive_reference(n):
+    # every degree, so n = 1 (Tr(1) = 1) and even n (Tr(1) = 0) are both covered
+    rng = random.Random(1000 + n)
+    for modulus in _moduli(n):
+        spec = FieldSpec(n, modulus)
+        elements = {0, 1, spec.generator} | {rng.randrange(spec.order) for _ in range(6)}
+        _assert_kernel_matches_reference(spec, sorted(elements))
+
+
+@st.composite
+def _degree_64_fields(draw):
+    # the lower half of the degree-64 range, so the search upward stays in degree 64
+    f = draw(st.integers(1 << 64, (1 << 64) | (1 << 63))) | 1
+    while not is_irreducible(f):  # the next irreducible modulus above the draw
+        f += 2
+    return FieldSpec(64, f)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_degree_64_fields(), st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3))
+def test_kernel_matches_naive_reference_random_moduli(spec, elements):
+    _assert_kernel_matches_reference(spec, elements)

@@ -1,9 +1,12 @@
 """Normality, corresponding vectors, basis changes, the transform law."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from normbase.construct import prescribe
 from normbase.field import FieldSpec, elem_mul, in_subfield, rel_trace
 from normbase.normal import (
     apply_basis_change,
@@ -79,6 +82,29 @@ def test_find_normal_random_reproducible(f12):
     assert find_normal(f12, "random", 42) == find_normal(f12, "random", 42)
     with pytest.raises(ValueError):
         find_normal(f12, "sorted")
+
+
+def test_field_spec_is_freed_and_its_choices_repeat():
+    # per-field values live on the spec, so nothing keeps a dropped spec alive
+    spec = FieldSpec.from_degree(21)
+    element = find_normal(spec)
+    corresponding_vector(spec, element)
+    prescribe(spec, CyclicPoly(21, 1))
+    drawn = find_normal(spec, "random", 7)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+    # equal but distinct specs make the same deterministic choices
+    again = FieldSpec.from_degree(21)
+    assert again is not ref() and find_normal(again) == element
+    assert find_normal(again, "random", 7) == find_normal(again, "random", 7) == drawn
+
+
+def test_explicit_base_is_not_kept_by_the_spec():
+    spec = FieldSpec.from_degree(16)
+    prescribe(spec, CyclicPoly.from_support(16, {0, 1, 15}), beta=find_normal(spec, "random", 3))
+    assert set(vars(spec)) <= {"n", "modulus", "_kernel"}  # the fields and their tables, no base
 
 
 def test_basis_change_identity(f16):
@@ -160,11 +186,11 @@ def test_traced_down_normal_element_has_valid_subfield_vector(f12):
 
 
 def test_subfield_normality_tests_agree(f12):
+    # elements outside the subfield included: both tests say False for them
     for t in (3, 4, 6):
         for a in range(f12.order):
-            if in_subfield(f12, a, t):
-                assert (is_normal_in_subfield(f12, a, t)
-                        == is_subfield_normal_by_rank(f12, a, t))
+            assert (is_normal_in_subfield(f12, a, t)
+                    == is_subfield_normal_by_rank(f12, a, t))
 
 
 def test_trace_down_preserves_normality_exhaustive(f12):

@@ -45,3 +45,43 @@ def test_every_public_function_is_referenced():
               and node.name not in used]
     assert TESTS
     assert not unused
+
+
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_oracle_does_not_use_the_field_kernel():
+    # the audits check the production path, so the oracle keeps its own naive arithmetic
+    oracle = next(path for path in SOURCES if path.name == "oracle.py")
+    production = {"elem_square", "_trace_mask", "_kernel", "corresponding_vector", "is_normal"}
+    assert not production & set(_names(ast.parse(oracle.read_text())))
+
+
+def _unbounded_cache(decorator: ast.expr) -> bool:
+    # @cache, @functools.cache, @lru_cache(maxsize=None), @lru_cache(None)
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return name == "cache"  # a bare @lru_cache keeps 128 entries
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def test_no_unbounded_cache_keyed_on_a_field_spec():
+    # per-field values belong to the FieldSpec, which frees them with itself
+    found = [f"{path.name}:{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef) and node.args.args
+             and "FieldSpec" in ast.unparse(node.args.args[0].annotation or ast.Pass())
+             and any(_unbounded_cache(d) for d in node.decorator_list)]
+    assert not found
