@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import construct, field, normal, oracle, poly2
 
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)  # built on the first main() call, then reused: parsing keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="normbase",

@@ -8,8 +8,11 @@ oracle has its own naive square (spread the bits, then reduce) and its own
 trace mask (each Tr(g^i) a sum of n naive conjugates), so no audit runs
 on the field kernel's tables.  The
 subfield construction is the same pipeline as the full-field one, and is
-audited by the same rank test on the first t conjugates.  Enumeration
-caps keep exhaustive runs in the minutes range on one core; caps are
+audited by the same rank test on the first t conjugates.  The enumeration
+decides each Frobenius orbit once: conjugates share normality and the
+vector, so one rank test and one vector stand for the orbit's n elements,
+and the audits count per element.  Enumeration caps keep exhaustive runs
+in the seconds range on one core (about 7 s at the cap n = 20); caps are
 arguments, not constants.
 
 This module owns every audit: check_characterization, check_factorization,
@@ -58,14 +61,22 @@ def _naive_trace_mask(spec: FieldSpec) -> int:
     return mask
 
 
-def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -> list[int] | None:
-    """The conjugate rows if independent over GF(2), else None (stops at the first dependent)."""
-    _check_elem(spec, alpha)
+def _orbit(spec: FieldSpec, alpha: int) -> list[int]:
+    """The Frobenius orbit alpha, alpha^2, alpha^4, ... up to its first repeat."""
+    orbit = [alpha]
+    x = _naive_square(spec, alpha)
+    while x != alpha:
+        if len(orbit) == spec.n:
+            raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
+        orbit.append(x)
+        x = _naive_square(spec, x)
+    return orbit
+
+
+def _independent(rows: list[int]) -> bool:
+    """GF(2) elimination: True iff the rows are independent (stops at the first dependent)."""
     basis: dict[int, int] = {}
-    rows = []
-    x = alpha
-    for _ in range(spec.n if t is None else t):
-        r = x
+    for r in rows:
         while r:
             lead = r.bit_length() - 1
             b = basis.get(lead)
@@ -74,24 +85,24 @@ def _independent_conjugates(spec: FieldSpec, alpha: int, t: int | None = None) -
                 break
             r ^= b
         else:
-            return None
-        rows.append(x)
-        x = _naive_square(spec, x)
-    return rows
+            return False
+    return True
 
 
 def is_normal_by_rank(spec: FieldSpec, alpha: int) -> bool:
     """Rank-based normality: the n conjugates are linearly independent."""
-    return _independent_conjugates(spec, alpha) is not None
+    return is_subfield_normal_by_rank(spec, alpha, spec.n)
 
 
 def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
     if t < 1 or spec.n % t:
         raise ValueError(f"{t} does not divide the extension degree {spec.n}")
-    rows = _independent_conjugates(spec, alpha, t)
-    # alpha lies in GF(2^t) iff alpha^(2^t) = alpha
-    return rows is not None and _naive_square(spec, rows[-1]) == alpha
+    _check_elem(spec, alpha)
+    # t distinct conjugates iff alpha lies in GF(2^t) and in no smaller subfield,
+    # where its t conjugates would repeat
+    orbit = _orbit(spec, alpha)
+    return len(orbit) == t and _independent(orbit)
 
 
 def _require_enumerable(n: int, cap: int) -> None:
@@ -100,16 +111,28 @@ def _require_enumerable(n: int, cap: int) -> None:
 
 
 def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, CyclicPoly]]:
-    """Yield every rank-normal element with its corresponding vector."""
+    """Yield (e, vector) once per rank-normal Frobenius orbit, e its smallest element.
+
+    The n conjugates of e are normal with e and share its vector, since
+    Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Elements
+    are scanned in ascending order, so every element below a yielded e
+    has been decided.
+    """
     n = spec.n
     _require_enumerable(n, cap)
     mask = _naive_trace_mask(spec)
+    visited = bytearray(1 << n)
     for e in range(1, 1 << n):
-        conj = _independent_conjugates(spec, e)
-        if conj is None:
+        if visited[e]:
+            continue
+        orbit = _orbit(spec, e)
+        for x in orbit:
+            visited[x] = 1
+        # a shorter orbit lies in a proper subfield, so its conjugates repeat
+        if len(orbit) < n or not _independent(orbit):
             continue
         bits = 0
-        for i, c in enumerate(conj):
+        for i, c in enumerate(orbit):
             if (elem_mul(spec, e, c) & mask).bit_count() & 1:
                 bits |= 1 << i
         yield e, CyclicPoly(n, bits)
@@ -246,9 +269,10 @@ def check_necessary(spec: FieldSpec) -> ViolationReport:
     _composite_split(spec.n)  # then the degree shape, still before the enumeration
     count, failures = 0, []
     for _, vec in enumerate_normal(spec):
-        count += 1
+        # counted per element: each orbit stands for its n conjugates, which share vec
+        count += spec.n
         if reasons_failed(necessary_conditions(spec.n, vec)):
-            failures.append(f"vector {vec}")
+            failures += [f"vector {vec}"] * spec.n
     return ViolationReport("necessary", "necessary-conditions", spec.n, "normal_elements",
                            count, tuple(failures))
 

@@ -1,6 +1,7 @@
 import pytest
 
 from normbase import FieldSpec
+from normbase.field import elem_square
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +13,15 @@ def f16():
 @pytest.fixture(scope="session")
 def f12():
     return FieldSpec.from_degree(12)
+
+
+@pytest.fixture(scope="session")
+def per_element():
+    """Expand enumerate_normal's (e, vector) per orbit into (conjugate, vector) per element."""
+    def expand(spec, orbits):
+        for e, vec in orbits:
+            x = e
+            for _ in range(spec.n):
+                yield x, vec
+                x = elem_square(spec, x)
+    return expand

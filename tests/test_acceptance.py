@@ -26,6 +26,7 @@ from normbase.normal import (
 )
 from normbase.oracle import (
     check_characterization,
+    check_necessary,
     check_self_dual_existence,
     enumerate_normal,
     is_subfield_normal_by_rank,
@@ -146,11 +147,11 @@ def test_criterion_5_weight_three_constructions():
     _report(f"5 weight-3 constructions n=4..32 ({budget.elapsed:.1f}s)")
 
 
-def test_criterion_6_composite_necessary_conditions_exhaustive():
+def test_criterion_6_composite_necessary_conditions_exhaustive(per_element):
     with Budget(5.0) as budget:
         spec = FieldSpec.from_degree(12)
         count = 0
-        for _, vec in enumerate_normal(spec):
+        for _, vec in per_element(spec, enumerate_normal(spec)):
             count += 1
             verdict = necessary_conditions(12, vec)
             assert verdict.status is Status.NECESSARY_ONLY, (vec, verdict.reasons)
@@ -182,7 +183,7 @@ def _random_symmetric(n, rng, force_c1=True):
     return CyclicPoly(n, bits)
 
 
-def test_criterion_8_property_suites(f12):
+def test_criterion_8_property_suites(f12, per_element):
     cases = 1000
     with Budget(60.0) as budget:
         rng = random.Random(0xC0FFEE)
@@ -238,7 +239,7 @@ def test_criterion_8_property_suites(f12):
 
         # tracing down preserves normality; products across coprime subfields
         # are normal exactly when both factors are (exhaustive at n = 12)
-        normals12 = [elem for elem, _ in enumerate_normal(f12)]
+        normals12 = [elem for elem, _ in per_element(f12, enumerate_normal(f12))]
         for delta in normals12:
             for t in (3, 4, 6):
                 assert is_subfield_normal_by_rank(f12, rel_trace(f12, delta, t), t)
@@ -279,3 +280,23 @@ def test_criterion_9_scale_roundtrip():
                 alpha = prescribe(spec, v)
                 assert corresponding_vector(spec, alpha) == v
     _report(f"9 scale roundtrip, 100 vectors each at n=32,64,21,33 ({budget.elapsed:.1f}s)")
+
+
+# ---- evidence beyond the criteria, bought with the orbit-reduced oracle ----
+
+def test_evidence_odd_characterization_n17():
+    with Budget(10.0) as budget:
+        report = check_characterization(FieldSpec.from_degree(17))
+        assert report.ok, report.lines()
+        assert report.achievable_count == report.predicted_count == 225
+    _report(f"evidence: odd characterization n=17, 225 vectors ({budget.elapsed:.1f}s)")
+
+
+def test_evidence_necessary_conditions_n20():
+    # 20 = 4 * 5: the composite case 4 | n, exhaustive beyond n = 12
+    with Budget(60.0) as budget:
+        report = check_necessary(FieldSpec.from_degree(20))
+        assert report.ok, report.lines()[:3]
+        assert report.count == 491520  # unit count of GF(2)[x]/(x^20-1)
+    _report(f"evidence: necessary conditions hold for all {report.count} normal elements "
+            f"of GF(2^20) ({budget.elapsed:.1f}s)")

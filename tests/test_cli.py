@@ -2,10 +2,11 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from normbase import construct, normal, oracle
+from normbase import FieldSpec, cli, construct, normal, oracle
 from normbase.cli import EX_INVALID, EX_OK, EX_USAGE, EX_VERIFY, main
 from normbase.poly2 import CyclicPoly
 
@@ -235,6 +236,40 @@ def test_audit_violation_exit_code(capsys, monkeypatch, break_audit, argv, lines
     code, out, _ = run(capsys, "audit", *argv)
     assert code == EX_VERIFY
     assert out.splitlines()[:3] == lines
+
+
+def test_necessary_violation_lines_one_per_element(capsys, monkeypatch):
+    # the oracle decides each Frobenius orbit once; the report still lists every element
+    _broken_conditions(monkeypatch)
+    code, out, _ = run(capsys, "audit", "--degree", "12", "--mode", "necessary")
+    lines = out.splitlines()
+    assert code == EX_VERIFY
+    assert len(lines) == 1 + 1536
+    assert lines[:3] == [
+        "necessary-conditions audit, n = 12: 1536 normal elements, 1536 violations",
+        "  violation at vector 1,1,0,0,1,0,0,0,1,0,0,1",
+        "  violation at vector 1,1,0,0,1,0,0,0,1,0,0,1"]
+    spec = FieldSpec.from_degree(12)
+    assert Counter(lines[1:]) == Counter(
+        f"  violation at vector {normal.corresponding_vector(spec, a)}"
+        for a in range(spec.order) if normal.is_normal(spec, a))
+
+
+def test_parser_built_once_and_reused(capsys):
+    cli._build_parser.cache_clear()
+    usage = ["audit", "--degree", "8", "--mode", "nope"]
+    with pytest.raises(SystemExit) as first:
+        main(usage)
+    fresh_err = capsys.readouterr().err
+    code, out, _ = run(capsys, "--json", "field", "find", "--degree", "8")
+    assert code == EX_OK and json.loads(out)["degree"] == 8
+    code, out, _ = run(capsys, "field", "find", "--degree", "8")  # no --json carried over
+    assert code == EX_OK and out.splitlines()[0].split() == ["degree", "8"]
+    with pytest.raises(SystemExit) as again:
+        main(usage)
+    assert first.value.code == again.value.code == EX_USAGE
+    assert capsys.readouterr().err == fresh_err
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv, calls", [

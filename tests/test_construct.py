@@ -84,9 +84,9 @@ def test_necessary_conditions_examples(f12):
         necessary_conditions(6, CyclicPoly(6, 1))   # 2-power part too small
 
 
-def test_all_normal_vectors_pass_necessary_conditions(f12):
+def test_all_normal_vectors_pass_necessary_conditions(f12, per_element):
     from normbase.oracle import enumerate_normal
-    for _, vec in enumerate_normal(f12):
+    for _, vec in per_element(f12, enumerate_normal(f12)):
         verdict = necessary_conditions(12, vec)
         assert verdict.status is Status.NECESSARY_ONLY
 

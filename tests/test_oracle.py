@@ -1,8 +1,10 @@
 """Brute-force oracles: enumeration, predicted sets, factor search."""
 
+import random
+
 import pytest
 
-from normbase.field import FieldSpec
+from normbase.field import FieldSpec, elem_mul
 from normbase.normal import is_normal
 from normbase.oracle import (
     achievable_vectors,
@@ -12,14 +14,55 @@ from normbase.oracle import (
     check_necessary,
     check_self_dual_existence,
     enumerate_normal,
+    is_normal_by_rank,
     predicted_vectors,
 )
-from normbase.poly2 import CyclicPoly
+from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible
 
 
-def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_normal(FieldSpec.from_degree(2))) == 2
-    assert sum(1 for _ in enumerate_normal(FieldSpec.from_degree(4))) == 8
+def test_enumeration_counts(per_element):
+    for n, count in ((2, 2), (4, 8)):
+        spec = FieldSpec.from_degree(n)
+        assert sum(1 for _ in per_element(spec, enumerate_normal(spec))) == count
+
+
+def _brute_vector(spec, a):
+    # per element, multiply then trace, each trace a sum of n conjugates
+    def trace(y):
+        tr = 0
+        for _ in range(spec.n):
+            tr ^= y
+            y = elem_mul(spec, y, y)
+        assert tr in (0, 1)
+        return tr
+
+    bits, c = 0, a
+    for i in range(spec.n):
+        bits |= trace(elem_mul(spec, a, c)) << i
+        c = elem_mul(spec, c, c)
+    return CyclicPoly(spec.n, bits)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbit_reduction_is_sound(n, per_element):
+    # one yield per orbit, expanded, equals the per-element brute force over every element
+    rng = random.Random(n)
+    default = find_irreducible(n)
+    seeded = next((f for f in (rng.randrange(1 << n, 1 << (n + 1)) | 1 for _ in range(64 * n))
+                   if f != default and is_irreducible(f)), None)
+    for modulus in [default] + [seeded] * (seeded is not None):
+        spec = FieldSpec(n, modulus)
+        orbits = list(enumerate_normal(spec))
+        assert [e for e, _ in orbits] == sorted(e for e, _ in orbits)
+        expanded = {}
+        for e, vec in orbits:
+            orbit = [x for x, _ in per_element(spec, [(e, vec)])]
+            assert len(set(orbit)) == n and min(orbit) == e
+            assert expanded.keys().isdisjoint(orbit)
+            expanded.update(dict.fromkeys(orbit, vec))
+        brute = {a: _brute_vector(spec, a) for a in range(spec.order) if is_normal_by_rank(spec, a)}
+        assert expanded == brute
+    assert n < 3 or seeded is not None  # a second modulus exists from n = 3 on
 
 
 def test_enumeration_cap():
@@ -27,11 +70,11 @@ def test_enumeration_cap():
         list(enumerate_normal(FieldSpec.from_degree(12), cap=10))
 
 
-def test_enumeration_agrees_with_production_test():
+def test_enumeration_agrees_with_production_test(per_element):
     for n in (2, 3, 4, 5, 6, 8):
         spec = FieldSpec.from_degree(n)
         yielded = set()
-        for elem, vec in enumerate_normal(spec):
+        for elem, vec in per_element(spec, enumerate_normal(spec)):
             assert is_normal(spec, elem)
             from normbase.normal import corresponding_vector
             assert corresponding_vector(spec, elem) == vec
