@@ -25,7 +25,6 @@ from .factor import factor_2power, factor_odd, in_G, in_H, iter_G, iter_H, verif
 from .field import (
     FieldSpec,
     abs_trace,
-    elem_add,
     elem_mul,
     elem_pow,
     elem_square,
@@ -41,7 +40,6 @@ from .normal import (
     corresponding_vector_in_subfield,
     find_normal,
     is_normal,
-    is_normal_in_subfield,
     is_self_dual,
     vector_transform,
 )
@@ -55,8 +53,6 @@ from .poly2 import (
     is_unit_mod_cyclic,
     parse_poly,
     parse_vector,
-    poly_add,
-    poly_divmod,
     poly_ext_gcd,
     poly_gcd,
     poly_mul,

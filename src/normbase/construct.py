@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .factor import _odd_half_sum, factor_2power, factor_odd
-from .field import FieldSpec, _conjugate_sum, _owned, elem_mul, rel_trace
+from .field import FieldSpec, _check_divisor, _conjugate_sum, _owned, elem_mul, rel_trace
 from .normal import (
     TraceVector,
     corresponding_vector,
@@ -247,8 +247,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
     the relative trace of an ambient normal element, which is itself
     normal in the subfield.
     """
-    if t < 1 or spec.n % t:
-        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
+    _check_divisor(spec, t)
     if t % 2 == 0 and t > 2 and not _is_pow2(t):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")

@@ -138,10 +138,9 @@ def _check_elem(spec: FieldSpec, a: int):
         raise ValueError(f"{a:#x} is not an element of GF(2^{spec.n})")
 
 
-def elem_add(spec: FieldSpec, a: int, b: int) -> int:
-    _check_elem(spec, a)
-    _check_elem(spec, b)
-    return a ^ b
+def _check_divisor(spec: FieldSpec, t: int):
+    if t < 1 or spec.n % t:
+        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
 
 
 def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -198,14 +197,6 @@ def _conjugate_sum(spec: FieldSpec, a: int, mask: int, step: int = 1) -> int:
             a = _linear(square, a)
 
 
-def _trace_by_sum(spec: FieldSpec, a: int, t: int | None = None) -> int:
-    """Trace onto GF(2) of a in the GF(2^t) subfield (default t = n): its first t conjugates."""
-    tr = _conjugate_sum(spec, a, (1 << (t or spec.n)) - 1)
-    if tr not in (0, 1):
-        raise RuntimeError("trace must land in GF(2) (implementation bug)")
-    return tr
-
-
 def abs_trace(spec: FieldSpec, a: int) -> int:
     """Absolute trace onto GF(2): the sum of all 2^i-th powers of a."""
     _check_elem(spec, a)
@@ -215,16 +206,14 @@ def abs_trace(spec: FieldSpec, a: int) -> int:
 def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     """Relative trace onto the GF(2^t) subfield: sum of a^(2^(t*i)), i < n/t."""
     _check_elem(spec, a)
-    if t < 1 or spec.n % t:
-        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
+    _check_divisor(spec, t)
     return _conjugate_sum(spec, a, (1 << (spec.n // t)) - 1, t)
 
 
 def in_subfield(spec: FieldSpec, a: int, t: int) -> bool:
     """True iff a lies in the GF(2^t) subfield, i.e. a^(2^t) = a."""
     _check_elem(spec, a)
-    if t < 1 or spec.n % t:
-        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
+    _check_divisor(spec, t)
     return frobenius(spec, a, t) == a
 
 

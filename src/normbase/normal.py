@@ -6,12 +6,14 @@ f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
 That gcd criterion is the production normality test here; the independent
 rank-based test lives in the oracle module.
 
-The full-field vector reads every entry off the trace form: with
-w = Gram * alpha, so that Tr(alpha * x) = parity(x & w), a_i is the parity
-of alpha^(2^i) & w, and the loop only squares (see the field module).  A
-GF(2^t) subfield element gets its length-t vector by multiplying and then
-taking the sum of the first t conjugates, so the subfield construction
-runs the same pipeline.
+One loop reads every vector off the trace form; the full-field vector is
+its case t = n.  The trace is transitive (Lidl & Niederreiter, Finite
+Fields, Thm 2.26): Tr_t(y) = Tr_n(delta * y) on GF(2^t) when the relative
+trace Tr_{n|t}(delta) is 1.  So with w = Gram * (alpha * delta), a_i is the
+parity of alpha^(2^i) & w and the loop only squares (see the field module).
+delta = 1 when n/t is odd, as Tr_{n|t}(1) = n/t mod 2; otherwise
+delta = x * b^(-1) for the first basis monomial x = g^j with
+b = Tr_{n|t}(x) != 0, where b^(-1) = b^(2^t - 2), kept per t by the spec.
 
 The scan's normal element is computed once per spec and kept by the spec
 itself, so it is freed with the spec.
@@ -23,13 +25,14 @@ import random
 
 from .field import (
     FieldSpec,
+    _check_divisor,
     _check_elem,
     _conjugate_sum,
     _linear,
     _owned,
-    _trace_by_sum,
     elem_mul,
-    in_subfield,
+    elem_pow,
+    rel_trace,
 )
 from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
 
@@ -37,45 +40,53 @@ from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
 TraceVector = CyclicPoly
 
 
-def _vector(spec: FieldSpec, alpha: int, t: int, entry) -> TraceVector:
-    # entry(conj) is Tr(alpha * conj) for conj = alpha^(2^i), i < t
-    square = spec._kernel.square
-    bits = 0
-    conj = alpha
-    for i in range(t):
-        bits |= entry(conj) << i
-        conj = _linear(square, conj)
-    return CyclicPoly(t, bits)
+def _delta(spec: FieldSpec, t: int) -> int:
+    """An element of relative trace 1 onto GF(2^t); see the module docstring."""
+    if spec.n // t % 2:
+        return 1
+
+    def build():
+        x = 1
+        while not (b := rel_trace(spec, x, t)):
+            x <<= 1
+        delta = elem_mul(spec, x, elem_pow(spec, b, (1 << t) - 2))
+        if rel_trace(spec, delta, t) != 1:
+            raise RuntimeError("relative trace of delta is not 1 (implementation bug)")
+        return delta
+
+    return _owned(spec, f"_delta_{t}", build)
 
 
 def corresponding_vector(spec: FieldSpec, alpha: int) -> TraceVector:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
-    _check_elem(spec, alpha)
-    w = _linear(spec._kernel.gram, alpha)  # w_k = Tr(alpha * g^k)
-    return _vector(spec, alpha, spec.n, lambda x: (x & w).bit_count() & 1)
+    return corresponding_vector_in_subfield(spec, alpha, spec.n)
 
 
 def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> TraceVector:
     """Length-t vector of a subfield element, with traces taken onto GF(2).
 
-    Entry i is the GF(2^t)-trace of alpha * alpha^(2^i), computed as the sum
-    of the first t Frobenius powers of the product.
+    Entry i is the GF(2^t)-trace of alpha * alpha^(2^i), read off the trace
+    form of the whole field as described in the module docstring.
     """
-    if not in_subfield(spec, alpha, t):
+    _check_elem(spec, alpha)
+    _check_divisor(spec, t)
+    delta = _delta(spec, t)
+    kernel = spec._kernel
+    # w_k = Tr_n(alpha * delta * g^k)
+    w = _linear(kernel.gram, alpha if delta == 1 else elem_mul(spec, alpha, delta))
+    bits = 0
+    conj = alpha
+    for i in range(t):
+        bits |= ((conj & w).bit_count() & 1) << i
+        conj = _linear(kernel.square, conj)
+    if conj != alpha:  # alpha^(2^t) = alpha exactly on GF(2^t)
         raise ValueError(f"element does not lie in the GF(2^{t}) subfield")
-    return _vector(spec, alpha, t, lambda x: _trace_by_sum(spec, elem_mul(spec, alpha, x), t))
+    return CyclicPoly(t, bits)
 
 
 def is_normal(spec: FieldSpec, alpha: int) -> bool:
     """True iff the Frobenius orbit of alpha is a basis of GF(2^n) over GF(2)."""
     return is_unit_mod_cyclic(corresponding_vector(spec, alpha))
-
-
-def is_normal_in_subfield(spec: FieldSpec, alpha: int, t: int) -> bool:
-    """True iff alpha lies in the GF(2^t) subfield and is normal there."""
-    if not in_subfield(spec, alpha, t):
-        return False
-    return is_unit_mod_cyclic(corresponding_vector_in_subfield(spec, alpha, t))
 
 
 def _scan(spec: FieldSpec) -> int:

@@ -12,8 +12,8 @@ audited by the same rank test on the first t conjugates.  The enumeration
 decides each Frobenius orbit once: conjugates share normality and the
 vector, so one rank test and one vector stand for the orbit's n elements,
 and the audits count per element.  Enumeration caps keep exhaustive runs
-in the seconds range on one core (about 7 s at the cap n = 20); caps are
-arguments, not constants.
+in the seconds range on one core (about 7 s at the cap n = 20); the caps
+are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a report with
@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .construct import Status, _composite_split, necessary_conditions, reasons_failed, validate_vector
 from .factor import factor_2power, in_G, iter_G, iter_H
-from .field import FieldSpec, _check_elem, elem_mul
+from .field import FieldSpec, _check_divisor, _check_elem, elem_mul
 from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal
 
 ENUMERATION_CAP = 20
@@ -96,8 +96,7 @@ def is_normal_by_rank(spec: FieldSpec, alpha: int) -> bool:
 
 def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
-    if t < 1 or spec.n % t:
-        raise ValueError(f"{t} does not divide the extension degree {spec.n}")
+    _check_divisor(spec, t)
     _check_elem(spec, alpha)
     # t distinct conjugates iff alpha lies in GF(2^t) and in no smaller subfield,
     # where its t conjugates would repeat
@@ -105,12 +104,12 @@ def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     return len(orbit) == t and _independent(orbit)
 
 
-def _require_enumerable(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"exhaustive enumeration capped at n <= {cap}, got {n}")
+def _require_enumerable(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
 
 
-def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, CyclicPoly]]:
+def enumerate_normal(spec: FieldSpec) -> Iterator[tuple[int, CyclicPoly]]:
     """Yield (e, vector) once per rank-normal Frobenius orbit, e its smallest element.
 
     The n conjugates of e are normal with e and share its vector, since
@@ -119,7 +118,7 @@ def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tu
     has been decided.
     """
     n = spec.n
-    _require_enumerable(n, cap)
+    _require_enumerable(n)
     mask = _naive_trace_mask(spec)
     visited = bytearray(1 << n)
     for e in range(1, 1 << n):
@@ -138,9 +137,9 @@ def enumerate_normal(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Iterator[tu
         yield e, CyclicPoly(n, bits)
 
 
-def achievable_vectors(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> set[CyclicPoly]:
+def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
     """Distinct corresponding vectors over all (rank-)normal elements."""
-    return {vec for _, vec in enumerate_normal(spec, cap)}
+    return {vec for _, vec in enumerate_normal(spec)}
 
 
 def _require_characterized(n: int) -> None:
@@ -196,13 +195,13 @@ class CharacterizationReport:
                 "predicted": self.predicted_count, "ok": self.ok}
 
 
-def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> CharacterizationReport:
+def check_characterization(spec: FieldSpec) -> CharacterizationReport:
     """Exhaustively compare achievable vectors against the characterization."""
     # both bounds before any work: the predicted set alone has 2^(n/2+1) candidates
     _require_characterized(spec.n)
-    _require_enumerable(spec.n, cap)
+    _require_enumerable(spec.n)
     predicted = predicted_vectors(spec.n)
-    achieved = achievable_vectors(spec, cap)
+    achieved = achievable_vectors(spec)
     return CharacterizationReport(
         spec.n,
         len(achieved),
@@ -212,16 +211,15 @@ def check_characterization(spec: FieldSpec, cap: int = ENUMERATION_CAP) -> Chara
     )
 
 
-def brute_factor(h: CyclicPoly, restrict_to_G: bool,
-                 g_cap: int = G_SEARCH_CAP, full_cap: int = FULL_SEARCH_CAP) -> list[CyclicPoly]:
+def brute_factor(h: CyclicPoly, restrict_to_G: bool) -> list[CyclicPoly]:
     """All g (in G, or anywhere) with g * reciprocal(g) = h, by exhaustion."""
     if restrict_to_G:
-        if h.n > g_cap:
-            raise ValueError(f"G-restricted search capped at n <= {g_cap}, got {h.n}")
+        if h.n > G_SEARCH_CAP:
+            raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {h.n}")
         candidates = iter_G(h.n)
     else:
-        if h.n > full_cap:
-            raise ValueError(f"unrestricted search capped at n <= {full_cap}, got {h.n}")
+        if h.n > FULL_SEARCH_CAP:
+            raise ValueError(f"unrestricted search capped at n <= {FULL_SEARCH_CAP}, got {h.n}")
         candidates = (CyclicPoly(h.n, bits) for bits in range(1 << h.n))
     return [g for g in candidates if cyclic_mul(g, reciprocal(g)) == h]
 
@@ -265,7 +263,7 @@ def check_factorization(spec: FieldSpec) -> ViolationReport:
 
 def check_necessary(spec: FieldSpec) -> ViolationReport:
     """The vector of every normal element passes the necessary conditions for composite 4 | n."""
-    _require_enumerable(spec.n, ENUMERATION_CAP)  # first: an over-cap degree is reported as such
+    _require_enumerable(spec.n)  # first: an over-cap degree is reported as such
     _composite_split(spec.n)  # then the degree shape, still before the enumeration
     count, failures = 0, []
     for _, vec in enumerate_normal(spec):
@@ -308,13 +306,13 @@ class SelfDualReport:
                 "rows": [asdict(r) for r in self.rows], "ok": self.ok}
 
 
-def check_self_dual_existence(max_n: int, cap: int = ENUMERATION_CAP) -> SelfDualReport:
+def check_self_dual_existence(max_n: int) -> SelfDualReport:
     """Exhaustively decide self-dual existence for every 2 <= n <= max_n."""
     if not 2 <= max_n <= 16:
         raise ValueError(f"self-dual audit covers 2 <= max_n <= 16, got {max_n}")
     rows = []
     for n in range(2, max_n + 1):
         spec = FieldSpec.from_degree(n)
-        exists = any(vec.bits == 1 for _, vec in enumerate_normal(spec, cap))
+        exists = any(vec.bits == 1 for _, vec in enumerate_normal(spec))
         rows.append(SelfDualRow(n, exists, n % 4 != 0))
     return SelfDualReport(tuple(rows))

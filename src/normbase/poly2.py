@@ -26,11 +26,6 @@ def degree(a: int) -> int | None:
     return None if a == 0 else a.bit_length() - 1
 
 
-def poly_add(a: int, b: int) -> int:
-    """Add (equivalently subtract) polynomials a and b."""
-    return a ^ b
-
-
 def poly_mul(a: int, b: int) -> int:
     """Multiply polynomials a and b (carry-less schoolbook)."""
     if a < b:
@@ -44,26 +39,13 @@ def poly_mul(a: int, b: int) -> int:
     return acc
 
 
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Divide a by b with remainder; returns (q, r) with a = q*b + r."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = b.bit_length()
-    q = 0
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
 def poly_mod(a: int, b: int) -> int:
     """Reduce a modulo b, for nonzero b."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
+    while (shift := a.bit_length() - db) >= 0:
+        a ^= b << shift
     return a
 
 
@@ -83,8 +65,11 @@ def poly_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     u, u1 = 1, 0
     v, v1 = 0, 1
     while b:
-        q, r = poly_divmod(a, b)
-        a, b = b, r
+        q, db = 0, b.bit_length()
+        while (shift := a.bit_length() - db) >= 0:  # a becomes a mod b
+            q |= 1 << shift
+            a ^= b << shift
+        a, b = b, a
         u, u1 = u1, u ^ poly_mul(q, u1)
         v, v1 = v1, v ^ poly_mul(q, v1)
     return a, u, v
@@ -272,11 +257,8 @@ def cyclic_inv(f: CyclicPoly) -> CyclicPoly:
 
 def reciprocal(g: CyclicPoly) -> CyclicPoly:
     """Reciprocal polynomial: coefficient at i moves to n - i, index 0 fixed."""
-    r = g.bits & 1
-    for i in range(1, g.n):
-        if (g.bits >> i) & 1:
-            r |= 1 << (g.n - i)
-    return CyclicPoly(g.n, r)
+    r = int(f"{g.bits:0{g.n}b}"[::-1], 2)  # coefficient at i moved to n - 1 - i
+    return CyclicPoly(g.n, ((r << 1) | (r >> (g.n - 1))) & ((1 << g.n) - 1))
 
 
 def is_symmetric(f: CyclicPoly) -> bool:

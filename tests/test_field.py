@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from normbase.field import (
     FieldSpec,
-    _trace_by_sum,
     abs_trace,
-    elem_add,
     elem_mul,
     elem_pow,
     elem_square,
@@ -49,7 +47,6 @@ def test_mul_add_basics(f16):
     for _ in range(100):
         a = rng.randrange(f16.order)
         assert elem_mul(f16, a, 1) == a
-        assert elem_add(f16, a, a) == 0
         assert elem_square(f16, a) == elem_mul(f16, a, a)
 
 
@@ -95,6 +92,15 @@ def test_trace_basics(f16):
     beta = parse_elem(f16, "pow:1,126")
     assert beta == elem_pow(f16, f16.generator, 126) ^ f16.generator
     assert abs_trace(f16, beta) == 1
+
+
+def _trace_by_sum(spec, a):
+    tr = 0
+    for _ in range(spec.n):
+        tr ^= a
+        a = _naive_square(spec, a)
+    assert tr in (0, 1)
+    return tr
 
 
 def test_trace_equals_conjugate_sum():

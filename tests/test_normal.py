@@ -14,12 +14,11 @@ from normbase.normal import (
     corresponding_vector_in_subfield,
     find_normal,
     is_normal,
-    is_normal_in_subfield,
     is_self_dual,
     vector_transform,
 )
-from normbase.oracle import is_normal_by_rank, is_subfield_normal_by_rank
-from normbase.poly2 import CyclicPoly, is_symmetric
+from normbase.oracle import _naive_square, is_normal_by_rank, is_subfield_normal_by_rank
+from normbase.poly2 import CyclicPoly, is_symmetric, is_unit_mod_cyclic
 
 
 def test_zero_and_one(f16):
@@ -91,10 +90,13 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     corresponding_vector(spec, element)
     prescribe(spec, CyclicPoly(21, 1))
     drawn = find_normal(spec, "random", 7)
-    ref = weakref.ref(spec)
-    del spec
+    # n/t = 4 is even, so this vector needs an element of relative trace 1, kept by the spec
+    sub = FieldSpec.from_degree(12)
+    corresponding_vector_in_subfield(sub, rel_trace(sub, find_normal(sub), 3), 3)
+    ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
+    del spec, sub
     gc.collect()
-    assert ref() is None
+    assert ref() is None and sub_ref() is None
     # equal but distinct specs make the same deterministic choices
     again = FieldSpec.from_degree(21)
     assert again is not ref() and find_normal(again) == element
@@ -169,6 +171,32 @@ def test_subfield_vector_of_one(f12):
         assert v == CyclicPoly(t, ((1 << t) - 1) if t % 2 else 0)
 
 
+def _naive_subfield_vector(spec, alpha, t):
+    # multiply, then take the GF(2^t)-trace as the sum of the first t conjugates
+    bits, conj = 0, alpha
+    for i in range(t):
+        y, tr = elem_mul(spec, alpha, conj), 0
+        for _ in range(t):
+            tr ^= y
+            y = _naive_square(spec, y)
+        assert tr in (0, 1)
+        bits |= tr << i
+        conj = _naive_square(spec, conj)
+    return CyclicPoly(t, bits)
+
+
+@pytest.mark.parametrize("n", list(range(2, 25)) + [36, 48, 60, 62])
+def test_subfield_vector_matches_naive_reference(n):
+    # every t | n, so both the odd and the even cofactors n/t are covered
+    spec = FieldSpec.from_degree(n)
+    rng = random.Random(n)
+    for t in (t for t in range(1, n + 1) if n % t == 0):
+        inputs = [0, 1, rel_trace(spec, find_normal(spec), t)]
+        inputs += [rel_trace(spec, rng.randrange(spec.order), t) for _ in range(3)]
+        for a in inputs:
+            assert corresponding_vector_in_subfield(spec, a, t) == _naive_subfield_vector(spec, a, t)
+
+
 def test_subfield_vector_requires_membership(f12):
     outside = next(a for a in range(f12.order) if not in_subfield(f12, a, 4))
     with pytest.raises(ValueError):
@@ -179,8 +207,8 @@ def test_traced_down_normal_element_has_valid_subfield_vector(f12):
     from normbase.construct import Status, validate_vector
     delta = find_normal(f12)
     alpha = rel_trace(f12, delta, 4)
-    assert is_normal_in_subfield(f12, alpha, 4)
     v = corresponding_vector_in_subfield(f12, alpha, 4)
+    assert is_unit_mod_cyclic(v)
     assert validate_vector(4, v).status is Status.VALID
     assert v == CyclicPoly.from_coeffs([1, 1, 0, 1])  # the unique valid length-4 vector
 
@@ -189,8 +217,9 @@ def test_subfield_normality_tests_agree(f12):
     # elements outside the subfield included: both tests say False for them
     for t in (3, 4, 6):
         for a in range(f12.order):
-            assert (is_normal_in_subfield(f12, a, t)
-                    == is_subfield_normal_by_rank(f12, a, t))
+            production = (in_subfield(f12, a, t)
+                          and is_unit_mod_cyclic(corresponding_vector_in_subfield(f12, a, t)))
+            assert production == is_subfield_normal_by_rank(f12, a, t)
 
 
 def test_trace_down_preserves_normality_exhaustive(f12, per_element):

@@ -66,8 +66,8 @@ def test_orbit_reduction_is_sound(n, per_element):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_normal(FieldSpec.from_degree(12), cap=10))
+    with pytest.raises(ValueError, match="capped at n <= 20, got 21"):
+        list(enumerate_normal(FieldSpec.from_degree(21)))
 
 
 def test_enumeration_agrees_with_production_test(per_element):

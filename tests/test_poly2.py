@@ -1,5 +1,7 @@
 """GF(2)[x] and cyclic-ring arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,7 @@ from normbase.poly2 import (
     is_unit_mod_cyclic,
     parse_poly,
     parse_vector,
-    poly_add,
-    poly_divmod,
+    poly_mod,
     poly_ext_gcd,
     poly_gcd,
     poly_mul,
@@ -61,34 +62,22 @@ def symmetric_polys(draw, min_n=2, max_n=20):
 
 # ---- base ring ----
 
-def test_add_is_characteristic_two():
-    x_plus_1 = 0b11
-    assert poly_add(x_plus_1, x_plus_1) == 0
-
-
 def test_square_of_x_plus_1():
     assert poly_mul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2+1
 
 
-def test_divmod_reassembles():
-    a, b = 0b1011, 0b110  # x^3+x+1, x^2+x
-    q, r = poly_divmod(a, b)
-    assert degree(r) is None or degree(r) < degree(b)
-    assert poly_add(poly_mul(q, b), r) == a
-
-
-def test_divmod_by_zero():
+def test_mod_by_zero():
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(1, 0)
+        poly_mod(1, 0)
 
 
-@given(polys, polys)
-def test_divmod_identity(a, b):
+@given(polys, polys, polys)
+def test_mod_identity(q, b, r):
+    # q*b + r with deg r < deg b reduces to r
     if b == 0:
         return
-    q, r = poly_divmod(a, b)
-    assert poly_add(poly_mul(q, b), r) == a
-    assert r == 0 or degree(r) < degree(b)
+    r &= (1 << degree(b)) - 1
+    assert poly_mod(poly_mul(q, b) ^ r, b) == r
 
 
 def test_gcd_with_zero():
@@ -108,7 +97,7 @@ def test_ext_gcd_bezout(a, b):
     if a == 0 and b == 0:
         return
     g, u, v = poly_ext_gcd(a, b)
-    assert poly_add(poly_mul(u, a), poly_mul(v, b)) == g
+    assert poly_mul(u, a) ^ poly_mul(v, b) == g
     if a and b:
         assert poly_gcd(a, b) == g
 
@@ -117,7 +106,7 @@ def test_ext_gcd_of_golden_base_vector():
     f_b = CyclicPoly.from_support(16, {0, 2, 3, 4, 12, 13, 14}).bits
     g, u, v = poly_ext_gcd(f_b, ring_modulus(16))
     assert g == 1
-    assert poly_add(poly_mul(u, f_b), poly_mul(v, ring_modulus(16))) == 1
+    assert poly_mul(u, f_b) ^ poly_mul(v, ring_modulus(16)) == 1
 
 
 def test_degree():
@@ -129,8 +118,7 @@ def test_degree():
 # ---- irreducibility ----
 
 def _divisible(a, b):
-    _, r = poly_divmod(a, b)
-    return r == 0
+    return poly_mod(a, b) == 0
 
 def _is_irreducible_brute(f):
     d = degree(f)
@@ -235,6 +223,21 @@ def test_reciprocal_examples():
     assert reciprocal(CyclicPoly(4, 0b0011)) == CyclicPoly(4, 0b1001)  # 1+x -> 1+x^3
     g = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
     assert reciprocal(g) == CyclicPoly.from_support(16, {0, 2, 6, 7, 10, 11, 15})
+
+
+def _reciprocal_by_definition(g):
+    return CyclicPoly.from_support(g.n, {(g.n - i) % g.n for i in g.support()})
+
+
+def test_reciprocal_matches_definition():
+    for n in range(1, 11):
+        for bits in range(1 << n):
+            g = CyclicPoly(n, bits)
+            assert reciprocal(g) == _reciprocal_by_definition(g)
+    rng = random.Random(64)
+    for _ in range(1000):
+        g = CyclicPoly(64, rng.getrandbits(64))
+        assert reciprocal(g) == _reciprocal_by_definition(g)
 
 
 @given(cyclic_polys())
