@@ -6,10 +6,11 @@ n = 1, 2 cases) and for odd n; for other n only necessary conditions are
 known, reported as NECESSARY_ONLY.  prescribe runs the construction
 pipeline: pick a normal base element, invert its vector in the cyclic
 ring, factor the quotient as g * reciprocal(g), and apply g as a basis
-change.  The default base, its vector and the vector's inverse depend on
-the field alone, so they are computed once per spec and kept by it.
-prescribe_in_subfield runs that same pipeline in a GF(2^t) subfield,
-starting from the relative trace of an ambient normal element.
+change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
+subfield.  Both start by default from the relative trace onto GF(2^t) of
+the scan's normal element (at t = n, that element itself); this base, its
+vector and the vector's inverse depend on the field alone, so they are
+computed once per spec and subfield degree and kept by the spec.
 compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
@@ -186,19 +187,18 @@ def _require_valid(n: int, a: TraceVector) -> None:
         raise InvalidVectorError(verdict)
 
 
-def _vector(spec: FieldSpec, t: int, x: int) -> TraceVector:
-    if t == spec.n:
-        return corresponding_vector(spec, x)
-    return corresponding_vector_in_subfield(spec, x, t)
-
-
 def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly]:
     """A base beta normal in GF(2^t), with its vector and the vector's inverse."""
-    b = _vector(spec, t, beta)
+    b = corresponding_vector_in_subfield(spec, beta, t)
     try:
         return beta, b, cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
         raise ValueError("supplied base element is not normal") from None
+
+
+def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly]:
+    """_base of the relative trace onto GF(2^t) of the scan's normal element, kept per t."""
+    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, rel_trace(spec, find_normal(spec), t)))
 
 
 def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
@@ -208,7 +208,7 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
     g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
     alpha = _conjugate_sum(spec, beta, g.bits)
-    vec = _vector(spec, t, alpha)
+    vec = corresponding_vector_in_subfield(spec, alpha, t)
     if vec != a:
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
@@ -228,7 +228,7 @@ def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) ->
             "(use compose/weight3 for other composite sizes)")
     _require_valid(n, a)
     if beta is None:
-        base = _owned(spec, "_default_base", lambda: _base(spec, n, find_normal(spec)))
+        base = _default_base(spec, n)
     else:
         base = _base(spec, n, beta)
     return _pipeline(spec, n, a, base)
@@ -244,15 +244,14 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
 
     Supports t = 2^s >= 4, t odd, and the degenerate t = 1, 2 (where the
     only achievable vectors are (1) and (1,0)).  The pipeline starts from
-    the relative trace of an ambient normal element, which is itself
-    normal in the subfield.
+    the spec's default base for t.
     """
     _check_divisor(spec, t)
     if t % 2 == 0 and t > 2 and not _is_pow2(t):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
     _require_valid(t, a)
-    return _pipeline(spec, t, a, _base(spec, t, rel_trace(spec, find_normal(spec), t))).element
+    return _pipeline(spec, t, a, _default_base(spec, t)).element
 
 
 def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, TraceVector]:

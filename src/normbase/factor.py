@@ -85,11 +85,8 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
     _require_pow2(n)
     half = n // 2
     for pattern in range(1 << (half - 1)):
-        bits = 1
-        for k in range(1, half):
-            if (pattern >> (k - 1)) & 1:
-                bits |= (1 << k) | (1 << (n - k))
-        h = CyclicPoly(n, bits)
+        low = CyclicPoly(n, (pattern << 1) | 1)  # h_0 = 1 and the free h_1 .. h_{n/2-1}
+        h = CyclicPoly(n, low.bits | reciprocal(low).bits)
         if _odd_half_sum(h) == 0:
             yield h
 

@@ -154,13 +154,8 @@ def predicted_vectors(n: int) -> set[CyclicPoly]:
     half = n // 2
     out = set()
     for pattern in range(1 << (half + 1)):
-        bits = 0
-        for k in range(half + 1):
-            if (pattern >> k) & 1:
-                bits |= 1 << k
-                if 0 < k < n - k:
-                    bits |= 1 << (n - k)
-        v = CyclicPoly(n, bits)
+        low = CyclicPoly(n, pattern)
+        v = CyclicPoly(n, low.bits | reciprocal(low).bits)
         if validate_vector(n, v).status is Status.VALID:
             out.add(v)
     return out

@@ -280,14 +280,14 @@ def test_parser_built_once_and_reused(capsys):
 def test_printed_element_vector_computed_once_per_verification(capsys, monkeypatch, argv, calls):
     run(capsys, *argv)  # warm-up: the find_normal scan may test the same element
     seen = []
-    original = normal.corresponding_vector
+    original = normal.corresponding_vector_in_subfield
 
-    def counting(spec, alpha):
+    def counting(spec, alpha, t):  # every vector computation goes through this body
         seen.append(alpha)
-        return original(spec, alpha)
+        return original(spec, alpha, t)
 
-    monkeypatch.setattr(normal, "corresponding_vector", counting)
-    monkeypatch.setattr(construct, "corresponding_vector", counting)
+    monkeypatch.setattr(normal, "corresponding_vector_in_subfield", counting)
+    monkeypatch.setattr(construct, "corresponding_vector_in_subfield", counting)
     code, out, _ = run(capsys, "--json", *argv)
     assert code == EX_OK
     assert seen.count(int(json.loads(out)["element"], 16)) == calls
@@ -306,6 +306,16 @@ def test_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EX_USAGE
+
+
+def test_long_modulus_rejected_quickly(capsys):
+    # rendering the modulus in the message is linear in its length
+    start = time.perf_counter()
+    code, _, err = run(capsys, "prescribe", "--degree", "16", "--modulus", "x^1000000+1",
+                       "--vector", GOLDEN_VECTOR)
+    assert code == EX_INVALID
+    assert err == "normbase: modulus x^1000000+1 does not have degree 16\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_modulus_is_semantic_error(capsys):

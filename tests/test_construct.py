@@ -2,6 +2,7 @@
 
 import pytest
 
+from normbase import construct
 from normbase.construct import (
     InvalidVectorError,
     Status,
@@ -249,6 +250,19 @@ def test_weight3_support_closed_under_reversal():
         for i0 in range(1, pow2_odd_split(n)[0], 2):
             _, c = weight3(spec, i0)
             assert {(n - k) % n for k in c.support()} == set(c.support())
+
+
+def test_subfield_base_kept_per_degree(monkeypatch):
+    spec = FieldSpec.from_degree(60)
+    first = weight3(spec)
+    calls = []
+    rel_trace, find_normal = construct.rel_trace, construct.find_normal
+    monkeypatch.setattr(construct, "rel_trace",
+                        lambda *args: calls.append("rel_trace") or rel_trace(*args))
+    monkeypatch.setattr(construct, "find_normal",
+                        lambda *args: calls.append("find_normal") or find_normal(*args))
+    assert weight3(spec) == first
+    assert calls == []
 
 
 def test_weight3_rejects():

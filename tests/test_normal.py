@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from normbase.construct import prescribe
+from normbase.construct import compose, prescribe, weight3
 from normbase.field import FieldSpec, elem_mul, in_subfield, rel_trace
 from normbase.normal import (
     apply_basis_change,
@@ -93,10 +93,15 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     # n/t = 4 is even, so this vector needs an element of relative trace 1, kept by the spec
     sub = FieldSpec.from_degree(12)
     corresponding_vector_in_subfield(sub, rel_trace(sub, find_normal(sub), 3), 3)
+    # the subfield prescriptions keep one base per subfield degree on the spec
+    weight3(sub)
+    compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
+    base_vectors = [weakref.ref(vars(s)[f"_base_{t}"][1]) for s, t in ((spec, 21), (sub, 4), (sub, 3))]
     ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
     del spec, sub
     gc.collect()
     assert ref() is None and sub_ref() is None
+    assert all(r() is None for r in base_vectors)
     # equal but distinct specs make the same deterministic choices
     again = FieldSpec.from_degree(21)
     assert again is not ref() and find_normal(again) == element

@@ -137,7 +137,7 @@ def test_irreducible_examples():
 
 
 def test_irreducible_matches_bruteforce_exhaustively():
-    for f in range(1 << 9):
+    for f in range(1 << 12):
         assert is_irreducible(f) == _is_irreducible_brute(f), poly_to_text(f)
 
 
@@ -146,6 +146,31 @@ def test_find_irreducible_is_smallest(n):
     f = find_irreducible(n)
     assert degree(f) == n and is_irreducible(f)
     assert f == min(g for g in range(1 << n, 1 << (n + 1)) if _is_irreducible_brute(g))
+
+
+# the default modulus of every supported degree; golden outputs depend on this choice
+PINNED_MODULI = {
+    1: 0x2, 2: 0x7, 3: 0xB, 4: 0x13,
+    5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B,
+    9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009,
+    13: 0x201B, 14: 0x4021, 15: 0x8003, 16: 0x1002B,
+    17: 0x20009, 18: 0x40009, 19: 0x80027, 20: 0x100009,
+    21: 0x200005, 22: 0x400003, 23: 0x800021, 24: 0x100001B,
+    25: 0x2000009, 26: 0x400001B, 27: 0x8000027, 28: 0x10000003,
+    29: 0x20000005, 30: 0x40000003, 31: 0x80000009, 32: 0x10000008D,
+    33: 0x20000004B, 34: 0x40000001B, 35: 0x800000005, 36: 0x1000000035,
+    37: 0x200000003F, 38: 0x4000000063, 39: 0x8000000011, 40: 0x10000000039,
+    41: 0x20000000009, 42: 0x40000000027, 43: 0x80000000059, 44: 0x100000000021,
+    45: 0x20000000001B, 46: 0x400000000003, 47: 0x800000000021, 48: 0x100000000002D,
+    49: 0x2000000000071, 50: 0x400000000001D, 51: 0x800000000004B, 52: 0x10000000000009,
+    53: 0x20000000000047, 54: 0x4000000000007D, 55: 0x80000000000047, 56: 0x100000000000095,
+    57: 0x200000000000011, 58: 0x400000000000063, 59: 0x80000000000007B, 60: 0x1000000000000003,
+    61: 0x2000000000000027, 62: 0x4000000000000069, 63: 0x8000000000000003, 64: 0x1000000000000001B,
+}
+
+
+def test_find_irreducible_pinned():
+    assert {n: find_irreducible(n) for n in PINNED_MODULI} == PINNED_MODULI
 
 
 # ---- text formats ----
@@ -178,6 +203,16 @@ def test_parse_vector():
 @given(polys)
 def test_text_roundtrip(a):
     assert parse_poly(poly_to_text(a)) == a
+
+
+def test_text_matches_term_by_term_rendering():
+    rng = random.Random(11)
+    for bits in (1, 2, 3, 64, 1000, 5000):
+        for _ in range(5):
+            a = rng.getrandbits(bits)
+            terms = [i for i in range(a.bit_length() - 1, -1, -1) if (a >> i) & 1]
+            expected = "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in terms)
+            assert poly_to_text(a) == (expected or "0")
 
 
 # ---- cyclic ring ----
