@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 
 def _spec_from(args) -> field.FieldSpec:
     if getattr(args, "modulus", None):
-        return field.FieldSpec(args.degree, poly2.parse_poly(args.modulus))
+        return field.FieldSpec.parse(args.degree, args.modulus)
     return field.FieldSpec.from_degree(args.degree)
 
 

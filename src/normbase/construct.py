@@ -10,7 +10,10 @@ change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
 subfield.  Both start by default from the relative trace onto GF(2^t) of
 the scan's normal element (at t = n, that element itself); this base, its
 vector and the vector's inverse depend on the field alone, so they are
-computed once per spec and subfield degree and kept by the spec.
+computed once per spec and subfield degree and kept by the spec.  So is the
+basis change c -> sum c_i beta^(2^i): a GF(2)-linear map from the cyclic
+ring into the field, kept as its images, the t conjugates of beta.  A warm
+prescription then squares only in its closing vector check.
 compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
@@ -22,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .factor import _odd_half_sum, factor_2power, factor_odd
-from .field import FieldSpec, _check_divisor, _conjugate_sum, _owned, elem_mul, rel_trace
+from .field import FieldSpec, _check_divisor, _linear, _owned, elem_mul, rel_trace
 from .normal import (
     TraceVector,
     corresponding_vector,
@@ -187,27 +190,41 @@ def _require_valid(n: int, a: TraceVector) -> None:
         raise InvalidVectorError(verdict)
 
 
-def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly]:
-    """A base beta normal in GF(2^t), with its vector and the vector's inverse."""
+def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
+    """A base beta normal in GF(2^t), its vector, the vector's inverse and its t conjugates."""
     b = corresponding_vector_in_subfield(spec, beta, t)
     try:
-        return beta, b, cyclic_inv(b)
+        b_inv = cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
         raise ValueError("supplied base element is not normal") from None
+    conjugates = [beta]
+    for _ in range(t - 1):
+        conjugates.append(_linear(spec._kernel.square, conjugates[-1]))
+    return beta, b, b_inv, conjugates
 
 
-def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly]:
+def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
     """_base of the relative trace onto GF(2^t) of the scan's normal element, kept per t."""
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, rel_trace(spec, find_normal(spec), t)))
 
 
+def _basis_change(conjugates: list[int], mask: int) -> int:
+    """Sum of conjugates[i] over the set bits i of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= conjugates[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a _base result."""
-    beta, b, b_inv = base
+    beta, b, b_inv, conjugates = base
     h = cyclic_mul(a, b_inv)
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
     g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
-    alpha = _conjugate_sum(spec, beta, g.bits)
+    alpha = _basis_change(conjugates, g.bits)
     vec = corresponding_vector_in_subfield(spec, alpha, t)
     if vec != a:
         raise RuntimeError(

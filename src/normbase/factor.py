@@ -24,7 +24,8 @@ def _require_pow2(n: int):
 
 
 def _odd_half_sum(f: CyclicPoly) -> int:
-    return sum(f.coeff(i) for i in range(1, f.n // 2, 2)) & 1
+    """Parity of the coefficients at the odd indices below n/2."""
+    return (f.bits & int("10" * (f.n // 4) or "0", 2)).bit_count() & 1
 
 
 def in_H(h: CyclicPoly) -> bool:
@@ -166,11 +167,9 @@ def factor_odd(h: CyclicPoly) -> CyclicPoly:
         raise ValueError(f"ring size must be odd, got {h.n}")
     if not is_symmetric(h):
         raise ValueError("no factorization: polynomial is not symmetric")
-    bits = 0
-    for i in range(h.n):
-        if h.coeff((2 * i) % h.n):
-            bits |= 1 << i
-    return CyclicPoly(h.n, bits)
+    coeffs = f"{h.bits:0{h.n}b}"[::-1]  # coeffs[i] = h_i
+    # 2i mod n runs over the even indices for i <= (n-1)/2, then over the odd ones
+    return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
 
 
 def verify_factorization(h: CyclicPoly, g: CyclicPoly) -> bool:

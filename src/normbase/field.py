@@ -23,7 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .poly2 import degree, find_irreducible, is_irreducible, poly_mod, poly_mul, poly_to_text
+from .poly2 import (
+    DegreeBoundError,
+    degree,
+    find_irreducible,
+    is_irreducible,
+    parse_poly,
+    poly_mod,
+    poly_mul,
+    poly_to_text,
+)
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
 
@@ -31,6 +40,10 @@ MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
 def _check_degree(n: int):
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {n}")
+
+
+# n -> find_irreducible(n), which from_degree need not test again; at most MAX_DEGREE entries
+_found: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -45,14 +58,28 @@ class FieldSpec:
         if degree(self.modulus) != self.n:
             raise ValueError(
                 f"modulus {poly_to_text(self.modulus)} does not have degree {self.n}")
-        if not is_irreducible(self.modulus):
+        if _found.get(self.n) != self.modulus and not is_irreducible(self.modulus):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
     @classmethod
     def from_degree(cls, n: int) -> "FieldSpec":
         """Field with the smallest-encoding irreducible modulus (deterministic)."""
         _check_degree(n)  # before the modulus search, whose cost grows with n
-        return cls(n, find_irreducible(n))
+        _found[n] = find_irreducible(n)
+        return cls(n, _found[n])
+
+    @classmethod
+    def parse(cls, n: int, text: str) -> "FieldSpec":
+        """Field with the modulus given as text (see poly2.parse_poly).
+
+        A term above MAX_DEGREE is rejected before the polynomial is built.
+        """
+        try:
+            modulus = parse_poly(text, MAX_DEGREE)
+        except DegreeBoundError as e:  # FieldSpec(n, ...) would reject it too, after checking n
+            _check_degree(n)
+            raise ValueError(f"modulus {e.text} does not have degree {n}") from None
+        return cls(n, modulus)
 
     @property
     def order(self) -> int:

@@ -14,6 +14,10 @@ parity of alpha^(2^i) & w and the loop only squares (see the field module).
 delta = 1 when n/t is odd, as Tr_{n|t}(1) = n/t mod 2; otherwise
 delta = x * b^(-1) for the first basis monomial x = g^j with
 b = Tr_{n|t}(x) != 0, where b^(-1) = b^(2^t - 2), kept per t by the spec.
+At t = n the loop stops after entry n/2 and mirrors the rest, as
+a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i;
+below n it runs through all t squarings, since alpha^(2^t) = alpha is also
+its membership check.
 
 The scan's normal element is computed once per spec and kept by the spec
 itself, so it is freed with the spec.
@@ -74,12 +78,15 @@ def corresponding_vector_in_subfield(spec: FieldSpec, alpha: int, t: int) -> Tra
     kernel = spec._kernel
     # w_k = Tr_n(alpha * delta * g^k)
     w = _linear(kernel.gram, alpha if delta == 1 else elem_mul(spec, alpha, delta))
-    bits = 0
+    whole = t == spec.n
     conj = alpha
-    for i in range(t):
-        bits |= ((conj & w).bit_count() & 1) << i
+    bits = (alpha & w).bit_count() & 1
+    for i in range(1, t // 2 + 1 if whole else t):
         conj = _linear(kernel.square, conj)
-    if conj != alpha:  # alpha^(2^t) = alpha exactly on GF(2^t)
+        bits |= ((conj & w).bit_count() & 1) << i
+    if whole:  # a_i = a_{n-i}, so entries 0 .. n/2 determine the rest
+        return CyclicPoly(t, bits | reciprocal(CyclicPoly(t, bits)).bits)
+    if _linear(kernel.square, conj) != alpha:  # alpha^(2^t) = alpha exactly on GF(2^t)
         raise ValueError(f"element does not lie in the GF(2^{t}) subfield")
     return CyclicPoly(t, bits)
 

@@ -106,19 +106,33 @@ def find_irreducible(n: int) -> int:
 
 # ---------- text formats ----------
 
+def _terms_text(exponents) -> str:
+    """Render the distinct exponents, given highest first, as a sum of powers of x."""
+    return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in exponents)
+
+
 def poly_to_text(a: int) -> str:
     """Render a as a sum of powers of x, highest degree first."""
     if a == 0:
         return "0"
-    terms = []
-    for i, bit in zip(range(a.bit_length() - 1, -1, -1), bin(a)[2:]):
-        if bit == "1":
-            terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-    return "+".join(terms)
+    return _terms_text(
+        i for i, bit in zip(range(a.bit_length() - 1, -1, -1), bin(a)[2:]) if bit == "1")
 
 
-def parse_poly(text: str) -> int:
-    """Parse "x^5+x+1" / "0x23" / "0" into a polynomial."""
+class DegreeBoundError(ValueError):
+    """A term-form polynomial above its degree bound; text renders it as poly_to_text would."""
+
+    def __init__(self, text: str, bound: int):
+        super().__init__(f"polynomial {text} has degree above {bound}")
+        self.text = text
+
+
+def parse_poly(text: str, max_degree: int | None = None) -> int:
+    """Parse "x^5+x+1" / "0x23" / "0" into a polynomial.
+
+    With max_degree, a term-form text of higher degree raises
+    DegreeBoundError once it has parsed, before any x^k is built.
+    """
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial")
@@ -129,12 +143,12 @@ def parse_poly(text: str) -> int:
             raise ValueError(f"bad hex polynomial {text!r}") from None
     if s == "0":
         return 0
-    a = 0
+    exponents = set()
     for term in s.split("+"):
         if term == "1":
-            t = 1
+            k = 0
         elif term == "x":
-            t = 2
+            k = 1
         elif term.startswith("x^"):
             try:
                 k = int(term[2:])
@@ -142,13 +156,14 @@ def parse_poly(text: str) -> int:
                 raise ValueError(f"bad term {term!r} in polynomial {text!r}") from None
             if k < 0:
                 raise ValueError(f"negative exponent in {text!r}")
-            t = 1 << k
         else:
             raise ValueError(f"bad term {term!r} in polynomial {text!r}")
-        if a & t:
+        if k in exponents:
             raise ValueError(f"duplicate term {term!r} in polynomial {text!r}")
-        a ^= t
-    return a
+        exponents.add(k)
+    if max_degree is not None and max(exponents) > max_degree:
+        raise DegreeBoundError(_terms_text(sorted(exponents, reverse=True)), max_degree)
+    return sum(1 << k for k in exponents)
 
 
 # ---------- the cyclic ring GF(2)[x]/(x^n - 1) ----------

@@ -318,6 +318,16 @@ def test_long_modulus_rejected_quickly(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_modulus_above_the_degree_bound_is_not_built(capsys):
+    # x^(10^10) alone would take 1.25 GB, so it is rejected from its text
+    start = time.perf_counter()
+    code, _, err = run(capsys, "prescribe", "--degree", "16", "--modulus", "x^10000000000+1",
+                       "--vector", GOLDEN_VECTOR)
+    assert code == EX_INVALID
+    assert err == "normbase: modulus x^10000000000+1 does not have degree 16\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bad_modulus_is_semantic_error(capsys):
     code, _, err = run(capsys, "vector", "--degree", "4", "--modulus", "0x11",
                        "--element", "0x2")

@@ -1,8 +1,10 @@
 """Vector validation and the end-to-end construction pipelines."""
 
+import random
+
 import pytest
 
-from normbase import construct
+from normbase import construct, field, normal
 from normbase.construct import (
     InvalidVectorError,
     Status,
@@ -17,13 +19,14 @@ from normbase.construct import (
 )
 from normbase.field import FieldSpec, in_subfield, parse_elem
 from normbase.normal import (
+    apply_basis_change,
     corresponding_vector,
     corresponding_vector_in_subfield,
     find_normal,
     is_normal,
 )
 from normbase.oracle import is_subfield_normal_by_rank
-from normbase.poly2 import CyclicPoly
+from normbase.poly2 import CyclicPoly, is_irreducible
 
 
 def e0(n):
@@ -272,3 +275,47 @@ def test_weight3_rejects():
         weight3(FieldSpec.from_degree(16), i0=2)
     with pytest.raises(ValueError):
         weight3(FieldSpec.from_degree(16), i0=17)
+
+
+# ---- the kept basis-change map ----
+
+def _seeded_modulus(n: int) -> int:
+    rng = random.Random(n)
+    while not is_irreducible(f := rng.randrange(1 << n, 1 << (n + 1))):
+        pass
+    return f
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_kept_basis_change_matches_apply_basis_change(n):
+    seeded, default = FieldSpec(n, _seeded_modulus(n)), FieldSpec.from_degree(n)
+    s2, m = pow2_odd_split(n)
+    rng = random.Random(n)
+    for spec in (seeded, default):
+        bases = [construct._base(spec, n, find_normal(spec, "random", n))]
+        # the scan for a default base on the default modulus at n = 63 does not end in reach
+        if not (n == 63 and spec is default):
+            bases += [construct._default_base(spec, t) for t in sorted({n, s2, m})]
+        for beta, _, _, conjugates in bases:
+            t = len(conjugates)
+            for g in [0, 1, (1 << t) - 1] + [rng.getrandbits(t) for _ in range(10)]:
+                expected = apply_basis_change(spec, beta, CyclicPoly(n, g))
+                assert construct._basis_change(conjugates, g) == expected
+
+
+def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
+    spec = FieldSpec.from_degree(64)
+    target = CyclicPoly.from_support(64, {0, 1, 63})
+    first = prescribe(spec, target)  # builds and keeps the default base
+    square, linear = spec._kernel.square, field._linear
+    squarings = []
+
+    def counted(tables, a):
+        if tables is square:
+            squarings.append(a)
+        return linear(tables, a)
+
+    for module in (field, normal, construct):
+        monkeypatch.setattr(module, "_linear", counted)
+    assert prescribe(spec, target) == first
+    assert 0 < len(squarings) <= 64 // 2 + 1

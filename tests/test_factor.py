@@ -1,8 +1,11 @@
 """Reciprocal-product factorization in the cyclic ring."""
 
+import random
+
 import pytest
 
 from normbase.factor import (
+    _odd_half_sum,
     factor_2power,
     factor_odd,
     in_G,
@@ -133,3 +136,34 @@ def test_verify_factorization():
     assert not verify_factorization(GOLDEN_H, CyclicPoly(16, GOLDEN_G.bits ^ 2))
     with pytest.raises(ValueError):
         verify_factorization(CyclicPoly(4, 1), CyclicPoly(8, 1))
+
+
+def _symmetric(n, bits):
+    # h_0 .. h_{n//2} from the low bits, the rest mirrored
+    low = CyclicPoly(n, bits & ((2 << (n // 2)) - 1))
+    return CyclicPoly(n, low.bits | reciprocal(low).bits)
+
+
+def test_loop_free_helpers_match_their_definitions():
+    def odd_half_sum(f):
+        return sum(f.coeff(i) for i in range(1, f.n // 2, 2)) & 1
+
+    def square_root(h):
+        return CyclicPoly.from_coeffs(h.coeff(2 * i % h.n) for i in range(h.n))
+
+    for n in (4, 8, 16):
+        members = list(iter_H(n))
+        assert members and all(_odd_half_sum(h) == odd_half_sum(h) == 0 for h in members)
+        for bits in range(1 << n):
+            f = CyclicPoly(n, bits)
+            assert _odd_half_sum(f) == odd_half_sum(f)
+    for n in range(1, 16, 2):
+        for low in range(1 << (n // 2 + 1)):
+            h = _symmetric(n, low)
+            assert factor_odd(h) == square_root(h)
+    rng = random.Random(63)
+    for _ in range(1000):
+        h = _symmetric(63, rng.getrandbits(63))
+        assert factor_odd(h) == square_root(h)
+        assert _odd_half_sum(h) == odd_half_sum(h)
+

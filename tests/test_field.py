@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normbase import field
 from normbase.field import (
     FieldSpec,
     abs_trace,
@@ -35,6 +36,30 @@ def test_spec_rejects_bad_moduli():
 def test_spec_from_degree_deterministic():
     assert FieldSpec.from_degree(4) == FieldSpec.from_degree(4)
     assert FieldSpec.from_degree(2).modulus == 0b111
+
+
+def test_found_modulus_is_tested_once(monkeypatch):
+    # find_irreducible has just proved its result irreducible
+    calls = []
+    monkeypatch.setattr(field, "is_irreducible", lambda f: calls.append(f) or is_irreducible(f))
+    spec = FieldSpec.from_degree(40)
+    assert spec.modulus == find_irreducible(40) and calls == []
+    assert FieldSpec(40, spec.modulus) == spec and calls == []
+    reducible = spec.modulus ^ 1  # x divides it
+    with pytest.raises(ValueError, match=r"^modulus .* is reducible$"):
+        FieldSpec(40, reducible)
+    assert calls == [reducible]
+
+
+def test_spec_parse():
+    assert FieldSpec.parse(16, "x^16+x^5+x^3+x^2+1") == FieldSpec(16, 0x1002D)
+    with pytest.raises(ValueError) as info:
+        FieldSpec.parse(16, "1+x+x^10000000000")
+    assert str(info.value) == "modulus x^10000000000+x+1 does not have degree 16"
+    with pytest.raises(ValueError, match="extension degree"):  # the degree is checked first
+        FieldSpec.parse(99, "x^10000000000+1")
+    with pytest.raises(ValueError, match="bad term"):  # and the text before either
+        FieldSpec.parse(99, "x^10000000000+y")
 
 
 def test_generator_power_reduction(f16):

@@ -96,12 +96,17 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     # the subfield prescriptions keep one base per subfield degree on the spec
     weight3(sub)
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
-    base_vectors = [weakref.ref(vars(s)[f"_base_{t}"][1]) for s, t in ((spec, 21), (sub, 4), (sub, 3))]
+    bases = [vars(s)[f"_base_{t}"] for s, t in ((spec, 21), (sub, 4), (sub, 3))]
+    base_vectors = [weakref.ref(base[1]) for base in bases]
+    # a list takes no weak reference, so each kept basis-change map is looked for by id and value
+    maps = [(id(base[3]), tuple(base[3])) for base in bases]
     ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
-    del spec, sub
+    del spec, sub, bases
     gc.collect()
     assert ref() is None and sub_ref() is None
     assert all(r() is None for r in base_vectors)
+    alive = {id(o): o for o in gc.get_objects() if type(o) is list}
+    assert not any(tuple(alive.get(i, ())) == images for i, images in maps)
     # equal but distinct specs make the same deterministic choices
     again = FieldSpec.from_degree(21)
     assert again is not ref() and find_normal(again) == element

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from normbase.poly2 import (
     CyclicPoly,
+    DegreeBoundError,
     cyclic_inv,
     cyclic_mul,
     degree,
@@ -190,6 +191,16 @@ def test_parse_poly_rejects_duplicates_and_junk():
         parse_poly("x^2+y")
     with pytest.raises(ValueError):
         parse_poly("")
+
+
+def test_parse_poly_degree_bound():
+    assert parse_poly("x^16+x^5+x^3+x^2+1", 16) == 0x1002D
+    assert parse_poly("0x3FFFF", 16) == 0x3FFFF  # hex text is not bounded
+    with pytest.raises(DegreeBoundError, match="above 16") as info:
+        parse_poly("1+x^10000000000+x", 16)
+    assert info.value.text == "x^10000000000+x+1"
+    with pytest.raises(ValueError, match="duplicate"):  # the whole text is parsed first
+        parse_poly("x^10000000000+x^10000000000", 16)
 
 
 def test_parse_vector():
