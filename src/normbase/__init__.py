@@ -14,7 +14,6 @@ from .construct import (
     Status,
     Verdict,
     compose,
-    necessary_conditions,
     prescribe,
     prescribe_in_subfield,
     prescribe_steps,

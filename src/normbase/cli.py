@@ -32,6 +32,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _field_arguments(p: argparse.ArgumentParser, modulus_help: str | None = None):
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--modulus", help=modulus_help)
+
+
 @lru_cache(maxsize=1)  # built on the first main() call, then reused: parsing keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -50,50 +55,43 @@ def _build_parser() -> _Parser:
     p_normal = sub.add_parser("normal", help="find or check normal elements")
     normal_sub = p_normal.add_subparsers(dest="subcommand", required=True)
     p_nfind = normal_sub.add_parser("find", help="find a normal element")
-    p_nfind.add_argument("--degree", type=int, required=True)
-    p_nfind.add_argument("--modulus", help="defaults to the deterministic modulus")
+    _field_arguments(p_nfind, "defaults to the deterministic modulus")
     p_nfind.add_argument("--seed", type=int,
                          help="use seeded random search instead of the scan")
     p_ncheck = normal_sub.add_parser("check", help="check normality of an element")
-    p_ncheck.add_argument("--degree", type=int, required=True)
-    p_ncheck.add_argument("--modulus")
+    _field_arguments(p_ncheck)
     p_ncheck.add_argument("--element", required=True)
 
     p_vector = sub.add_parser("vector", help="corresponding vector of an element")
-    p_vector.add_argument("--degree", type=int, required=True)
-    p_vector.add_argument("--modulus")
+    _field_arguments(p_vector)
     p_vector.add_argument("--element", required=True)
 
     p_presc = sub.add_parser("prescribe",
                              help="construct a normal element with a prescribed vector")
-    p_presc.add_argument("--degree", type=int, required=True)
-    p_presc.add_argument("--modulus")
+    _field_arguments(p_presc)
     p_presc.add_argument("--vector", required=True, help="comma-separated bits")
     p_presc.add_argument("--force-beta", help=argparse.SUPPRESS)
 
     p_comp = sub.add_parser("compose",
                             help="compose subfield prescriptions for n = 2^s * m")
-    p_comp.add_argument("--degree", type=int, required=True)
-    p_comp.add_argument("--modulus")
+    _field_arguments(p_comp)
     p_comp.add_argument("--vector-pow2", required=True, help="length 2^s bits")
     p_comp.add_argument("--vector-odd", required=True, help="length m bits")
 
     p_w3 = sub.add_parser("weight3",
                           help="normal element with a weight-3 vector (4 | n)")
-    p_w3.add_argument("--degree", type=int, required=True)
-    p_w3.add_argument("--modulus")
+    _field_arguments(p_w3)
     p_w3.add_argument("--i0", type=int, default=1)
 
     p_audit = sub.add_parser("audit", help="run an exhaustive oracle audit")
-    p_audit.add_argument("--degree", type=int, required=True)
-    p_audit.add_argument("--modulus")
+    _field_arguments(p_audit)
     p_audit.add_argument("--mode", required=True,
                          choices=["characterization", "factorization", "necessary", "selfdual"])
     return parser
 
 
 def _spec_from(args) -> field.FieldSpec:
-    if getattr(args, "modulus", None):
+    if args.modulus is not None:  # an empty --modulus is an error, not the default
         return field.FieldSpec.parse(args.degree, args.modulus)
     return field.FieldSpec.from_degree(args.degree)
 
@@ -112,13 +110,19 @@ def _emit(record: dict, as_json: bool):
         print(f"{key:14} {value}")
 
 
+def _field_record(spec) -> dict:
+    return {
+        "degree": spec.n,
+        "modulus": field.elem_to_hex(spec.modulus),
+        "modulus_terms": poly2.poly_to_text(spec.modulus),
+    }
+
+
 def _emit_element(spec, element, construction, as_json) -> int:
     # recompute from scratch so "verified" means what it says
     vector = normal.corresponding_vector(spec, element)
     _emit({
-        "degree": spec.n,
-        "modulus": field.elem_to_hex(spec.modulus),
-        "modulus_terms": poly2.poly_to_text(spec.modulus),
+        **_field_record(spec),
         "element": field.elem_to_hex(element),
         "vector": vector.coeffs(),
         "normal": poly2.is_unit_mod_cyclic(vector),  # a unit exactly when the element is normal
@@ -129,24 +133,15 @@ def _emit_element(spec, element, construction, as_json) -> int:
 
 
 def _cmd_field_find(args) -> int:
-    spec = field.FieldSpec.from_degree(args.degree)
-    record = {
-        "degree": spec.n,
-        "modulus": field.elem_to_hex(spec.modulus),
-        "modulus_terms": poly2.poly_to_text(spec.modulus),
-    }
-    _emit(record, args.json)
+    _emit(_field_record(field.FieldSpec.from_degree(args.degree)), args.json)
     return EX_OK
 
 
 def _cmd_normal_find(args) -> int:
     spec = _spec_from(args)
-    if args.seed is not None:
-        element = normal.find_normal(spec, "random", args.seed)
-        construction = {"name": "find", "strategy": "random", "seed": args.seed}
-    else:
-        element = normal.find_normal(spec)
-        construction = {"name": "find", "strategy": "scan"}
+    element = normal.find_normal(spec, args.seed)
+    construction = ({"name": "find", "strategy": "scan"} if args.seed is None
+                    else {"name": "find", "strategy": "random", "seed": args.seed})
     return _emit_element(spec, element, construction, args.json)
 
 
@@ -190,7 +185,7 @@ def _cmd_weight3(args) -> int:
 def _cmd_audit(args) -> int:
     if args.mode != "selfdual":
         report = getattr(oracle, f"check_{args.mode}")(_spec_from(args))
-    elif args.modulus:
+    elif args.modulus is not None:
         raise ValueError("--modulus does not apply to --mode selfdual, "
                          "which audits every degree 2..N on its default modulus")
     else:

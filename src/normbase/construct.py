@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .factor import _odd_half_sum, factor_2power, factor_odd
-from .field import FieldSpec, _check_divisor, _linear, _owned, elem_mul, rel_trace
+from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
 from .normal import (
     TraceVector,
     corresponding_vector,
@@ -39,6 +39,7 @@ from .poly2 import (
     is_symmetric,
     is_unit_mod_cyclic,
     poly_gcd,
+    poly_mod,
     poly_to_text,
     ring_modulus,
 )
@@ -95,20 +96,22 @@ def _gcd_check(a: CyclicPoly) -> tuple[bool, str]:
     return g == 1, poly_to_text(g)
 
 
+def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
+    """a mod (x^k - 1), for k dividing a.n: entry j sums the a_i with i = j mod k."""
+    return CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
+
+
 def _composite_checks(a: TraceVector, s2: int, m: int) -> list[tuple[str, bool]]:
     # necessary conditions obtained by tracing a normal element down to the
     # GF(2^(2^s)) and GF(2^m) subfields and applying their characterizations
     checks = [("symmetric (a[i] = a[n-i])", is_symmetric(a))]
-    r0 = sum(a.coeff(i * s2) for i in range(m)) & 1
-    checks.append((f"sum of a[i*{s2}] over i < {m} equals 1", r0 == 1))
-    rh = sum(a.coeff(i * s2 + s2 // 2) for i in range(m)) & 1
-    checks.append((f"sum of a[i*{s2}+{s2 // 2}] over i < {m} equals 0", rh == 0))
+    u = _fold(a, s2)
+    checks.append((f"sum of a[i*{s2}] over i < {m} equals 1", u.coeff(0) == 1))
+    checks.append((f"sum of a[i*{s2}+{s2 // 2}] over i < {m} equals 0", u.coeff(s2 // 2) == 0))
     if s2 >= 4:
-        odd = sum(a.coeff(i * s2 + k) for k in range(1, s2 // 2, 2) for i in range(m)) & 1
         checks.append(
-            (f"sum of a[i*{s2}+k] over odd k < {s2 // 2} equals 1", odd == 1))
-    t = CyclicPoly.from_coeffs(
-        sum(a.coeff(i * m + k) for i in range(s2)) & 1 for k in range(m))
+            (f"sum of a[i*{s2}+k] over odd k < {s2 // 2} equals 1", _odd_half_sum(u) == 1))
+    t = _fold(a, m)
     unit, factor_text = _gcd_check(t)
     checks.append(
         (f"odd-part column sums {t} coprime to x^{m}-1"
@@ -153,22 +156,6 @@ def validate_vector(n: int, a: TraceVector) -> Verdict:
     return _verdict(_composite_checks(a, s2, m), Status.NECESSARY_ONLY, note)
 
 
-def _composite_split(n: int) -> tuple[int, int]:
-    s2, m = pow2_odd_split(n)
-    if s2 < 4 or m == 1:
-        raise ValueError(
-            f"necessary conditions apply to n = 2^s * m with 2^s >= 4 and odd m > 1, got n = {n}")
-    return s2, m
-
-
-def necessary_conditions(n: int, a: TraceVector) -> Verdict:
-    """Necessary conditions for composite n = 2^s * m with 2^s >= 4 and odd m > 1."""
-    if a.n != n:
-        raise ValueError(f"vector length mismatch: {a.n} != {n}")
-    s2, m = _composite_split(n)
-    return _verdict(_composite_checks(a, s2, m), Status.NECESSARY_ONLY)
-
-
 @dataclass(frozen=True)
 class Prescription:
     """All intermediate values of one prescription run."""
@@ -197,25 +184,12 @@ def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPo
         b_inv = cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
         raise ValueError("supplied base element is not normal") from None
-    conjugates = [beta]
-    for _ in range(t - 1):
-        conjugates.append(_linear(spec._kernel.square, conjugates[-1]))
-    return beta, b, b_inv, conjugates
+    return beta, b, b_inv, _conjugates(spec, beta, t)
 
 
 def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
     """_base of the relative trace onto GF(2^t) of the scan's normal element, kept per t."""
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, rel_trace(spec, find_normal(spec), t)))
-
-
-def _basis_change(conjugates: list[int], mask: int) -> int:
-    """Sum of conjugates[i] over the set bits i of mask."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc ^= conjugates[low.bit_length() - 1]
-        mask ^= low
-    return acc
 
 
 def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
@@ -224,7 +198,7 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     h = cyclic_mul(a, b_inv)
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
     g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
-    alpha = _basis_change(conjugates, g.bits)
+    alpha = _picked_sum(conjugates, g.bits)
     vec = corresponding_vector_in_subfield(spec, alpha, t)
     if vec != a:
         raise RuntimeError(

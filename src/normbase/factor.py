@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal
+from .poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 
 def _require_pow2(n: int):
@@ -43,18 +43,11 @@ def in_G(g: CyclicPoly) -> bool:
     """Membership in the structured factor set G (ring size a power of two >= 4).
 
     G fixes b_0 = 1, b_{n-1} = 0, b_2 = b_{n-3} = 0 and mirrors
-    b_i = b_{n-1-i} for i = 1, 3, 4, ..., n/2 - 1.
+    b_i = b_{n-1-i} for i = 1, 3, 4, ..., n/2 - 1: the free b_i fix the rest.
     """
     _require_pow2(g.n)
-    n = g.n
-    if g.coeff(0) != 1 or g.coeff(n - 1) != 0:
-        return False
-    if g.coeff(2) != 0 or g.coeff(n - 3) != 0:
-        return False
-    for i in range(1, n // 2):
-        if i != 2 and g.coeff(i) != g.coeff(n - 1 - i):
-            return False
-    return True
+    free = _free_indices(g.n)
+    return g == _g_from_assignment(g.n, free, [g.coeff(i) for i in free])
 
 
 def _free_indices(n: int) -> list[int]:
@@ -82,14 +75,9 @@ def iter_G(n: int) -> Iterator[CyclicPoly]:
 
 
 def iter_H(n: int) -> Iterator[CyclicPoly]:
-    """All members of H, enumerated over free symmetric patterns."""
+    """All members of H, in ascending order of their coefficients 0 .. n/2."""
     _require_pow2(n)
-    half = n // 2
-    for pattern in range(1 << (half - 1)):
-        low = CyclicPoly(n, (pattern << 1) | 1)  # h_0 = 1 and the free h_1 .. h_{n/2-1}
-        h = CyclicPoly(n, low.bits | reciprocal(low).bits)
-        if _odd_half_sum(h) == 0:
-            yield h
+    yield from filter(in_H, symmetric_vectors(n))
 
 
 @lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use

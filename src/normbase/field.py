@@ -210,18 +210,25 @@ def frobenius(spec: FieldSpec, a: int, k: int) -> int:
     return a
 
 
-def _conjugate_sum(spec: FieldSpec, a: int, mask: int, step: int = 1) -> int:
-    """Sum of a^(2^(step*i)) over the set bits i of mask."""
+def _conjugates(spec: FieldSpec, a: int, count: int, step: int = 1) -> list[int]:
+    """The first count >= 1 of a, a^(2^step), a^(2^(2*step)), ..."""
     square = spec._kernel.square
-    acc = 0
-    while True:
-        if mask & 1:
-            acc ^= a
-        mask >>= 1
-        if not mask:
-            return acc
+    out = [a]
+    for _ in range(count - 1):
         for _ in range(step):
             a = _linear(square, a)
+        out.append(a)
+    return out
+
+
+def _picked_sum(values: list[int], mask: int) -> int:
+    """Sum of values[i] over the set bits i of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= values[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def abs_trace(spec: FieldSpec, a: int) -> int:
@@ -234,7 +241,8 @@ def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     """Relative trace onto the GF(2^t) subfield: sum of a^(2^(t*i)), i < n/t."""
     _check_elem(spec, a)
     _check_divisor(spec, t)
-    return _conjugate_sum(spec, a, (1 << (spec.n // t)) - 1, t)
+    count = spec.n // t
+    return _picked_sum(_conjugates(spec, a, count, t), (1 << count) - 1)
 
 
 def in_subfield(spec: FieldSpec, a: int, t: int) -> bool:

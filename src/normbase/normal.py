@@ -31,9 +31,10 @@ from .field import (
     FieldSpec,
     _check_divisor,
     _check_elem,
-    _conjugate_sum,
+    _conjugates,
     _linear,
     _owned,
+    _picked_sum,
     elem_mul,
     elem_pow,
     rel_trace,
@@ -107,23 +108,21 @@ def _scan(spec: FieldSpec) -> int:
     raise AssertionError("unreachable: every extension has a normal element")
 
 
-def find_normal(spec: FieldSpec, strategy: str = "scan", seed: int = 0) -> int:
+def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     """Find a normal element.
 
-    "scan" walks coordinate encodings in ascending order (deterministic);
-    "random" draws seed-reproducible candidates.  Same arguments always
-    return the same element; the scan runs once per spec, which keeps
-    its result.
+    Without a seed, walk coordinate encodings in ascending order
+    (deterministic); with one, draw seed-reproducible candidates.  Same
+    arguments always return the same element; the scan runs once per
+    spec, which keeps its result.
     """
-    if strategy == "scan":
+    if seed is None:
         return _owned(spec, "_normal_scan", lambda: _scan(spec))
-    if strategy == "random":
-        rng = random.Random(seed)
-        while True:
-            a = rng.randrange(1, spec.order)
-            if is_normal(spec, a):
-                return a
-    raise ValueError(f"unknown strategy {strategy!r} (expected 'scan' or 'random')")
+    rng = random.Random(seed)
+    while True:
+        a = rng.randrange(1, spec.order)
+        if is_normal(spec, a):
+            return a
 
 
 def apply_basis_change(spec: FieldSpec, beta: int, c: CyclicPoly) -> int:
@@ -131,7 +130,7 @@ def apply_basis_change(spec: FieldSpec, beta: int, c: CyclicPoly) -> int:
     if c.n != spec.n:
         raise ValueError(f"ring size mismatch: {c.n} != {spec.n}")
     _check_elem(spec, beta)
-    return _conjugate_sum(spec, beta, c.bits)
+    return _picked_sum(_conjugates(spec, beta, spec.n), c.bits)
 
 
 def vector_transform(f_b: CyclicPoly, f_c: CyclicPoly) -> CyclicPoly:

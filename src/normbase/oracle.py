@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from .construct import Status, _composite_split, necessary_conditions, reasons_failed, validate_vector
+from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
 from .factor import factor_2power, in_G, iter_G, iter_H
 from .field import FieldSpec, _check_divisor, _check_elem, elem_mul
-from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal
+from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
@@ -150,15 +150,8 @@ def _require_characterized(n: int) -> None:
 def predicted_vectors(n: int) -> set[CyclicPoly]:
     """All vectors the characterization declares achievable (n = 2^s >= 4 or odd)."""
     _require_characterized(n)
-    # corresponding vectors are symmetric, so free indices are 0..floor(n/2)
-    half = n // 2
-    out = set()
-    for pattern in range(1 << (half + 1)):
-        low = CyclicPoly(n, pattern)
-        v = CyclicPoly(n, low.bits | reciprocal(low).bits)
-        if validate_vector(n, v).status is Status.VALID:
-            out.add(v)
-    return out
+    # corresponding vectors are symmetric
+    return {v for v in symmetric_vectors(n) if validate_vector(n, v).status is Status.VALID}
 
 
 @dataclass(frozen=True)
@@ -256,15 +249,22 @@ def check_factorization(spec: FieldSpec) -> ViolationReport:
     return ViolationReport("factorization", "factorization", spec.n, "targets", count, tuple(failures))
 
 
+def _require_composite(n: int) -> None:
+    s2, m = pow2_odd_split(n)
+    if s2 < 4 or m == 1:
+        raise ValueError(
+            f"necessary conditions apply to n = 2^s * m with 2^s >= 4 and odd m > 1, got n = {n}")
+
+
 def check_necessary(spec: FieldSpec) -> ViolationReport:
     """The vector of every normal element passes the necessary conditions for composite 4 | n."""
     _require_enumerable(spec.n)  # first: an over-cap degree is reported as such
-    _composite_split(spec.n)  # then the degree shape, still before the enumeration
+    _require_composite(spec.n)  # then the degree shape, still before the enumeration
     count, failures = 0, []
     for _, vec in enumerate_normal(spec):
         # counted per element: each orbit stands for its n conjugates, which share vec
         count += spec.n
-        if reasons_failed(necessary_conditions(spec.n, vec)):
+        if reasons_failed(validate_vector(spec.n, vec)):
             failures += [f"vector {vec}"] * spec.n
     return ViolationReport("necessary", "necessary-conditions", spec.n, "normal_elements",
                            count, tuple(failures))

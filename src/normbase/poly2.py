@@ -17,6 +17,7 @@ rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 # ---------- GF(2)[x] on plain ints ----------
@@ -263,6 +264,12 @@ def reciprocal(g: CyclicPoly) -> CyclicPoly:
 def is_symmetric(f: CyclicPoly) -> bool:
     """True iff f equals its reciprocal (coefficients satisfy a_i = a_{n-i})."""
     return f == reciprocal(f)
+
+
+def symmetric_vectors(n: int) -> Iterator[CyclicPoly]:
+    """Every symmetric f of ring size n, once, ascending in f_0 .. f_{n//2}, which fix the rest."""
+    for low in range(1 << (n // 2 + 1)):
+        yield CyclicPoly(n, low | reciprocal(CyclicPoly(n, low)).bits)
 
 
 def is_unit_mod_cyclic(f: CyclicPoly) -> bool:

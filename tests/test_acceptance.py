@@ -10,7 +10,6 @@ import time
 
 from normbase.construct import (
     Status,
-    necessary_conditions,
     prescribe,
     prescribe_steps,
     validate_vector,
@@ -153,7 +152,7 @@ def test_criterion_6_composite_necessary_conditions_exhaustive(per_element):
         count = 0
         for _, vec in per_element(spec, enumerate_normal(spec)):
             count += 1
-            verdict = necessary_conditions(12, vec)
+            verdict = validate_vector(12, vec)
             assert verdict.status is Status.NECESSARY_ONLY, (vec, verdict.reasons)
         assert count == 1536  # unit count of GF(2)[x]/(x^12-1)
     _report(f"6 necessary conditions hold for all {count} normal elements of "

@@ -203,6 +203,15 @@ def test_selfdual_audit_rejects_modulus(capsys):
         assert "--modulus" in err
 
 
+def test_empty_modulus_is_an_error_not_the_default(capsys):
+    code, out, err = run(capsys, "normal", "check", "--degree", "8", "--modulus", "",
+                         "--element", "0x1")
+    assert (code, out, err) == (EX_INVALID, "", "normbase: empty polynomial\n")
+    code, out, err = run(capsys, "audit", "--degree", "3", "--mode", "selfdual", "--modulus", "")
+    assert code == EX_INVALID and out == ""
+    assert err.startswith("normbase: --modulus does not apply to --mode selfdual")
+
+
 def _broken_characterization(monkeypatch):
     broken = oracle.CharacterizationReport(8, 3, 4, (CyclicPoly(8, 1),), ())
     monkeypatch.setattr(oracle, "check_characterization", lambda spec: broken)
@@ -214,7 +223,7 @@ def _broken_factor(monkeypatch):
 
 def _broken_conditions(monkeypatch):
     failed = construct.Verdict(construct.Status.INVALID, ("FAIL: broken",))
-    monkeypatch.setattr(oracle, "necessary_conditions", lambda n, a: failed)
+    monkeypatch.setattr(oracle, "validate_vector", lambda n, a: failed)
 
 
 @pytest.mark.parametrize("break_audit, argv, lines", [

@@ -9,7 +9,6 @@ from normbase.construct import (
     InvalidVectorError,
     Status,
     compose,
-    necessary_conditions,
     pow2_odd_split,
     prescribe,
     prescribe_in_subfield,
@@ -17,7 +16,7 @@ from normbase.construct import (
     validate_vector,
     weight3,
 )
-from normbase.field import FieldSpec, in_subfield, parse_elem
+from normbase.field import FieldSpec, frobenius, in_subfield, parse_elem
 from normbase.normal import (
     apply_basis_change,
     corresponding_vector,
@@ -25,7 +24,7 @@ from normbase.normal import (
     find_normal,
     is_normal,
 )
-from normbase.oracle import is_subfield_normal_by_rank
+from normbase.oracle import check_necessary, is_subfield_normal_by_rank
 from normbase.poly2 import CyclicPoly, is_irreducible
 
 
@@ -78,20 +77,20 @@ def test_validate_length_mismatch():
 
 
 def test_necessary_conditions_examples(f12):
-    good = necessary_conditions(12, CyclicPoly.from_support(12, {0, 3, 9}))
+    good = validate_vector(12, CyclicPoly.from_support(12, {0, 3, 9}))
     assert good.status is Status.NECESSARY_ONLY
-    bad = necessary_conditions(12, e0(12))
+    bad = validate_vector(12, e0(12))
     assert bad.status is Status.INVALID
-    with pytest.raises(ValueError):
-        necessary_conditions(8, CyclicPoly(8, 1))   # pure 2-power not covered
-    with pytest.raises(ValueError):
-        necessary_conditions(6, CyclicPoly(6, 1))   # 2-power part too small
+    with pytest.raises(ValueError, match="necessary conditions apply"):
+        check_necessary(FieldSpec.from_degree(8))   # pure 2-power not covered
+    with pytest.raises(ValueError, match="necessary conditions apply"):
+        check_necessary(FieldSpec.from_degree(6))   # 2-power part too small
 
 
 def test_all_normal_vectors_pass_necessary_conditions(f12, per_element):
     from normbase.oracle import enumerate_normal
     for _, vec in per_element(f12, enumerate_normal(f12)):
-        verdict = necessary_conditions(12, vec)
+        verdict = validate_vector(12, vec)
         assert verdict.status is Status.NECESSARY_ONLY
 
 
@@ -135,7 +134,7 @@ def test_prescribe_vector_independent_of_base(f16):
     target = CyclicPoly.from_support(16, {0, 3, 13})
     assert validate_vector(16, target).status is Status.VALID
     a1 = prescribe(f16, target)  # scan base
-    a2 = prescribe(f16, target, beta=find_normal(f16, "random", 99))
+    a2 = prescribe(f16, target, beta=find_normal(f16, seed=99))
     assert corresponding_vector(f16, a1) == corresponding_vector(f16, a2) == target
 
 
@@ -292,15 +291,16 @@ def test_kept_basis_change_matches_apply_basis_change(n):
     s2, m = pow2_odd_split(n)
     rng = random.Random(n)
     for spec in (seeded, default):
-        bases = [construct._base(spec, n, find_normal(spec, "random", n))]
+        bases = [construct._base(spec, n, find_normal(spec, seed=n))]
         # the scan for a default base on the default modulus at n = 63 does not end in reach
         if not (n == 63 and spec is default):
             bases += [construct._default_base(spec, t) for t in sorted({n, s2, m})]
         for beta, _, _, conjugates in bases:
             t = len(conjugates)
+            assert conjugates == [frobenius(spec, beta, i) for i in range(t)]
             for g in [0, 1, (1 << t) - 1] + [rng.getrandbits(t) for _ in range(10)]:
                 expected = apply_basis_change(spec, beta, CyclicPoly(n, g))
-                assert construct._basis_change(conjugates, g) == expected
+                assert field._picked_sum(conjugates, g) == expected
 
 
 def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
@@ -315,7 +315,7 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
             squarings.append(a)
         return linear(tables, a)
 
-    for module in (field, normal, construct):
+    for module in (field, normal):
         monkeypatch.setattr(module, "_linear", counted)
     assert prescribe(spec, target) == first
     assert 0 < len(squarings) <= 64 // 2 + 1

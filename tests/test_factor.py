@@ -14,8 +14,9 @@ from normbase.factor import (
     iter_H,
     verify_factorization,
 )
+from normbase.construct import _fold
 from normbase.oracle import brute_factor
-from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal
+from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 GOLDEN_H = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
 GOLDEN_G = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
@@ -151,6 +152,10 @@ def test_loop_free_helpers_match_their_definitions():
     def square_root(h):
         return CyclicPoly.from_coeffs(h.coeff(2 * i % h.n) for i in range(h.n))
 
+    def fold(a, k):
+        return CyclicPoly.from_coeffs(
+            sum(a.coeff(i * k + j) for i in range(a.n // k)) & 1 for j in range(k))
+
     for n in (4, 8, 16):
         members = list(iter_H(n))
         assert members and all(_odd_half_sum(h) == odd_half_sum(h) == 0 for h in members)
@@ -158,12 +163,22 @@ def test_loop_free_helpers_match_their_definitions():
             f = CyclicPoly(n, bits)
             assert _odd_half_sum(f) == odd_half_sum(f)
     for n in range(1, 16, 2):
-        for low in range(1 << (n // 2 + 1)):
-            h = _symmetric(n, low)
+        for h in symmetric_vectors(n):
             assert factor_odd(h) == square_root(h)
     rng = random.Random(63)
     for _ in range(1000):
         h = _symmetric(63, rng.getrandbits(63))
         assert factor_odd(h) == square_root(h)
         assert _odd_half_sum(h) == odd_half_sum(h)
-
+    for n in (6, 10, 12):
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        for bits in range(1 << n):
+            a = CyclicPoly(n, bits)
+            assert all(_fold(a, k) == fold(a, k) for k in divisors)
+    for n in range(4, 65):
+        if n & (n - 1) == 0 or n % 2:  # composite n = 2^s * m, s >= 1, odd m > 1
+            continue
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        for _ in range(20):
+            a = CyclicPoly(n, rng.getrandbits(n))
+            assert all(_fold(a, k) == fold(a, k) for k in divisors)

@@ -74,13 +74,11 @@ def test_find_normal_matches_naive_scan():
 
 def test_find_normal_postcondition(f16):
     assert is_normal(f16, find_normal(f16))
-    assert is_normal(f16, find_normal(f16, "random", 123))
+    assert is_normal(f16, find_normal(f16, seed=123))
 
 
 def test_find_normal_random_reproducible(f12):
-    assert find_normal(f12, "random", 42) == find_normal(f12, "random", 42)
-    with pytest.raises(ValueError):
-        find_normal(f12, "sorted")
+    assert find_normal(f12, seed=42) == find_normal(f12, seed=42)
 
 
 def test_field_spec_is_freed_and_its_choices_repeat():
@@ -89,7 +87,7 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     element = find_normal(spec)
     corresponding_vector(spec, element)
     prescribe(spec, CyclicPoly(21, 1))
-    drawn = find_normal(spec, "random", 7)
+    drawn = find_normal(spec, seed=7)
     # n/t = 4 is even, so this vector needs an element of relative trace 1, kept by the spec
     sub = FieldSpec.from_degree(12)
     corresponding_vector_in_subfield(sub, rel_trace(sub, find_normal(sub), 3), 3)
@@ -110,12 +108,12 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     # equal but distinct specs make the same deterministic choices
     again = FieldSpec.from_degree(21)
     assert again is not ref() and find_normal(again) == element
-    assert find_normal(again, "random", 7) == find_normal(again, "random", 7) == drawn
+    assert find_normal(again, seed=7) == find_normal(again, seed=7) == drawn
 
 
 def test_explicit_base_is_not_kept_by_the_spec():
     spec = FieldSpec.from_degree(16)
-    prescribe(spec, CyclicPoly.from_support(16, {0, 1, 15}), beta=find_normal(spec, "random", 3))
+    prescribe(spec, CyclicPoly.from_support(16, {0, 1, 15}), beta=find_normal(spec, seed=3))
     assert set(vars(spec)) <= {"n", "modulus", "_kernel"}  # the fields and their tables, no base
 
 

@@ -25,6 +25,7 @@ from normbase.poly2 import (
     poly_to_text,
     reciprocal,
     ring_modulus,
+    symmetric_vectors,
 )
 
 polys = st.integers(min_value=0, max_value=(1 << 24) - 1)
@@ -172,6 +173,16 @@ PINNED_MODULI = {
 
 def test_find_irreducible_pinned():
     assert {n: find_irreducible(n) for n in PINNED_MODULI} == PINNED_MODULI
+
+
+# low terms of the default modulus at the five NIST binary-field degrees (FIPS 186-4,
+# App. D); the NIST pentanomials at 163 and 571, smaller encodings at 233, 283 and 409
+NIST_LOW_TERMS = {163: 0xC9, 233: 0xBD, 283: 0x167, 409: 0xA9, 571: 0x425}
+
+
+def test_find_irreducible_pinned_at_nist_degrees():
+    assert {n: find_irreducible(n) for n in NIST_LOW_TERMS} == {
+        n: (1 << n) | low for n, low in NIST_LOW_TERMS.items()}
 
 
 # ---- text formats ----
@@ -377,3 +388,12 @@ def test_half_sum_law_for_products(data):
             return sum(v.coeff(i) for i in range(1, n // 2, 2)) & 1
 
         assert odd_half_sum(c) == (odd_half_sum(f) + odd_half_sum(g)) % 2
+
+
+def test_symmetric_vectors_are_every_symmetric_vector_once():
+    for n in range(1, 15):
+        found = list(symmetric_vectors(n))
+        assert len(found) == 2 ** (n // 2 + 1)
+        assert set(found) == {f for bits in range(1 << n) if is_symmetric(f := CyclicPoly(n, bits))}
+        lows = [f.bits & ((2 << (n // 2)) - 1) for f in found]  # entries 0 .. n//2
+        assert lows == sorted(set(lows))

@@ -47,6 +47,23 @@ def test_every_public_function_is_referenced():
     assert not unused
 
 
+def test_every_imported_name_is_used():
+    # an import left behind by a deletion; __init__ imports only to re-export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in used]
+    assert not unused
+
+
 def _names(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
