@@ -156,7 +156,7 @@ def _cmd_element(args) -> int:
 def _cmd_prescribe(args) -> int:
     spec = _spec_from(args)
     target = poly2.parse_vector(args.vector)
-    beta = field.parse_elem(spec, args.force_beta) if args.force_beta else None
+    beta = field.parse_elem(spec, args.force_beta) if args.force_beta is not None else None
     steps = construct.prescribe_steps(spec, target, beta)
     construction = {
         "name": "prescribe",

@@ -114,10 +114,13 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     Without a seed, walk coordinate encodings in ascending order
     (deterministic); with one, draw seed-reproducible candidates.  Same
     arguments always return the same element; the scan runs once per
-    spec, which keeps its result.
+    spec, which keeps its result.  A seed must be an int (not a bool):
+    any other value raises TypeError rather than seed a different draw.
     """
     if seed is None:
         return _owned(spec, "_normal_scan", lambda: _scan(spec))
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     rng = random.Random(seed)
     while True:
         a = rng.randrange(1, spec.order)

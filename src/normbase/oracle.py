@@ -3,17 +3,22 @@
 Normality here is decided by the rank of the Frobenius-conjugate
 coordinate matrix, deliberately NOT by the gcd criterion the production
 path uses; the two are compared in tests, so theorem audits stay
-non-circular; vectors are computed naively, multiply then trace.  The
-oracle has its own naive square (spread the bits, then reduce) and its own
-trace mask (each Tr(g^i) a sum of n naive conjugates), so no audit runs
-on the field kernel's tables.  The
+non-circular; vectors are computed naively, multiply then trace, all n
+entries.  The oracle has its own naive square (spread the bits, then
+reduce) and its own trace mask (each Tr(g^i) a sum of n naive conjugates),
+and takes nothing from the field kernel (_Kernel).  Squaring is
+GF(2)-linear, so an enumeration squares with byte tables whose images are
+the naive squares of the basis monomials g^j, built once per call.  The
+generic field helpers _byte_tables and _linear only tabulate and apply the
+images they are given and compute none, so a wrong kernel table still
+cannot reach an audit.  The
 subfield construction is the same pipeline as the full-field one, and is
 audited by the same rank test on the first t conjugates.  The enumeration
 decides each Frobenius orbit once: conjugates share normality and the
 vector, so one rank test and one vector stand for the orbit's n elements,
 and the audits count per element.  Enumeration caps keep exhaustive runs
-in the seconds range on one core (about 7 s at the cap n = 20); the caps
-are the module constants below.
+in the seconds range on one core (about 3.7 s at the cap n = 20 on a
+Xeon with Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a report with
@@ -26,8 +31,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
-from .factor import factor_2power, in_G, iter_G, iter_H
-from .field import FieldSpec, _check_divisor, _check_elem, elem_mul
+from .factor import _require_pow2, factor_2power, in_G, iter_G, iter_H
+from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear, elem_mul
 from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
@@ -61,15 +66,20 @@ def _naive_trace_mask(spec: FieldSpec) -> int:
     return mask
 
 
-def _orbit(spec: FieldSpec, alpha: int) -> list[int]:
+def _square_tables(spec: FieldSpec) -> list[list[int]]:
+    """Byte tables of the squaring map, each image g^(2j) a _naive_square of g^j."""
+    return _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)])
+
+
+def _orbit(spec: FieldSpec, square: list[list[int]], alpha: int) -> list[int]:
     """The Frobenius orbit alpha, alpha^2, alpha^4, ... up to its first repeat."""
     orbit = [alpha]
-    x = _naive_square(spec, alpha)
+    x = _linear(square, alpha)
     while x != alpha:
         if len(orbit) == spec.n:
             raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
         orbit.append(x)
-        x = _naive_square(spec, x)
+        x = _linear(square, x)
     return orbit
 
 
@@ -100,7 +110,7 @@ def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     _check_elem(spec, alpha)
     # t distinct conjugates iff alpha lies in GF(2^t) and in no smaller subfield,
     # where its t conjugates would repeat
-    orbit = _orbit(spec, alpha)
+    orbit = _orbit(spec, _square_tables(spec), alpha)
     return len(orbit) == t and _independent(orbit)
 
 
@@ -120,11 +130,12 @@ def enumerate_normal(spec: FieldSpec) -> Iterator[tuple[int, CyclicPoly]]:
     n = spec.n
     _require_enumerable(n)
     mask = _naive_trace_mask(spec)
+    square = _square_tables(spec)
     visited = bytearray(1 << n)
     for e in range(1, 1 << n):
         if visited[e]:
             continue
-        orbit = _orbit(spec, e)
+        orbit = _orbit(spec, square, e)
         for x in orbit:
             visited[x] = 1
         # a shorter orbit lies in a proper subfield, so its conjugates repeat
@@ -199,11 +210,15 @@ def check_characterization(spec: FieldSpec) -> CharacterizationReport:
     )
 
 
+def _require_G_searchable(n: int) -> None:
+    if n > G_SEARCH_CAP:
+        raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {n}")
+
+
 def brute_factor(h: CyclicPoly, restrict_to_G: bool) -> list[CyclicPoly]:
     """All g (in G, or anywhere) with g * reciprocal(g) = h, by exhaustion."""
     if restrict_to_G:
-        if h.n > G_SEARCH_CAP:
-            raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {h.n}")
+        _require_G_searchable(h.n)
         candidates = iter_G(h.n)
     else:
         if h.n > FULL_SEARCH_CAP:
@@ -237,12 +252,24 @@ class ViolationReport:
                 "violations": len(self.violations), "ok": self.ok}
 
 
+def _factors_in_G(n: int) -> dict[CyclicPoly, list[CyclicPoly]]:
+    """Each g * reciprocal(g) over G, with its factors in iter_G order: brute_factor for every h."""
+    # both bounds before the pass, which at n = 64 would walk 2^30 members; the ring size first
+    _require_pow2(n)
+    _require_G_searchable(n)
+    factors: dict[CyclicPoly, list[CyclicPoly]] = {}
+    for g in iter_G(n):
+        factors.setdefault(cyclic_mul(g, reciprocal(g)), []).append(g)
+    return factors
+
+
 def check_factorization(spec: FieldSpec) -> ViolationReport:
     """Every h in H has exactly one factor g in G, found by brute force, and factor_2power returns it."""
+    factors = _factors_in_G(spec.n)
     count, failures = 0, []
-    for h in iter_H(spec.n):  # lazy, so a degree over the search cap fails at the first target
+    for h in iter_H(spec.n):
         count += 1
-        matches = brute_factor(h, restrict_to_G=True)
+        matches = factors.get(h, [])
         g = factor_2power(h)
         if matches != [g] or not in_G(g):
             failures.append(f"h = {h}")

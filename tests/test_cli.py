@@ -212,6 +212,13 @@ def test_empty_modulus_is_an_error_not_the_default(capsys):
     assert err.startswith("normbase: --modulus does not apply to --mode selfdual")
 
 
+def test_empty_force_beta_is_an_error_not_the_default_base(capsys):
+    code, out, err = run(capsys, "prescribe", "--degree", "16", "--vector", GOLDEN_VECTOR,
+                         "--force-beta", "")
+    assert (code, out) == (EX_INVALID, "")
+    assert err.startswith("normbase: bad element")
+
+
 def _broken_characterization(monkeypatch):
     broken = oracle.CharacterizationReport(8, 3, 4, (CyclicPoly(8, 1),), ())
     monkeypatch.setattr(oracle, "check_characterization", lambda spec: broken)

@@ -81,6 +81,14 @@ def test_find_normal_random_reproducible(f12):
     assert find_normal(f12, seed=42) == find_normal(f12, seed=42)
 
 
+def test_find_normal_seed_must_be_an_int(f16):
+    # a string or bool would otherwise seed a silently different draw
+    for seed in ("random", True, False, 1.0, b"0"):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            find_normal(f16, seed)
+    assert (find_normal(f16), find_normal(f16, seed=0), find_normal(f16, 7)) == (0x800, 0xD82D, 0xF2A8)
+
+
 def test_field_spec_is_freed_and_its_choices_repeat():
     # per-field values live on the spec, so nothing keeps a dropped spec alive
     spec = FieldSpec.from_degree(21)

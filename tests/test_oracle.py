@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from normbase.field import FieldSpec, elem_mul
+from normbase.factor import iter_H
+from normbase.field import FieldSpec, _linear, elem_mul, rel_trace
 from normbase.normal import is_normal
 from normbase.oracle import (
+    _factors_in_G,
+    _naive_square,
+    _orbit,
+    _square_tables,
     achievable_vectors,
     brute_factor,
     check_characterization,
@@ -17,7 +22,7 @@ from normbase.oracle import (
     is_normal_by_rank,
     predicted_vectors,
 )
-from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible
+from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible, symmetric_vectors
 
 
 def test_enumeration_counts(per_element):
@@ -63,6 +68,69 @@ def test_orbit_reduction_is_sound(n, per_element):
         brute = {a: _brute_vector(spec, a) for a in range(spec.order) if is_normal_by_rank(spec, a)}
         assert expanded == brute
     assert n < 3 or seeded is not None  # a second modulus exists from n = 3 on
+
+
+def _random_modulus(rng, n):
+    while True:
+        f = rng.randrange(1 << n, 1 << (n + 1))
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
+def test_table_square_is_the_naive_square(n):
+    # the tables are built from _naive_square of the basis monomials only
+    rng = random.Random(n)
+    for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
+        spec = FieldSpec(n, modulus)
+        square = _square_tables(spec)
+        samples = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)]
+        assert [_linear(square, a) for a in samples] == [_naive_square(spec, a) for a in samples]
+
+
+def _naive_orbit(spec, alpha):
+    orbit, x = [alpha], _naive_square(spec, alpha)
+    while x != alpha:
+        orbit.append(x)
+        x = _naive_square(spec, x)
+    return orbit
+
+
+@pytest.mark.parametrize("n", [1, 6, 12, 13, 20])
+def test_orbit_is_the_naive_squaring_chain(n):
+    rng = random.Random(n)
+    spec = FieldSpec(n, _random_modulus(rng, n))
+    square = _square_tables(spec)
+    # subfield elements have orbits shorter than n: their length divides t
+    subfield = [rel_trace(spec, rng.randrange(spec.order), t)
+                for t in range(1, n + 1) if n % t == 0 for _ in range(5)]
+    lengths = set()
+    for alpha in [0, 1] + subfield + [rng.randrange(spec.order) for _ in range(50)]:
+        orbit = _orbit(spec, square, alpha)
+        assert orbit == _naive_orbit(spec, alpha)
+        lengths.add(len(orbit))
+    assert lengths == {t for t in range(1, n + 1) if n % t == 0}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_one_pass_over_G_finds_what_brute_factor_finds(n):
+    # the factorization audit reads each target's matches off _factors_in_G
+    factors = _factors_in_G(n)
+    targets = list(iter_H(n))
+    assert targets and all(h in factors for h in targets)
+    for h in targets + list(symmetric_vectors(n)):
+        assert factors.get(h, []) == brute_factor(h, restrict_to_G=True)
+
+
+@pytest.mark.parametrize("n, message", [
+    (12, "ring size must be a power of two >= 4, got 12"),
+    (40, "ring size must be a power of two >= 4, got 40"),
+    (32, "G-restricted search capped at n <= 24, got 32"),
+    (64, "G-restricted search capped at n <= 24, got 64"),
+])
+def test_factorization_audit_bounds_before_the_pass_over_G(n, message):
+    with pytest.raises(ValueError, match=message):
+        check_factorization(FieldSpec.from_degree(n))
 
 
 def test_enumeration_cap():
