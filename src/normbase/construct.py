@@ -17,6 +17,17 @@ prescription then squares only in its closing vector check.
 compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
+
+The pipeline's closing check, vec == a for the returned element's
+recomputed vector, is the one verification of every element it returns,
+so it calls the bare solvers _solve_2power and _sqrt_odd, not the public
+factor_2power and factor_odd.  Their input checks are implied: a valid a
+is achievable (the paper's characterization, audited by the oracle), say
+by sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which
+lies in H for t = 2^s and is symmetric for odd t.  Their result check is
+subsumed: a valid a is a unit (for t = 2^s its weight is odd, as a_0 = 1,
+a_{t/2} = 0 and the other entries pair up; for odd t the gcd is checked),
+so vec == a proves that the element has vector a and is normal.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factor import _odd_half_sum, factor_2power, factor_odd
+from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
 from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
 from .normal import (
     TraceVector,
@@ -90,10 +101,11 @@ def pow2_odd_split(n: int) -> tuple[int, int]:
 
 
 def _gcd_check(a: CyclicPoly) -> tuple[bool, str]:
+    """Whether a is a unit, and the reason-line suffix naming the common factor when it is not."""
     if a.bits == 0:
-        return False, "zero polynomial"
+        return False, " (common factor zero polynomial)"
     g = poly_gcd(a.bits, ring_modulus(a.n))
-    return g == 1, poly_to_text(g)
+    return (True, "") if g == 1 else (False, f" (common factor {poly_to_text(g)})")
 
 
 def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
@@ -112,10 +124,8 @@ def _composite_checks(a: TraceVector, s2: int, m: int) -> list[tuple[str, bool]]
         checks.append(
             (f"sum of a[i*{s2}+k] over odd k < {s2 // 2} equals 1", _odd_half_sum(u) == 1))
     t = _fold(a, m)
-    unit, factor_text = _gcd_check(t)
-    checks.append(
-        (f"odd-part column sums {t} coprime to x^{m}-1"
-         + ("" if unit else f" (common factor {factor_text})"), unit))
+    unit, note = _gcd_check(t)
+    checks.append((f"odd-part column sums {t} coprime to x^{m}-1{note}", unit))
     return checks
 
 
@@ -143,11 +153,10 @@ def validate_vector(n: int, a: TraceVector) -> Verdict:
         ]
         return _verdict(checks, Status.VALID)
     if n % 2 == 1:
-        unit, factor_text = _gcd_check(a)
+        unit, note = _gcd_check(a)
         checks = [
             ("symmetric (a[i] = a[n-i])", is_symmetric(a)),
-            (f"coprime to x^{n}-1" + ("" if unit else f" (common factor {factor_text})"),
-             unit),
+            (f"coprime to x^{n}-1{note}", unit),
         ]
         return _verdict(checks, Status.VALID)
     s2, m = pow2_odd_split(n)
@@ -197,10 +206,10 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     beta, b, b_inv, conjugates = base
     h = cyclic_mul(a, b_inv)
     # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
-    g = CyclicPoly(t, 1) if t <= 2 else factor_2power(h) if _is_pow2(t) else factor_odd(h)
+    g = CyclicPoly(t, 1) if t <= 2 else _solve_2power(h) if _is_pow2(t) else _sqrt_odd(h)
     alpha = _picked_sum(conjugates, g.bits)
     vec = corresponding_vector_in_subfield(spec, alpha, t)
-    if vec != a:
+    if vec != a:  # the one verification of the result; see the module docstring
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
     return Prescription(spec, a, beta, b, b_inv, h, g, alpha, vec)

@@ -4,10 +4,16 @@ Two regimes are covered.  For n a power of two the factorable targets form
 the set H (symmetric, constant term 1, middle coefficient 0, odd-index
 half-sum 0) and each has a unique factor g in the structured set G; that g
 is recovered by solving a linear system over GF(2).  The system's matrix
-depends only on n, so it is eliminated once per ring size; each target
-then costs one parity per unknown.  For odd n a target
+depends only on n, so it is eliminated once per ring size, into byte
+tables of the linear map from h's coefficients to g's; each target then
+costs one table lookup per byte of h's lower half.  For odd n a target
 factors iff it is symmetric, and then g_i = h_{2i mod n} gives a symmetric
 square root (g * g^* = g^2 = h).
+
+factor_2power and factor_odd check their input, and factor_2power its
+result, around the bare solvers _solve_2power and _sqrt_odd; the
+prescription pipeline calls the solvers, as its own checks already prove
+those facts (see the construct module).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from .field import _byte_tables, _linear
 from .poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 
@@ -81,14 +88,15 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
 
 
 @lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use
-def _eliminated_system(n: int) -> tuple[list[int], int, list[int], list[int]]:
+def _eliminated_system(n: int) -> tuple[int, list[list[int]], list[int]]:
     """The factor_2power system for ring size n, eliminated once.
 
     Equation j (1 <= j <= n/2 - 1) is bit j - 1 of the right-hand side
-    h_j + const_j.  Returns (free, const, picks, zero): unknown k is the
-    parity of picks[k] & rhs, and each mask in zero combines equations
-    that must sum to 0.  Raises RuntimeError if the system is
-    rank-deficient, which would be an implementation bug.
+    h_j + const_j.  Returns (const, solution, zero).  Each unknown is a
+    parity of rhs bits, so the solution g is 1 plus a GF(2)-linear image
+    of rhs, and solution holds that map as byte tables.  Each mask in zero
+    combines equations that must sum to 0.  Raises RuntimeError if the
+    system is rank-deficient, which would be an implementation bug.
     """
     free = _free_indices(n)
     col = {idx: pos for pos, idx in enumerate(free)}
@@ -122,7 +130,23 @@ def _eliminated_system(n: int) -> tuple[list[int], int, list[int], list[int]]:
                 combos[i] ^= combos[r]
         pivot_row.append(r)
         r += 1
-    return free, const, [combos[i] for i in pivot_row], combos[r:]
+    # bit j of rhs flips the unknowns whose pick holds bit j, each with its mirror
+    images = [0] * m
+    for idx, i in zip(free, pivot_row):
+        for j in range(m):
+            if combos[i] >> j & 1:
+                images[j] ^= (1 << idx) | (1 << (n - 1 - idx))
+    return const, _byte_tables(images), combos[r:]
+
+
+def _solve_2power(h: CyclicPoly) -> CyclicPoly:
+    """The g in G solving the eliminated system for h, which must lie in H; g is not verified."""
+    n = h.n
+    const, solution, zero = _eliminated_system(n)
+    rhs = ((h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)) ^ const
+    if any((c & rhs).bit_count() & 1 for c in zero):
+        raise RuntimeError("factorization system is inconsistent (implementation bug)")
+    return CyclicPoly(n, 1 | _linear(solution, rhs))
 
 
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
@@ -138,15 +162,17 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
         raise ValueError(
             "no structured factorization: polynomial is outside the set H "
             "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)")
-    n = h.n
-    free, const, picks, zero = _eliminated_system(n)
-    rhs = ((h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)) ^ const
-    if any((c & rhs).bit_count() & 1 for c in zero):
-        raise RuntimeError("factorization system is inconsistent (implementation bug)")
-    g = _g_from_assignment(n, free, [(c & rhs).bit_count() & 1 for c in picks])
+    g = _solve_2power(h)
     if not verify_factorization(h, g):
         raise RuntimeError("solved factor fails verification (implementation bug)")
     return g
+
+
+def _sqrt_odd(h: CyclicPoly) -> CyclicPoly:
+    """g_i = h_{2i mod n}, odd n: the symmetric square root when h is symmetric."""
+    coeffs = f"{h.bits:0{h.n}b}"[::-1]  # coeffs[i] = h_i
+    # 2i mod n runs over the even indices for i <= (n-1)/2, then over the odd ones
+    return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
 
 
 def factor_odd(h: CyclicPoly) -> CyclicPoly:
@@ -155,9 +181,7 @@ def factor_odd(h: CyclicPoly) -> CyclicPoly:
         raise ValueError(f"ring size must be odd, got {h.n}")
     if not is_symmetric(h):
         raise ValueError("no factorization: polynomial is not symmetric")
-    coeffs = f"{h.bits:0{h.n}b}"[::-1]  # coeffs[i] = h_i
-    # 2i mod n runs over the even indices for i <= (n-1)/2, then over the odd ones
-    return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
+    return _sqrt_odd(h)
 
 
 def verify_factorization(h: CyclicPoly, g: CyclicPoly) -> bool:

@@ -26,6 +26,7 @@ itself, so it is freed with the spec.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .field import (
     FieldSpec,
@@ -43,6 +44,10 @@ from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
 
 # a trace vector is positionally identified with a cyclic-ring polynomial
 TraceVector = CyclicPoly
+
+# trace-one candidates the deterministic scan tests before it falls back to
+# the seeded draw; every n <= 64 but 63 is served within 16,385 (n = 31)
+SCAN_CAP = 1 << 15
 
 
 def _delta(spec: FieldSpec, t: int) -> int:
@@ -102,19 +107,23 @@ def _scan(spec: FieldSpec) -> int:
     # trace-one basis monomial can be skipped wholesale (the ascending
     # order of candidates actually tested is unchanged)
     mask = spec._kernel.trace_mask
-    for a in range(mask & -mask, spec.order):
-        if (a & mask).bit_count() & 1 and is_normal(spec, a):
+    candidates = (a for a in range(mask & -mask, spec.order) if (a & mask).bit_count() & 1)
+    for a in islice(candidates, SCAN_CAP):
+        if is_normal(spec, a):
             return a
-    raise AssertionError("unreachable: every extension has a normal element")
+    return find_normal(spec, seed=0)
 
 
 def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     """Find a normal element.
 
     Without a seed, walk coordinate encodings in ascending order
-    (deterministic); with one, draw seed-reproducible candidates.  Same
-    arguments always return the same element; the scan runs once per
-    spec, which keeps its result.  A seed must be an int (not a bool):
+    (deterministic); with one, draw seed-reproducible candidates.  The
+    scan tests at most SCAN_CAP trace-one candidates and, if none of them
+    is normal, returns the draw with seed 0 instead (at n = 63 on the
+    default modulus no encoding below 2^14 is normal).  Same arguments
+    always return the same element; the scan runs once per spec, which
+    keeps its result.  A seed must be an int (not a bool):
     any other value raises TypeError rather than seed a different draw.
     """
     if seed is None:

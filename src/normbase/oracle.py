@@ -37,7 +37,6 @@ from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vecto
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
-FULL_SEARCH_CAP = 16
 
 
 def _naive_square(spec: FieldSpec, a: int) -> int:
@@ -215,16 +214,10 @@ def _require_G_searchable(n: int) -> None:
         raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {n}")
 
 
-def brute_factor(h: CyclicPoly, restrict_to_G: bool) -> list[CyclicPoly]:
-    """All g (in G, or anywhere) with g * reciprocal(g) = h, by exhaustion."""
-    if restrict_to_G:
-        _require_G_searchable(h.n)
-        candidates = iter_G(h.n)
-    else:
-        if h.n > FULL_SEARCH_CAP:
-            raise ValueError(f"unrestricted search capped at n <= {FULL_SEARCH_CAP}, got {h.n}")
-        candidates = (CyclicPoly(h.n, bits) for bits in range(1 << h.n))
-    return [g for g in candidates if cyclic_mul(g, reciprocal(g)) == h]
+def brute_factor(h: CyclicPoly) -> list[CyclicPoly]:
+    """All g in G with g * reciprocal(g) = h, by exhaustion."""
+    _require_G_searchable(h.n)
+    return [g for g in iter_G(h.n) if cyclic_mul(g, reciprocal(g)) == h]
 
 
 @dataclass(frozen=True)

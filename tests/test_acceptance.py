@@ -5,9 +5,11 @@ tolerance.  Each test prints its own pass line (visible with `pytest -s`)
 and enforces the stated runtime budget.
 """
 
+import json
 import random
 import time
 
+from normbase.cli import EX_OK, main
 from normbase.construct import (
     Status,
     prescribe,
@@ -299,3 +301,30 @@ def test_evidence_necessary_conditions_n20():
         assert report.count == 491520  # unit count of GF(2)[x]/(x^20-1)
     _report(f"evidence: necessary conditions hold for all {report.count} normal elements "
             f"of GF(2^20) ({budget.elapsed:.1f}s)")
+
+
+# ---- every request terminates: the capped scan at n = 63 ----
+# no encoding below 2^14 is normal on x^63 + x + 1, so the scan stops at its
+# cap of 2^15 candidates (about 2 s) and takes the seeded draw instead
+
+def test_normal_find_degree_63_ends(capsys):
+    with Budget(10.0) as budget:
+        code = main(["--json", "normal", "find", "--degree", "63"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == EX_OK and record["normal"] is True
+    assert record["element"] == "0x71F38341C2094CAD"
+    _report(f"normal find --degree 63 ends ({budget.elapsed:.1f}s)")
+
+
+def test_prescribe_degree_63_roundtrip(capsys):
+    # x^-2 (1 + x + x^2 + x^3 + x^4) is coprime to x^63 - 1, as 5 does not divide 63
+    target = CyclicPoly.from_support(63, {0, 1, 2, 61, 62})
+    with Budget(10.0) as budget:
+        assert validate_vector(63, target).status is Status.VALID
+        code = main(["--json", "prescribe", "--degree", "63",
+                     "--vector", ",".join(map(str, target.coeffs()))])
+        record = json.loads(capsys.readouterr().out)
+        assert code == EX_OK and record["verified"] is True
+        alpha = parse_elem(FieldSpec.from_degree(63), record["element"])
+        assert corresponding_vector(FieldSpec.from_degree(63), alpha) == target
+    _report(f"prescribe --degree 63 roundtrip ({budget.elapsed:.1f}s)")

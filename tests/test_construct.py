@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from normbase import construct, field, normal
+from normbase import cli, construct, factor, field, normal
 from normbase.construct import (
     InvalidVectorError,
     Status,
@@ -25,7 +25,14 @@ from normbase.normal import (
     is_normal,
 )
 from normbase.oracle import check_necessary, is_subfield_normal_by_rank
-from normbase.poly2 import CyclicPoly, is_irreducible
+from normbase.poly2 import (
+    CyclicPoly,
+    cyclic_mul,
+    is_irreducible,
+    is_symmetric,
+    reciprocal,
+    symmetric_vectors,
+)
 
 
 def e0(n):
@@ -292,7 +299,8 @@ def test_kept_basis_change_matches_apply_basis_change(n):
     rng = random.Random(n)
     for spec in (seeded, default):
         bases = [construct._base(spec, n, find_normal(spec, seed=n))]
-        # the scan for a default base on the default modulus at n = 63 does not end in reach
+        # on the default modulus at n = 63 the scan runs to its cap (about 2 s);
+        # test_acceptance covers that degree
         if not (n == 63 and spec is default):
             bases += [construct._default_base(spec, t) for t in sorted({n, s2, m})]
         for beta, _, _, conjugates in bases:
@@ -319,3 +327,77 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
         monkeypatch.setattr(module, "_linear", counted)
     assert prescribe(spec, target) == first
     assert 0 < len(squarings) <= 64 // 2 + 1
+
+
+# ---- each fact proved once: the pipeline's closing vector check ----
+
+def _valid_vectors(n):
+    if n % 2:
+        candidates = symmetric_vectors(n)
+    else:  # the symmetric vectors with a_0 = 1 and a_{n/2} = 0
+        candidates = (CyclicPoly(n, 1 | p << 1 | reciprocal(CyclicPoly(n, p << 1)).bits)
+                      for p in range(1 << (n // 2 - 1)))
+    return [a for a in candidates if validate_vector(n, a).status is Status.VALID]
+
+
+@pytest.mark.parametrize("n", [16, 21, 32, 33, 64])
+def test_warm_prescribe_skips_the_public_factor_checks(monkeypatch, n):
+    spec = FieldSpec.from_degree(n)
+    rng = random.Random(n)
+    targets = []
+    while len(targets) < 5:
+        a = CyclicPoly(n, rng.getrandbits(n))
+        a = CyclicPoly(n, a.bits | reciprocal(a).bits)  # symmetric
+        if validate_vector(n, a).status is Status.VALID:
+            targets.append(a)
+    first = [prescribe(spec, a) for a in targets]  # builds and keeps the default base
+    calls = []
+    for module in (factor, construct):
+        for name in ("in_H", "verify_factorization", "factor_2power", "factor_odd"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _name=name, _real=real:
+                                    calls.append(_name) or _real(*args))
+    assert [prescribe(spec, a) for a in targets] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_valid_two_power_vectors_give_quotients_in_H(n):
+    # what factor_2power's in_H check would prove: a valid a makes h = a * b^(-1) a member of H
+    _, _, b_inv, _ = construct._default_base(FieldSpec.from_degree(n), n)
+    valid = _valid_vectors(n)
+    assert len(valid) == 1 << (n // 2 - 2)
+    assert all(factor.in_H(cyclic_mul(a, b_inv)) for a in valid)
+
+
+@pytest.mark.parametrize("n", range(3, 22, 2))
+def test_valid_odd_vectors_give_symmetric_quotients(n):
+    # what factor_odd's symmetry check would prove
+    _, _, b_inv, _ = construct._default_base(FieldSpec.from_degree(n), n)
+    valid = _valid_vectors(n)
+    assert valid
+    assert all(is_symmetric(cyclic_mul(a, b_inv)) for a in valid)
+
+
+def test_wrong_factor_is_caught_by_the_closing_check(monkeypatch, capsys):
+    spec = FieldSpec.from_degree(16)
+    target = CyclicPoly.from_support(16, {0, 1, 15})
+    _, _, b_inv, _ = construct._default_base(spec, 16)
+    solve = factor._solve_2power
+
+    def flipped(h):  # another member of G: free coefficient 1 and its mirror n - 2 flipped
+        g = solve(h)
+        return CyclicPoly(g.n, g.bits ^ (1 << 1) ^ (1 << (g.n - 2)))
+
+    for module in (factor, construct):
+        monkeypatch.setattr(module, "_solve_2power", flipped)
+    with pytest.raises(RuntimeError, match="prescribed vector mismatch"):
+        prescribe(spec, target)
+    vector = ",".join(map(str, target.coeffs()))
+    assert cli.main(["prescribe", "--degree", "16", "--vector", vector]) == cli.EX_VERIFY
+    out, err = capsys.readouterr()
+    assert out == "" and "prescribed vector mismatch" in err
+    with pytest.raises(RuntimeError, match="solved factor fails verification"):
+        factor.factor_2power(cyclic_mul(target, b_inv))

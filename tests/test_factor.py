@@ -59,7 +59,7 @@ def test_factor_golden_run():
 def test_factor_degree_eight_matches_bruteforce():
     h = CyclicPoly.from_support(8, {0, 2, 6})
     assert in_H(h)
-    matches = brute_factor(h, restrict_to_G=True)
+    matches = brute_factor(h)
     assert len(matches) == 1
     assert factor_2power(h) == matches[0]
 
@@ -126,10 +126,10 @@ def test_factor_odd_requires_symmetric_and_oddness():
 
 def test_odd_factorization_exists_iff_symmetric():
     for n in (3, 5, 7):
-        for bits in range(1 << n):
-            h = CyclicPoly(n, bits)
-            sols = brute_factor(h, restrict_to_G=False)
-            assert bool(sols) == is_symmetric(h)
+        ring = [CyclicPoly(n, bits) for bits in range(1 << n)]
+        products = {cyclic_mul(g, reciprocal(g)) for g in ring}
+        for h in ring:
+            assert (h in products) == is_symmetric(h)
 
 
 def test_verify_factorization():
@@ -182,3 +182,19 @@ def test_loop_free_helpers_match_their_definitions():
         for _ in range(20):
             a = CyclicPoly(n, rng.getrandbits(n))
             assert all(_fold(a, k) == fold(a, k) for k in divisors)
+
+
+@pytest.mark.parametrize("solve, h, error, message", [
+    (factor_2power, CyclicPoly(6, 1), ValueError, "ring size must be a power of two >= 4, got 6"),
+    (factor_2power, CyclicPoly(2, 1), ValueError, "ring size must be a power of two >= 4, got 2"),
+    (factor_2power, CyclicPoly.from_support(16, {0, 1, 15}), ValueError,
+     "no structured factorization: polynomial is outside the set H "
+     "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)"),
+    (factor_odd, CyclicPoly(4, 1), ValueError, "ring size must be odd, got 4"),
+    (factor_odd, CyclicPoly.from_coeffs([1, 1, 0]), ValueError,
+     "no factorization: polynomial is not symmetric"),
+])
+def test_public_factor_checks_keep_their_errors(solve, h, error, message):
+    with pytest.raises(error) as raised:
+        solve(h)
+    assert str(raised.value) == message

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from normbase import normal
 from normbase.construct import compose, prescribe, weight3
 from normbase.field import FieldSpec, elem_mul, in_subfield, rel_trace
 from normbase.normal import (
@@ -87,6 +88,31 @@ def test_find_normal_seed_must_be_an_int(f16):
         with pytest.raises(TypeError, match="seed must be an int"):
             find_normal(f16, seed)
     assert (find_normal(f16), find_normal(f16, seed=0), find_normal(f16, 7)) == (0x800, 0xD82D, 0xF2A8)
+
+# the scan's element on the default modulus of every degree where the
+# uncapped scan ended (all n <= 64 but 63); the cap must not move any of them
+SCANNED = {
+    1: 0x1, 2: 0x2, 3: 0x3, 4: 0x8, 5: 0x3, 6: 0x20, 7: 0x9, 8: 0x20, 9: 0x3, 10: 0x80, 11: 0x3,
+    12: 0x202, 13: 0x3, 14: 0x200, 15: 0x81, 16: 0x800, 17: 0x3, 18: 0x8002, 19: 0x3,
+    20: 0x20000, 21: 0x3, 22: 0x200000, 23: 0x3, 24: 0x200000, 25: 0x3, 26: 0x800000, 27: 0x3,
+    28: 0x8000000, 29: 0x3, 30: 0x20000000, 31: 0x8001, 32: 0x2000000, 33: 0x21, 34: 0x80000000,
+    35: 0x3, 36: 0x80000000, 37: 0x3, 38: 0x200000000, 39: 0x21, 40: 0x800000000, 41: 0x3,
+    42: 0x2000000000, 43: 0x3, 44: 0x8000000000, 45: 0x3, 46: 0x200000000000, 47: 0x3,
+    48: 0x80000000000, 49: 0x3, 50: 0x800000000000, 51: 0x3, 52: 0x2000000000000, 53: 0x3,
+    54: 0x2000000000000, 55: 0x9, 56: 0x2000000000000, 57: 0x21, 58: 0x20000000000000, 59: 0x3,
+    60: 0x800000000000000, 61: 0x3, 62: 0x200000000000000, 64: 0x2000000000000000,
+}
+
+
+@pytest.mark.parametrize("n", sorted(SCANNED))
+def test_find_normal_pinned_by_degree(n):
+    assert find_normal(FieldSpec.from_degree(n)) == SCANNED[n]
+
+
+def test_scan_past_its_cap_returns_the_seed_zero_draw(monkeypatch):
+    # at n = 12 the scan's first trace-one candidate 0x200 is not normal
+    monkeypatch.setattr(normal, "SCAN_CAP", 1)
+    assert find_normal(FieldSpec.from_degree(12)) == 0x62A  # find_normal(spec, seed=0), not 0x202
 
 
 def test_field_spec_is_freed_and_its_choices_repeat():

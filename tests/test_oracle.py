@@ -22,7 +22,14 @@ from normbase.oracle import (
     is_normal_by_rank,
     predicted_vectors,
 )
-from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible, symmetric_vectors
+from normbase.poly2 import (
+    CyclicPoly,
+    cyclic_mul,
+    find_irreducible,
+    is_irreducible,
+    reciprocal,
+    symmetric_vectors,
+)
 
 
 def test_enumeration_counts(per_element):
@@ -119,7 +126,7 @@ def test_one_pass_over_G_finds_what_brute_factor_finds(n):
     targets = list(iter_H(n))
     assert targets and all(h in factors for h in targets)
     for h in targets + list(symmetric_vectors(n)):
-        assert factors.get(h, []) == brute_factor(h, restrict_to_G=True)
+        assert factors.get(h, []) == brute_factor(h)
 
 
 @pytest.mark.parametrize("n, message", [
@@ -202,24 +209,30 @@ def test_every_audit_report_has_one_shape(check, arg, payload):
 def test_brute_factor_golden_target():
     h = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
     g = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
-    assert brute_factor(h, restrict_to_G=True) == [g]
+    assert brute_factor(h) == [g]
 
 
-def test_brute_factor_unrestricted_not_unique():
-    sols = brute_factor(CyclicPoly(4, 1), restrict_to_G=False)
+def _ring_factors(h):
+    # every g in the whole cyclic ring with g * reciprocal(g) = h, G or not
+    ring = (CyclicPoly(h.n, bits) for bits in range(1 << h.n))
+    return [g for g in ring if cyclic_mul(g, reciprocal(g)) == h]
+
+
+def test_factors_outside_G_are_not_unique():
+    sols = _ring_factors(CyclicPoly(4, 1))
     assert CyclicPoly(4, 1) in sols
-    assert len(sols) > 1  # factors outside G are not unique
+    assert len(sols) > 1
 
 
-def test_brute_factor_nonsymmetric_odd_empty():
-    assert brute_factor(CyclicPoly.from_coeffs([1, 1, 0]), restrict_to_G=False) == []
+def test_nonsymmetric_target_has_no_factor():
+    assert _ring_factors(CyclicPoly.from_coeffs([1, 1, 0])) == []
 
 
 def test_brute_factor_caps():
-    with pytest.raises(ValueError):
-        brute_factor(CyclicPoly(32, 1), restrict_to_G=True)
-    with pytest.raises(ValueError):
-        brute_factor(CyclicPoly(17, 1), restrict_to_G=False)
+    with pytest.raises(ValueError, match="G-restricted search capped at n <= 24, got 32"):
+        brute_factor(CyclicPoly(32, 1))
+    with pytest.raises(ValueError, match="ring size must be a power of two >= 4, got 17"):
+        brute_factor(CyclicPoly(17, 1))
 
 
 def test_self_dual_existence_small():
