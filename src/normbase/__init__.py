@@ -23,23 +23,18 @@ from .construct import (
 from .factor import factor_2power, factor_odd, in_G, in_H, iter_G, iter_H, verify_factorization
 from .field import (
     FieldSpec,
-    abs_trace,
     elem_mul,
     elem_pow,
-    elem_square,
     frobenius,
-    in_subfield,
     parse_elem,
     rel_trace,
 )
 from .normal import (
     TraceVector,
-    apply_basis_change,
     corresponding_vector,
     corresponding_vector_in_subfield,
     find_normal,
     is_normal,
-    is_self_dual,
     vector_transform,
 )
 from .poly2 import (

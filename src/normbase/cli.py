@@ -5,7 +5,7 @@ run the prescription/composition constructions, and audit the exhaustive
 oracles.  Human output is a small aligned table; --json emits one line of
 machine-readable JSON with stable key order.  Every emitted element record
 is re-verified in-process before printing.  The oracle module decides each
-audit; audit prints the report's lines() or, with --json, its payload().
+audit; audit prints the report's lines or, with --json, its payload.
 
 Exit codes: 0 ok, 1 invalid input vector (or unsupported construction),
 2 verification/audit failure, 64 usage error.
@@ -118,7 +118,50 @@ def _field_record(spec) -> dict:
     }
 
 
-def _emit_element(spec, element, construction, as_json) -> int:
+def _cmd_field_find(args) -> int:
+    _emit(_field_record(field.FieldSpec.from_degree(args.degree)), args.json)
+    return EX_OK
+
+
+def _find(spec, args) -> tuple[int, dict]:
+    construction = ({"name": "find", "strategy": "scan"} if args.seed is None
+                    else {"name": "find", "strategy": "random", "seed": args.seed})
+    return normal.find_normal(spec, args.seed), construction
+
+
+def _given(spec, args) -> tuple[int, dict]:
+    # "normal check" and "vector" print the same record, named after the command
+    name = getattr(args, "subcommand", None) or args.command
+    return field.parse_elem(spec, args.element), {"name": name}
+
+
+def _prescribe(spec, args) -> tuple[int, dict]:
+    target = poly2.parse_vector(args.vector)
+    beta = field.parse_elem(spec, args.force_beta) if args.force_beta is not None else None
+    steps = construct.prescribe_steps(spec, target, beta)
+    return steps.element, {
+        "name": "prescribe",
+        "base": field.elem_to_hex(steps.base),
+        "change": ",".join(str(b) for b in steps.change.coeffs()),
+    }
+
+
+def _compose(spec, args) -> tuple[int, dict]:
+    a = poly2.parse_vector(args.vector_pow2)
+    b = poly2.parse_vector(args.vector_odd)
+    gamma, _ = construct.compose(spec, a, b)
+    return gamma, {"name": "compose", "vector_pow2": str(a), "vector_odd": str(b)}
+
+
+def _weight3(spec, args) -> tuple[int, dict]:
+    gamma, _ = construct.weight3(spec, args.i0)
+    return gamma, {"name": "weight3", "i0": args.i0}
+
+
+def _cmd_element(args, make) -> int:
+    """Build the field, make (element, construction) in it, and print the verified record."""
+    spec = _spec_from(args)
+    element, construction = make(spec, args)
     # recompute from scratch so "verified" means what it says
     vector = normal.corresponding_vector(spec, element)
     _emit({
@@ -128,58 +171,8 @@ def _emit_element(spec, element, construction, as_json) -> int:
         "normal": poly2.is_unit_mod_cyclic(vector),  # a unit exactly when the element is normal
         "construction": construction,
         "verified": True,
-    }, as_json)
+    }, args.json)
     return EX_OK
-
-
-def _cmd_field_find(args) -> int:
-    _emit(_field_record(field.FieldSpec.from_degree(args.degree)), args.json)
-    return EX_OK
-
-
-def _cmd_normal_find(args) -> int:
-    spec = _spec_from(args)
-    element = normal.find_normal(spec, args.seed)
-    construction = ({"name": "find", "strategy": "scan"} if args.seed is None
-                    else {"name": "find", "strategy": "random", "seed": args.seed})
-    return _emit_element(spec, element, construction, args.json)
-
-
-def _cmd_element(args) -> int:
-    # "normal check" and "vector" print the same record, named after the command
-    spec = _spec_from(args)
-    element = field.parse_elem(spec, args.element)
-    name = getattr(args, "subcommand", None) or args.command
-    return _emit_element(spec, element, {"name": name}, args.json)
-
-
-def _cmd_prescribe(args) -> int:
-    spec = _spec_from(args)
-    target = poly2.parse_vector(args.vector)
-    beta = field.parse_elem(spec, args.force_beta) if args.force_beta is not None else None
-    steps = construct.prescribe_steps(spec, target, beta)
-    construction = {
-        "name": "prescribe",
-        "base": field.elem_to_hex(steps.base),
-        "change": ",".join(str(b) for b in steps.change.coeffs()),
-    }
-    return _emit_element(spec, steps.element, construction, args.json)
-
-
-def _cmd_compose(args) -> int:
-    spec = _spec_from(args)
-    a = poly2.parse_vector(args.vector_pow2)
-    b = poly2.parse_vector(args.vector_odd)
-    gamma, _ = construct.compose(spec, a, b)
-    construction = {"name": "compose", "vector_pow2": str(a), "vector_odd": str(b)}
-    return _emit_element(spec, gamma, construction, args.json)
-
-
-def _cmd_weight3(args) -> int:
-    spec = _spec_from(args)
-    gamma, _ = construct.weight3(spec, args.i0)
-    construction = {"name": "weight3", "i0": args.i0}
-    return _emit_element(spec, gamma, construction, args.json)
 
 
 def _cmd_audit(args) -> int:
@@ -190,29 +183,32 @@ def _cmd_audit(args) -> int:
                          "which audits every degree 2..N on its default modulus")
     else:
         report = oracle.check_self_dual_existence(args.degree)
-    print(json.dumps(report.payload(), separators=(",", ":")) if args.json
-          else "\n".join(report.lines()))
+    print(json.dumps(report.payload, separators=(",", ":")) if args.json
+          else "\n".join(report.lines))
     return EX_OK if report.ok else EX_VERIFY
 
 
-_COMMANDS = {
-    ("field", "find"): _cmd_field_find,
-    ("normal", "find"): _cmd_normal_find,
-    ("normal", "check"): _cmd_element,
-    ("vector", None): _cmd_element,
-    ("prescribe", None): _cmd_prescribe,
-    ("compose", None): _cmd_compose,
-    ("weight3", None): _cmd_weight3,
-    ("audit", None): _cmd_audit,
+# each element command maps (spec, args) to (element, construction) for _cmd_element
+_ELEMENTS = {
+    ("normal", "find"): _find,
+    ("normal", "check"): _given,
+    ("vector", None): _given,
+    ("prescribe", None): _prescribe,
+    ("compose", None): _compose,
+    ("weight3", None): _weight3,
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[(args.command, getattr(args, "subcommand", None))]
+    key = (args.command, getattr(args, "subcommand", None))
     try:
-        return handler(args)
+        if key == ("field", "find"):
+            return _cmd_field_find(args)
+        if key == ("audit", None):
+            return _cmd_audit(args)
+        return _cmd_element(args, _ELEMENTS[key])
     except construct.InvalidVectorError as exc:
         print(str(exc), file=sys.stderr)
         return EX_INVALID

@@ -176,11 +176,6 @@ def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
     return poly_mod(poly_mul(a, b), spec.modulus)
 
 
-def elem_square(spec: FieldSpec, a: int) -> int:
-    _check_elem(spec, a)
-    return _linear(spec._kernel.square, a)
-
-
 def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
     """Raise a to the power e >= 0 (square-and-multiply).
 
@@ -196,13 +191,16 @@ def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
     while e:
         if e & 1:
             result = elem_mul(spec, result, a)
-        a = elem_square(spec, a)
+        a = _linear(spec._kernel.square, a)
         e >>= 1
     return result
 
 
 def frobenius(spec: FieldSpec, a: int, k: int) -> int:
-    """a^(2^k); k is reduced mod n, so frobenius(a, n) = a."""
+    """a^(2^k); k is reduced mod n, so frobenius(a, n) = a.
+
+    The square of a is frobenius(spec, a, 1); a lies in GF(2^t) iff frobenius(spec, a, t) == a.
+    """
     _check_elem(spec, a)
     square = spec._kernel.square
     for _ in range(k % spec.n):
@@ -231,25 +229,12 @@ def _picked_sum(values: list[int], mask: int) -> int:
     return acc
 
 
-def abs_trace(spec: FieldSpec, a: int) -> int:
-    """Absolute trace onto GF(2): the sum of all 2^i-th powers of a."""
-    _check_elem(spec, a)
-    return (a & spec._kernel.trace_mask).bit_count() & 1
-
-
 def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     """Relative trace onto the GF(2^t) subfield: sum of a^(2^(t*i)), i < n/t."""
     _check_elem(spec, a)
     _check_divisor(spec, t)
     count = spec.n // t
     return _picked_sum(_conjugates(spec, a, count, t), (1 << count) - 1)
-
-
-def in_subfield(spec: FieldSpec, a: int, t: int) -> bool:
-    """True iff a lies in the GF(2^t) subfield, i.e. a^(2^t) = a."""
-    _check_elem(spec, a)
-    _check_divisor(spec, t)
-    return frobenius(spec, a, t) == a
 
 
 def parse_elem(spec: FieldSpec, text: str) -> int:

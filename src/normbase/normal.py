@@ -32,10 +32,8 @@ from .field import (
     FieldSpec,
     _check_divisor,
     _check_elem,
-    _conjugates,
     _linear,
     _owned,
-    _picked_sum,
     elem_mul,
     elem_pow,
     rel_trace,
@@ -137,19 +135,6 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
             return a
 
 
-def apply_basis_change(spec: FieldSpec, beta: int, c: CyclicPoly) -> int:
-    """Sum of c_i * beta^(2^i); normal whenever beta is normal and c is a unit."""
-    if c.n != spec.n:
-        raise ValueError(f"ring size mismatch: {c.n} != {spec.n}")
-    _check_elem(spec, beta)
-    return _picked_sum(_conjugates(spec, beta, spec.n), c.bits)
-
-
 def vector_transform(f_b: CyclicPoly, f_c: CyclicPoly) -> CyclicPoly:
     """Vector of a basis-changed element: f_b * f_c * reciprocal(f_c) mod x^n - 1."""
     return cyclic_mul(cyclic_mul(f_b, f_c), reciprocal(f_c))
-
-
-def is_self_dual(spec: FieldSpec, alpha: int) -> bool:
-    """True iff alpha has corresponding vector (1, 0, ..., 0), a unit, so alpha is then normal."""
-    return corresponding_vector(spec, alpha).bits == 1

@@ -21,13 +21,13 @@ in the seconds range on one core (about 3.7 s at the cap n = 20 on a
 Xeon with Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
-check_necessary and check_self_dual_existence.  Each returns a report with
-ok, lines() (the human output) and payload() (the JSON record).
+check_necessary and check_self_dual_existence.  Each returns a Report, whose
+fields are ok, lines (the human output) and payload (the JSON record).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator
 
 from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
@@ -98,11 +98,6 @@ def _independent(rows: list[int]) -> bool:
     return True
 
 
-def is_normal_by_rank(spec: FieldSpec, alpha: int) -> bool:
-    """Rank-based normality: the n conjugates are linearly independent."""
-    return is_subfield_normal_by_rank(spec, alpha, spec.n)
-
-
 def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
     _check_divisor(spec, t)
@@ -165,48 +160,32 @@ def predicted_vectors(n: int) -> set[CyclicPoly]:
 
 
 @dataclass(frozen=True)
-class CharacterizationReport:
-    """Achievable-versus-predicted comparison for one field."""
+class Report:
+    """An audit's verdict, its human output and its JSON record."""
 
-    n: int
-    achievable_count: int
-    predicted_count: int
-    missing: tuple[CyclicPoly, ...]  # predicted but never achieved
-    extra: tuple[CyclicPoly, ...]    # achieved but not predicted
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.extra
-
-    def lines(self) -> list[str]:
-        out = [f"characterization audit, n = {self.n}: "
-               f"achievable {self.achievable_count}, predicted {self.predicted_count}"]
-        for v in self.missing:
-            out.append(f"  predicted but not achieved: {v}")
-        for v in self.extra:
-            out.append(f"  achieved but not predicted: {v}")
-        out.append("  agreement: " + ("exact" if self.ok else "VIOLATION"))
-        return out
-
-    def payload(self) -> dict:
-        return {"audit": "characterization", "degree": self.n, "achievable": self.achievable_count,
-                "predicted": self.predicted_count, "ok": self.ok}
+    ok: bool
+    lines: tuple[str, ...]
+    payload: dict
 
 
-def check_characterization(spec: FieldSpec) -> CharacterizationReport:
+def check_characterization(spec: FieldSpec) -> Report:
     """Exhaustively compare achievable vectors against the characterization."""
     # both bounds before any work: the predicted set alone has 2^(n/2+1) candidates
     _require_characterized(spec.n)
     _require_enumerable(spec.n)
     predicted = predicted_vectors(spec.n)
     achieved = achievable_vectors(spec)
-    return CharacterizationReport(
-        spec.n,
-        len(achieved),
-        len(predicted),
-        tuple(sorted(predicted - achieved, key=lambda v: v.bits)),
-        tuple(sorted(achieved - predicted, key=lambda v: v.bits)),
-    )
+    ok = predicted == achieved
+    lines = [f"characterization audit, n = {spec.n}: "
+             f"achievable {len(achieved)}, predicted {len(predicted)}"]
+    lines += [f"  predicted but not achieved: {v}"
+              for v in sorted(predicted - achieved, key=lambda v: v.bits)]
+    lines += [f"  achieved but not predicted: {v}"
+              for v in sorted(achieved - predicted, key=lambda v: v.bits)]
+    lines.append("  agreement: " + ("exact" if ok else "VIOLATION"))
+    return Report(ok, tuple(lines), {"audit": "characterization", "degree": spec.n,
+                                     "achievable": len(achieved), "predicted": len(predicted),
+                                     "ok": ok})
 
 
 def _require_G_searchable(n: int) -> None:
@@ -220,29 +199,15 @@ def brute_factor(h: CyclicPoly) -> list[CyclicPoly]:
     return [g for g in iter_G(h.n) if cyclic_mul(g, reciprocal(g)) == h]
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """A rule checked case by case: how many cases, and the ones that break it."""
-
-    audit: str                    # the "audit" value of the JSON record
-    title: str                    # the heading of the human output
-    n: int
-    cases: str                    # the JSON key for the number of cases checked
-    count: int
-    violations: tuple[str, ...]   # each failing case, as printed after "violation at"
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def lines(self) -> list[str]:
-        out = [f"{self.title} audit, n = {self.n}: {self.count} {self.cases.replace('_', ' ')}, "
-               f"{len(self.violations)} violations"]
-        return out + [f"  violation at {v}" for v in self.violations]
-
-    def payload(self) -> dict:
-        return {"audit": self.audit, "degree": self.n, self.cases: self.count,
-                "violations": len(self.violations), "ok": self.ok}
+def _violations(audit: str, title: str, n: int, cases: str, count: int,
+                failures: list[str]) -> Report:
+    """A rule checked case by case: count cases under the JSON key cases, each failure a line."""
+    ok = not failures
+    lines = [f"{title} audit, n = {n}: {count} {cases.replace('_', ' ')}, "
+             f"{len(failures)} violations"]
+    lines += [f"  violation at {v}" for v in failures]
+    return Report(ok, tuple(lines), {"audit": audit, "degree": n, cases: count,
+                                     "violations": len(failures), "ok": ok})
 
 
 def _factors_in_G(n: int) -> dict[CyclicPoly, list[CyclicPoly]]:
@@ -256,7 +221,7 @@ def _factors_in_G(n: int) -> dict[CyclicPoly, list[CyclicPoly]]:
     return factors
 
 
-def check_factorization(spec: FieldSpec) -> ViolationReport:
+def check_factorization(spec: FieldSpec) -> Report:
     """Every h in H has exactly one factor g in G, found by brute force, and factor_2power returns it."""
     factors = _factors_in_G(spec.n)
     count, failures = 0, []
@@ -266,7 +231,7 @@ def check_factorization(spec: FieldSpec) -> ViolationReport:
         g = factor_2power(h)
         if matches != [g] or not in_G(g):
             failures.append(f"h = {h}")
-    return ViolationReport("factorization", "factorization", spec.n, "targets", count, tuple(failures))
+    return _violations("factorization", "factorization", spec.n, "targets", count, failures)
 
 
 def _require_composite(n: int) -> None:
@@ -276,7 +241,7 @@ def _require_composite(n: int) -> None:
             f"necessary conditions apply to n = 2^s * m with 2^s >= 4 and odd m > 1, got n = {n}")
 
 
-def check_necessary(spec: FieldSpec) -> ViolationReport:
+def check_necessary(spec: FieldSpec) -> Report:
     """The vector of every normal element passes the necessary conditions for composite 4 | n."""
     _require_enumerable(spec.n)  # first: an over-cap degree is reported as such
     _require_composite(spec.n)  # then the degree shape, still before the enumeration
@@ -286,48 +251,23 @@ def check_necessary(spec: FieldSpec) -> ViolationReport:
         count += spec.n
         if reasons_failed(validate_vector(spec.n, vec)):
             failures += [f"vector {vec}"] * spec.n
-    return ViolationReport("necessary", "necessary-conditions", spec.n, "normal_elements",
-                           count, tuple(failures))
+    return _violations("necessary", "necessary-conditions", spec.n, "normal_elements",
+                       count, failures)
 
 
-@dataclass(frozen=True)
-class SelfDualRow:
-    n: int
-    exists: bool
-    expected: bool  # the 4-does-not-divide-n rule
-
-
-@dataclass(frozen=True)
-class SelfDualReport:
-    """Existence of self-dual normal elements versus the divisibility rule."""
-
-    rows: tuple[SelfDualRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.exists == r.expected for r in self.rows)
-
-    def lines(self) -> list[str]:
-        out = ["self-dual normal basis existence audit"]
-        for r in self.rows:
-            verdict = "ok" if r.exists == r.expected else "VIOLATION"
-            out.append(f"  n = {r.n:2d}: exists = {str(r.exists).lower():5s} "
-                       f"expected = {str(r.expected).lower():5s} [{verdict}]")
-        return out
-
-    def payload(self) -> dict:
-        # rows run over 2..max_n, so the last row carries max_n
-        return {"audit": "selfdual", "max_degree": self.rows[-1].n,
-                "rows": [asdict(r) for r in self.rows], "ok": self.ok}
-
-
-def check_self_dual_existence(max_n: int) -> SelfDualReport:
+def check_self_dual_existence(max_n: int) -> Report:
     """Exhaustively decide self-dual existence for every 2 <= n <= max_n."""
     if not 2 <= max_n <= 16:
         raise ValueError(f"self-dual audit covers 2 <= max_n <= 16, got {max_n}")
+    lines = ["self-dual normal basis existence audit"]
     rows = []
     for n in range(2, max_n + 1):
-        spec = FieldSpec.from_degree(n)
-        exists = any(vec.bits == 1 for _, vec in enumerate_normal(spec))
-        rows.append(SelfDualRow(n, exists, n % 4 != 0))
-    return SelfDualReport(tuple(rows))
+        exists = any(vec.bits == 1 for _, vec in enumerate_normal(FieldSpec.from_degree(n)))
+        expected = n % 4 != 0  # the 4-does-not-divide-n rule
+        rows.append({"n": n, "exists": exists, "expected": expected})
+        verdict = "ok" if exists == expected else "VIOLATION"
+        lines.append(f"  n = {n:2d}: exists = {str(exists).lower():5s} "
+                     f"expected = {str(expected).lower():5s} [{verdict}]")
+    ok = all(r["exists"] == r["expected"] for r in rows)
+    return Report(ok, tuple(lines), {"audit": "selfdual", "max_degree": max_n,
+                                     "rows": rows, "ok": ok})

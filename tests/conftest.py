@@ -1,7 +1,7 @@
 import pytest
 
 from normbase import FieldSpec
-from normbase.field import elem_square
+from normbase.field import frobenius
 
 
 @pytest.fixture(scope="session")
@@ -23,5 +23,17 @@ def per_element():
             x = e
             for _ in range(spec.n):
                 yield x, vec
-                x = elem_square(spec, x)
+                x = frobenius(spec, x, 1)
     return expand
+
+
+@pytest.fixture(scope="session")
+def basis_change():
+    """The map c -> sum of c_i * beta^(2^i), an XOR of Frobenius powers of beta."""
+    def change(spec, beta, c):
+        alpha = 0
+        for i in range(c.n):
+            if c.bits >> i & 1:
+                alpha ^= frobenius(spec, beta, i)
+        return alpha
+    return change

@@ -18,9 +18,8 @@ from normbase.construct import (
     weight3,
 )
 from normbase.factor import factor_2power, in_G, in_H, iter_G, iter_H
-from normbase.field import FieldSpec, elem_mul, in_subfield, parse_elem, rel_trace
+from normbase.field import FieldSpec, elem_mul, frobenius, parse_elem, rel_trace
 from normbase.normal import (
-    apply_basis_change,
     corresponding_vector,
     is_normal,
     vector_transform,
@@ -99,8 +98,8 @@ def test_criterion_2_two_power_characterization():
     with Budget(60.0) as budget:
         for n, count in sizes.items():
             report = check_characterization(FieldSpec.from_degree(n))
-            assert report.ok, report.lines()
-            assert report.achievable_count == report.predicted_count == count
+            assert report.ok, report.lines
+            assert report.payload["achievable"] == report.payload["predicted"] == count
     _report(f"2 two-power characterization n=4,8,16 sizes 1,4,64 ({budget.elapsed:.1f}s)")
 
 
@@ -110,7 +109,7 @@ def test_criterion_3_odd_characterization_and_roundtrip():
         for n in (3, 5, 7, 9, 11, 15):
             spec = FieldSpec.from_degree(n)
             report = check_characterization(spec)
-            assert report.ok, report.lines()
+            assert report.ok, report.lines
             for v in predicted_vectors(n):
                 alpha = prescribe(spec, v)
                 assert corresponding_vector(spec, alpha) == v
@@ -164,9 +163,10 @@ def test_criterion_6_composite_necessary_conditions_exhaustive(per_element):
 def test_criterion_7_self_dual_existence():
     with Budget(120.0) as budget:
         report = check_self_dual_existence(14)
-        exists = {r.n for r in report.rows if r.exists}
+        rows = report.payload["rows"]
+        exists = {r["n"] for r in rows if r["exists"]}
         assert exists == {2, 3, 5, 6, 7, 9, 10, 11, 13, 14}
-        assert {r.n for r in report.rows} - exists == {4, 8, 12}
+        assert {r["n"] for r in rows} - exists == {4, 8, 12}
         assert report.ok
         # n = 16 settled at the characterization level: the self-dual vector
         # e_0 fails the odd-index half-sum condition
@@ -184,7 +184,7 @@ def _random_symmetric(n, rng, force_c1=True):
     return CyclicPoly(n, bits)
 
 
-def test_criterion_8_property_suites(f12, per_element):
+def test_criterion_8_property_suites(f12, per_element, basis_change):
     cases = 1000
     with Budget(60.0) as budget:
         rng = random.Random(0xC0FFEE)
@@ -235,7 +235,7 @@ def test_criterion_8_property_suites(f12, per_element):
             spec = specs[i % 3]
             beta = rng.randrange(spec.order)
             c = CyclicPoly(spec.n, rng.getrandbits(spec.n))
-            direct = corresponding_vector(spec, apply_basis_change(spec, beta, c))
+            direct = corresponding_vector(spec, basis_change(spec, beta, c))
             assert direct == vector_transform(corresponding_vector(spec, beta), c)
 
         # tracing down preserves normality; products across coprime subfields
@@ -244,8 +244,8 @@ def test_criterion_8_property_suites(f12, per_element):
         for delta in normals12:
             for t in (3, 4, 6):
                 assert is_subfield_normal_by_rank(f12, rel_trace(f12, delta, t), t)
-        sub4 = [a for a in range(f12.order) if in_subfield(f12, a, 4)]
-        sub3 = [a for a in range(f12.order) if in_subfield(f12, a, 3)]
+        sub4 = [a for a in range(f12.order) if frobenius(f12, a, 4) == a]
+        sub3 = [a for a in range(f12.order) if frobenius(f12, a, 3) == a]
         for a in sub4:
             for b in sub3:
                 want = (is_subfield_normal_by_rank(f12, a, 4)
@@ -288,8 +288,8 @@ def test_criterion_9_scale_roundtrip():
 def test_evidence_odd_characterization_n17():
     with Budget(10.0) as budget:
         report = check_characterization(FieldSpec.from_degree(17))
-        assert report.ok, report.lines()
-        assert report.achievable_count == report.predicted_count == 225
+        assert report.ok, report.lines
+        assert report.payload["achievable"] == report.payload["predicted"] == 225
     _report(f"evidence: odd characterization n=17, 225 vectors ({budget.elapsed:.1f}s)")
 
 
@@ -297,9 +297,10 @@ def test_evidence_necessary_conditions_n20():
     # 20 = 4 * 5: the composite case 4 | n, exhaustive beyond n = 12
     with Budget(60.0) as budget:
         report = check_necessary(FieldSpec.from_degree(20))
-        assert report.ok, report.lines()[:3]
-        assert report.count == 491520  # unit count of GF(2)[x]/(x^20-1)
-    _report(f"evidence: necessary conditions hold for all {report.count} normal elements "
+        assert report.ok, report.lines[:3]
+        count = report.payload["normal_elements"]
+        assert count == 491520  # unit count of GF(2)[x]/(x^20-1)
+    _report(f"evidence: necessary conditions hold for all {count} normal elements "
             f"of GF(2^20) ({budget.elapsed:.1f}s)")
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from normbase import oracle
 from normbase.factor import iter_H
 from normbase.field import FieldSpec, _linear, elem_mul, rel_trace
 from normbase.normal import is_normal
@@ -19,7 +20,7 @@ from normbase.oracle import (
     check_necessary,
     check_self_dual_existence,
     enumerate_normal,
-    is_normal_by_rank,
+    is_subfield_normal_by_rank,
     predicted_vectors,
 )
 from normbase.poly2 import (
@@ -72,7 +73,8 @@ def test_orbit_reduction_is_sound(n, per_element):
             assert len(set(orbit)) == n and min(orbit) == e
             assert expanded.keys().isdisjoint(orbit)
             expanded.update(dict.fromkeys(orbit, vec))
-        brute = {a: _brute_vector(spec, a) for a in range(spec.order) if is_normal_by_rank(spec, a)}
+        brute = {a: _brute_vector(spec, a) for a in range(spec.order)
+                 if is_subfield_normal_by_rank(spec, a, n)}
         assert expanded == brute
     assert n < 3 or seeded is not None  # a second modulus exists from n = 3 on
 
@@ -177,13 +179,13 @@ def test_predicted_vectors_small():
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9])
 def test_characterization_small(n):
     report = check_characterization(FieldSpec.from_degree(n))
-    assert report.ok, report.lines()
-    assert report.achievable_count == report.predicted_count
+    assert report.ok, report.lines
+    assert report.payload["achievable"] == report.payload["predicted"]
 
 
 def test_characterization_report_lines(f12):
     report = check_characterization(FieldSpec.from_degree(8))
-    text = "\n".join(report.lines())
+    text = "\n".join(report.lines)
     assert "achievable 4" in text and "exact" in text
 
 
@@ -201,9 +203,11 @@ def test_characterization_report_lines(f12):
 ], ids=["characterization", "factorization", "necessary", "selfdual"])
 def test_every_audit_report_has_one_shape(check, arg, payload):
     report = check(arg)
+    assert type(report) is oracle.Report
     assert report.ok is True
-    assert report.payload() == payload
-    assert report.lines() and all(isinstance(line, str) for line in report.lines())
+    assert report.payload == payload
+    assert type(report.lines) is tuple and report.lines
+    assert all(isinstance(line, str) for line in report.lines)
 
 
 def test_brute_factor_golden_target():
@@ -238,7 +242,7 @@ def test_brute_factor_caps():
 def test_self_dual_existence_small():
     report = check_self_dual_existence(8)
     assert report.ok
-    by_n = {r.n: r.exists for r in report.rows}
+    by_n = {r["n"]: r["exists"] for r in report.payload["rows"]}
     assert by_n == {2: True, 3: True, 4: False, 5: True, 6: True, 7: True, 8: False}
     for max_n in (1, 17):
         with pytest.raises(ValueError):
