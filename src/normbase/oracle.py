@@ -16,9 +16,18 @@ subfield construction is the same pipeline as the full-field one, and is
 audited by the same rank test on the first t conjugates.  The enumeration
 decides each Frobenius orbit once: conjugates share normality and the
 vector, so one rank test and one vector stand for the orbit's n elements,
-and the audits count per element.  Enumeration caps keep exhaustive runs
-in the seconds range on one core (about 3.7 s at the cap n = 20 on a
-Xeon with Python 3.11); the caps are the module constants below.
+and the audits count per element.
+
+Each vector entry is still a product traced: reduction mod the modulus
+and the trace are both GF(2)-linear, so Tr(a*b) is the parity of the
+unreduced product poly_mul(a, b) masked by the traces of the 2n - 1
+monomials g^k it can hold, each g^k reduced by poly_mod and traced by the
+naive trace mask once per enumeration.  The n conjugates of e sum to
+Tr(e), so an orbit whose rows XOR to 0 has an explicit linear dependency
+and is skipped; that is a rank fact, not the gcd criterion, and the
+elimination still decides every other orbit.  Enumeration caps keep
+exhaustive runs in the seconds range on one core (about 2.5 s at the cap
+n = 20 on a Xeon with Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -32,8 +41,8 @@ from typing import Iterator
 
 from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
 from .factor import _require_pow2, factor_2power, in_G, iter_G, iter_H
-from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear, elem_mul
-from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
+from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
+from .poly2 import CyclicPoly, cyclic_mul, poly_mod, poly_mul, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
@@ -63,6 +72,15 @@ def _naive_trace_mask(spec: FieldSpec) -> int:
         mask |= tr << i
         p = poly_mod(p << 1, spec.modulus)
     return mask
+
+
+def _monomial_traces(spec: FieldSpec) -> int:
+    """Bit k set iff Tr(g^k) = 1, for k < 2n - 1: each g^k reduced by poly_mod, then traced."""
+    mask = _naive_trace_mask(spec)
+    traces = 0
+    for k in range(2 * spec.n - 1):
+        traces |= ((poly_mod(1 << k, spec.modulus) & mask).bit_count() & 1) << k
+    return traces
 
 
 def _square_tables(spec: FieldSpec) -> list[list[int]]:
@@ -123,21 +141,24 @@ def enumerate_normal(spec: FieldSpec) -> Iterator[tuple[int, CyclicPoly]]:
     """
     n = spec.n
     _require_enumerable(n)
-    mask = _naive_trace_mask(spec)
+    traces = _monomial_traces(spec)
     square = _square_tables(spec)
     visited = bytearray(1 << n)
     for e in range(1, 1 << n):
         if visited[e]:
             continue
         orbit = _orbit(spec, square, e)
+        total = 0
         for x in orbit:
             visited[x] = 1
-        # a shorter orbit lies in a proper subfield, so its conjugates repeat
-        if len(orbit) < n or not _independent(orbit):
+            total ^= x
+        # a shorter orbit lies in a proper subfield, so its conjugates repeat; a
+        # zero sum Tr(e) = 0 is a linear dependency among the n conjugates
+        if len(orbit) < n or not total or not _independent(orbit):
             continue
         bits = 0
         for i, c in enumerate(orbit):
-            if (elem_mul(spec, e, c) & mask).bit_count() & 1:
+            if (poly_mul(e, c) & traces).bit_count() & 1:
                 bits |= 1 << i
         yield e, CyclicPoly(n, bits)
 

@@ -6,11 +6,14 @@ import pytest
 
 from normbase import oracle
 from normbase.factor import iter_H
-from normbase.field import FieldSpec, _linear, elem_mul, rel_trace
+from normbase.field import FieldSpec, _linear, elem_mul, elem_pow, rel_trace
 from normbase.normal import is_normal
 from normbase.oracle import (
     _factors_in_G,
+    _independent,
+    _monomial_traces,
     _naive_square,
+    _naive_trace_mask,
     _orbit,
     _square_tables,
     achievable_vectors,
@@ -28,6 +31,7 @@ from normbase.poly2 import (
     cyclic_mul,
     find_irreducible,
     is_irreducible,
+    poly_mul,
     reciprocal,
     symmetric_vectors,
 )
@@ -95,6 +99,54 @@ def test_table_square_is_the_naive_square(n):
         square = _square_tables(spec)
         samples = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)]
         assert [_linear(square, a) for a in samples] == [_naive_square(spec, a) for a in samples]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
+def test_monomial_traces_are_the_production_traces(n):
+    # bit k is Tr(g^k) for every k < 2n - 1, the degree bound of an unreduced product
+    rng = random.Random(n)
+    for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
+        spec = FieldSpec(n, modulus)
+        traces = _monomial_traces(spec)
+        assert traces >> (2 * n - 1) == 0
+        assert [traces >> k & 1 for k in range(2 * n - 1)] == [
+            rel_trace(spec, elem_pow(spec, spec.generator, k), 1) for k in range(2 * n - 1)]
+        # the trace of an unreduced product is the trace of the reduced one
+        mask = _naive_trace_mask(spec)
+        pairs = [(spec.order - 1, spec.order - 1)] + [
+            (rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(200)]
+        for a, b in pairs:
+            assert ((poly_mul(a, b) & traces).bit_count() & 1
+                    == (elem_mul(spec, a, b) & mask).bit_count() & 1)
+
+
+def _reference_enumeration(spec):
+    # the loop before the monomial traces and the zero-sum skip: reduce each product,
+    # trace it by the naive mask, and decide every full-length orbit by elimination
+    mask = _naive_trace_mask(spec)
+    square = _square_tables(spec)
+    visited = bytearray(spec.order)
+    for e in range(1, spec.order):
+        if visited[e]:
+            continue
+        orbit = _orbit(spec, square, e)
+        for x in orbit:
+            visited[x] = 1
+        if len(orbit) < spec.n or not _independent(orbit):
+            continue
+        bits = 0
+        for i, c in enumerate(orbit):
+            bits |= ((elem_mul(spec, e, c) & mask).bit_count() & 1) << i
+        yield e, CyclicPoly(spec.n, bits)
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+def test_enumeration_matches_the_reference_loop(n):
+    rng = random.Random(1000 + n)
+    for modulus in (find_irreducible(n), _random_modulus(rng, n)):
+        spec = FieldSpec(n, modulus)
+        assert ([(e, vec.bits) for e, vec in enumerate_normal(spec)]
+                == [(e, vec.bits) for e, vec in _reference_enumeration(spec)])
 
 
 def _naive_orbit(spec, alpha):
