@@ -19,15 +19,23 @@ vector, so one rank test and one vector stand for the orbit's n elements,
 and the audits count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
-and the trace are both GF(2)-linear, so Tr(a*b) is the parity of the
-unreduced product poly_mul(a, b) masked by the traces of the 2n - 1
-monomials g^k it can hold, each g^k reduced by poly_mod and traced by the
-naive trace mask once per enumeration.  The n conjugates of e sum to
-Tr(e), so an orbit whose rows XOR to 0 has an explicit linear dependency
-and is skipped; that is a rank fact, not the gcd criterion, and the
-elimination still decides every other orbit.  Enumeration caps keep
-exhaustive runs in the seconds range on one core (about 2.5 s at the cap
-n = 20 on a Xeon with Python 3.11); the caps are the module constants below.
+and the trace are both GF(2)-linear, so Tr(e*c) is the sum of
+e_j c_k Tr(g^(j+k)) over the bits j of e and k of c.  T holds those traces
+of the 2n - 1 monomials g^k, each g^k reduced by poly_mod and traced by the
+naive trace mask once per enumeration.  Grouped by the bits of c, Tr(e*c)
+is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1) over
+the set bits j of e.  w_e is linear in e, so those n images are tabulated
+once per call and one _linear lookup per orbit gives all n entries.  The
+oracle shares with the kernel only that identity, not its coefficients: T
+comes from naive conjugate sums and poly_mod, never from _Kernel.  The low
+n bits of T give Tr(e), the sum of the n conjugates of e, as the parity of
+e & T.  When it is 0 the conjugates are linearly dependent, so e is
+skipped before its orbit is walked and left unmarked: its conjugates
+share the trace, and the same test skips them.  That is a rank fact, not
+the gcd criterion, and the elimination still decides every other
+full-length orbit.  Enumeration caps keep exhaustive runs in the seconds
+range on one core (about 0.8 s at the cap n = 20 on a 2-core Xeon with
+Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -42,7 +50,7 @@ from typing import Iterator
 from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
 from .factor import _require_pow2, factor_2power, in_G, iter_G, iter_H
 from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
-from .poly2 import CyclicPoly, cyclic_mul, poly_mod, poly_mul, reciprocal, symmetric_vectors
+from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
@@ -81,6 +89,12 @@ def _monomial_traces(spec: FieldSpec) -> int:
     for k in range(2 * spec.n - 1):
         traces |= ((poly_mod(1 << k, spec.modulus) & mask).bit_count() & 1) << k
     return traces
+
+
+def _trace_form(n: int, traces: int) -> list[list[int]]:
+    """Byte tables of e -> w_e, bit j sent to (traces >> j) & (2^n - 1): Tr(e*c) = parity(c & w_e)."""
+    full = (1 << n) - 1
+    return _byte_tables([(traces >> j) & full for j in range(n)])
 
 
 def _square_tables(spec: FieldSpec) -> list[list[int]]:
@@ -142,23 +156,25 @@ def enumerate_normal(spec: FieldSpec) -> Iterator[tuple[int, CyclicPoly]]:
     n = spec.n
     _require_enumerable(n)
     traces = _monomial_traces(spec)
+    form = _trace_form(n, traces)
+    low_traces = traces & ((1 << n) - 1)  # bit i is Tr(g^i)
     square = _square_tables(spec)
     visited = bytearray(1 << n)
     for e in range(1, 1 << n):
-        if visited[e]:
+        # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the
+        # trace, so e stays unmarked and the same test skips each of them
+        if visited[e] or not (e & low_traces).bit_count() & 1:
             continue
         orbit = _orbit(spec, square, e)
-        total = 0
         for x in orbit:
             visited[x] = 1
-            total ^= x
-        # a shorter orbit lies in a proper subfield, so its conjugates repeat; a
-        # zero sum Tr(e) = 0 is a linear dependency among the n conjugates
-        if len(orbit) < n or not total or not _independent(orbit):
+        # a shorter orbit lies in a proper subfield, so its conjugates repeat
+        if len(orbit) < n or not _independent(orbit):
             continue
+        w = _linear(form, e)
         bits = 0
         for i, c in enumerate(orbit):
-            if (poly_mul(e, c) & traces).bit_count() & 1:
+            if (c & w).bit_count() & 1:
                 bits |= 1 << i
         yield e, CyclicPoly(n, bits)
 
@@ -267,10 +283,13 @@ def check_necessary(spec: FieldSpec) -> Report:
     _require_enumerable(spec.n)  # first: an over-cap degree is reported as such
     _require_composite(spec.n)  # then the degree shape, still before the enumeration
     count, failures = 0, []
+    failed: dict[CyclicPoly, bool] = {}  # few distinct vectors: each validated once
     for _, vec in enumerate_normal(spec):
         # counted per element: each orbit stands for its n conjugates, which share vec
         count += spec.n
-        if reasons_failed(validate_vector(spec.n, vec)):
+        if vec not in failed:
+            failed[vec] = bool(reasons_failed(validate_vector(spec.n, vec)))
+        if failed[vec]:
             failures += [f"vector {vec}"] * spec.n
     return _violations("necessary", "necessary-conditions", spec.n, "normal_elements",
                        count, failures)

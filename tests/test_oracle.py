@@ -1,10 +1,13 @@
 """Brute-force oracles: enumeration, predicted sets, factor search."""
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
 from normbase import oracle
+from normbase.construct import Status, Verdict
 from normbase.factor import iter_H
 from normbase.field import FieldSpec, _linear, elem_mul, elem_pow, rel_trace
 from normbase.normal import is_normal
@@ -16,6 +19,7 @@ from normbase.oracle import (
     _naive_trace_mask,
     _orbit,
     _square_tables,
+    _trace_form,
     achievable_vectors,
     brute_factor,
     check_characterization,
@@ -140,7 +144,35 @@ def _reference_enumeration(spec):
         yield e, CyclicPoly(spec.n, bits)
 
 
-@pytest.mark.parametrize("n", [12, 13, 14, 15, 16])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
+def test_trace_form_is_the_monomial_traces_regrouped(n):
+    # w_e = XOR of (T >> j) over the set bits j of e, so Tr(e*c) = parity(c & w_e)
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
+        spec = FieldSpec(n, modulus)
+        traces = _monomial_traces(spec)
+        form = _trace_form(n, traces)
+        assert [_linear(form, 1 << j) for j in range(n)] == [traces >> j & full for j in range(n)]
+        for _ in range(200):
+            e, c = rng.randrange(spec.order), rng.randrange(spec.order)
+            assert ((c & _linear(form, e)).bit_count() & 1
+                    == (poly_mul(e, c) & traces).bit_count() & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_trace_first_test_is_the_sum_of_the_conjugates(n):
+    # the enumeration skips e, unwalked, when the low n bits of T give Tr(e) = 0
+    spec = FieldSpec(n, _random_modulus(random.Random(n), n))
+    mask = _monomial_traces(spec) & (spec.order - 1)
+    for e in range(spec.order):
+        orbit = _naive_orbit(spec, e)
+        conjugate_sum = reduce(xor, orbit * (n // len(orbit)))  # Tr(e), n conjugates
+        assert conjugate_sum in (0, 1)
+        assert (e & mask).bit_count() & 1 == conjugate_sum
+
+
+@pytest.mark.parametrize("n", range(1, 17))
 def test_enumeration_matches_the_reference_loop(n):
     rng = random.Random(1000 + n)
     for modulus in (find_irreducible(n), _random_modulus(rng, n)):
@@ -209,6 +241,28 @@ def test_enumeration_agrees_with_production_test(per_element):
             assert corresponding_vector(spec, elem) == vec
             yielded.add(elem)
         assert yielded == {a for a in range(spec.order) if is_normal(spec, a)}
+
+
+def test_necessary_audit_validates_each_distinct_vector_once(monkeypatch):
+    spec = FieldSpec.from_degree(12)
+    vectors = [vec for _, vec in enumerate_normal(spec)]
+    chosen = vectors[len(vectors) // 2]
+    calls, validate = [], oracle.validate_vector
+
+    def counted(n, vec):
+        calls.append(vec)
+        if vec == chosen:
+            return Verdict(Status.INVALID, ("FAIL: the chosen vector",))
+        return validate(n, vec)
+
+    monkeypatch.setattr(oracle, "validate_vector", counted)
+    report = check_necessary(spec)
+    assert sorted(calls, key=lambda v: v.bits) == sorted(set(vectors), key=lambda v: v.bits)
+    assert 1 < vectors.count(chosen) < len(vectors)
+    violations = [line for line in report.lines if line.startswith("  violation at")]
+    assert violations == [f"  violation at vector {chosen}"] * (12 * vectors.count(chosen))
+    assert report.payload["normal_elements"] == 1536
+    assert report.payload["violations"] == len(violations) and report.ok is False
 
 
 def test_achievable_vectors_are_symmetric_with_leading_one(f12):
