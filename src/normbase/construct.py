@@ -1,9 +1,10 @@
 """End-to-end constructions of normal elements with prescribed vectors.
 
-validate_vector decides achievability per ring-size regime: full
-characterizations exist for n a power of two (>= 4, plus the degenerate
-n = 1, 2 cases) and for odd n; for other n only necessary conditions are
-known, reported as NECESSARY_ONLY.  prescribe runs the construction
+validate_vector states each of the paper's two characterizations once:
+the 2-power rule (at n = 1, 2 it leaves the single vectors (1) and (1,0))
+and the odd rule.  For composite n = 2^s * m only necessary conditions
+are known, the two rules applied to the vector's folds onto 2^s and m
+entries, reported as NECESSARY_ONLY.  prescribe runs the construction
 pipeline: pick a normal base element, invert its vector in the cyclic
 ring, factor the quotient as g * reciprocal(g), and apply g as a basis
 change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
@@ -75,13 +76,9 @@ class InvalidVectorError(ValueError):
 
     def __init__(self, verdict: Verdict):
         self.verdict = verdict
-        failures = reasons_failed(verdict)
+        failures = [r for r in verdict.reasons if r.startswith("FAIL")]
         detail = "; ".join(failures if failures else verdict.reasons)
         super().__init__(f"There isn't such a normal element: {detail}")
-
-
-def reasons_failed(verdict: Verdict) -> list[str]:
-    return [r for r in verdict.reasons if r.startswith("FAIL")]
 
 
 def _verdict(checks: list[tuple[str, bool]], ok_status: Status, notes: tuple[str, ...] = ()) -> Verdict:
@@ -100,12 +97,26 @@ def pow2_odd_split(n: int) -> tuple[int, int]:
     return s2, n // s2
 
 
-def _gcd_check(a: CyclicPoly) -> tuple[bool, str]:
-    """Whether a is a unit, and the reason-line suffix naming the common factor when it is not."""
-    if a.bits == 0:
-        return False, " (common factor zero polynomial)"
-    g = poly_gcd(a.bits, ring_modulus(a.n))
-    return (True, "") if g == 1 else (False, f" (common factor {poly_to_text(g)})")
+_SYMMETRIC = "symmetric (a[i] = a[n-i])"
+
+
+def _pow2_rule(a: TraceVector) -> list[tuple[str, bool]]:
+    """The characterization for a.n = 2^s, as (description, passed) pairs."""
+    n = a.n
+    checks = [("a[0] = 1", a.coeff(0) == 1)]
+    if n >= 2:
+        checks.append((f"a[{n // 2}] = 0", a.coeff(n // 2) == 0))
+    if n >= 4:
+        checks.append((_SYMMETRIC, is_symmetric(a)))
+        checks.append((f"sum of a[i] over odd i < {n // 2} equals 1", _odd_half_sum(a) == 1))
+    return checks
+
+
+def _odd_rule(a: TraceVector) -> list[tuple[str, bool]]:
+    """The characterization for odd a.n, as (description, passed) pairs."""
+    g = poly_gcd(a.bits, ring_modulus(a.n)) if a.bits else 0  # 0: a itself is zero
+    note = "" if g == 1 else f" (common factor {poly_to_text(g) if g else 'zero polynomial'})"
+    return [(_SYMMETRIC, is_symmetric(a)), (f"coprime to x^{a.n}-1{note}", g == 1)]
 
 
 def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
@@ -113,56 +124,30 @@ def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
     return CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
 
 
-def _composite_checks(a: TraceVector, s2: int, m: int) -> list[tuple[str, bool]]:
-    # necessary conditions obtained by tracing a normal element down to the
-    # GF(2^(2^s)) and GF(2^m) subfields and applying their characterizations
-    checks = [("symmetric (a[i] = a[n-i])", is_symmetric(a))]
-    u = _fold(a, s2)
-    checks.append((f"sum of a[i*{s2}] over i < {m} equals 1", u.coeff(0) == 1))
-    checks.append((f"sum of a[i*{s2}+{s2 // 2}] over i < {m} equals 0", u.coeff(s2 // 2) == 0))
-    if s2 >= 4:
-        checks.append(
-            (f"sum of a[i*{s2}+k] over odd k < {s2 // 2} equals 1", _odd_half_sum(u) == 1))
-    t = _fold(a, m)
-    unit, note = _gcd_check(t)
-    checks.append((f"odd-part column sums {t} coprime to x^{m}-1{note}", unit))
-    return checks
-
-
 def validate_vector(n: int, a: TraceVector) -> Verdict:
     """Decide whether a length-n vector corresponds to some normal element.
 
     Returns VALID/INVALID where a full characterization exists (n a power
-    of two or odd); for other n the known conditions are only necessary,
-    so passing them yields NECESSARY_ONLY.
+    of two or odd).  For composite n = 2^s * m the conditions are the two
+    rules applied to the folds a mod x^(2^s) - 1 and a mod x^m - 1 (the
+    vectors of the element's traces onto GF(2^(2^s)) and GF(2^m)), after
+    symmetry of a; they are only necessary, so passing them yields
+    NECESSARY_ONLY.
     """
     if a.n != n:
         raise ValueError(f"vector length mismatch: {a.n} != {n}")
-    if n == 1:
-        return _verdict([("a[0] = 1", a.coeff(0) == 1)], Status.VALID)
-    if n == 2:
-        return _verdict(
-            [("a[0] = 1", a.coeff(0) == 1), ("a[1] = 0", a.coeff(1) == 0)],
-            Status.VALID)
     if _is_pow2(n):
-        checks = [
-            ("a[0] = 1", a.coeff(0) == 1),
-            (f"a[{n // 2}] = 0", a.coeff(n // 2) == 0),
-            ("symmetric (a[i] = a[n-i])", is_symmetric(a)),
-            (f"sum of a[i] over odd i < {n // 2} equals 1", _odd_half_sum(a) == 1),
-        ]
-        return _verdict(checks, Status.VALID)
+        return _verdict(_pow2_rule(a), Status.VALID)
     if n % 2 == 1:
-        unit, note = _gcd_check(a)
-        checks = [
-            ("symmetric (a[i] = a[n-i])", is_symmetric(a)),
-            (f"coprime to x^{n}-1{note}", unit),
-        ]
-        return _verdict(checks, Status.VALID)
+        return _verdict(_odd_rule(a), Status.VALID)
     s2, m = pow2_odd_split(n)
+    checks = [(_SYMMETRIC, is_symmetric(a))]
+    for k, rule in ((s2, _pow2_rule), (m, _odd_rule)):
+        u = _fold(a, k)
+        checks += [(f"a mod x^{k}-1 = {u}: {desc}", passed) for desc, passed in rule(u)]
     note = (f"conditions for n = {s2}*{m} are necessary only; "
             "sufficiency is open (see compose/weight3 for constructive cases)",)
-    return _verdict(_composite_checks(a, s2, m), Status.NECESSARY_ONLY, note)
+    return _verdict(checks, Status.NECESSARY_ONLY, note)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Two regimes are covered.  For n a power of two the factorable targets form
 the set H (symmetric, constant term 1, middle coefficient 0, odd-index
 half-sum 0) and each has a unique factor g in the structured set G; that g
-is recovered by solving a linear system over GF(2).  The system's matrix
-depends only on n, so it is eliminated once per ring size, into byte
-tables of the linear map from h's coefficients to g's; each target then
-costs one table lookup per byte of h's lower half.  For odd n a target
-factors iff it is symmetric, and then g_i = h_{2i mod n} gives a symmetric
-square root (g * g^* = g^2 = h).
+is recovered by solving a linear system over GF(2), whose columns are
+products (1 + u)(1 + u)^* since g * g^* is affine in g's free coefficients.
+The system depends only on n, so it is eliminated once per ring size, into
+byte tables of the linear maps from h's coefficients to g's and to the
+residual that must vanish; each target then costs two table lookups per
+byte of h's lower half.  For odd n a target factors iff it is symmetric,
+and then g_i = h_{2i mod n} gives a symmetric square root
+(g * g^* = g^2 = h).
 
 factor_2power and factor_odd check their input, and factor_2power its
 result, around the bare solvers _solve_2power and _sqrt_odd; the
@@ -88,63 +90,47 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
 
 
 @lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use
-def _eliminated_system(n: int) -> tuple[int, list[list[int]], list[int]]:
+def _eliminated_system(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """The factor_2power system for ring size n, eliminated once.
 
-    Equation j (1 <= j <= n/2 - 1) is bit j - 1 of the right-hand side
-    h_j + const_j.  Returns (const, solution, zero).  Each unknown is a
-    parity of rhs bits, so the solution g is 1 plus a GF(2)-linear image
-    of rhs, and solution holds that map as byte tables.  Each mask in zero
-    combines equations that must sum to 0.  Raises RuntimeError if the
-    system is rank-deficient, which would be an implementation bug.
+    The unknowns are G's free coefficients z_k.  Column k is bits
+    1 .. n/2 - 1 of (1 + u_k) * reciprocal(1 + u_k), u_k = x^k + x^(n-1-k)
+    (see factor_2power), and bit j of the right-hand side rhs is h_(j+1).
+    Gauss-Jordan elimination keeps each column tagged with the sum of the u_k
+    it combines, and leaves each pivot bit in one column only.  Returns
+    (solution, residual), byte tables of two linear maps of rhs: solution
+    sums the tags of the columns whose pivot bits rhs holds, which is U in
+    g = 1 + U; residual is rhs minus those columns, zero exactly when rhs
+    lies in the columns' span.  Raises RuntimeError if a column is
+    dependent, which would be an implementation bug.
     """
-    free = _free_indices(n)
-    col = {idx: pos for pos, idx in enumerate(free)}
-    rows, const = [], 0
-    for j in range(1, n // 2):
-        if j % 2 == 0:
-            terms = (j, j - 1)
-        else:
-            terms = (j, j - 1, (n - 1 - j) // 2, (j - 1) // 2)
-        row = 0
-        for z in terms:
-            if z == 0:
-                const ^= 1 << (j - 1)
-            elif z in col:
-                row ^= 1 << col[z]
-        rows.append(row)
-    combos = [1 << i for i in range(len(rows))]  # which equations each row now sums
-    m = len(rows)
-    pivot_row = []
-    r = 0
-    for c in range(len(free)):
-        bit = 1 << c
-        p = next((i for i in range(r, m) if rows[i] & bit), None)
-        if p is None:
+    mask = (1 << (n // 2 - 1)) - 1
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, tag), each pivot in one column
+    for k in _free_indices(n):
+        tag = (1 << k) | (1 << (n - 1 - k))
+        g = CyclicPoly(n, 1 | tag)
+        col = (cyclic_mul(g, reciprocal(g)).bits >> 1) & mask
+        for p, (c, t) in pivots.items():
+            if col >> p & 1:
+                col, tag = col ^ c, tag ^ t
+        if not col:
             raise RuntimeError("factorization system is rank-deficient (implementation bug)")
-        rows[r], rows[p] = rows[p], rows[r]
-        combos[r], combos[p] = combos[p], combos[r]
-        for i in range(m):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-                combos[i] ^= combos[r]
-        pivot_row.append(r)
-        r += 1
-    # bit j of rhs flips the unknowns whose pick holds bit j, each with its mirror
-    images = [0] * m
-    for idx, i in zip(free, pivot_row):
-        for j in range(m):
-            if combos[i] >> j & 1:
-                images[j] ^= (1 << idx) | (1 << (n - 1 - idx))
-    return const, _byte_tables(images), combos[r:]
+        p = col.bit_length() - 1
+        for q, (c, t) in pivots.items():
+            if c >> p & 1:
+                pivots[q] = c ^ col, t ^ tag
+        pivots[p] = col, tag
+    images = [pivots.get(j, (0, 0)) for j in range(n // 2 - 1)]
+    return (_byte_tables([t for _, t in images]),
+            _byte_tables([c ^ (1 << j) for j, (c, _) in enumerate(images)]))
 
 
 def _solve_2power(h: CyclicPoly) -> CyclicPoly:
     """The g in G solving the eliminated system for h, which must lie in H; g is not verified."""
     n = h.n
-    const, solution, zero = _eliminated_system(n)
-    rhs = ((h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)) ^ const
-    if any((c & rhs).bit_count() & 1 for c in zero):
+    solution, residual = _eliminated_system(n)
+    rhs = (h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)
+    if _linear(residual, rhs):
         raise RuntimeError("factorization system is inconsistent (implementation bug)")
     return CyclicPoly(n, 1 | _linear(solution, rhs))
 
@@ -152,11 +138,11 @@ def _solve_2power(h: CyclicPoly) -> CyclicPoly:
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
     """The unique g in G with g * reciprocal(g) = h, for h in H.
 
-    The product equations are linear over the free coefficients of G: with
-    z_0 = 1 and every other index outside G's free set fixed at 0 (z_2, and
-    also z_1 when n = 4), coefficient j of the product is z_j + z_{j-1} for
-    even j and z_j + z_{j-1} + z_{(n-1-j)/2} + z_{(j-1)/2} for odd j
-    (1 <= j <= n/2 - 1; repeated indices cancel).
+    The product is affine in G's free coefficients: with g = 1 + U and U
+    the sum of z_k u_k, u_k = x^k + x^(n-1-k), reciprocal(u_k) = x * u_k,
+    so g * reciprocal(g) = (1 + U)(1 + xU) = 1 + sum of z_k (u_k + x u_k + x u_k^2),
+    because U^2 = sum of z_k u_k^2 over GF(2).  So coefficients 1 .. n/2 - 1
+    of h give a linear system in the z_k; membership in H fixes the others.
     """
     if not in_H(h):
         raise ValueError(

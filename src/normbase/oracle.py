@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .construct import Status, pow2_odd_split, reasons_failed, validate_vector
+from .construct import Status, pow2_odd_split, validate_vector
 from .factor import _require_pow2, factor_2power, in_G, iter_G, iter_H
 from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
 from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
@@ -288,7 +288,7 @@ def check_necessary(spec: FieldSpec) -> Report:
         # counted per element: each orbit stands for its n conjugates, which share vec
         count += spec.n
         if vec not in failed:
-            failed[vec] = bool(reasons_failed(validate_vector(spec.n, vec)))
+            failed[vec] = validate_vector(spec.n, vec).status is Status.INVALID
         if failed[vec]:
             failures += [f"vector {vec}"] * spec.n
     return _violations("necessary", "necessary-conditions", spec.n, "normal_elements",

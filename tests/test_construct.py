@@ -400,3 +400,37 @@ def test_wrong_factor_is_caught_by_the_closing_check(monkeypatch, capsys):
     assert out == "" and "prescribed vector mismatch" in err
     with pytest.raises(RuntimeError, match="solved factor fails verification"):
         factor.factor_2power(cyclic_mul(target, b_inv))
+
+
+@pytest.mark.parametrize("n,count", [(6, 2), (10, 12), (12, 8), (14, 56), (18, 112), (20, 192),
+                                     (22, 992), (24, 512), (28, 3584)])
+def test_composite_rule_passes_a_fixed_count_of_symmetric_vectors(n, count):
+    # the 2-power rule on the fold onto 2^s entries, the odd rule on the fold onto m
+    assert sum(validate_vector(n, v).status is Status.NECESSARY_ONLY
+               for v in symmetric_vectors(n)) == count
+
+
+def test_composite_reasons_name_each_fold():
+    verdict = validate_vector(12, CyclicPoly.from_support(12, {0, 2, 10}))
+    assert verdict.status is Status.INVALID
+    assert verdict.reasons == (
+        "ok: symmetric (a[i] = a[n-i])",
+        "ok: a mod x^4-1 = 1,0,0,0: a[0] = 1",
+        "ok: a mod x^4-1 = 1,0,0,0: a[2] = 0",
+        "ok: a mod x^4-1 = 1,0,0,0: symmetric (a[i] = a[n-i])",
+        "FAIL: a mod x^4-1 = 1,0,0,0: sum of a[i] over odd i < 2 equals 1",
+        "ok: a mod x^3-1 = 1,1,1: symmetric (a[i] = a[n-i])",
+        "FAIL: a mod x^3-1 = 1,1,1: coprime to x^3-1 (common factor x^2+x+1)",
+        "conditions for n = 4*3 are necessary only; "
+        "sufficiency is open (see compose/weight3 for constructive cases)",
+    )
+
+
+def test_reasons_at_n_equals_two():
+    reasons = [validate_vector(2, CyclicPoly(2, bits)).reasons for bits in range(4)]
+    assert reasons == [
+        ("FAIL: a[0] = 1", "ok: a[1] = 0"),
+        ("ok: a[0] = 1", "ok: a[1] = 0"),
+        ("FAIL: a[0] = 1", "FAIL: a[1] = 0"),
+        ("ok: a[0] = 1", "FAIL: a[1] = 0"),
+    ]

@@ -6,6 +6,7 @@ import pytest
 
 from normbase.factor import (
     _odd_half_sum,
+    _solve_2power,
     factor_2power,
     factor_odd,
     in_G,
@@ -198,3 +199,13 @@ def test_public_factor_checks_keep_their_errors(solve, h, error, message):
     with pytest.raises(error) as raised:
         solve(h)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_solver_raises_outside_H(n):
+    # symmetric with h_0 = 1 and h_{n/2} = 0, but odd-index half-sum 1: not in H
+    h = CyclicPoly.from_support(n, {0, 1, n - 1})
+    assert not in_H(h)
+    with pytest.raises(RuntimeError) as exc:
+        _solve_2power(h)
+    assert str(exc.value) == "factorization system is inconsistent (implementation bug)"

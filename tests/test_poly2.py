@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normbase.construct import compose
+from normbase.field import FieldSpec, parse_elem
 from normbase.poly2 import (
     CyclicPoly,
     DegreeBoundError,
@@ -397,3 +399,29 @@ def test_symmetric_vectors_are_every_symmetric_vector_once():
         assert set(found) == {f for bits in range(1 << n) if is_symmetric(f := CyclicPoly(n, bits))}
         lows = [f.bits & ((2 << (n // 2)) - 1) for f in found]  # entries 0 .. n//2
         assert lows == sorted(set(lows))
+
+
+def _compose_twelve_short_odd_part():
+    spec = FieldSpec.from_degree(12)
+    return compose(spec, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(2, 1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: parse_poly("0xZZ"), "bad hex polynomial '0xZZ'"),
+    (lambda: parse_poly("x^a+1"), "bad term 'x^a' in polynomial 'x^a+1'"),
+    (lambda: parse_poly("x^-1+1"), "negative exponent in 'x^-1+1'"),
+    (lambda: CyclicPoly(0), "ring size must be positive"),
+    (lambda: CyclicPoly(3, 8), "coefficients do not fit ring size 3"),
+    (lambda: CyclicPoly.from_coeffs([1, 2]), "coefficients must be 0 or 1"),
+    (lambda: CyclicPoly.from_support(3, {3}), "support index 3 outside [0, 3)"),
+    (lambda: poly_ext_gcd(0, 0), "gcd(0, 0) is undefined"),
+    (lambda: find_irreducible(0), "degree must be positive"),
+    (lambda: parse_elem(FieldSpec.from_degree(8), "pow:-1"),
+     "negative exponent in element 'pow:-1'"),
+    (lambda: parse_elem(FieldSpec.from_degree(8), "0xZZ"), "bad hex element '0xZZ'"),
+    (_compose_twelve_short_odd_part, "odd part vector must have length 3, got 2"),
+])
+def test_input_rejections(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
