@@ -29,13 +29,18 @@ once per call and one _linear lookup per orbit gives all n entries.  The
 oracle shares with the kernel only that identity, not its coefficients: T
 comes from naive conjugate sums and poly_mod, never from _Kernel.  The low
 n bits of T give Tr(e), the sum of the n conjugates of e, as the parity of
-e & T.  When it is 0 the conjugates are linearly dependent, so e is
-skipped before its orbit is walked and left unmarked: its conjugates
-share the trace, and the same test skips them.  That is a rank fact, not
-the gcd criterion, and the elimination still decides every other
-full-length orbit.  Enumeration caps keep exhaustive runs in the seconds
-range on one core (about 0.8 s at the cap n = 20 on a 2-core Xeon with
-Python 3.11); the caps are the module constants below.
+e & T.  When it is 0 the conjugates are linearly dependent, so e is never
+walked: the visited map starts with every such e marked, built from those
+n bits in n doublings, and bytearray.find jumps to the next element to
+decide.  That is a rank fact, not the gcd criterion.  Every other
+full-length orbit gets its vector first, and Gaussian rank decides it
+whenever the caller still reads that vector: every orbit for
+check_necessary, only a vector not yet found for achievable_vectors, only
+(1, 0, ..., 0) for the self-dual audit.  An orbit whose vector is already
+found cannot change the found set, whether it is normal or not.
+Enumeration caps keep exhaustive runs in the seconds range on one core
+(about 1 s for all of GF(2^20) on a 2-core Xeon with Python 3.11); the
+caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -45,7 +50,7 @@ fields are ok, lines (the human output) and payload (the JSON record).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .construct import Status, pow2_odd_split, validate_vector
 from .factor import _require_pow2, factor_2power, in_G, iter_G, iter_H
@@ -54,6 +59,7 @@ from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vecto
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _naive_square(spec: FieldSpec, a: int) -> int:
@@ -140,48 +146,72 @@ def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     return len(orbit) == t and _independent(orbit)
 
 
+def _trace_zero_marks(n: int, traces: int) -> bytearray:
+    """Byte e is 1 - Tr(e) for every e < 2^n, bit j of traces being Tr(g^j): n doublings.
+
+    The trace is linear, so an e with bit j set has Tr(e) = Tr(e - 2^j) + Tr(g^j):
+    each doubling appends a copy of the map so far, flipped where Tr(g^j) = 1.
+    """
+    marks = bytearray(b"\1")  # Tr(0) = 0
+    for j in range(n):
+        marks += marks.translate(_FLIP if traces >> j & 1 else None)
+    return marks
+
+
 def _require_enumerable(n: int) -> None:
     if n > ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
 
 
-def enumerate_normal(spec: FieldSpec) -> Iterator[tuple[int, CyclicPoly]]:
-    """Yield (e, vector) once per rank-normal Frobenius orbit, e its smallest element.
+def enumerate_normal(spec: FieldSpec, wanted: Callable[[CyclicPoly], bool] = lambda vec: True
+                     ) -> Iterator[tuple[int, CyclicPoly]]:
+    """Yield (e, vector) once per rank-normal orbit with a wanted vector, e its smallest element.
 
     The n conjugates of e are normal with e and share its vector, since
-    Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Elements
-    are scanned in ascending order, so every element below a yielded e
-    has been decided.
+    Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Each
+    full-length orbit's vector comes first, and the rank test runs only when
+    wanted(vector) holds, asked just before the orbit would be yielded, so a
+    caller can turn away the vectors it no longer needs.  Elements are
+    scanned in ascending order, so every element below a yielded e has been
+    decided.
     """
     n = spec.n
     _require_enumerable(n)
     traces = _monomial_traces(spec)
     form = _trace_form(n, traces)
-    low_traces = traces & ((1 << n) - 1)  # bit i is Tr(g^i)
     square = _square_tables(spec)
-    visited = bytearray(1 << n)
-    for e in range(1, 1 << n):
-        # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the
-        # trace, so e stays unmarked and the same test skips each of them
-        if visited[e] or not (e & low_traces).bit_count() & 1:
-            continue
+    # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the trace,
+    # so each starts marked and find jumps to the next unvisited e with Tr(e) = 1
+    visited = _trace_zero_marks(n, traces)
+    e = 0
+    while (e := visited.find(0, e + 1)) != -1:
         orbit = _orbit(spec, square, e)
         for x in orbit:
             visited[x] = 1
         # a shorter orbit lies in a proper subfield, so its conjugates repeat
-        if len(orbit) < n or not _independent(orbit):
+        if len(orbit) < n:
             continue
         w = _linear(form, e)
         bits = 0
         for i, c in enumerate(orbit):
             if (c & w).bit_count() & 1:
                 bits |= 1 << i
-        yield e, CyclicPoly(n, bits)
+        vec = CyclicPoly(n, bits)
+        if wanted(vec) and _independent(orbit):
+            yield e, vec
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
-    """Distinct corresponding vectors over all (rank-)normal elements."""
-    return {vec for _, vec in enumerate_normal(spec)}
+    """Distinct corresponding vectors over all (rank-)normal elements.
+
+    Only an orbit whose vector is not yet found is rank-tested: an orbit
+    whose vector is already in the set cannot change it, whether it is
+    normal or not.
+    """
+    found: set[CyclicPoly] = set()
+    for _, vec in enumerate_normal(spec, lambda v: v not in found):
+        found.add(vec)
+    return found
 
 
 def _require_characterized(n: int) -> None:
@@ -302,7 +332,8 @@ def check_self_dual_existence(max_n: int) -> Report:
     lines = ["self-dual normal basis existence audit"]
     rows = []
     for n in range(2, max_n + 1):
-        exists = any(vec.bits == 1 for _, vec in enumerate_normal(FieldSpec.from_degree(n)))
+        # only the self-dual vector (1, 0, ..., 0) is rank-tested; a yielded pair is truthy
+        exists = any(enumerate_normal(FieldSpec.from_degree(n), lambda v: v.bits == 1))
         expected = n % 4 != 0  # the 4-does-not-divide-n rule
         rows.append({"n": n, "exists": exists, "expected": expected})
         verdict = "ok" if exists == expected else "VIOLATION"

@@ -20,6 +20,7 @@ from normbase.oracle import (
     _orbit,
     _square_tables,
     _trace_form,
+    _trace_zero_marks,
     achievable_vectors,
     brute_factor,
     check_characterization,
@@ -162,14 +163,19 @@ def test_trace_form_is_the_monomial_traces_regrouped(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_trace_first_test_is_the_sum_of_the_conjugates(n):
-    # the enumeration skips e, unwalked, when the low n bits of T give Tr(e) = 0
+    # the enumeration skips e, unwalked, when the low n bits of T give Tr(e) = 0:
+    # its visited map starts at 1 - Tr(e)
     spec = FieldSpec(n, _random_modulus(random.Random(n), n))
-    mask = _monomial_traces(spec) & (spec.order - 1)
+    traces = _monomial_traces(spec)
+    mask = traces & (spec.order - 1)
+    marks = _trace_zero_marks(n, traces)
+    assert len(marks) == spec.order
     for e in range(spec.order):
         orbit = _naive_orbit(spec, e)
         conjugate_sum = reduce(xor, orbit * (n // len(orbit)))  # Tr(e), n conjugates
         assert conjugate_sum in (0, 1)
         assert (e & mask).bit_count() & 1 == conjugate_sum
+        assert marks[e] == 1 - conjugate_sum
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -177,8 +183,47 @@ def test_enumeration_matches_the_reference_loop(n):
     rng = random.Random(1000 + n)
     for modulus in (find_irreducible(n), _random_modulus(rng, n)):
         spec = FieldSpec(n, modulus)
+        reference = list(_reference_enumeration(spec))
         assert ([(e, vec.bits) for e, vec in enumerate_normal(spec)]
-                == [(e, vec.bits) for e, vec in _reference_enumeration(spec)])
+                == [(e, vec.bits) for e, vec in reference])
+        # the audits that rank-test only the vectors they still read give the same answers
+        assert achievable_vectors(spec) == {vec for _, vec in reference}
+        self_dual = any(vec.bits == 1 for _, vec in reference)
+        assert any(enumerate_normal(spec, lambda v: v.bits == 1)) == self_dual
+        if modulus == find_irreducible(n) and n >= 2:
+            assert check_self_dual_existence(n).payload["rows"][-1] == {
+                "n": n, "exists": self_dual, "expected": n % 4 != 0}
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_audits_rank_test_only_the_vectors_they_read(seeded, monkeypatch):
+    # characterization: a vector not yet found; self-dual: (1, 0, ..., 0); necessary: every
+    # full-length orbit with Tr(e) = 1.  The counts do not depend on the modulus
+    calls, independent = [], oracle._independent
+
+    def counted(rows):
+        calls.append(rows)
+        return independent(rows)
+
+    monkeypatch.setattr(oracle, "_independent", counted)
+    rng = random.Random(7)
+
+    def spec(n):
+        return FieldSpec(n, _random_modulus(rng, n)) if seeded else FieldSpec.from_degree(n)
+
+    def count(audit, arg):
+        calls.clear()
+        report = audit(arg)
+        assert report.ok
+        return len(calls)
+
+    assert count(check_characterization, spec(13)) == 63
+    # 45 achievable vectors and 416 non-normal orbits with a vector not yet found
+    assert count(check_characterization, spec(15)) == 461
+    assert count(check_characterization, spec(16)) == 64
+    assert count(check_necessary, spec(12)) == 170
+    if not seeded:  # the self-dual audit runs on the default moduli only
+        assert count(check_self_dual_existence, 12) == 8
 
 
 def _naive_orbit(spec, alpha):
