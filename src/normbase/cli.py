@@ -6,6 +6,7 @@ oracles.  Human output is a small aligned table; --json emits one line of
 machine-readable JSON with stable key order.  Every emitted element record
 is re-verified in-process before printing.  The oracle module decides each
 audit; audit prints the report's lines or, with --json, its payload.
+Each subcommand's parser names its handler, which main calls.
 
 Exit codes: 0 ok, 1 invalid input vector (or unsupported construction),
 2 verification/audit failure, 64 usage error.
@@ -51,6 +52,7 @@ def _build_parser() -> _Parser:
     field_sub = p_field.add_subparsers(dest="subcommand", required=True)
     p_ffind = field_sub.add_parser("find", help="deterministic irreducible modulus")
     p_ffind.add_argument("--degree", type=int, required=True)
+    p_ffind.set_defaults(run=_cmd_field_find)
 
     p_normal = sub.add_parser("normal", help="find or check normal elements")
     normal_sub = p_normal.add_subparsers(dest="subcommand", required=True)
@@ -58,35 +60,42 @@ def _build_parser() -> _Parser:
     _field_arguments(p_nfind, "defaults to the deterministic modulus")
     p_nfind.add_argument("--seed", type=int,
                          help="use seeded random search instead of the scan")
+    p_nfind.set_defaults(run=_cmd_element, make=_find)
     p_ncheck = normal_sub.add_parser("check", help="check normality of an element")
     _field_arguments(p_ncheck)
     p_ncheck.add_argument("--element", required=True)
+    p_ncheck.set_defaults(run=_cmd_element, make=_given, name="check")
 
     p_vector = sub.add_parser("vector", help="corresponding vector of an element")
     _field_arguments(p_vector)
     p_vector.add_argument("--element", required=True)
+    p_vector.set_defaults(run=_cmd_element, make=_given, name="vector")
 
     p_presc = sub.add_parser("prescribe",
                              help="construct a normal element with a prescribed vector")
     _field_arguments(p_presc)
     p_presc.add_argument("--vector", required=True, help="comma-separated bits")
     p_presc.add_argument("--force-beta", help=argparse.SUPPRESS)
+    p_presc.set_defaults(run=_cmd_element, make=_prescribe)
 
     p_comp = sub.add_parser("compose",
                             help="compose subfield prescriptions for n = 2^s * m")
     _field_arguments(p_comp)
     p_comp.add_argument("--vector-pow2", required=True, help="length 2^s bits")
     p_comp.add_argument("--vector-odd", required=True, help="length m bits")
+    p_comp.set_defaults(run=_cmd_element, make=_compose)
 
     p_w3 = sub.add_parser("weight3",
                           help="normal element with a weight-3 vector (4 | n)")
     _field_arguments(p_w3)
     p_w3.add_argument("--i0", type=int, default=1)
+    p_w3.set_defaults(run=_cmd_element, make=_weight3)
 
     p_audit = sub.add_parser("audit", help="run an exhaustive oracle audit")
     _field_arguments(p_audit)
     p_audit.add_argument("--mode", required=True,
                          choices=["characterization", "factorization", "necessary", "selfdual"])
+    p_audit.set_defaults(run=_cmd_audit)
     return parser
 
 
@@ -130,9 +139,7 @@ def _find(spec, args) -> tuple[int, dict]:
 
 
 def _given(spec, args) -> tuple[int, dict]:
-    # "normal check" and "vector" print the same record, named after the command
-    name = getattr(args, "subcommand", None) or args.command
-    return field.parse_elem(spec, args.element), {"name": name}
+    return field.parse_elem(spec, args.element), {"name": args.name}
 
 
 def _prescribe(spec, args) -> tuple[int, dict]:
@@ -158,10 +165,10 @@ def _weight3(spec, args) -> tuple[int, dict]:
     return gamma, {"name": "weight3", "i0": args.i0}
 
 
-def _cmd_element(args, make) -> int:
+def _cmd_element(args) -> int:
     """Build the field, make (element, construction) in it, and print the verified record."""
     spec = _spec_from(args)
-    element, construction = make(spec, args)
+    element, construction = args.make(spec, args)
     # recompute from scratch so "verified" means what it says
     vector = normal.corresponding_vector(spec, element)
     _emit({
@@ -188,27 +195,10 @@ def _cmd_audit(args) -> int:
     return EX_OK if report.ok else EX_VERIFY
 
 
-# each element command maps (spec, args) to (element, construction) for _cmd_element
-_ELEMENTS = {
-    ("normal", "find"): _find,
-    ("normal", "check"): _given,
-    ("vector", None): _given,
-    ("prescribe", None): _prescribe,
-    ("compose", None): _compose,
-    ("weight3", None): _weight3,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    key = (args.command, getattr(args, "subcommand", None))
+    args = _build_parser().parse_args(argv)
     try:
-        if key == ("field", "find"):
-            return _cmd_field_find(args)
-        if key == ("audit", None):
-            return _cmd_audit(args)
-        return _cmd_element(args, _ELEMENTS[key])
+        return args.run(args)
     except construct.InvalidVectorError as exc:
         print(str(exc), file=sys.stderr)
         return EX_INVALID

@@ -55,9 +55,10 @@ class FieldSpec:
 
     def __post_init__(self):
         _check_degree(self.n)
-        if degree(self.modulus) != self.n:
-            raise ValueError(
-                f"modulus {poly_to_text(self.modulus)} does not have degree {self.n}")
+        d = degree(self.modulus)
+        if d != self.n:  # above MAX_DEGREE by its hex digits: a term list grows with the degree
+            shown = elem_to_hex(self.modulus) if d > MAX_DEGREE else poly_to_text(self.modulus)
+            raise ValueError(f"modulus {shown} does not have degree {self.n}")
         if _found.get(self.n) != self.modulus and not is_irreducible(self.modulus):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 

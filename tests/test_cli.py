@@ -1,11 +1,16 @@
 """Command-line surface: records, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import normbase
 from normbase import FieldSpec, cli, construct, normal, oracle, poly2
 from normbase.cli import EX_INVALID, EX_OK, EX_USAGE, EX_VERIFY, main
 from normbase.poly2 import CyclicPoly
@@ -352,3 +357,27 @@ def test_bad_modulus_is_semantic_error(capsys):
                        "--element", "0x2")
     assert code == EX_INVALID  # x^4+1 is reducible
     assert "reducible" in err
+
+
+def test_hex_modulus_above_the_degree_bound_is_named_as_written(capsys):
+    modulus = "0x" + "F" * 20000
+    code, _, err = run(capsys, "prescribe", "--degree", "16", "--modulus", modulus,
+                       "--vector", GOLDEN_VECTOR)
+    assert code == EX_INVALID
+    assert err == f"normbase: modulus {modulus} does not have degree 16\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["field", "find", "--degree", "8"], EX_OK, ""),
+    (["prescribe", "--degree", "16", "--vector", ",".join(["1"] + ["0"] * 15)], EX_INVALID,
+     "There isn't such a normal element: FAIL: sum of a[i] over odd i < 8 equals 1\n"),
+    (["frobnicate"], EX_USAGE, None),
+], ids=["ok", "invalid", "usage"])
+def test_module_entry_point_exit_codes(argv, code, err):
+    # the console script's path: sys.exit(main()) in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(normbase.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "normbase.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == code
+    if err is not None:
+        assert done.stderr == err

@@ -434,3 +434,40 @@ def test_reasons_at_n_equals_two():
         ("FAIL: a[0] = 1", "FAIL: a[1] = 0"),
         ("ok: a[0] = 1", "FAIL: a[1] = 0"),
     ]
+
+
+def test_compose_verification_failure_is_an_implementation_bug(capsys, monkeypatch):
+    spec = FieldSpec.from_degree(12)
+    a, b = CyclicPoly(4, 0b1011), CyclicPoly(3, 1)
+    original = construct.corresponding_vector
+
+    def flipped(spec, alpha):  # a vector that disagrees with the product rule in bit 0
+        vec = original(spec, alpha)
+        return CyclicPoly(vec.n, vec.bits ^ 1)
+
+    monkeypatch.setattr(construct, "corresponding_vector", flipped)
+    with pytest.raises(RuntimeError) as exc:
+        compose(spec, a, b)
+    assert str(exc.value) == "composed element fails verification (implementation bug)"
+    argv = ["compose", "--degree", "12", "--vector-pow2", "1,1,0,1", "--vector-odd", "1,0,0"]
+    assert cli.main(argv) == cli.EX_VERIFY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "normbase: composed element fails verification (implementation bug)\n"
+
+
+def test_weight3_support_mismatch_is_an_implementation_bug(capsys, monkeypatch):
+    original = construct.compose
+
+    def moved(spec, a, b):  # two extra support positions, 1 and 2
+        gamma, c = original(spec, a, b)
+        return gamma, CyclicPoly(c.n, c.bits ^ 0b110)
+
+    monkeypatch.setattr(construct, "compose", moved)
+    with pytest.raises(RuntimeError) as exc:
+        weight3(FieldSpec.from_degree(12))
+    assert str(exc.value) == "weight-3 support mismatch (implementation bug)"
+    assert cli.main(["weight3", "--degree", "12"]) == cli.EX_VERIFY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "normbase: weight-3 support mismatch (implementation bug)\n"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from normbase import factor
 from normbase.factor import (
     _odd_half_sum,
     _solve_2power,
@@ -209,3 +210,15 @@ def test_solver_raises_outside_H(n):
     with pytest.raises(RuntimeError) as exc:
         _solve_2power(h)
     assert str(exc.value) == "factorization system is inconsistent (implementation bug)"
+
+
+def test_rank_deficient_system_is_an_implementation_bug(monkeypatch):
+    # every column 0: the constant 1 has no bits in positions 1 .. n/2 - 1
+    monkeypatch.setattr(factor, "cyclic_mul", lambda a, b: CyclicPoly(a.n, 1))
+    factor._eliminated_system.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as exc:
+            factor._eliminated_system(16)
+    finally:
+        factor._eliminated_system.cache_clear()
+    assert str(exc.value) == "factorization system is rank-deficient (implementation bug)"

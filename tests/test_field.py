@@ -253,3 +253,21 @@ def _degree_64_fields(draw):
 @given(_degree_64_fields(), st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3))
 def test_kernel_matches_naive_reference_random_moduli(spec, elements):
     _assert_kernel_matches_reference(spec, elements)
+
+
+def test_hex_modulus_above_the_degree_bound_is_named_as_written():
+    # rendering 10^6 hex digits term by term would take seconds and a 39 MB message
+    text = "0x" + "F" * 10**6
+    with pytest.raises(ValueError) as exc:
+        FieldSpec.parse(16, text)
+    assert str(exc.value) == f"modulus {text} does not have degree 16"
+    assert len(str(exc.value)) <= len(text) + 40
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(16, (1 << 400000) - 1)  # the constructor names it the same way
+    assert str(exc.value) == "modulus 0x" + "F" * 100000 + " does not have degree 16"
+    with pytest.raises(ValueError) as exc:
+        FieldSpec.parse(99, "0x" + "F" * 100)  # the degree is checked first
+    assert str(exc.value) == "extension degree must be in [1, 64], got 99"
+    with pytest.raises(ValueError) as exc:
+        FieldSpec.parse(16, "0x11")  # at most x^64: still rendered by terms
+    assert str(exc.value) == "modulus x^4+1 does not have degree 16"

@@ -291,3 +291,10 @@ def test_self_dual():
     assert corresponding_vector(spec3, 0).bits != 1
     spec4 = FieldSpec.from_degree(4)
     assert not any(corresponding_vector(spec4, a).bits == 1 for a in range(16))
+
+
+def test_delta_of_wrong_relative_trace_is_an_implementation_bug(monkeypatch):
+    monkeypatch.setattr(normal, "elem_mul", lambda spec, a, b: 0)
+    with pytest.raises(RuntimeError) as exc:
+        normal._delta(FieldSpec.from_degree(12), 3)  # a fresh spec: nothing owned yet
+    assert str(exc.value) == "relative trace of delta is not 1 (implementation bug)"

@@ -9,7 +9,7 @@ import pytest
 from normbase import oracle
 from normbase.construct import Status, Verdict
 from normbase.factor import iter_H
-from normbase.field import FieldSpec, _linear, elem_mul, elem_pow, rel_trace
+from normbase.field import FieldSpec, _byte_tables, _linear, elem_mul, elem_pow, rel_trace
 from normbase.normal import is_normal
 from normbase.oracle import (
     _factors_in_G,
@@ -398,3 +398,20 @@ def test_self_dual_existence_small():
     for max_n in (1, 17):
         with pytest.raises(ValueError):
             check_self_dual_existence(max_n)
+
+
+def test_trace_outside_gf2_is_an_implementation_bug(monkeypatch):
+    # with squaring the identity, Tr(g) sums g n times: g itself for odd n
+    monkeypatch.setattr(oracle, "_naive_square", lambda spec, a: a)
+    with pytest.raises(RuntimeError) as exc:
+        _naive_trace_mask(FieldSpec.from_degree(5))
+    assert str(exc.value) == "trace must land in GF(2) (implementation bug)"
+
+
+def test_orbit_longer_than_n_is_an_implementation_bug():
+    # x -> g*x is not the Frobenius map: the orbit of 1 is every power of g
+    spec = FieldSpec.from_degree(8)
+    times_g = _byte_tables([elem_mul(spec, 2, 1 << j) for j in range(spec.n)])
+    with pytest.raises(RuntimeError) as exc:
+        _orbit(spec, times_g, 1)
+    assert str(exc.value) == "Frobenius orbit longer than n (implementation bug)"
