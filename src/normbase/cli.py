@@ -149,7 +149,7 @@ def _prescribe(spec, args) -> tuple[int, dict]:
     return steps.element, {
         "name": "prescribe",
         "base": field.elem_to_hex(steps.base),
-        "change": ",".join(str(b) for b in steps.change.coeffs()),
+        "change": str(steps.change),
     }
 
 

@@ -190,8 +190,7 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a _base result."""
     beta, b, b_inv, conjugates = base
     h = cyclic_mul(a, b_inv)
-    # GF(2) and GF(4) each have a single achievable vector, so there h = g = 1
-    g = CyclicPoly(t, 1) if t <= 2 else _solve_2power(h) if _is_pow2(t) else _sqrt_odd(h)
+    g = _sqrt_odd(h) if t % 2 else _solve_2power(h)
     alpha = _picked_sum(conjugates, g.bits)
     vec = corresponding_vector_in_subfield(spec, alpha, t)
     if vec != a:  # the one verification of the result; see the module docstring

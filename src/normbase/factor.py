@@ -61,8 +61,9 @@ def in_G(g: CyclicPoly) -> bool:
 
 def _free_indices(n: int) -> list[int]:
     # the n/2 - 2 free coefficients of a member of G; for n = 4 the
-    # b_{n-3} = b_1 = 0 constraint pins the lone candidate, so G = {1}
-    if n == 4:
+    # b_{n-3} = b_1 = 0 constraint pins the lone candidate, so G = {1}; GF(4)
+    # (n = 2) has a single achievable vector, so there too h = g = 1
+    if n <= 4:
         return []
     return [1] + list(range(3, n // 2))
 

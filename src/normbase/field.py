@@ -10,9 +10,9 @@ Fields, ch. 2), so each spec owns a kernel of byte tables, built on first
 use and freed with the spec: the squaring map (images g^(2j), by shifting
 and reducing) and the Gram matrix of the trace form (x, y) -> Tr(xy),
 whose row j, bit k is Tr(g^(j+k)).  The traces p_m = Tr(g^m), m < 2n - 1,
-come from Newton's identities on the modulus and then its recurrence; the
-trace mask is their low n bits.  Public functions validate their elements;
-the inner loops apply the tables directly.
+the power sums of the modulus's roots, are the coefficients of z F'(z)/F(z)
+for the reversed modulus F; the trace mask is their low n bits.  Public
+functions validate their elements; the inner loops apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -25,7 +25,6 @@ from functools import cached_property
 
 from .poly2 import (
     DegreeBoundError,
-    degree,
     find_irreducible,
     is_irreducible,
     parse_poly,
@@ -55,7 +54,7 @@ class FieldSpec:
 
     def __post_init__(self):
         _check_degree(self.n)
-        d = degree(self.modulus)
+        d = self.modulus.bit_length() - 1  # -1 for the zero polynomial
         if d != self.n:  # above MAX_DEGREE by its hex digits: a term list grows with the degree
             shown = elem_to_hex(self.modulus) if d > MAX_DEGREE else poly_to_text(self.modulus)
             raise ValueError(f"modulus {shown} does not have degree {self.n}")
@@ -123,18 +122,15 @@ class _Kernel:
     __slots__ = ("trace_mask", "square", "gram")
 
     def __init__(self, n: int, modulus: int):
-        low = modulus ^ (1 << n)  # c_0 + c_1 x + ... + c_{n-1} x^(n-1)
-        # bit m of seq is p_m = Tr(g^m), the m-th power sum of the roots of the
-        # modulus: p_k = sum_{i=1}^{min(k,n)} c_{n-i} p_{k-i}, plus k c_{n-k}
-        # for k <= n (Newton); p_0 = Tr(1) = n mod 2 enters no sum, so it is set last
-        seq = 0
-        for k in range(1, 2 * n - 1):
-            window = seq >> (k - n) if k >= n else seq << (n - k)
-            p = (window & low).bit_count() & 1
-            if k <= n and k & 1:
-                p ^= (low >> (n - k)) & 1
-            seq |= p << k
-        seq |= n & 1
+        # bit m of seq is p_m = Tr(g^m), m >= 1 the coefficient of z^m in z F'(z)/F(z),
+        # F(z) = z^n modulus(1/z) with constant term 1; z F'(z) is F's odd-degree terms
+        reverse = int(f"{modulus:0{n + 1}b}"[::-1], 2)
+        rest = reverse & int("10" * (n // 2 + 1), 2)
+        seq = n & 1  # p_0 = Tr(1)
+        for m in range(1, 2 * n - 1):  # long division by F, one quotient bit per step
+            if rest >> m & 1:
+                seq |= 1 << m
+                rest ^= reverse << m
         full = (1 << n) - 1
         self.trace_mask = seq & full
         self.gram = _byte_tables([(seq >> j) & full for j in range(n)])

@@ -12,8 +12,9 @@ Fields, Thm 2.26): Tr_t(y) = Tr_n(delta * y) on GF(2^t) when the relative
 trace Tr_{n|t}(delta) is 1.  So with w = Gram * (alpha * delta), a_i is the
 parity of alpha^(2^i) & w and the loop only squares (see the field module).
 delta = 1 when n/t is odd, as Tr_{n|t}(1) = n/t mod 2; otherwise
-delta = x * b^(-1) for the first basis monomial x = g^j with
-b = Tr_{n|t}(x) != 0, where b^(-1) = b^(2^t - 2), kept per t by the spec.
+delta = x + x^2 + ... + x^(2^(t-1)) for the lowest basis monomial x of
+trace 1, since Tr_{n|t}(delta) = Tr_t(Tr_{n|t}(x)) = Tr_n(x) = 1; it is
+kept per t by the spec.
 At t = n the loop stops after entry n/2 and mirrors the rest, as
 a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i;
 below n it runs through all t squarings, since alpha^(2^t) = alpha is also
@@ -32,10 +33,11 @@ from .field import (
     FieldSpec,
     _check_divisor,
     _check_elem,
+    _conjugates,
     _linear,
     _owned,
+    _picked_sum,
     elem_mul,
-    elem_pow,
     rel_trace,
 )
 from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
@@ -54,10 +56,8 @@ def _delta(spec: FieldSpec, t: int) -> int:
         return 1
 
     def build():
-        x = 1
-        while not (b := rel_trace(spec, x, t)):
-            x <<= 1
-        delta = elem_mul(spec, x, elem_pow(spec, b, (1 << t) - 2))
+        mask = spec._kernel.trace_mask
+        delta = _picked_sum(_conjugates(spec, mask & -mask, t), (1 << t) - 1)
         if rel_trace(spec, delta, t) != 1:
             raise RuntimeError("relative trace of delta is not 1 (implementation bug)")
         return delta

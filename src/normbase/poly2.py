@@ -186,12 +186,9 @@ class CyclicPoly:
     def from_coeffs(cls, coeffs) -> "CyclicPoly":
         """Build from an iterable of 0/1 coefficients, index i = coeff of x^i."""
         coeffs = list(coeffs)
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(len(coeffs), bits)
+        if any(c not in (0, 1) for c in coeffs):
+            raise ValueError("coefficients must be 0 or 1")
+        return cls(len(coeffs), int("".join("01"[c] for c in reversed(coeffs)) or "0", 2))
 
     @classmethod
     def from_support(cls, n: int, support) -> "CyclicPoly":
@@ -222,9 +219,9 @@ class CyclicPoly:
 def parse_vector(text: str) -> CyclicPoly:
     """Parse a comma-separated bit vector "1,0,1" into a CyclicPoly."""
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(p not in ("0", "1") for p in parts):
+    if any(p not in ("0", "1") for p in parts):
         raise ValueError(f"bad bit vector {text!r}")
-    return CyclicPoly.from_coeffs(int(p) for p in parts)
+    return CyclicPoly(len(parts), int("".join(reversed(parts)), 2))
 
 
 def ring_modulus(n: int) -> int:
@@ -248,7 +245,7 @@ def cyclic_mul(a: CyclicPoly, b: CyclicPoly) -> CyclicPoly:
 def cyclic_inv(f: CyclicPoly) -> CyclicPoly:
     """Inverse of f modulo x^n - 1, for f coprime to x^n - 1."""
     m = ring_modulus(f.n)
-    g, u, _ = poly_ext_gcd(f.bits, m) if f.bits else (m, 0, 1)
+    g, u, _ = poly_ext_gcd(f.bits, m)
     if g != 1:
         raise ZeroDivisionError(
             f"not invertible modulo x^{f.n}-1: shares factor {poly_to_text(g)}")

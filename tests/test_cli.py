@@ -367,6 +367,24 @@ def test_hex_modulus_above_the_degree_bound_is_named_as_written(capsys):
     assert err == f"normbase: modulus {modulus} does not have degree 16\n"
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["normal", "find", "--degree", "16", "--modulus", "0"], 16),
+    (["vector", "--degree", "8", "--modulus", "0x0", "--element", "0x1"], 8),
+], ids=["terms", "hex"])
+def test_zero_modulus_is_an_input_error(capsys, argv, n):
+    assert run(capsys, *argv) == (EX_INVALID, "", f"normbase: modulus 0 does not have degree {n}\n")
+
+
+def test_million_entry_vector_rejected_quickly(capsys):
+    # the message is the same at any speed: only the time shows that the vector is
+    # checked once and built in one pass (a quadratic build takes seconds)
+    vector = ",".join(["1", "0"] * 500_000)
+    start = time.perf_counter()
+    result = run(capsys, "prescribe", "--degree", "16", "--vector", vector)
+    assert time.perf_counter() - start < 1.5
+    assert result == (EX_INVALID, "", "normbase: vector length mismatch: 1000000 != 16\n")
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["field", "find", "--degree", "8"], EX_OK, ""),
     (["prescribe", "--degree", "16", "--vector", ",".join(["1"] + ["0"] * 15)], EX_INVALID,

@@ -255,6 +255,16 @@ def test_kernel_matches_naive_reference_random_moduli(spec, elements):
     _assert_kernel_matches_reference(spec, elements)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FieldSpec(16, 0), lambda: FieldSpec.parse(16, "0"), lambda: FieldSpec.parse(16, "0x0"),
+], ids=["int", "terms", "hex"])
+def test_zero_modulus_does_not_have_degree_n(make):
+    # the zero polynomial has no degree, so it fails the degree check like any wrong-degree modulus
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == "modulus 0 does not have degree 16"
+
+
 def test_hex_modulus_above_the_degree_bound_is_named_as_written():
     # rendering 10^6 hex digits term by term would take seconds and a 39 MB message
     text = "0x" + "F" * 10**6

@@ -294,7 +294,7 @@ def test_self_dual():
 
 
 def test_delta_of_wrong_relative_trace_is_an_implementation_bug(monkeypatch):
-    monkeypatch.setattr(normal, "elem_mul", lambda spec, a, b: 0)
+    monkeypatch.setattr(normal, "_picked_sum", lambda values, mask: 0)
     with pytest.raises(RuntimeError) as exc:
         normal._delta(FieldSpec.from_degree(12), 3)  # a fresh spec: nothing owned yet
     assert str(exc.value) == "relative trace of delta is not 1 (implementation bug)"

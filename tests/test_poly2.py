@@ -1,6 +1,7 @@
 """GF(2)[x] and cyclic-ring arithmetic."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,22 @@ def test_parse_poly_degree_bound():
     assert info.value.text == "x^10000000000+x+1"
     with pytest.raises(ValueError, match="duplicate"):  # the whole text is parsed first
         parse_poly("x^10000000000+x^10000000000", 16)
+
+
+def test_from_coeffs_builds_a_million_coefficients_quickly():
+    # the bits are the same at any speed: only the time shows the one-pass build
+    coeffs = [1, 0, 0] * 333_333 + [1]
+    start = time.perf_counter()
+    f = CyclicPoly.from_coeffs(coeffs)
+    assert time.perf_counter() - start < 1.5
+    assert f == CyclicPoly(10**6, ((1 << 3 * 333_334) - 1) // 7)  # bit i set iff 3 divides i
+
+
+@pytest.mark.parametrize("n, ring", [(1, "x+1"), (2, "x^2+1"), (7, "x^7+1"), (16, "x^16+1")])
+def test_zero_is_not_invertible(n, ring):
+    with pytest.raises(ZeroDivisionError) as exc:
+        cyclic_inv(CyclicPoly(n, 0))
+    assert str(exc.value) == f"not invertible modulo x^{n}-1: shares factor {ring}"
 
 
 def test_parse_vector():
