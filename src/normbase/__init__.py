@@ -32,7 +32,6 @@ from .field import (
 from .normal import (
     TraceVector,
     corresponding_vector,
-    corresponding_vector_in_subfield,
     find_normal,
     is_normal,
     vector_transform,

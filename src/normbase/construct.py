@@ -7,22 +7,24 @@ are known, the two rules applied to the vector's folds onto 2^s and m
 entries, reported as NECESSARY_ONLY.  prescribe runs the construction
 pipeline: pick a normal base element, invert its vector in the cyclic
 ring, factor the quotient as g * reciprocal(g), and apply g as a basis
-change.  prescribe_in_subfield runs that same pipeline in a GF(2^t)
-subfield.  Both start by default from the relative trace onto GF(2^t) of
-the scan's normal element (at t = n, that element itself); this base, its
-vector and the vector's inverse depend on the field alone, so they are
-computed once per spec and subfield degree and kept by the spec.  So is the
-basis change c -> sum c_i beta^(2^i): a GF(2)-linear map from the cyclic
-ring into the field, kept as its images, the t conjugates of beta.  A warm
-prescription then squares only in its closing vector check.
-compose multiplies prescriptions from the coprime 2-power and odd
+change.  prescribe_in_subfield runs the same pipeline in GF(2^t) on
+full-field vectors alone: for t | n, the vector of tau = Tr_{n|t}(A) is
+the fold f_A mod (x^t - 1), as entry i of the fold is
+Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
+So the base vector is the fold of f_beta for the scan's normal beta, and
+the result is the relative trace of the lift sum g_i beta^(2^i) (the lift
+itself at t = n).  The fold, its inverse and the basis change, kept as the
+t conjugates of beta, depend on the field alone, so the spec keeps them
+per t; a warm prescription then squares only to check and trace down its
+result.  compose multiplies prescriptions from the coprime 2-power and odd
 subfields; weight3 specializes composition to the minimum-weight vector
 available when 4 | n.
 
-The pipeline's closing check, vec == a for the returned element's
-recomputed vector, is the one verification of every element it returns,
-so it calls the bare solvers _solve_2power and _sqrt_odd, not the public
-factor_2power and factor_odd.  Their input checks are implied: a valid a
+The pipeline's closing check, vec == a for the fold of the lift's
+recomputed vector (by the identity, the returned element's vector), is
+the one verification of every element it returns, so it calls the bare
+solvers _solve_2power and _sqrt_odd, not the public factor_2power and
+factor_odd.  Their input checks are implied: a valid a
 is achievable (the paper's characterization, audited by the oracle), say
 by sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which
 lies in H for t = 2^s and is symmetric for odd t.  Their result check is
@@ -38,12 +40,7 @@ from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
 from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
-from .normal import (
-    TraceVector,
-    corresponding_vector,
-    corresponding_vector_in_subfield,
-    find_normal,
-)
+from .normal import TraceVector, corresponding_vector, find_normal
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,
@@ -172,8 +169,8 @@ def _require_valid(n: int, a: TraceVector) -> None:
 
 
 def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """A base beta normal in GF(2^t), its vector, the vector's inverse and its t conjugates."""
-    b = corresponding_vector_in_subfield(spec, beta, t)
+    """A normal beta, the vector of its trace onto GF(2^t), that vector's inverse, t conjugates."""
+    b = _fold(corresponding_vector(spec, beta), t)
     try:
         b_inv = cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
@@ -182,8 +179,8 @@ def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPo
 
 
 def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """_base of the relative trace onto GF(2^t) of the scan's normal element, kept per t."""
-    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, rel_trace(spec, find_normal(spec), t)))
+    """_base of the scan's normal element, kept per t."""
+    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec)))
 
 
 def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
@@ -191,12 +188,12 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     beta, b, b_inv, conjugates = base
     h = cyclic_mul(a, b_inv)
     g = _sqrt_odd(h) if t % 2 else _solve_2power(h)
-    alpha = _picked_sum(conjugates, g.bits)
-    vec = corresponding_vector_in_subfield(spec, alpha, t)
+    lift = _picked_sum(conjugates, g.bits)
+    vec = _fold(corresponding_vector(spec, lift), t)
     if vec != a:  # the one verification of the result; see the module docstring
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
-    return Prescription(spec, a, beta, b, b_inv, h, g, alpha, vec)
+    return Prescription(spec, a, beta, b, b_inv, h, g, rel_trace(spec, lift, t), vec)
 
 
 def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> Prescription:

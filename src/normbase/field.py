@@ -54,7 +54,10 @@ class FieldSpec:
 
     def __post_init__(self):
         _check_degree(self.n)
-        d = self.modulus.bit_length() - 1  # -1 for the zero polynomial
+        d = self.modulus.bit_length() - 1  # -1 for the zero polynomial; ignores the sign
+        if self.modulus < 0:  # above MAX_DEGREE by its hex digits, as below
+            shown = f"-{elem_to_hex(-self.modulus)}" if d > MAX_DEGREE else self.modulus
+            raise ValueError(f"modulus must be a nonnegative int, got {shown}")
         if d != self.n:  # above MAX_DEGREE by its hex digits: a term list grows with the degree
             shown = elem_to_hex(self.modulus) if d > MAX_DEGREE else poly_to_text(self.modulus)
             raise ValueError(f"modulus {shown} does not have degree {self.n}")

@@ -1,7 +1,9 @@
 import pytest
 
 from normbase import FieldSpec
-from normbase.field import frobenius
+from normbase.field import elem_mul, frobenius
+from normbase.oracle import _naive_square
+from normbase.poly2 import CyclicPoly
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,20 @@ def basis_change():
                 alpha ^= frobenius(spec, beta, i)
         return alpha
     return change
+
+
+@pytest.fixture(scope="session")
+def naive_subfield_vector():
+    """Length-t vector of alpha in GF(2^t): multiply, then trace as the sum of t conjugates."""
+    def vector(spec, alpha, t):
+        bits, conj = 0, alpha
+        for i in range(t):
+            y, tr = elem_mul(spec, alpha, conj), 0
+            for _ in range(t):
+                tr ^= y
+                y = _naive_square(spec, y)
+            assert tr in (0, 1)
+            bits |= tr << i
+            conj = _naive_square(spec, conj)
+        return CyclicPoly(t, bits)
+    return vector

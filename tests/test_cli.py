@@ -304,14 +304,14 @@ def test_parser_built_once_and_reused(capsys):
 def test_printed_element_vector_computed_once_per_verification(capsys, monkeypatch, argv, calls):
     run(capsys, *argv)  # warm-up: the find_normal scan may test the same element
     seen = []
-    original = normal.corresponding_vector_in_subfield
+    original = normal.corresponding_vector
 
-    def counting(spec, alpha, t):  # every vector computation goes through this body
+    def counting(spec, alpha):  # every vector computation goes through this body
         seen.append(alpha)
-        return original(spec, alpha, t)
+        return original(spec, alpha)
 
-    monkeypatch.setattr(normal, "corresponding_vector_in_subfield", counting)
-    monkeypatch.setattr(construct, "corresponding_vector_in_subfield", counting)
+    monkeypatch.setattr(normal, "corresponding_vector", counting)
+    monkeypatch.setattr(construct, "corresponding_vector", counting)
     code, out, _ = run(capsys, "--json", *argv)
     assert code == EX_OK
     assert seen.count(int(json.loads(out)["element"], 16)) == calls

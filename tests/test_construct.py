@@ -1,5 +1,6 @@
 """Vector validation and the end-to-end construction pipelines."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,12 +18,7 @@ from normbase.construct import (
     weight3,
 )
 from normbase.field import FieldSpec, frobenius, parse_elem
-from normbase.normal import (
-    corresponding_vector,
-    corresponding_vector_in_subfield,
-    find_normal,
-    is_normal,
-)
+from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import check_necessary, is_subfield_normal_by_rank
 from normbase.poly2 import (
     CyclicPoly,
@@ -164,37 +160,37 @@ def test_prescribe_in_subfield_at_top_equals_prescribe(f16):
     assert corresponding_vector(f16, alpha) == target
 
 
-def test_prescribe_in_subfield_length_four(f12):
+def test_prescribe_in_subfield_length_four(f12, naive_subfield_vector):
     target = CyclicPoly.from_coeffs([1, 1, 0, 1])
     alpha = prescribe_in_subfield(f12, 4, target)
     assert frobenius(f12, alpha, 4) == alpha
     assert is_subfield_normal_by_rank(f12, alpha, 4)
-    assert corresponding_vector_in_subfield(f12, alpha, 4) == target
+    assert naive_subfield_vector(f12, alpha, 4) == target
     # cross-check by exhausting the 16 subfield elements
     matches = [a for a in range(f12.order)
                if frobenius(f12, a, 4) == a
                and is_subfield_normal_by_rank(f12, a, 4)
-               and corresponding_vector_in_subfield(f12, a, 4) == target]
+               and naive_subfield_vector(f12, a, 4) == target]
     assert alpha in matches
 
 
-def test_prescribe_in_subfield_length_three(f12):
+def test_prescribe_in_subfield_length_three(f12, naive_subfield_vector):
     target = e0(3)
     alpha = prescribe_in_subfield(f12, 3, target)
     assert is_subfield_normal_by_rank(f12, alpha, 3)
-    assert corresponding_vector_in_subfield(f12, alpha, 3) == target
+    assert naive_subfield_vector(f12, alpha, 3) == target
     matches = [a for a in range(f12.order)
                if frobenius(f12, a, 3) == a
-               and corresponding_vector_in_subfield(f12, a, 3) == target]
+               and naive_subfield_vector(f12, a, 3) == target]
     assert matches and alpha in matches
 
 
-def test_prescribe_in_subfield_degenerate(f12):
+def test_prescribe_in_subfield_degenerate(f12, naive_subfield_vector):
     one = prescribe_in_subfield(f12, 1, CyclicPoly(1, 1))
     assert one == 1
     two = prescribe_in_subfield(f12, 2, CyclicPoly.from_coeffs([1, 0]))
     assert frobenius(f12, two, 2) == two
-    assert corresponding_vector_in_subfield(f12, two, 2) == CyclicPoly.from_coeffs([1, 0])
+    assert naive_subfield_vector(f12, two, 2) == CyclicPoly.from_coeffs([1, 0])
 
 
 def test_prescribe_in_subfield_rejects(f12):
@@ -264,11 +260,10 @@ def test_subfield_base_kept_per_degree(monkeypatch):
     spec = FieldSpec.from_degree(60)
     first = weight3(spec)
     calls = []
-    rel_trace, find_normal = construct.rel_trace, construct.find_normal
-    monkeypatch.setattr(construct, "rel_trace",
-                        lambda *args: calls.append("rel_trace") or rel_trace(*args))
-    monkeypatch.setattr(construct, "find_normal",
-                        lambda *args: calls.append("find_normal") or find_normal(*args))
+    for name in ("find_normal", "_base"):
+        real = getattr(construct, name)
+        monkeypatch.setattr(construct, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     assert weight3(spec) == first
     assert calls == []
 
@@ -326,6 +321,45 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
         monkeypatch.setattr(module, "_linear", counted)
     assert prescribe(spec, target) == first
     assert 0 < len(squarings) <= 64 // 2 + 1
+
+
+# ---- subfield results pinned ----
+
+# sha256 of _subfield_results(); a deliberate change to what the subfield
+# prescriptions, compose or weight3 return must update it
+SUBFIELD_RESULTS_SHA256 = "e521566b3057c7ecb70ed7634848215083870c1f0187561922a86ff862d01e08"
+
+
+def _seeded_valid_vector(rng, t):
+    while True:
+        a = CyclicPoly(t, rng.getrandbits(t))
+        a = CyclicPoly(t, a.bits | reciprocal(a).bits)  # symmetric
+        if validate_vector(t, a).status is Status.VALID:
+            return a
+
+
+def _subfield_results():
+    """Lines (n, modulus, t, a, element): every supported t < n, compose and each weight3 i0."""
+    for n in (12, 20, 24, 30, 36, 40, 60, 62):
+        s2, m = pow2_odd_split(n)
+        rng = random.Random(n)
+        for spec in (FieldSpec.from_degree(n), FieldSpec(n, _seeded_modulus(n))):
+            head = f"{n} {spec.modulus:#x}"
+            for t in range(1, n):
+                if n % t == 0 and (t % 2 or t & (t - 1) == 0):
+                    for a in (_seeded_valid_vector(rng, t) for _ in range(2)):
+                        yield f"{head} {t} {a} {prescribe_in_subfield(spec, t, a):#x}"
+            a, b = _seeded_valid_vector(rng, s2), _seeded_valid_vector(rng, m)
+            gamma, c = compose(spec, a, b)
+            yield f"{head} compose {a} {b} {gamma:#x} {c}"
+            for i0 in range(1, s2, 2) if n % 4 == 0 else ():
+                gamma, c = weight3(spec, i0)
+                yield f"{head} weight3 {i0} {gamma:#x} {c}"
+
+
+def test_subfield_results_pinned():
+    digest = hashlib.sha256("\n".join(_subfield_results()).encode()).hexdigest()
+    assert digest == SUBFIELD_RESULTS_SHA256
 
 
 # ---- each fact proved once: the pipeline's closing vector check ----
@@ -439,13 +473,12 @@ def test_reasons_at_n_equals_two():
 def test_compose_verification_failure_is_an_implementation_bug(capsys, monkeypatch):
     spec = FieldSpec.from_degree(12)
     a, b = CyclicPoly(4, 0b1011), CyclicPoly(3, 1)
-    original = construct.corresponding_vector
+    original = construct.elem_mul
 
-    def flipped(spec, alpha):  # a vector that disagrees with the product rule in bit 0
-        vec = original(spec, alpha)
-        return CyclicPoly(vec.n, vec.bits ^ 1)
+    def flipped(spec, x, y):  # gamma, the product of the two subfield prescriptions, plus g
+        return original(spec, x, y) ^ 0b10  # (gamma + 1 has gamma's vector when n is even)
 
-    monkeypatch.setattr(construct, "corresponding_vector", flipped)
+    monkeypatch.setattr(construct, "elem_mul", flipped)
     with pytest.raises(RuntimeError) as exc:
         compose(spec, a, b)
     assert str(exc.value) == "composed element fails verification (implementation bug)"

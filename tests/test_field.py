@@ -265,6 +265,22 @@ def test_zero_modulus_does_not_have_degree_n(make):
     assert str(exc.value) == "modulus 0 does not have degree 16"
 
 
+def test_negative_modulus_is_rejected_before_any_polynomial_work():
+    from test_acceptance import Budget
+    # the bit length ignores the sign, so this one has "degree 16" and once ran the
+    # irreducibility test without end
+    with Budget(1.0), pytest.raises(ValueError) as exc:
+        FieldSpec(16, -(1 << 16) - 0x2D)
+    assert str(exc.value) == "modulus must be a nonnegative int, got -65581"
+    for m in (-1, -5):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec(16, m)
+        assert str(exc.value) == f"modulus must be a nonnegative int, got {m}"
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(16, -(1 << 400000))  # above x^64 named by its hex digits, as for positive moduli
+    assert str(exc.value) == "modulus must be a nonnegative int, got -0x1" + "0" * 100000
+
+
 def test_hex_modulus_above_the_degree_bound_is_named_as_written():
     # rendering 10^6 hex digits term by term would take seconds and a 39 MB message
     text = "0x" + "F" * 10**6

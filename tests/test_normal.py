@@ -7,16 +7,10 @@ import weakref
 import pytest
 
 from normbase import normal
-from normbase.construct import compose, prescribe, weight3
+from normbase.construct import _fold, compose, prescribe, weight3
 from normbase.field import FieldSpec, elem_mul, frobenius, rel_trace
-from normbase.normal import (
-    corresponding_vector,
-    corresponding_vector_in_subfield,
-    find_normal,
-    is_normal,
-    vector_transform,
-)
-from normbase.oracle import _naive_square, is_subfield_normal_by_rank
+from normbase.normal import corresponding_vector, find_normal, is_normal, vector_transform
+from normbase.oracle import is_subfield_normal_by_rank
 from normbase.poly2 import CyclicPoly, is_symmetric, is_unit_mod_cyclic
 
 
@@ -120,9 +114,7 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     corresponding_vector(spec, element)
     prescribe(spec, CyclicPoly(21, 1))
     drawn = find_normal(spec, seed=7)
-    # n/t = 4 is even, so this vector needs an element of relative trace 1, kept by the spec
     sub = FieldSpec.from_degree(12)
-    corresponding_vector_in_subfield(sub, rel_trace(sub, find_normal(sub), 3), 3)
     # the subfield prescriptions keep one base per subfield degree on the spec
     weight3(sub)
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
@@ -199,68 +191,33 @@ def test_vector_transform_matches_field_computation(f12, basis_change):
         assert lhs == rhs
 
 
-def test_subfield_vector_matches_full_vector_at_top(f12):
-    rng = random.Random(9)
-    for _ in range(20):
-        a = rng.randrange(f12.order)
-        assert corresponding_vector_in_subfield(f12, a, 12) == corresponding_vector(f12, a)
-
-
-def test_subfield_vector_of_one(f12):
-    for t in (1, 2, 3, 4, 6):
-        v = corresponding_vector_in_subfield(f12, 1, t)
-        assert v == CyclicPoly(t, ((1 << t) - 1) if t % 2 else 0)
-
-
-def _naive_subfield_vector(spec, alpha, t):
-    # multiply, then take the GF(2^t)-trace as the sum of the first t conjugates
-    bits, conj = 0, alpha
-    for i in range(t):
-        y, tr = elem_mul(spec, alpha, conj), 0
-        for _ in range(t):
-            tr ^= y
-            y = _naive_square(spec, y)
-        assert tr in (0, 1)
-        bits |= tr << i
-        conj = _naive_square(spec, conj)
-    return CyclicPoly(t, bits)
-
-
 @pytest.mark.parametrize("n", list(range(2, 25)) + [36, 48, 60, 62])
-def test_subfield_vector_matches_naive_reference(n):
-    # every t | n, so both the odd and the even cofactors n/t are covered
+def test_subfield_vector_matches_naive_reference(n, naive_subfield_vector):
+    # the vector of Tr_{n|t}(A) is the fold of A's vector, for every t | n and any A,
+    # so both the odd and the even cofactors n/t are covered
     spec = FieldSpec.from_degree(n)
     rng = random.Random(n)
+    inputs = [0, 1, find_normal(spec)] + [rng.randrange(spec.order) for _ in range(3)]
     for t in (t for t in range(1, n + 1) if n % t == 0):
-        inputs = [0, 1, rel_trace(spec, find_normal(spec), t)]
-        inputs += [rel_trace(spec, rng.randrange(spec.order), t) for _ in range(3)]
         for a in inputs:
-            assert corresponding_vector_in_subfield(spec, a, t) == _naive_subfield_vector(spec, a, t)
-
-
-def test_subfield_vector_requires_membership(f12):
-    outside = next(a for a in range(f12.order) if frobenius(f12, a, 4) != a)
-    with pytest.raises(ValueError):
-        corresponding_vector_in_subfield(f12, outside, 4)
+            expected = naive_subfield_vector(spec, rel_trace(spec, a, t), t)
+            assert _fold(corresponding_vector(spec, a), t) == expected
 
 
 def test_traced_down_normal_element_has_valid_subfield_vector(f12):
     from normbase.construct import Status, validate_vector
-    delta = find_normal(f12)
-    alpha = rel_trace(f12, delta, 4)
-    v = corresponding_vector_in_subfield(f12, alpha, 4)
+    v = _fold(corresponding_vector(f12, find_normal(f12)), 4)  # the vector of its trace onto GF(2^4)
     assert is_unit_mod_cyclic(v)
     assert validate_vector(4, v).status is Status.VALID
     assert v == CyclicPoly.from_coeffs([1, 1, 0, 1])  # the unique valid length-4 vector
 
 
 def test_subfield_normality_tests_agree(f12):
-    # elements outside the subfield included: both tests say False for them
+    # exhaustive: the fold of A's vector is a unit exactly when Tr_{n|t}(A) is normal in GF(2^t)
     for t in (3, 4, 6):
         for a in range(f12.order):
-            production = (frobenius(f12, a, t) == a
-                          and is_unit_mod_cyclic(corresponding_vector_in_subfield(f12, a, t)))
-            assert production == is_subfield_normal_by_rank(f12, a, t)
+            production = is_unit_mod_cyclic(_fold(corresponding_vector(f12, a), t))
+            assert production == is_subfield_normal_by_rank(f12, rel_trace(f12, a, t), t)
 
 
 def test_trace_down_preserves_normality_exhaustive(f12, per_element):
@@ -291,10 +248,3 @@ def test_self_dual():
     assert corresponding_vector(spec3, 0).bits != 1
     spec4 = FieldSpec.from_degree(4)
     assert not any(corresponding_vector(spec4, a).bits == 1 for a in range(16))
-
-
-def test_delta_of_wrong_relative_trace_is_an_implementation_bug(monkeypatch):
-    monkeypatch.setattr(normal, "_picked_sum", lambda values, mask: 0)
-    with pytest.raises(RuntimeError) as exc:
-        normal._delta(FieldSpec.from_degree(12), 3)  # a fresh spec: nothing owned yet
-    assert str(exc.value) == "relative trace of delta is not 1 (implementation bug)"

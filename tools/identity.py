@@ -1,0 +1,165 @@
+"""Byte-identity sweep of the CLI: one sha256 per command group over a fixed, seeded corpus.
+
+Imports normbase from the source tree given by --src (default: this
+checkout's src) and runs cli.main in-process on every run of the corpus,
+hashing (argv, exit code, stdout, stderr) per group.  The corpus:
+
+- every element command (normal find, normal check, vector, prescribe,
+  compose, weight3) at each n <= 64, in both output forms;
+- compose and every weight3 i0 on the default and on a seeded modulus;
+- the golden --force-beta pow:1,126 run at n = 16;
+- small audits, and error cases (bad vectors, moduli, elements, degrees,
+  usage).
+
+To compare two trees, run it once on each and diff the outputs:
+
+    git worktree add ../parent HEAD~1
+    python tools/identity.py --src ../parent/src > parent.txt
+    python tools/identity.py > change.txt
+    diff parent.txt change.txt
+
+The vectors and moduli are drawn with the tree's own validate_vector and
+is_irreducible, so a tree that judges them differently changes the corpus,
+and its hashes, too.  A sweep of the 4,022 runs takes about 14 s on a
+2-core Xeon with Python 3.11, most of it the default-modulus scans at
+n = 31 and 63, which run there only for normal find and one prescription.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from pathlib import Path
+
+SLOW_SCAN = (31, 63)  # the default-modulus find_normal scan takes 0.4 s and 2 s there
+GOLDEN = ["prescribe", "--degree", "16", "--modulus", "0x1002D",
+          "--vector", "1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1", "--force-beta", "pow:1,126"]
+
+
+def _bits(v) -> str:
+    return ",".join(str(b) for b in v.coeffs())
+
+
+def _corpus(nb) -> dict[str, list[list[str]]]:
+    """Group name -> argv lists, one form each (the --json form is added by the caller)."""
+    CyclicPoly, pow2_odd_split = nb.poly2.CyclicPoly, nb.construct.pow2_odd_split
+    rng = random.Random(2013)
+
+    def symmetric(n):
+        a = CyclicPoly(n, rng.getrandbits(n))
+        return CyclicPoly(n, a.bits | nb.poly2.reciprocal(a).bits)
+
+    def accepted(n):
+        while True:
+            a = symmetric(n)
+            if nb.construct.validate_vector(n, a).status is not nb.construct.Status.INVALID:
+                return a
+
+    def seeded_modulus(n):
+        while not nb.poly2.is_irreducible(f := rng.randrange(1 << n, 1 << (n + 1))):
+            pass
+        return f"{f:#x}"
+
+    groups: dict[str, list[list[str]]] = {name: [] for name in (
+        "find", "check", "vector", "prescribe", "compose", "weight3", "force-beta", "audit",
+        "errors")}
+    for n in range(1, 65):
+        s2, m = pow2_odd_split(n)
+        degree = ["--degree", str(n)]
+        seeded = ["--modulus", seeded_modulus(n)]
+        groups["find"] += [["normal", "find", *degree], ["normal", "find", *degree, *seeded],
+                           ["normal", "find", *degree, "--seed", str(n)]]
+        elements = [f"0x{rng.getrandbits(n):X}" for _ in range(2)] + ["0x1", f"pow:1,{n + 1}"]
+        for mod in ([], seeded):
+            for command in (["normal", "check"], ["vector"]):
+                name = command[-1]
+                groups[name] += [[*command, *degree, *mod, "--element", e] for e in elements]
+            slow = n in SLOW_SCAN and not mod  # one prescription, no compose or weight3
+            targets = [accepted(n), symmetric(n), CyclicPoly(n, rng.getrandbits(n))]
+            groups["prescribe"] += [["prescribe", *degree, *mod, "--vector", _bits(a)]
+                                    for a in targets[:1 if slow else 3]]
+            if slow:
+                continue
+            groups["compose"].append(["compose", *degree, *mod, "--vector-pow2",
+                                      _bits(accepted(s2)), "--vector-odd", _bits(accepted(m))])
+            groups["weight3"] += [["weight3", *degree, *mod, "--i0", str(i0)]
+                                  for i0 in range(1, s2, 2) if n % 4 == 0]
+    groups["force-beta"] += [GOLDEN, GOLDEN[:-1] + ["0x1"], GOLDEN[:-1] + ["0x0"],
+                             GOLDEN[:-1] + ["pow:3"], GOLDEN[:-1] + ["0x10000"]]
+    modes = ("characterization", "factorization", "necessary", "selfdual")
+    groups["audit"] += [["audit", "--degree", str(n), "--mode", mode]
+                        for n in range(1, 13) for mode in modes]
+    groups["audit"] += [["audit", "--degree", str(n), "--mode", mode]
+                        for n in (21, 40, 64) for mode in modes]
+    groups["audit"].append(["audit", "--degree", "8", "--modulus", "0x11B", "--mode", "selfdual"])
+    groups["errors"] += [
+        ["prescribe", "--degree", "16", "--vector", "1,0,0"],
+        ["prescribe", "--degree", "16", "--vector", "1," + "0," * 14 + "0"],
+        ["prescribe", "--degree", "16", "--vector", "1,2" + ",0" * 14],
+        ["prescribe", "--degree", "16", "--vector", ""],
+        ["prescribe", "--degree", "12", "--vector", "1,0,0,1,0,0,0,0,0,1,0,0"],
+        ["prescribe", "--degree", "16", "--modulus", "0x10001", "--vector", "1" + ",0" * 15],
+        ["prescribe", "--degree", "16", "--modulus", "x^100000000+1", "--vector", "1"],
+        ["prescribe", "--degree", "16", "--modulus", "", "--vector", "1"],
+        ["compose", "--degree", "12", "--vector-pow2", "1,0,0", "--vector-odd", "1,1,0,1"],
+        ["compose", "--degree", "12", "--vector-pow2", "1,0,0,0", "--vector-odd", "1,0,0"],
+        ["compose", "--degree", "12", "--vector-pow2", "1,1,0,1", "--vector-odd", "1,1,1"],
+        ["weight3", "--degree", "6"], ["weight3", "--degree", "16", "--i0", "2"],
+        ["weight3", "--degree", "16", "--i0", "17"], ["weight3", "--degree", "16", "--i0", "-1"],
+        ["normal", "check", "--degree", "8", "--element", "0x100"],
+        ["normal", "check", "--degree", "8", "--element", "pow:-1"],
+        ["normal", "check", "--degree", "8", "--element", "12"],
+        ["vector", "--degree", "8", "--modulus", "0", "--element", "0x1"],
+        ["vector", "--degree", "8", "--modulus", "0x0", "--element", "0x1"],
+        ["vector", "--degree", "8", "--modulus", "x^8+1", "--element", "0x1"],
+        ["vector", "--degree", "0", "--element", "0x1"],
+        ["vector", "--degree", "65", "--element", "0x1"],
+        ["normal", "find", "--degree", "-3"], ["field", "find", "--degree", "99"],
+        ["audit", "--degree", "32", "--mode", "characterization"],
+        ["audit", "--degree", "8", "--mode", "nope"],
+        ["frobnicate"], ["normal"], ["prescribe", "--degree", "16"], ["--help"],
+    ]
+    return groups
+
+
+def _run(main, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error exits from the parser
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory that holds the normbase package (default: ./src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import normbase.cli as cli  # from --src, inserted first
+    import normbase as nb
+
+    print(f"normbase from {Path(nb.__file__).parent}", file=sys.stderr)
+    total, runs = hashlib.sha256(), 0
+    print(f"{'group':12} {'runs':>5}  sha256")
+    for name, group in _corpus(nb).items():
+        h = hashlib.sha256()
+        for run in group:
+            for form in ([], ["--json"]):
+                record = repr((form + run, *_run(cli.main, form + run))).encode()
+                h.update(record)
+                total.update(record)
+        runs += 2 * len(group)
+        print(f"{name:12} {2 * len(group):5}  {h.hexdigest()}")
+    print(f"{'all':12} {runs:5}  {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
