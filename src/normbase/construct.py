@@ -118,7 +118,7 @@ def _odd_rule(a: TraceVector) -> list[tuple[str, bool]]:
 
 def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
     """a mod (x^k - 1), for k dividing a.n: entry j sums the a_i with i = j mod k."""
-    return CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
+    return a if k == a.n else CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
 
 
 def validate_vector(n: int, a: TraceVector) -> Verdict:

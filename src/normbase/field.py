@@ -6,13 +6,14 @@ immutable FieldSpec context is passed explicitly to every operation, so
 elements stay compact and specs can be shared freely across threads.
 
 Squaring and the trace form are GF(2)-linear (Lidl & Niederreiter, Finite
-Fields, ch. 2), so each spec owns a kernel of byte tables, built on first
-use and freed with the spec: the squaring map (images g^(2j), by shifting
+Fields, ch. 2), so each spec owns a kernel of byte tables, built with the
+spec and freed with it: the squaring map (images g^(2j), by shifting
 and reducing) and the Gram matrix of the trace form (x, y) -> Tr(xy),
 whose row j, bit k is Tr(g^(j+k)).  The traces p_m = Tr(g^m), m < 2n - 1,
 the power sums of the modulus's roots, are the coefficients of z F'(z)/F(z)
 for the reversed modulus F; the trace mask is their low n bits.  Public
 functions validate their elements; the inner loops apply the tables directly.
+A spec certifies its modulus by Rabin's test on those tables (_is_certified).
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -21,13 +22,12 @@ sum "pow:1,126" meaning g^1 + g^126.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .poly2 import (
     DegreeBoundError,
     find_irreducible,
-    is_irreducible,
     parse_poly,
+    poly_gcd,
     poly_mod,
     poly_mul,
     poly_to_text,
@@ -41,13 +41,9 @@ def _check_degree(n: int):
         raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {n}")
 
 
-# n -> find_irreducible(n), which from_degree need not test again; at most MAX_DEGREE entries
-_found: dict[int, int] = {}
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^n) defined by an irreducible degree-n modulus."""
+    """GF(2^n) defined by a degree-n modulus that Rabin's test certifies irreducible."""
 
     n: int
     modulus: int
@@ -61,15 +57,17 @@ class FieldSpec:
         if d != self.n:  # above MAX_DEGREE by its hex digits: a term list grows with the degree
             shown = elem_to_hex(self.modulus) if d > MAX_DEGREE else poly_to_text(self.modulus)
             raise ValueError(f"modulus {shown} does not have degree {self.n}")
-        if _found.get(self.n) != self.modulus and not is_irreducible(self.modulus):
+        # object.__setattr__ keeps attribute reads fast, where a __dict__ write (as by
+        # cached_property) makes them all slower; eq and hash still see only n and modulus
+        object.__setattr__(self, "_kernel", _Kernel(self.n, self.modulus))
+        if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
     @classmethod
     def from_degree(cls, n: int) -> "FieldSpec":
         """Field with the smallest-encoding irreducible modulus (deterministic)."""
         _check_degree(n)  # before the modulus search, whose cost grows with n
-        _found[n] = find_irreducible(n)
-        return cls(n, _found[n])
+        return cls(n, find_irreducible(n))
 
     @classmethod
     def parse(cls, n: int, text: str) -> "FieldSpec":
@@ -93,11 +91,6 @@ class FieldSpec:
         """The element x mod modulus (the adjoined root g)."""
         return poly_mod(2, self.modulus)
 
-    @cached_property
-    def _kernel(self) -> "_Kernel":
-        # kept in this spec's own __dict__; eq and hash still see only n and modulus
-        return _Kernel(self.n, self.modulus)
-
 
 def _byte_tables(images: list[int]) -> list[list[int]]:
     """Byte-indexed tables of the GF(2)-linear map that sends bit j to images[j]."""
@@ -117,6 +110,20 @@ def _linear(tables: list[list[int]], a: int) -> int:
         out ^= table[a & 0xFF]
         a >>= 8
     return out
+
+
+def _is_certified(spec: FieldSpec) -> bool:
+    """Rabin's test: f of degree n is irreducible iff x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x,
+    f) = 1 for each prime p | n (Rabin 1980; Gao & Panario 1997).  The modulus search keeps
+    poly2's Ben-Or test instead, as its early exit on small factors suits candidates."""
+    n, x = spec.n, spec.generator
+    steps = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+    h, square = x, spec._kernel.square
+    for i in range(1, n + 1):
+        h = _linear(square, h)
+        if i in steps and poly_gcd(h ^ x, spec.modulus) != 1:
+            return False
+    return h == x
 
 
 class _Kernel:
@@ -149,15 +156,14 @@ class _Kernel:
 
 
 def _owned(spec: FieldSpec, key: str, build):
-    """build() once per spec, kept like _kernel in the spec's own __dict__ and freed with it.
+    """build() once per spec, kept like _kernel as a spec attribute and freed with it.
 
     For values the layers above field derive from the field alone.  Threads
     that race here each build the same value, and one of them is kept.
     """
-    owned = vars(spec)
-    if key not in owned:
-        owned[key] = build()
-    return owned[key]
+    if not hasattr(spec, key):
+        object.__setattr__(spec, key, build())
+    return getattr(spec, key)
 
 
 def _check_elem(spec: FieldSpec, a: int):
@@ -234,7 +240,7 @@ def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     _check_elem(spec, a)
     _check_divisor(spec, t)
     count = spec.n // t
-    return _picked_sum(_conjugates(spec, a, count, t), (1 << count) - 1)
+    return a if count == 1 else _picked_sum(_conjugates(spec, a, count, t), (1 << count) - 1)
 
 
 def parse_elem(spec: FieldSpec, text: str) -> int:

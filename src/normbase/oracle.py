@@ -6,17 +6,17 @@ path uses; the two are compared in tests, so theorem audits stay
 non-circular; vectors are computed naively, multiply then trace, all n
 entries.  The oracle has its own naive square (spread the bits, then
 reduce) and its own trace mask (each Tr(g^i) a sum of n naive conjugates),
-and takes nothing from the field kernel (_Kernel).  Squaring is
-GF(2)-linear, so an enumeration squares with byte tables whose images are
-the naive squares of the basis monomials g^j, built once per call.  The
-generic field helpers _byte_tables and _linear only tabulate and apply the
-images they are given and compute none, so a wrong kernel table still
-cannot reach an audit.  The
-subfield construction is the same pipeline as the full-field one, and is
-audited by the same rank test on the first t conjugates.  The enumeration
-decides each Frobenius orbit once: conjugates share normality and the
-vector, so one rank test and one vector stand for the orbit's n elements,
-and the audits count per element.
+and reads nothing from the field kernel (_Kernel), which the spec uses
+only to certify its modulus.  Squaring is GF(2)-linear, so an enumeration
+squares with byte tables whose images are the naive squares of the basis
+monomials g^j, built once per call.  The generic field helpers
+_byte_tables and _linear only tabulate and apply the images they are given
+and compute none, so a wrong kernel table can reach an audit only through
+that certification.  The subfield construction is the same pipeline as the
+full-field one, and is audited by the same rank test on the first t
+conjugates.  The enumeration decides each Frobenius orbit once: conjugates
+share normality and the vector, so one rank test and one vector stand for
+the orbit's n elements, and the audits count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
 and the trace are both GF(2)-linear, so Tr(e*c) is the sum of

@@ -82,7 +82,9 @@ def is_irreducible(f: int) -> bool:
     f of degree n is irreducible iff gcd(x^(2^i) - x, f) = 1 for every
     i <= n/2 (Ben-Or 1981; Gao & Panario, "Tests and constructions of
     irreducible polynomials over finite fields", 1997).  A reducible f with
-    a small factor is rejected early.  Constants are not irreducible.
+    a small factor is rejected early, which keeps find_irreducible's search
+    fast; FieldSpec certifies its modulus by Rabin's test on its squaring
+    tables instead.  Constants are not irreducible.
     """
     n = degree(f)
     if n is None or n < 1:

@@ -1,5 +1,7 @@
 """GF(2^n) arithmetic, Frobenius, traces, subfields."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -18,7 +20,14 @@ from normbase.field import (
 )
 from normbase.normal import corresponding_vector
 from normbase.oracle import _naive_square, _naive_trace_mask
-from normbase.poly2 import CyclicPoly, find_irreducible, is_irreducible
+from normbase.poly2 import (
+    CyclicPoly,
+    find_irreducible,
+    is_irreducible,
+    poly_mod,
+    poly_mul,
+    poly_to_text,
+)
 
 
 def test_spec_rejects_bad_moduli():
@@ -35,17 +44,52 @@ def test_spec_from_degree_deterministic():
     assert FieldSpec.from_degree(2).modulus == 0b111
 
 
-def test_found_modulus_is_tested_once(monkeypatch):
-    # find_irreducible has just proved its result irreducible
-    calls = []
-    monkeypatch.setattr(field, "is_irreducible", lambda f: calls.append(f) or is_irreducible(f))
-    spec = FieldSpec.from_degree(40)
-    assert spec.modulus == find_irreducible(40) and calls == []
-    assert FieldSpec(40, spec.modulus) == spec and calls == []
-    reducible = spec.modulus ^ 1  # x divides it
-    with pytest.raises(ValueError, match=r"^modulus .* is reducible$"):
-        FieldSpec(40, reducible)
-    assert calls == [reducible]
+def test_from_degree_certifies_the_found_modulus(monkeypatch):
+    # the search's result is certified like a given modulus, so a faulty search cannot slip by
+    reducible = find_irreducible(40) ^ 1  # x divides it
+    monkeypatch.setattr(field, "find_irreducible", lambda n: reducible)
+    with pytest.raises(ValueError) as exc:
+        FieldSpec.from_degree(40)
+    assert str(exc.value) == f"modulus {poly_to_text(reducible)} is reducible"
+
+
+def _accepts(n, f):
+    try:
+        FieldSpec(n, f)
+    except ValueError as e:
+        assert str(e) == f"modulus {poly_to_text(f)} is reducible"
+        return False
+    return True
+
+
+def test_certification_matches_trial_division_exhaustively():
+    from test_poly2 import _is_irreducible_brute
+    for n in range(1, 13):
+        for f in range(1 << n, 1 << (n + 1)):
+            assert _accepts(n, f) == _is_irreducible_brute(f), poly_to_text(f)
+
+
+def test_only_the_gcd_rejects_a_product_of_irreducibles_of_degree_n_over_p():
+    from test_acceptance import Budget
+    # p distinct irreducibles of degree n/p: x^(2^n) = x mod their product f, and the gcd
+    # at step n/p is the only one that sees a factor of f
+    cases = []
+    with Budget(10.0):
+        for n in range(2, 65):
+            for p in (q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))):
+                d = n // p
+                irreducibles = (g for g in range(1 << d, 1 << (d + 1)) if is_irreducible(g))
+                factors = list(itertools.islice(irreducibles, p))
+                if len(factors) < p:
+                    continue
+                f = functools.reduce(poly_mul, factors)
+                h = 2
+                for _ in range(n):
+                    h = poly_mod(poly_mul(h, h), f)
+                assert h == 2
+                assert not _accepts(n, f)
+                cases.append((n, p))
+    assert (64, 2) in cases and (12, 3) in cases and len(cases) == 61, cases
 
 
 def test_spec_parse():
