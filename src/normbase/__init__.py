@@ -30,7 +30,6 @@ from .field import (
     rel_trace,
 )
 from .normal import (
-    TraceVector,
     corresponding_vector,
     find_normal,
     is_normal,

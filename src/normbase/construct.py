@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
 from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
-from .normal import TraceVector, corresponding_vector, find_normal
+from .normal import corresponding_vector, find_normal
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,
@@ -97,7 +97,7 @@ def pow2_odd_split(n: int) -> tuple[int, int]:
 _SYMMETRIC = "symmetric (a[i] = a[n-i])"
 
 
-def _pow2_rule(a: TraceVector) -> list[tuple[str, bool]]:
+def _pow2_rule(a: CyclicPoly) -> list[tuple[str, bool]]:
     """The characterization for a.n = 2^s, as (description, passed) pairs."""
     n = a.n
     checks = [("a[0] = 1", a.coeff(0) == 1)]
@@ -109,7 +109,7 @@ def _pow2_rule(a: TraceVector) -> list[tuple[str, bool]]:
     return checks
 
 
-def _odd_rule(a: TraceVector) -> list[tuple[str, bool]]:
+def _odd_rule(a: CyclicPoly) -> list[tuple[str, bool]]:
     """The characterization for odd a.n, as (description, passed) pairs."""
     g = poly_gcd(a.bits, ring_modulus(a.n)) if a.bits else 0  # 0: a itself is zero
     note = "" if g == 1 else f" (common factor {poly_to_text(g) if g else 'zero polynomial'})"
@@ -121,7 +121,7 @@ def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
     return a if k == a.n else CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
 
 
-def validate_vector(n: int, a: TraceVector) -> Verdict:
+def validate_vector(n: int, a: CyclicPoly) -> Verdict:
     """Decide whether a length-n vector corresponds to some normal element.
 
     Returns VALID/INVALID where a full characterization exists (n a power
@@ -152,17 +152,17 @@ class Prescription:
     """All intermediate values of one prescription run."""
 
     spec: FieldSpec
-    target: TraceVector
+    target: CyclicPoly
     base: int                       # the normal element the pipeline starts from
     base_vector: CyclicPoly
     base_vector_inverse: CyclicPoly
     quotient: CyclicPoly            # target * base_vector_inverse in the cyclic ring
     change: CyclicPoly              # basis-change coefficients (the factor g)
     element: int
-    vector: TraceVector             # recomputed from element; equals target
+    vector: CyclicPoly              # recomputed from element; equals target
 
 
-def _require_valid(n: int, a: TraceVector) -> None:
+def _require_valid(n: int, a: CyclicPoly) -> None:
     verdict = validate_vector(n, a)
     if verdict.status is not Status.VALID:
         raise InvalidVectorError(verdict)
@@ -183,7 +183,7 @@ def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly,
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec)))
 
 
-def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
+def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, base) -> Prescription:
     """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a _base result."""
     beta, b, b_inv, conjugates = base
     h = cyclic_mul(a, b_inv)
@@ -196,7 +196,7 @@ def _pipeline(spec: FieldSpec, t: int, a: TraceVector, base) -> Prescription:
     return Prescription(spec, a, beta, b, b_inv, h, g, rel_trace(spec, lift, t), vec)
 
 
-def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> Prescription:
+def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> Prescription:
     """Run the full prescription pipeline, keeping every intermediate value.
 
     beta pins the starting normal element (it must be normal);
@@ -215,12 +215,12 @@ def prescribe_steps(spec: FieldSpec, a: TraceVector, beta: int | None = None) ->
     return _pipeline(spec, n, a, base)
 
 
-def prescribe(spec: FieldSpec, a: TraceVector, beta: int | None = None) -> int:
+def prescribe(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> int:
     """A normal element whose corresponding vector equals a (n = 2^s >= 4 or odd)."""
     return prescribe_steps(spec, a, beta).element
 
 
-def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
+def prescribe_in_subfield(spec: FieldSpec, t: int, a: CyclicPoly) -> int:
     """A GF(2^t)-subfield element, normal there, with subfield vector a.
 
     Supports t = 2^s >= 4, t odd, and the degenerate t = 1, 2 (where the
@@ -235,7 +235,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: TraceVector) -> int:
     return _pipeline(spec, t, a, _default_base(spec, t)).element
 
 
-def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, TraceVector]:
+def compose(spec: FieldSpec, a: CyclicPoly, b: CyclicPoly) -> tuple[int, CyclicPoly]:
     """Multiply prescriptions from the coprime 2-power and odd subfields.
 
     With n = 2^s * m (m odd), a prescribes the GF(2^(2^s)) part and b the
@@ -256,7 +256,7 @@ def compose(spec: FieldSpec, a: TraceVector, b: TraceVector) -> tuple[int, Trace
     return gamma, c
 
 
-def weight3(spec: FieldSpec, i0: int = 1) -> tuple[int, TraceVector]:
+def weight3(spec: FieldSpec, i0: int = 1) -> tuple[int, CyclicPoly]:
     """A normal element whose vector has Hamming weight exactly 3 (4 | n).
 
     The 2-power part vector puts ones at {0, i0, 2^s - i0} for odd i0; the

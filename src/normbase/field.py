@@ -6,14 +6,15 @@ immutable FieldSpec context is passed explicitly to every operation, so
 elements stay compact and specs can be shared freely across threads.
 
 Squaring and the trace form are GF(2)-linear (Lidl & Niederreiter, Finite
-Fields, ch. 2), so each spec owns a kernel of byte tables, built with the
-spec and freed with it: the squaring map (images g^(2j), by shifting
-and reducing) and the Gram matrix of the trace form (x, y) -> Tr(xy),
-whose row j, bit k is Tr(g^(j+k)).  The traces p_m = Tr(g^m), m < 2n - 1,
-the power sums of the modulus's roots, are the coefficients of z F'(z)/F(z)
-for the reversed modulus F; the trace mask is their low n bits.  Public
-functions validate their elements; the inner loops apply the tables directly.
-A spec certifies its modulus by Rabin's test on those tables (_is_certified).
+Fields, ch. 2), so a spec keeps their byte tables, freed with it.  The
+squaring map (images g^(2j), by shifting and reducing) is built with the
+spec, which certifies its modulus by Rabin's test on it (_is_certified).  The
+trace form is built on its first read (_trace_form): the traces
+p_m = Tr(g^m), m < 2n - 1, the power sums of the modulus's roots, are the
+coefficients of z F'(z)/F(z) for the reversed modulus F; the trace mask is
+their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
+Tr(g^(j+k)).  Public functions validate their elements; the inner loops
+apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -57,9 +58,15 @@ class FieldSpec:
         if d != self.n:  # above MAX_DEGREE by its hex digits: a term list grows with the degree
             shown = elem_to_hex(self.modulus) if d > MAX_DEGREE else poly_to_text(self.modulus)
             raise ValueError(f"modulus {shown} does not have degree {self.n}")
-        # object.__setattr__ keeps attribute reads fast, where a __dict__ write (as by
-        # cached_property) makes them all slower; eq and hash still see only n and modulus
-        object.__setattr__(self, "_kernel", _Kernel(self.n, self.modulus))
+        images, x = [], 1
+        for _ in range(self.n):
+            images.append(x)
+            x <<= 2
+            if x >> (self.n + 1) & 1:
+                x ^= self.modulus << 1
+            if x >> self.n & 1:
+                x ^= self.modulus
+        object.__setattr__(self, "_square", _byte_tables(images))
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -117,49 +124,41 @@ def _is_certified(spec: FieldSpec) -> bool:
     f) = 1 for each prime p | n (Rabin 1980; Gao & Panario 1997).  The modulus search keeps
     poly2's Ben-Or test instead, as its early exit on small factors suits candidates."""
     n, x = spec.n, spec.generator
-    steps = {n // p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
-    h, square = x, spec._kernel.square
-    for i in range(1, n + 1):
-        h = _linear(square, h)
-        if i in steps and poly_gcd(h ^ x, spec.modulus) != 1:
-            return False
-    return h == x
+    h = _conjugates(spec, x, n + 1)
+    primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+    return h[n] == x and all(poly_gcd(h[n // p] ^ x, spec.modulus) == 1 for p in primes)
 
 
-class _Kernel:
-    """A field's trace mask and the byte tables of its squaring map and trace form."""
+def _form_tables(n: int, traces: int) -> list[list[int]]:
+    """Byte tables of e -> w_e, bit j sent to (traces >> j) & (2^n - 1): Tr(e*c) = parity(c & w_e)."""
+    full = (1 << n) - 1
+    return _byte_tables([(traces >> j) & full for j in range(n)])
 
-    __slots__ = ("trace_mask", "square", "gram")
 
-    def __init__(self, n: int, modulus: int):
+def _trace_form(spec: FieldSpec) -> tuple[int, list[list[int]]]:
+    """The trace mask and the Gram tables, built on the first read and kept by the spec."""
+    def build():
         # bit m of seq is p_m = Tr(g^m), m >= 1 the coefficient of z^m in z F'(z)/F(z),
         # F(z) = z^n modulus(1/z) with constant term 1; z F'(z) is F's odd-degree terms
-        reverse = int(f"{modulus:0{n + 1}b}"[::-1], 2)
+        n = spec.n
+        reverse = int(f"{spec.modulus:0{n + 1}b}"[::-1], 2)
         rest = reverse & int("10" * (n // 2 + 1), 2)
         seq = n & 1  # p_0 = Tr(1)
         for m in range(1, 2 * n - 1):  # long division by F, one quotient bit per step
             if rest >> m & 1:
                 seq |= 1 << m
                 rest ^= reverse << m
-        full = (1 << n) - 1
-        self.trace_mask = seq & full
-        self.gram = _byte_tables([(seq >> j) & full for j in range(n)])
-        images, x = [], 1
-        for _ in range(n):
-            images.append(x)
-            x <<= 2
-            if x >> (n + 1) & 1:
-                x ^= modulus << 1
-            if x >> n & 1:
-                x ^= modulus
-        self.square = _byte_tables(images)
+        return seq & ((1 << n) - 1), _form_tables(n, seq)
+    return _owned(spec, "_trace", build)
 
 
 def _owned(spec: FieldSpec, key: str, build):
-    """build() once per spec, kept like _kernel as a spec attribute and freed with it.
+    """build() once per spec, kept as a spec attribute and freed with it.
 
-    For values the layers above field derive from the field alone.  Threads
-    that race here each build the same value, and one of them is kept.
+    For values derived from the field alone.  object.__setattr__ keeps
+    attribute reads fast, where a __dict__ write (as by cached_property)
+    makes them all slower; eq and hash still see only n and modulus.
+    Threads that race here each build the same value, and one of them is kept.
     """
     if not hasattr(spec, key):
         object.__setattr__(spec, key, build())
@@ -197,7 +196,7 @@ def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
     while e:
         if e & 1:
             result = elem_mul(spec, result, a)
-        a = _linear(spec._kernel.square, a)
+        a = _linear(spec._square, a)
         e >>= 1
     return result
 
@@ -208,15 +207,12 @@ def frobenius(spec: FieldSpec, a: int, k: int) -> int:
     The square of a is frobenius(spec, a, 1); a lies in GF(2^t) iff frobenius(spec, a, t) == a.
     """
     _check_elem(spec, a)
-    square = spec._kernel.square
-    for _ in range(k % spec.n):
-        a = _linear(square, a)
-    return a
+    return _conjugates(spec, a, 2, k % spec.n)[1]
 
 
 def _conjugates(spec: FieldSpec, a: int, count: int, step: int = 1) -> list[int]:
     """The first count >= 1 of a, a^(2^step), a^(2^(2*step)), ..."""
-    square = spec._kernel.square
+    square = spec._square
     out = [a]
     for _ in range(count - 1):
         for _ in range(step):

@@ -20,26 +20,23 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .field import FieldSpec, _check_elem, _linear, _owned
+from .field import FieldSpec, _check_elem, _linear, _owned, _trace_form
 from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
-
-# a trace vector is positionally identified with a cyclic-ring polynomial
-TraceVector = CyclicPoly
 
 # trace-one candidates the deterministic scan tests before it falls back to
 # the seeded draw; every n <= 64 but 63 is served within 16,385 (n = 31)
 SCAN_CAP = 1 << 15
 
 
-def corresponding_vector(spec: FieldSpec, alpha: int) -> TraceVector:
+def corresponding_vector(spec: FieldSpec, alpha: int) -> CyclicPoly:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
     _check_elem(spec, alpha)
-    kernel = spec._kernel
-    w = _linear(kernel.gram, alpha)  # w_k = Tr(alpha * g^k)
+    square = spec._square
+    w = _linear(_trace_form(spec)[1], alpha)  # w_k = Tr(alpha * g^k)
     conj = alpha
     bits = (alpha & w).bit_count() & 1
     for i in range(1, spec.n // 2 + 1):
-        conj = _linear(kernel.square, conj)
+        conj = _linear(square, conj)
         bits |= ((conj & w).bit_count() & 1) << i
     return CyclicPoly(spec.n, bits | reciprocal(CyclicPoly(spec.n, bits)).bits)
 
@@ -53,7 +50,7 @@ def _scan(spec: FieldSpec) -> int:
     # a normal element has trace 1, so encodings below the lowest
     # trace-one basis monomial can be skipped wholesale (the ascending
     # order of candidates actually tested is unchanged)
-    mask = spec._kernel.trace_mask
+    mask = _trace_form(spec)[0]
     candidates = (a for a in range(mask & -mask, spec.order) if (a & mask).bit_count() & 1)
     for a in islice(candidates, SCAN_CAP):
         if is_normal(spec, a):

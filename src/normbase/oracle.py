@@ -6,17 +6,18 @@ path uses; the two are compared in tests, so theorem audits stay
 non-circular; vectors are computed naively, multiply then trace, all n
 entries.  The oracle has its own naive square (spread the bits, then
 reduce) and its own trace mask (each Tr(g^i) a sum of n naive conjugates),
-and reads nothing from the field kernel (_Kernel), which the spec uses
-only to certify its modulus.  Squaring is GF(2)-linear, so an enumeration
-squares with byte tables whose images are the naive squares of the basis
-monomials g^j, built once per call.  The generic field helpers
-_byte_tables and _linear only tabulate and apply the images they are given
-and compute none, so a wrong kernel table can reach an audit only through
-that certification.  The subfield construction is the same pipeline as the
-full-field one, and is audited by the same rank test on the first t
-conjugates.  The enumeration decides each Frobenius orbit once: conjugates
-share normality and the vector, so one rank test and one vector stand for
-the orbit's n elements, and the audits count per element.
+and reads none of the spec's tables: neither its squaring tables, which the
+spec uses only to certify its modulus, nor its trace form.  Squaring is
+GF(2)-linear, so an enumeration squares with byte tables whose images are
+the naive squares of the basis monomials g^j, built once per call.  The
+generic field helpers _byte_tables, _form_tables and _linear only tabulate
+and apply the values they are given and compute none, so a wrong spec table
+can reach an audit only through that certification.  The subfield
+construction is the same pipeline as the full-field one, and is audited by
+the same rank test on the first t conjugates.  The enumeration decides each
+Frobenius orbit once: conjugates share normality and the vector, so one
+rank test and one vector stand for the orbit's n elements, and the audits
+count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
 and the trace are both GF(2)-linear, so Tr(e*c) is the sum of
@@ -26,13 +27,13 @@ naive trace mask once per enumeration.  Grouped by the bits of c, Tr(e*c)
 is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1) over
 the set bits j of e.  w_e is linear in e, so those n images are tabulated
 once per call and one _linear lookup per orbit gives all n entries.  The
-oracle shares with the kernel only that identity, not its coefficients: T
-comes from naive conjugate sums and poly_mod, never from _Kernel.  The low
-n bits of T give Tr(e), the sum of the n conjugates of e, as the parity of
-e & T.  When it is 0 the conjugates are linearly dependent, so e is never
-walked: the visited map starts with every such e marked, built from those
-n bits in n doublings, and bytearray.find jumps to the next element to
-decide.  That is a rank fact, not the gcd criterion.  Every other
+oracle shares with the field's trace form only that identity and its
+tabulation (_form_tables), not its coefficients: T comes from naive
+conjugate sums and poly_mod, never from the spec.  The low n bits of T
+give Tr(e), the sum of the n conjugates of e, as the parity of e & T.
+When it is 0 the conjugates are linearly dependent, so e is never walked:
+the visited map starts with every such e marked, built from those n bits
+in n doublings, and bytearray.find jumps to the next element to decide.  That is a rank fact, not the gcd criterion.  Every other
 full-length orbit gets its vector first, and Gaussian rank decides it
 whenever the caller still reads that vector: every orbit for
 check_necessary, only a vector not yet found for achievable_vectors, only
@@ -54,7 +55,7 @@ from typing import Callable, Iterator
 
 from .construct import Status, pow2_odd_split, validate_vector
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
-from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
+from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _form_tables, _linear
 from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
@@ -95,12 +96,6 @@ def _monomial_traces(spec: FieldSpec) -> int:
     for k in range(2 * spec.n - 1):
         traces |= ((poly_mod(1 << k, spec.modulus) & mask).bit_count() & 1) << k
     return traces
-
-
-def _trace_form(n: int, traces: int) -> list[list[int]]:
-    """Byte tables of e -> w_e, bit j sent to (traces >> j) & (2^n - 1): Tr(e*c) = parity(c & w_e)."""
-    full = (1 << n) - 1
-    return _byte_tables([(traces >> j) & full for j in range(n)])
 
 
 def _square_tables(spec: FieldSpec) -> list[list[int]]:
@@ -178,7 +173,7 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[CyclicPoly], bool] = lam
     n = spec.n
     _require_enumerable(n)
     traces = _monomial_traces(spec)
-    form = _trace_form(n, traces)
+    form = _form_tables(n, traces)
     square = _square_tables(spec)
     # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the trace,
     # so each starts marked and find jumps to the next unvisited e with Tr(e) = 1

@@ -309,7 +309,7 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
     spec = FieldSpec.from_degree(64)
     target = CyclicPoly.from_support(64, {0, 1, 63})
     first = prescribe(spec, target)  # builds and keeps the default base
-    square, linear = spec._kernel.square, field._linear
+    square, linear = spec._square, field._linear
     squarings = []
 
     def counted(tables, a):

@@ -9,8 +9,17 @@ import pytest
 from normbase import oracle
 from normbase.construct import Status, Verdict
 from normbase.factor import iter_H
-from normbase.field import FieldSpec, _byte_tables, _linear, elem_mul, elem_pow, rel_trace
-from normbase.normal import is_normal
+from normbase.field import (
+    FieldSpec,
+    _byte_tables,
+    _form_tables,
+    _linear,
+    _trace_form,
+    elem_mul,
+    elem_pow,
+    rel_trace,
+)
+from normbase.normal import corresponding_vector, is_normal
 from normbase.oracle import (
     _factors_in_G,
     _independent,
@@ -19,7 +28,6 @@ from normbase.oracle import (
     _naive_trace_mask,
     _orbit,
     _square_tables,
-    _trace_form,
     _trace_zero_marks,
     achievable_vectors,
     brute_factor,
@@ -153,7 +161,7 @@ def test_trace_form_is_the_monomial_traces_regrouped(n):
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
         traces = _monomial_traces(spec)
-        form = _trace_form(n, traces)
+        form = _form_tables(n, traces)
         assert [_linear(form, 1 << j) for j in range(n)] == [traces >> j & full for j in range(n)]
         for _ in range(200):
             e, c = rng.randrange(spec.order), rng.randrange(spec.order)
@@ -359,6 +367,23 @@ def test_every_audit_report_has_one_shape(check, arg, payload):
     assert report.payload == payload
     assert type(report.lines) is tuple and report.lines
     assert all(isinstance(line, str) for line in report.lines)
+
+
+def test_audits_leave_a_spec_its_squaring_tables_alone(monkeypatch):
+    # certification squares with _square; the trace form is built by the first vector
+    made = []
+    from_degree = FieldSpec.from_degree
+    monkeypatch.setattr(FieldSpec, "from_degree",
+                        classmethod(lambda cls, n: made.append(from_degree(n)) or made[-1]))
+    for check, n in [(check_characterization, 5), (check_factorization, 8), (check_necessary, 12)]:
+        assert check(FieldSpec.from_degree(n)).ok
+    assert check_self_dual_existence(6).ok
+    assert [spec.n for spec in made] == [5, 8, 12, 2, 3, 4, 5, 6]
+    for spec in made:
+        assert set(vars(spec)) == {"n", "modulus", "_square"}
+        corresponding_vector(spec, spec.generator)
+        assert set(vars(spec)) == {"n", "modulus", "_square", "_trace"}
+        assert _trace_form(spec)[0] == _naive_trace_mask(spec)
 
 
 def test_brute_factor_golden_target():
