@@ -99,12 +99,12 @@ class FieldSpec:
         return poly_mod(2, self.modulus)
 
 
-def _byte_tables(images: list[int]) -> list[list[int]]:
-    """Byte-indexed tables of the GF(2)-linear map that sends bit j to images[j]."""
+def _byte_tables(images: list[int], width: int = 8) -> list[list[int]]:
+    """Tables of the GF(2)-linear map that sends bit j to images[j], one per width input bits."""
     tables = []
-    for start in range(0, len(images), 8):
+    for start in range(0, len(images), width):
         table = [0]
-        for image in images[start:start + 8]:
+        for image in images[start:start + width]:
             table += [t ^ image for t in table]
         tables.append(table)
     return tables

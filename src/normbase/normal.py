@@ -21,7 +21,7 @@ import random
 from itertools import islice
 
 from .field import FieldSpec, _check_elem, _linear, _owned, _trace_form
-from .poly2 import CyclicPoly, cyclic_mul, is_unit_mod_cyclic, reciprocal
+from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_unit_mod_cyclic, reciprocal
 
 # trace-one candidates the deterministic scan tests before it falls back to
 # the seeded draw; every n <= 64 but 63 is served within 16,385 (n = 31)
@@ -38,7 +38,7 @@ def corresponding_vector(spec: FieldSpec, alpha: int) -> CyclicPoly:
     for i in range(1, spec.n // 2 + 1):
         conj = _linear(square, conj)
         bits |= ((conj & w).bit_count() & 1) << i
-    return CyclicPoly(spec.n, bits | reciprocal(CyclicPoly(spec.n, bits)).bits)
+    return CyclicPoly(spec.n, bits | _mirror(bits, spec.n))
 
 
 def is_normal(spec: FieldSpec, alpha: int) -> bool:

@@ -8,11 +8,11 @@ entries.  The oracle has its own naive square (spread the bits, then
 reduce) and its own trace mask (each Tr(g^i) a sum of n naive conjugates),
 and reads none of the spec's tables: neither its squaring tables, which the
 spec uses only to certify its modulus, nor its trace form.  Squaring is
-GF(2)-linear, so an enumeration squares with byte tables whose images are
-the naive squares of the basis monomials g^j, built once per call.  The
-generic field helpers _byte_tables, _form_tables and _linear only tabulate
-and apply the values they are given and compute none, so a wrong spec table
-can reach an audit only through that certification.  The subfield
+GF(2)-linear, so an enumeration squares by two half-width tables of the
+naive squares of g^j, built once per call; the subfield rank test squares
+naively.  The generic helpers _byte_tables, _form_tables and _linear only
+tabulate and apply the values they are given, so a wrong spec table can
+reach an audit only through that certification.  The subfield
 construction is the same pipeline as the full-field one, and is audited by
 the same rank test on the first t conjugates.  The enumeration decides each
 Frobenius orbit once: conjugates share normality and the vector, so one
@@ -33,15 +33,15 @@ conjugate sums and poly_mod, never from the spec.  The low n bits of T
 give Tr(e), the sum of the n conjugates of e, as the parity of e & T.
 When it is 0 the conjugates are linearly dependent, so e is never walked:
 the visited map starts with every such e marked, built from those n bits
-in n doublings, and bytearray.find jumps to the next element to decide.  That is a rank fact, not the gcd criterion.  Every other
-full-length orbit gets its vector first, and Gaussian rank decides it
-whenever the caller still reads that vector: every orbit for
-check_necessary, only a vector not yet found for achievable_vectors, only
-(1, 0, ..., 0) for the self-dual audit.  An orbit whose vector is already
-found cannot change the found set, whether it is normal or not.
-Enumeration caps keep exhaustive runs in the seconds range on one core
-(about 1 s for all of GF(2^20) on a 2-core Xeon with Python 3.11); the
-caps are the module constants below.
+in n doublings, and bytearray.find jumps to the next element to decide.
+That is a rank fact, not the gcd criterion.  Every other full-length orbit
+gets its vector first, and Gaussian rank decides it whenever the caller
+still reads that vector: every orbit for check_necessary, only a vector not
+yet found for achievable_vectors, only (1, 0, ..., 0) for the self-dual
+audit.  An orbit whose vector is already found cannot change the found
+set, whether it is normal or not.  Enumeration caps keep exhaustive runs
+under a second on one core (about 0.5 s for all of GF(2^20) on a 2-core
+Xeon with Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -98,20 +98,23 @@ def _monomial_traces(spec: FieldSpec) -> int:
     return traces
 
 
-def _square_tables(spec: FieldSpec) -> list[list[int]]:
-    """Byte tables of the squaring map, each image g^(2j) a _naive_square of g^j."""
-    return _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)])
+def _square_tables(spec: FieldSpec) -> tuple[int, list[int], list[int]]:
+    """(h, low, high): x^2 = low[x & (2^h - 1)] ^ high[x >> h], h = ceil(n/2), g^(2j) naive."""
+    h = (spec.n + 1) // 2
+    tables = _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)], h)
+    low, high = (tables + [[0]])[:2]  # n = 1 has no high half
+    return h, low, high
 
 
-def _orbit(spec: FieldSpec, square: list[list[int]], alpha: int) -> list[int]:
-    """The Frobenius orbit alpha, alpha^2, alpha^4, ... up to its first repeat."""
+def _orbit(spec: FieldSpec, alpha: int) -> list[int]:
+    """The Frobenius orbit alpha, alpha^2, alpha^4, ... up to its first repeat, naively squared."""
     orbit = [alpha]
-    x = _linear(square, alpha)
+    x = _naive_square(spec, alpha)
     while x != alpha:
         if len(orbit) == spec.n:
             raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
         orbit.append(x)
-        x = _linear(square, x)
+        x = _naive_square(spec, x)
     return orbit
 
 
@@ -137,7 +140,7 @@ def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
     _check_elem(spec, alpha)
     # t distinct conjugates iff alpha lies in GF(2^t) and in no smaller subfield,
     # where its t conjugates would repeat
-    orbit = _orbit(spec, _square_tables(spec), alpha)
+    orbit = _orbit(spec, alpha)
     return len(orbit) == t and _independent(orbit)
 
 
@@ -174,26 +177,29 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[CyclicPoly], bool] = lam
     _require_enumerable(n)
     traces = _monomial_traces(spec)
     form = _form_tables(n, traces)
-    square = _square_tables(spec)
+    h, low, high = _square_tables(spec)
+    half = (1 << h) - 1
     # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the trace,
     # so each starts marked and find jumps to the next unvisited e with Tr(e) = 1
     visited = _trace_zero_marks(n, traces)
     e = 0
     while (e := visited.find(0, e + 1)) != -1:
-        orbit = _orbit(spec, square, e)
-        for x in orbit:
-            visited[x] = 1
-        # a shorter orbit lies in a proper subfield, so its conjugates repeat
-        if len(orbit) < n:
-            continue
         w = _linear(form, e)
-        bits = 0
-        for i, c in enumerate(orbit):
-            if (c & w).bit_count() & 1:
-                bits |= 1 << i
-        vec = CyclicPoly(n, bits)
-        if wanted(vec) and _independent(orbit):
-            yield e, vec
+        bits, orbit = (e & w).bit_count() & 1, [e]
+        x = low[e & half] ^ high[e >> h]
+        for i in range(1, n):
+            if x == e:
+                break  # a shorter orbit lies in a proper subfield, so its conjugates repeat
+            visited[x] = 1
+            bits |= ((x & w).bit_count() & 1) << i
+            orbit.append(x)
+            x = low[x & half] ^ high[x >> h]
+        else:
+            if x != e:
+                raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
+            vec = CyclicPoly(n, bits)
+            if wanted(vec) and _independent(orbit):
+                yield e, vec
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:

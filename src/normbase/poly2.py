@@ -254,21 +254,26 @@ def cyclic_inv(f: CyclicPoly) -> CyclicPoly:
     return CyclicPoly(f.n, poly_mod(u, m))
 
 
+def _mirror(bits: int, n: int) -> int:
+    """The n coefficient bits with bit i moved to n - i mod n, bit 0 fixed."""
+    r = int(f"{bits:0{n}b}"[::-1], 2)  # coefficient at i moved to n - 1 - i
+    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
+
+
 def reciprocal(g: CyclicPoly) -> CyclicPoly:
     """Reciprocal polynomial: coefficient at i moves to n - i, index 0 fixed."""
-    r = int(f"{g.bits:0{g.n}b}"[::-1], 2)  # coefficient at i moved to n - 1 - i
-    return CyclicPoly(g.n, ((r << 1) | (r >> (g.n - 1))) & ((1 << g.n) - 1))
+    return CyclicPoly(g.n, _mirror(g.bits, g.n))
 
 
 def is_symmetric(f: CyclicPoly) -> bool:
     """True iff f equals its reciprocal (coefficients satisfy a_i = a_{n-i})."""
-    return f == reciprocal(f)
+    return f.bits == _mirror(f.bits, f.n)
 
 
 def symmetric_vectors(n: int) -> Iterator[CyclicPoly]:
     """Every symmetric f of ring size n, once, ascending in f_0 .. f_{n//2}, which fix the rest."""
     for low in range(1 << (n // 2 + 1)):
-        yield CyclicPoly(n, low | reciprocal(CyclicPoly(n, low)).bits)
+        yield CyclicPoly(n, low | _mirror(low, n))
 
 
 def is_unit_mod_cyclic(f: CyclicPoly) -> bool:

@@ -18,7 +18,7 @@ from normbase.construct import (
     weight3,
 )
 from normbase.factor import factor_2power, in_G, in_H, iter_G, iter_H
-from normbase.field import FieldSpec, elem_mul, frobenius, parse_elem, rel_trace
+from normbase.field import MAX_DEGREE, FieldSpec, elem_mul, frobenius, parse_elem, rel_trace
 from normbase.normal import (
     corresponding_vector,
     is_normal,
@@ -302,6 +302,27 @@ def test_evidence_necessary_conditions_n20():
         assert count == 491520  # unit count of GF(2)[x]/(x^20-1)
     _report(f"evidence: necessary conditions hold for all {count} normal elements "
             f"of GF(2^20) ({budget.elapsed:.1f}s)")
+
+
+def test_rank_subfield_normality_at_max_degree(naive_subfield_vector):
+    # the rank test walks one orbit by naive squares, with no tables, up to MAX_DEGREE;
+    # in GF(2^t) it must agree with the gcd criterion on the naive length-t vector
+    with Budget(10.0) as budget:
+        spec = FieldSpec.from_degree(MAX_DEGREE)
+        rng = random.Random(64)
+        elements = [rng.randrange(1, spec.order) for _ in range(20)]
+        verdicts = [is_subfield_normal_by_rank(spec, a, MAX_DEGREE) for a in elements]
+        assert verdicts == [is_normal(spec, a) for a in elements]
+        for t in (32, 16):
+            images = [rel_trace(spec, a, t) for a in elements]
+            by_rank = [is_subfield_normal_by_rank(spec, b, t) for b in images]
+            assert by_rank == [is_unit_mod_cyclic(naive_subfield_vector(spec, b, t))
+                               for b in images]
+            assert all(r for r, normal in zip(by_rank, verdicts) if normal)  # traces stay normal
+            assert not any(is_subfield_normal_by_rank(spec, b, MAX_DEGREE) for b in images)
+            verdicts = by_rank
+        assert True in verdicts and False in verdicts
+    _report(f"evidence: rank subfield normality at n = {MAX_DEGREE} ({budget.elapsed:.1f}s)")
 
 
 # ---- every request terminates: the capped scan at n = 63 ----

@@ -109,9 +109,12 @@ def test_table_square_is_the_naive_square(n):
     rng = random.Random(n)
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
-        square = _square_tables(spec)
+        h, low, high = _square_tables(spec)
+        # two half-width tables: h = ceil(n/2), at most 2 * 2^10 entries up to the cap
+        assert h == n - n // 2 and len(low) == 1 << h and len(high) == 1 << (n - h)
         samples = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)]
-        assert [_linear(square, a) for a in samples] == [_naive_square(spec, a) for a in samples]
+        assert ([low[a & ((1 << h) - 1)] ^ high[a >> h] for a in samples]
+                == [_naive_square(spec, a) for a in samples])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
@@ -137,12 +140,11 @@ def _reference_enumeration(spec):
     # the loop before the monomial traces and the zero-sum skip: reduce each product,
     # trace it by the naive mask, and decide every full-length orbit by elimination
     mask = _naive_trace_mask(spec)
-    square = _square_tables(spec)
     visited = bytearray(spec.order)
     for e in range(1, spec.order):
         if visited[e]:
             continue
-        orbit = _orbit(spec, square, e)
+        orbit = _orbit(spec, e)
         for x in orbit:
             visited[x] = 1
         if len(orbit) < spec.n or not _independent(orbit):
@@ -242,18 +244,27 @@ def _naive_orbit(spec, alpha):
     return orbit
 
 
+def _table_orbit(spec, alpha):
+    # the chain the enumeration walks: x^2 = low[x & (2^h - 1)] ^ high[x >> h]
+    h, low, high = _square_tables(spec)
+    orbit, x = [alpha], low[alpha & ((1 << h) - 1)] ^ high[alpha >> h]
+    while x != alpha:
+        orbit.append(x)
+        x = low[x & ((1 << h) - 1)] ^ high[x >> h]
+    return orbit
+
+
 @pytest.mark.parametrize("n", [1, 6, 12, 13, 20])
 def test_orbit_is_the_naive_squaring_chain(n):
     rng = random.Random(n)
     spec = FieldSpec(n, _random_modulus(rng, n))
-    square = _square_tables(spec)
     # subfield elements have orbits shorter than n: their length divides t
     subfield = [rel_trace(spec, rng.randrange(spec.order), t)
                 for t in range(1, n + 1) if n % t == 0 for _ in range(5)]
     lengths = set()
     for alpha in [0, 1] + subfield + [rng.randrange(spec.order) for _ in range(50)]:
-        orbit = _orbit(spec, square, alpha)
-        assert orbit == _naive_orbit(spec, alpha)
+        orbit = _orbit(spec, alpha)
+        assert orbit == _naive_orbit(spec, alpha) == _table_orbit(spec, alpha)
         lengths.add(len(orbit))
     assert lengths == {t for t in range(1, n + 1) if n % t == 0}
 
@@ -433,10 +444,20 @@ def test_trace_outside_gf2_is_an_implementation_bug(monkeypatch):
     assert str(exc.value) == "trace must land in GF(2) (implementation bug)"
 
 
-def test_orbit_longer_than_n_is_an_implementation_bug():
+def test_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
     # x -> g*x is not the Frobenius map: the orbit of 1 is every power of g
     spec = FieldSpec.from_degree(8)
-    times_g = _byte_tables([elem_mul(spec, 2, 1 << j) for j in range(spec.n)])
+    monkeypatch.setattr(oracle, "_naive_square", lambda spec, a: elem_mul(spec, 2, a))
     with pytest.raises(RuntimeError) as exc:
-        _orbit(spec, times_g, 1)
+        _orbit(spec, 1)
+    assert str(exc.value) == "Frobenius orbit longer than n (implementation bug)"
+
+
+def test_enumeration_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
+    # the enumeration walks its own tables: tabulate x -> g*x, of order 51 on the default modulus
+    spec = FieldSpec.from_degree(8)
+    times_g = _byte_tables([elem_mul(spec, 2, 1 << j) for j in range(spec.n)], 4)
+    monkeypatch.setattr(oracle, "_square_tables", lambda spec: (4, *times_g))
+    with pytest.raises(RuntimeError) as exc:
+        list(enumerate_normal(spec))
     assert str(exc.value) == "Frobenius orbit longer than n (implementation bug)"

@@ -17,7 +17,7 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue takes about 8 s on a
+It is not part of the test suite; the catalogue takes about 12 s on a
 2-core Xeon with Python 3.11.
 """
 
@@ -38,6 +38,8 @@ CERTIFY = [
     "tests/test_field.py::test_only_the_gcd_rejects_a_product_of_irreducibles_of_degree_n_over_p",
 ]
 OWNERSHIP = "tests/test_oracle.py::test_audits_leave_a_spec_its_squaring_tables_alone"
+ORACLE = "src/normbase/oracle.py"
+REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
 
 MUTANTS = [
     ("gcd one squaring early", FIELD,
@@ -67,6 +69,20 @@ MUTANTS = [
     ("gcd only at n/2", FIELD,
      "primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))",
      "primes = [2]", CERTIFY),
+    ("walk without the longer-than-n raise", ORACLE,
+     "            if x != e:\n"
+     "                raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n",
+     "",
+     ["tests/test_oracle.py::test_enumeration_orbit_longer_than_n_is_an_implementation_bug"]),
+    ("walk one step short", ORACLE,
+     "for i in range(1, n):", "for i in range(1, n - 1):", REFERENCE),
+    ("walk leaves conjugates unvisited", ORACLE,
+     "            visited[x] = 1\n", "", REFERENCE),
+    ("high half shifted by h - 1", ORACLE,
+     "x = low[x & half] ^ high[x >> h]", "x = low[x & half] ^ high[x >> (h - 1)]", REFERENCE),
+    ("mirror without the wrap of bit n - 1", "src/normbase/poly2.py",
+     "((r << 1) | (r >> (n - 1)))", "(r << 1)",
+     ["tests/test_poly2.py::test_reciprocal_matches_definition"]),
 ]
 
 
