@@ -2,7 +2,10 @@
 
 Two regimes are covered.  For n a power of two the factorable targets form
 the set H (symmetric, constant term 1, middle coefficient 0, odd-index
-half-sum 0) and each has a unique factor g in the structured set G; that g
+half-sum 0) and each has a unique factor g in the structured set G.  G is
+one mask of free coefficients, bits 1, 3, 4, ..., n/2 - 1 (_free_mask): a
+submask low is the member 1 + low + low's reflection i -> n - 1 - i
+(_member), and iter_G walks the submasks in ascending order.  The factor g
 is recovered by solving a linear system over GF(2), whose columns are
 products (1 + u)(1 + u)^* since g * g^* is affine in g's free coefficients.
 The system depends only on n, so it is eliminated once per ring size, into
@@ -24,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .field import _byte_tables, _linear
-from .poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
+from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 
 def _require_pow2(n: int):
@@ -55,33 +58,28 @@ def in_G(g: CyclicPoly) -> bool:
     b_i = b_{n-1-i} for i = 1, 3, 4, ..., n/2 - 1: the free b_i fix the rest.
     """
     _require_pow2(g.n)
-    free = _free_indices(g.n)
-    return g == _g_from_assignment(g.n, free, [g.coeff(i) for i in free])
+    return g == _member(g.n, g.bits & _free_mask(g.n))
 
 
-def _free_indices(n: int) -> list[int]:
-    # the n/2 - 2 free coefficients of a member of G; for n = 4 the
-    # b_{n-3} = b_1 = 0 constraint pins the lone candidate, so G = {1}; GF(4)
-    # (n = 2) has a single achievable vector, so there too h = g = 1
-    if n <= 4:
-        return []
-    return [1] + list(range(3, n // 2))
+def _free_mask(n: int) -> int:
+    # bits 1, 3, 4, ..., n/2 - 1, the free coefficients of a member of G; for n = 4 the
+    # b_{n-3} = b_1 = 0 constraint pins the lone candidate, so G = {1}; GF(4) (n = 2) has
+    # a single achievable vector, so there too h = g = 1
+    return ((1 << n // 2) - 1) & ~0b101 if n > 4 else 0
 
 
-def _g_from_assignment(n: int, free: list[int], values) -> CyclicPoly:
-    bits = 1
-    for idx, v in zip(free, values):
-        if v:
-            bits |= (1 << idx) | (1 << (n - 1 - idx))
-    return CyclicPoly(n, bits)
+def _member(n: int, low: int) -> CyclicPoly:
+    """The member of G whose free coefficients are the bits of low, a submask of _free_mask(n)."""
+    return CyclicPoly(n, 1 | low | _mirror(low, n) >> 1)  # low has no bit 0: i -> n - 1 - i
 
 
 def iter_G(n: int) -> Iterator[CyclicPoly]:
-    """All members of G in ascending order of their free-coefficient encoding."""
+    """All members of G, ascending in their free coefficients as a submask of _free_mask(n)."""
     _require_pow2(n)
-    free = _free_indices(n)
-    for pattern in range(1 << len(free)):
-        yield _g_from_assignment(n, free, [(pattern >> k) & 1 for k in range(len(free))])
+    free, low = _free_mask(n), 0
+    yield _member(n, low)
+    while low := (low - free) & free:  # the next larger submask; 0 after the last
+        yield _member(n, low)
 
 
 def iter_H(n: int) -> Iterator[CyclicPoly]:
@@ -94,8 +92,8 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
 def _eliminated_system(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """The factor_2power system for ring size n, eliminated once.
 
-    The unknowns are G's free coefficients z_k.  Column k is bits
-    1 .. n/2 - 1 of (1 + u_k) * reciprocal(1 + u_k), u_k = x^k + x^(n-1-k)
+    The unknowns are G's free coefficients z_k.  Column k is bits 1 .. n/2 - 1
+    of g * reciprocal(g) for g = _member(n, 1 << k) = 1 + u_k, u_k = x^k + x^(n-1-k)
     (see factor_2power), and bit j of the right-hand side rhs is h_(j+1).
     Gauss-Jordan elimination keeps each column tagged with the sum of the u_k
     it combines, and leaves each pivot bit in one column only.  Returns
@@ -107,10 +105,9 @@ def _eliminated_system(n: int) -> tuple[list[list[int]], list[list[int]]]:
     """
     mask = (1 << (n // 2 - 1)) - 1
     pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, tag), each pivot in one column
-    for k in _free_indices(n):
-        tag = (1 << k) | (1 << (n - 1 - k))
-        g = CyclicPoly(n, 1 | tag)
-        col = (cyclic_mul(g, reciprocal(g)).bits >> 1) & mask
+    free = _free_mask(n)
+    for g in (_member(n, 1 << k) for k in range(n // 2) if free >> k & 1):
+        tag, col = g.bits ^ 1, (cyclic_mul(g, reciprocal(g)).bits >> 1) & mask
         for p, (c, t) in pivots.items():
             if col >> p & 1:
                 col, tag = col ^ c, tag ^ t

@@ -61,11 +61,7 @@ class FieldSpec:
         images, x = [], 1
         for _ in range(self.n):
             images.append(x)
-            x <<= 2
-            if x >> (self.n + 1) & 1:
-                x ^= self.modulus << 1
-            if x >> self.n & 1:
-                x ^= self.modulus
+            x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
@@ -207,16 +203,15 @@ def frobenius(spec: FieldSpec, a: int, k: int) -> int:
     The square of a is frobenius(spec, a, 1); a lies in GF(2^t) iff frobenius(spec, a, t) == a.
     """
     _check_elem(spec, a)
-    return _conjugates(spec, a, 2, k % spec.n)[1]
+    return _conjugates(spec, a, k % spec.n + 1)[-1]
 
 
-def _conjugates(spec: FieldSpec, a: int, count: int, step: int = 1) -> list[int]:
-    """The first count >= 1 of a, a^(2^step), a^(2^(2*step)), ..."""
+def _conjugates(spec: FieldSpec, a: int, count: int) -> list[int]:
+    """The first count >= 1 of a, a^2, a^4, ..."""
     square = spec._square
     out = [a]
     for _ in range(count - 1):
-        for _ in range(step):
-            a = _linear(square, a)
+        a = _linear(square, a)
         out.append(a)
     return out
 
@@ -235,8 +230,7 @@ def rel_trace(spec: FieldSpec, a: int, t: int) -> int:
     """Relative trace onto the GF(2^t) subfield: sum of a^(2^(t*i)), i < n/t."""
     _check_elem(spec, a)
     _check_divisor(spec, t)
-    count = spec.n // t
-    return a if count == 1 else _picked_sum(_conjugates(spec, a, count, t), (1 << count) - 1)
+    return _picked_sum(_conjugates(spec, a, spec.n - t + 1)[::t], (1 << spec.n // t) - 1)
 
 
 def parse_elem(spec: FieldSpec, text: str) -> int:

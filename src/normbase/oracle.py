@@ -256,17 +256,6 @@ def check_characterization(spec: FieldSpec) -> Report:
                                      "ok": ok})
 
 
-def _require_G_searchable(n: int) -> None:
-    if n > G_SEARCH_CAP:
-        raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {n}")
-
-
-def brute_factor(h: CyclicPoly) -> list[CyclicPoly]:
-    """All g in G with g * reciprocal(g) = h, by exhaustion."""
-    _require_G_searchable(h.n)
-    return [g for g in iter_G(h.n) if cyclic_mul(g, reciprocal(g)) == h]
-
-
 def _violations(audit: str, title: str, n: int, cases: str, count: int,
                 failures: list[str]) -> Report:
     """A rule checked case by case: count cases under the JSON key cases, each failure a line."""
@@ -279,10 +268,11 @@ def _violations(audit: str, title: str, n: int, cases: str, count: int,
 
 
 def _factors_in_G(n: int) -> dict[CyclicPoly, list[CyclicPoly]]:
-    """Each g * reciprocal(g) over G, with its factors in iter_G order: brute_factor for every h."""
+    """Each g * reciprocal(g) over G, with its factors in iter_G order: the brute force of G -> H."""
     # both bounds before the pass, which at n = 64 would walk 2^30 members; the ring size first
     _require_pow2(n)
-    _require_G_searchable(n)
+    if n > G_SEARCH_CAP:
+        raise ValueError(f"G-restricted search capped at n <= {G_SEARCH_CAP}, got {n}")
     factors: dict[CyclicPoly, list[CyclicPoly]] = {}
     for g in iter_G(n):
         factors.setdefault(cyclic_mul(g, reciprocal(g)), []).append(g)

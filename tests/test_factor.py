@@ -17,7 +17,7 @@ from normbase.factor import (
     verify_factorization,
 )
 from normbase.construct import _fold
-from normbase.oracle import brute_factor
+from normbase.oracle import _factors_in_G
 from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 GOLDEN_H = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
@@ -41,6 +41,54 @@ def test_in_G_examples():
     assert not in_G(CyclicPoly.from_support(16, {0, 2}))  # b_2 must vanish
 
 
+def _reference_free(n):
+    # the paper's free indices 1, 3, 4, ..., n/2 - 1; none for n = 4, where b_1 = b_{n-3} = 0
+    return [1] + list(range(3, n // 2)) if n > 4 else []
+
+
+def _reference_member(n, pattern):
+    # pattern bit k sets b_i and b_{n-1-i} for the k-th free index i; b_0 = 1
+    support = {0}
+    for k, i in enumerate(_reference_free(n)):
+        if pattern >> k & 1:
+            support |= {i, n - 1 - i}
+    return CyclicPoly.from_support(n, support)
+
+
+def _reference_in_G(v):
+    pattern = sum(v.coeff(i) << k for k, i in enumerate(_reference_free(v.n)))
+    return v == _reference_member(v.n, pattern)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_iter_G_is_the_index_definition_in_order(n):
+    reference = [_reference_member(n, p) for p in range(1 << len(_reference_free(n)))]
+    assert list(iter_G(n)) == reference
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_in_G_rejects_every_single_bit_flip(n):
+    for g in iter_G(n):
+        assert in_G(g)
+        assert not any(in_G(CyclicPoly(n, g.bits ^ 1 << i)) for i in range(n))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_in_G_agrees_with_the_index_definition(n):
+    # members, members with one bit flipped and uniform vectors, a third of the draws each
+    rng = random.Random(n)
+    verdicts = []
+    for draw in range(2000):
+        v = _reference_member(n, rng.getrandbits(len(_reference_free(n))))
+        if draw % 3 == 1:
+            v = CyclicPoly(n, v.bits ^ 1 << rng.randrange(n))
+        elif draw % 3 == 2:
+            v = CyclicPoly(n, rng.getrandbits(n))
+        verdicts.append(in_G(v))
+        assert verdicts[-1] == _reference_in_G(v)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_set_sizes(n):
     assert len(list(iter_G(n))) == 1 << (n // 2 - 2)
@@ -61,7 +109,7 @@ def test_factor_golden_run():
 def test_factor_degree_eight_matches_bruteforce():
     h = CyclicPoly.from_support(8, {0, 2, 6})
     assert in_H(h)
-    matches = brute_factor(h)
+    matches = _factors_in_G(8)[h]
     assert len(matches) == 1
     assert factor_2power(h) == matches[0]
 

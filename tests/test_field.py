@@ -210,6 +210,21 @@ def test_rel_trace_basics(f12):
         rel_trace(f12, 1, 5)
 
 
+@pytest.mark.parametrize("n", [12, 64])
+def test_rel_trace_is_the_sum_of_the_subfield_conjugates(n):
+    # the XOR of a^(2^(t*i)), i < n/t, each conjugate by naive squaring
+    spec = FieldSpec.from_degree(n)
+    rng = random.Random(n)
+    for t in (t for t in range(1, n + 1) if n % t == 0):
+        for a in [0, 1, spec.generator] + [rng.randrange(spec.order) for _ in range(10)]:
+            expected, y = 0, a
+            for i in range(n):
+                if i % t == 0:
+                    expected ^= y
+                y = _naive_square(spec, y)
+            assert rel_trace(spec, a, t) == expected
+
+
 def test_trace_transitivity_exhaustive(f12):
     # absolute trace = subfield trace of the relative trace, every tower
     trace = _trace_of(f12)

@@ -8,7 +8,6 @@ import pytest
 
 from normbase import oracle
 from normbase.construct import Status, Verdict
-from normbase.factor import iter_H
 from normbase.field import (
     FieldSpec,
     _byte_tables,
@@ -30,7 +29,6 @@ from normbase.oracle import (
     _square_tables,
     _trace_zero_marks,
     achievable_vectors,
-    brute_factor,
     check_characterization,
     check_factorization,
     check_necessary,
@@ -46,7 +44,6 @@ from normbase.poly2 import (
     is_irreducible,
     poly_mul,
     reciprocal,
-    symmetric_vectors,
 )
 
 
@@ -269,16 +266,6 @@ def test_orbit_is_the_naive_squaring_chain(n):
     assert lengths == {t for t in range(1, n + 1) if n % t == 0}
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
-def test_one_pass_over_G_finds_what_brute_factor_finds(n):
-    # the factorization audit reads each target's matches off _factors_in_G
-    factors = _factors_in_G(n)
-    targets = list(iter_H(n))
-    assert targets and all(h in factors for h in targets)
-    for h in targets + list(symmetric_vectors(n)):
-        assert factors.get(h, []) == brute_factor(h)
-
-
 @pytest.mark.parametrize("n, message", [
     (12, "ring size must be a power of two >= 4, got 12"),
     (40, "ring size must be a power of two >= 4, got 40"),
@@ -400,7 +387,7 @@ def test_audits_leave_a_spec_its_squaring_tables_alone(monkeypatch):
 def test_brute_factor_golden_target():
     h = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
     g = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
-    assert brute_factor(h) == [g]
+    assert _factors_in_G(16)[h] == [g]
 
 
 def _ring_factors(h):
@@ -421,9 +408,9 @@ def test_nonsymmetric_target_has_no_factor():
 
 def test_brute_factor_caps():
     with pytest.raises(ValueError, match="G-restricted search capped at n <= 24, got 32"):
-        brute_factor(CyclicPoly(32, 1))
+        _factors_in_G(32)
     with pytest.raises(ValueError, match="ring size must be a power of two >= 4, got 17"):
-        brute_factor(CyclicPoly(17, 1))
+        _factors_in_G(17)
 
 
 def test_self_dual_existence_small():
