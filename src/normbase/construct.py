@@ -62,10 +62,18 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of vector validation with one line per condition checked."""
+    """Outcome of vector validation: each condition checked, as (description, passed), and notes.
+
+    reasons renders one line per condition, then the notes, on read; the audits read the status.
+    """
 
     status: Status
-    reasons: tuple[str, ...]
+    checks: tuple[tuple[str, bool], ...]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        return tuple(f"{'ok' if passed else 'FAIL'}: {desc}" for desc, passed in self.checks) + self.notes
 
 
 class InvalidVectorError(ValueError):
@@ -79,9 +87,8 @@ class InvalidVectorError(ValueError):
 
 
 def _verdict(checks: list[tuple[str, bool]], ok_status: Status, notes: tuple[str, ...] = ()) -> Verdict:
-    reasons = tuple(f"{'ok' if passed else 'FAIL'}: {desc}" for desc, passed in checks) + notes
     status = ok_status if all(p for _, p in checks) else Status.INVALID
-    return Verdict(status, reasons)
+    return Verdict(status, tuple(checks), notes)
 
 
 def _is_pow2(n: int) -> bool:

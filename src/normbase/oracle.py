@@ -5,11 +5,12 @@ coordinate matrix, deliberately NOT by the gcd criterion the production
 path uses; the two are compared in tests, so theorem audits stay
 non-circular; vectors are computed naively, multiply then trace, all n
 entries.  The oracle has its own naive square (spread the bits, then
-reduce) and its own trace mask (each Tr(g^i) a sum of n naive conjugates),
-and reads none of the spec's tables: neither its squaring tables, which the
-spec uses only to certify its modulus, nor its trace form.  Squaring is
-GF(2)-linear, so an enumeration squares by two half-width tables of the
-naive squares of g^j, built once per call; the subfield rank test squares
+reduce) and its own trace mask, and reads none of the spec's tables: neither
+its squaring tables, which the spec uses only to certify its modulus, nor
+its trace form.  Squaring is GF(2)-linear, so the oracle squares by tables
+of its own naive squares of g^j, built once per call: the trace mask, each
+Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
+and an enumeration by two half-width tables; the subfield rank test squares
 naively.  The generic helpers _byte_tables, _form_tables and _linear only
 tabulate and apply the values they are given, so a wrong spec table can
 reach an audit only through that certification.  The subfield
@@ -35,8 +36,9 @@ When it is 0 the conjugates are linearly dependent, so e is never walked:
 the visited map starts with every such e marked, built from those n bits
 in n doublings, and bytearray.find jumps to the next element to decide.
 That is a rank fact, not the gcd criterion.  Every other full-length orbit
-gets its vector first, and Gaussian rank decides it whenever the caller
-still reads that vector: every orbit for check_necessary, only a vector not
+gets its vector first, as the int of its n bits, and Gaussian rank decides
+it whenever the caller still reads that vector (a CyclicPoly is built only
+for a yielded orbit): every orbit for check_necessary, only a vector not
 yet found for achievable_vectors, only (1, 0, ..., 0) for the self-dual
 audit.  An orbit whose vector is already found cannot change the found
 set, whether it is normal or not.  Enumeration caps keep exhaustive runs
@@ -73,7 +75,8 @@ def _naive_square(spec: FieldSpec, a: int) -> int:
 
 
 def _naive_trace_mask(spec: FieldSpec) -> int:
-    """Bit i set iff Tr(g^i) = 1, each trace the sum of n naive conjugates."""
+    """Bit i set iff Tr(g^i) = 1, each trace the sum of n conjugates squared by naive tables."""
+    square = _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)])
     mask = 0
     p = 1
     for i in range(spec.n):
@@ -81,7 +84,7 @@ def _naive_trace_mask(spec: FieldSpec) -> int:
         x = p
         for _ in range(spec.n):
             tr ^= x
-            x = _naive_square(spec, x)
+            x = _linear(square, x)
         if tr not in (0, 1):
             raise RuntimeError("trace must land in GF(2) (implementation bug)")
         mask |= tr << i
@@ -120,12 +123,12 @@ def _orbit(spec: FieldSpec, alpha: int) -> list[int]:
 
 def _independent(rows: list[int]) -> bool:
     """GF(2) elimination: True iff the rows are independent (stops at the first dependent)."""
-    basis: dict[int, int] = {}
+    basis = [0] * max(rows).bit_length()  # pivots by leading bit: sized by width, not row count
     for r in rows:
         while r:
             lead = r.bit_length() - 1
-            b = basis.get(lead)
-            if b is None:
+            b = basis[lead]
+            if not b:
                 basis[lead] = r
                 break
             r ^= b
@@ -161,17 +164,17 @@ def _require_enumerable(n: int) -> None:
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
 
 
-def enumerate_normal(spec: FieldSpec, wanted: Callable[[CyclicPoly], bool] = lambda vec: True
+def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bits: True
                      ) -> Iterator[tuple[int, CyclicPoly]]:
     """Yield (e, vector) once per rank-normal orbit with a wanted vector, e its smallest element.
 
     The n conjugates of e are normal with e and share its vector, since
     Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Each
     full-length orbit's vector comes first, and the rank test runs only when
-    wanted(vector) holds, asked just before the orbit would be yielded, so a
-    caller can turn away the vectors it no longer needs.  Elements are
-    scanned in ascending order, so every element below a yielded e has been
-    decided.
+    wanted(bits) holds for the vector's int bits, asked just before the
+    orbit would be yielded, so a caller can turn away the vectors it no
+    longer needs.  Elements are scanned in ascending order, so every
+    element below a yielded e has been decided.
     """
     n = spec.n
     _require_enumerable(n)
@@ -197,9 +200,8 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[CyclicPoly], bool] = lam
         else:
             if x != e:
                 raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
-            vec = CyclicPoly(n, bits)
-            if wanted(vec) and _independent(orbit):
-                yield e, vec
+            if wanted(bits) and _independent(orbit):
+                yield e, CyclicPoly(n, bits)
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
@@ -207,12 +209,12 @@ def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
 
     Only an orbit whose vector is not yet found is rank-tested: an orbit
     whose vector is already in the set cannot change it, whether it is
-    normal or not.
+    normal or not.  The set is kept as ints, and rebuilt as vectors once.
     """
-    found: set[CyclicPoly] = set()
-    for _, vec in enumerate_normal(spec, lambda v: v not in found):
-        found.add(vec)
-    return found
+    found: set[int] = set()
+    for _, vec in enumerate_normal(spec, lambda bits: bits not in found):
+        found.add(vec.bits)
+    return {CyclicPoly(spec.n, bits) for bits in found}
 
 
 def _require_characterized(n: int) -> None:
@@ -324,7 +326,7 @@ def check_self_dual_existence(max_n: int) -> Report:
     rows = []
     for n in range(2, max_n + 1):
         # only the self-dual vector (1, 0, ..., 0) is rank-tested; a yielded pair is truthy
-        exists = any(enumerate_normal(FieldSpec.from_degree(n), lambda v: v.bits == 1))
+        exists = any(enumerate_normal(FieldSpec.from_degree(n), lambda bits: bits == 1))
         expected = n % 4 != 0  # the 4-does-not-divide-n rule
         rows.append({"n": n, "exists": exists, "expected": expected})
         verdict = "ok" if exists == expected else "VIOLATION"

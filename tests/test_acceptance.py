@@ -18,13 +18,22 @@ from normbase.construct import (
     weight3,
 )
 from normbase.factor import factor_2power, in_G, in_H, iter_G, iter_H
-from normbase.field import MAX_DEGREE, FieldSpec, elem_mul, frobenius, parse_elem, rel_trace
+from normbase.field import (
+    MAX_DEGREE,
+    FieldSpec,
+    _trace_form,
+    elem_mul,
+    frobenius,
+    parse_elem,
+    rel_trace,
+)
 from normbase.normal import (
     corresponding_vector,
     is_normal,
     vector_transform,
 )
 from normbase.oracle import (
+    _naive_trace_mask,
     check_characterization,
     check_necessary,
     check_self_dual_existence,
@@ -35,6 +44,8 @@ from normbase.poly2 import (
     CyclicPoly,
     cyclic_inv,
     cyclic_mul,
+    find_irreducible,
+    is_irreducible,
     is_symmetric,
     is_unit_mod_cyclic,
     reciprocal,
@@ -323,6 +334,22 @@ def test_rank_subfield_normality_at_max_degree(naive_subfield_vector):
             verdicts = by_rank
         assert True in verdicts and False in verdicts
     _report(f"evidence: rank subfield normality at n = {MAX_DEGREE} ({budget.elapsed:.1f}s)")
+
+
+def test_naive_trace_mask_is_the_trace_form_up_to_max_degree():
+    # the oracle's mask, n conjugates summed by tables of its naive squares, against the
+    # field's Newton-identity mask, on the default and one seeded modulus at every degree
+    with Budget(5.0) as budget:
+        rng = random.Random(0x7ACE)
+        for n in range(1, MAX_DEGREE + 1):
+            seeded = rng.randrange(1 << n, 1 << (n + 1))
+            while not is_irreducible(seeded):
+                seeded = rng.randrange(1 << n, 1 << (n + 1))
+            for modulus in (find_irreducible(n), seeded):
+                spec = FieldSpec(n, modulus)
+                assert _naive_trace_mask(spec) == _trace_form(spec)[0], (n, hex(modulus))
+    _report(f"evidence: naive trace mask = trace form for n = 1..{MAX_DEGREE} "
+            f"({budget.elapsed:.1f}s)")
 
 
 # ---- every request terminates: the capped scan at n = 63 ----

@@ -236,7 +236,7 @@ def _broken_factor(monkeypatch):
 
 
 def _broken_conditions(monkeypatch):
-    failed = construct.Verdict(construct.Status.INVALID, ("FAIL: broken",))
+    failed = construct.Verdict(construct.Status.INVALID, (("broken", False),))
     monkeypatch.setattr(oracle, "validate_vector", lambda n, a: failed)
 
 

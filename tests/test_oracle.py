@@ -196,7 +196,7 @@ def test_enumeration_matches_the_reference_loop(n):
         # the audits that rank-test only the vectors they still read give the same answers
         assert achievable_vectors(spec) == {vec for _, vec in reference}
         self_dual = any(vec.bits == 1 for _, vec in reference)
-        assert any(enumerate_normal(spec, lambda v: v.bits == 1)) == self_dual
+        assert any(enumerate_normal(spec, lambda bits: bits == 1)) == self_dual
         if modulus == find_irreducible(n) and n >= 2:
             assert check_self_dual_existence(n).payload["rows"][-1] == {
                 "n": n, "exists": self_dual, "expected": n % 4 != 0}
@@ -303,7 +303,7 @@ def test_necessary_audit_validates_each_distinct_vector_once(monkeypatch):
     def counted(n, vec):
         calls.append(vec)
         if vec == chosen:
-            return Verdict(Status.INVALID, ("FAIL: the chosen vector",))
+            return Verdict(Status.INVALID, (("the chosen vector", False),))
         return validate(n, vec)
 
     monkeypatch.setattr(oracle, "validate_vector", counted)
@@ -314,6 +314,28 @@ def test_necessary_audit_validates_each_distinct_vector_once(monkeypatch):
     assert violations == [f"  violation at vector {chosen}"] * (12 * vectors.count(chosen))
     assert report.payload["normal_elements"] == 1536
     assert report.payload["violations"] == len(violations) and report.ok is False
+
+
+def _span_size(rows):
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return len(span)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_independent_is_a_full_span(n):
+    # t rows are independent iff their XOR span has 2^t elements; t <= n rows of n bits,
+    # so the pivots are indexed by width, with a zero or a repeated row at any position
+    rng = random.Random(n)
+    for t in range(1, n + 1):
+        for _ in range(20):
+            rows = [rng.randrange(1 << n) for _ in range(t)]
+            rows[0] |= 1 << (n - 1)
+            for case in (rows, rng.sample(rows + [0], t + 1),
+                         rng.sample(rows + [rng.choice(rows)], t + 1)):
+                assert _independent(case) == (_span_size(case) == 1 << len(case)), case
+    assert _independent([0]) is False and _independent([1 << n]) is True
 
 
 def test_achievable_vectors_are_symmetric_with_leading_one(f12):
