@@ -11,6 +11,16 @@ w = Gram * alpha, a_i is the parity of alpha^(2^i) & w, so the loop only
 squares; it stops after entry n/2 and mirrors the rest, as
 a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i.
 
+The deterministic scan walks aligned blocks of 256 encodings H | L (H with
+a zero low byte, L < 256).  Each a_i is a quadratic form over GF(2)
+(Lidl & Niederreiter, Finite Fields, ch. 6), so with f the vector's bits
+the polarization identity f(H + L) = f(H) + f(L) + B_H(L) holds, B_H
+linear in L with images c_j = f(H + e_j) + f(H) + f(e_j).  A block then
+costs nine vectors and one byte table of B_H, each candidate's vector is
+three lookups, one gcd decides each distinct vector, and a hit is
+confirmed by is_normal.  The block of the first trace-one encoding is
+still tested one candidate at a time: nearly every scan ends there after a
+few candidates, before the 256 vectors f(L) would pay for themselves.
 The scan's normal element is computed once per spec and kept by the spec
 itself, so it is freed with the spec.
 """
@@ -20,7 +30,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .field import FieldSpec, _check_elem, _linear, _owned, _trace_form
+from .field import FieldSpec, _byte_tables, _check_elem, _linear, _owned, _trace_form
 from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_unit_mod_cyclic, reciprocal
 
 # trace-one candidates the deterministic scan tests before it falls back to
@@ -47,14 +57,40 @@ def is_normal(spec: FieldSpec, alpha: int) -> bool:
 
 
 def _scan(spec: FieldSpec) -> int:
-    # a normal element has trace 1, so encodings below the lowest
-    # trace-one basis monomial can be skipped wholesale (the ascending
-    # order of candidates actually tested is unchanged)
-    mask = _trace_form(spec)[0]
-    candidates = (a for a in range(mask & -mask, spec.order) if (a & mask).bit_count() & 1)
-    for a in islice(candidates, SCAN_CAP):
+    # a normal element has trace 1, so encodings below the lowest trace-one
+    # basis monomial are skipped; its block of 256 is tested directly
+    n, mask = spec.n, _trace_form(spec)[0]
+    start = mask & -mask
+    H = start & ~0xFF
+    first = range(start, min(H + 256, spec.order))
+    left = SCAN_CAP
+    for a in islice((a for a in first if (a & mask).bit_count() & 1), SCAN_CAP):
+        left -= 1
         if is_normal(spec, a):
             return a
+    blocks = range(H + 256, spec.order, 256)
+    if left and blocks:
+        def vec(a):
+            return corresponding_vector(spec, a).bits
+        low, units = [vec(L) for L in range(256)], {}
+        trace_one = [[L for L in range(256) if ((L & mask).bit_count() ^ t) & 1]
+                     for t in (0, 1)]  # the L that give H | L trace one, by the trace of H
+        for H in blocks:
+            block = trace_one[(H & mask).bit_count() & 1][:left]
+            left -= len(block)
+            f_H = vec(H)
+            cross = _byte_tables([vec(H | 1 << j) ^ f_H ^ low[1 << j] for j in range(8)])[0]
+            for L in block:
+                v = f_H ^ low[L] ^ cross[L]
+                if v not in units:
+                    units[v] = is_unit_mod_cyclic(CyclicPoly(n, v))
+                if units[v]:
+                    if not is_normal(spec, H | L):
+                        raise RuntimeError(f"polarized vector of {H | L:#x} is a unit, "
+                                           "but the element is not normal (implementation bug)")
+                    return H | L
+            if left <= 0:
+                break
     return find_normal(spec, seed=0)
 
 

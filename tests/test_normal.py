@@ -11,7 +11,7 @@ from normbase.construct import _fold, compose, prescribe, weight3
 from normbase.field import FieldSpec, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal, vector_transform
 from normbase.oracle import is_subfield_normal_by_rank
-from normbase.poly2 import CyclicPoly, is_symmetric, is_unit_mod_cyclic
+from normbase.poly2 import CyclicPoly, is_irreducible, is_symmetric, is_unit_mod_cyclic
 
 
 def test_zero_and_one(f16):
@@ -105,6 +105,62 @@ def test_scan_past_its_cap_returns_the_seed_zero_draw(monkeypatch):
     # at n = 12 the scan's first trace-one candidate 0x200 is not normal
     monkeypatch.setattr(normal, "SCAN_CAP", 1)
     assert find_normal(FieldSpec.from_degree(12)) == 0x62A  # find_normal(spec, seed=0), not 0x202
+    # at n = 31 the 16,385th trace-one candidate 0x8001 is the first normal one, in the
+    # 128th block of 256; the cap counts candidates, inside and across blocks
+    assert find_normal(FieldSpec.from_degree(31), seed=0) == 0x6104A657
+    for cap, expected in ((200, 0x6104A657), (16_384, 0x6104A657), (16_385, 0x8001)):
+        monkeypatch.setattr(normal, "SCAN_CAP", cap)
+        assert find_normal(FieldSpec.from_degree(31)) == expected
+
+
+def _naive_scan(spec):
+    return next(a for a in range(spec.order) if is_normal(spec, a))
+
+
+def test_scan_is_the_naive_scan_on_every_modulus_of_degree_15():
+    from test_acceptance import Budget
+    late = set()
+    with Budget(2.0):
+        moduli = [f for f in range(1 << 15, 1 << 16) if is_irreducible(f)]
+        for f in moduli:
+            spec = FieldSpec(15, f)
+            a = find_normal(spec)
+            assert a == _naive_scan(spec), hex(f)
+            if a >= 256:  # past the first block, which starts at 0 as Tr(1) = 1 for odd n
+                late.add(f)
+    assert len(moduli) == 2182 and late == {0x9117, 0x9D63, 0xE581, 0xEFF9}
+
+
+@pytest.mark.parametrize("modulus, expected", [
+    (0x4214B, 0x820), (0x43569, 0x220), (0x4653F, 0x820), (0x47051, 0x200)])
+def test_scan_answers_past_its_first_block_at_degree_18(modulus, expected):
+    # the first trace-one encoding is 0x20 on each, so the first block is 0 ... 0xFF
+    spec = FieldSpec(18, modulus)
+    assert find_normal(spec) == _naive_scan(spec) == expected
+
+
+def test_scan_hit_that_is_not_normal_is_an_implementation_bug(monkeypatch):
+    # with B_H(L) taken as L, a polarized unit at n = 31 turns up below 0x8001, where none is normal
+    monkeypatch.setattr(normal, "_byte_tables", lambda images: [list(range(256))])
+    with pytest.raises(RuntimeError, match="implementation bug"):
+        find_normal(FieldSpec.from_degree(31))
+
+
+@pytest.mark.parametrize("n", [9, 18, 31, 64])
+def test_vector_polarization_identity(n):
+    # a_i(alpha) = Tr(alpha * alpha^(2^i)) is a quadratic form, so f(H + L) = f(H) + f(L) + B_H(L)
+    # with B_H linear in L: B_H(e_j) = c_j = f(H + e_j) + f(H) + f(e_j)
+    spec = FieldSpec.from_degree(n)
+    rng = random.Random(n)
+
+    def f(a):
+        return corresponding_vector(spec, a).bits
+    for _ in range(10):
+        H, L = rng.randrange(spec.order), rng.randrange(spec.order)
+        cross = 0
+        for j in (j for j in range(n) if L >> j & 1):
+            cross ^= f(H ^ 1 << j) ^ f(H) ^ f(1 << j)
+        assert f(H ^ L) == f(H) ^ f(L) ^ cross
 
 
 def test_field_spec_is_freed_and_its_choices_repeat():
