@@ -11,18 +11,21 @@ w = Gram * alpha, a_i is the parity of alpha^(2^i) & w, so the loop only
 squares; it stops after entry n/2 and mirrors the rest, as
 a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i.
 
-The deterministic scan walks aligned blocks of 256 encodings H | L (H with
-a zero low byte, L < 256).  Each a_i is a quadratic form over GF(2)
-(Lidl & Niederreiter, Finite Fields, ch. 6), so with f the vector's bits
-the polarization identity f(H + L) = f(H) + f(L) + B_H(L) holds, B_H
-linear in L with images c_j = f(H + e_j) + f(H) + f(e_j).  A block then
-costs nine vectors and one byte table of B_H, each candidate's vector is
-three lookups, one gcd decides each distinct vector, and a hit is
-confirmed by is_normal.  The block of the first trace-one encoding is
-still tested one candidate at a time: nearly every scan ends there after a
-few candidates, before the 256 vectors f(L) would pay for themselves.
-The scan's normal element is computed once per spec and kept by the spec
-itself, so it is freed with the spec.
+The deterministic scan is one stream and one decision.  The stream yields
+each trace-one encoding in ascending order with its vector bits, by
+aligned blocks of 256 encodings H | L (H with a zero low byte, L < 256),
+from the block of the lowest trace-one basis monomial: the encodings below
+that monomial have trace 0, so the trace-one filter alone skips them.  The
+first block reads each vector with corresponding_vector, as nearly every
+scan ends there before the 256 vectors f(L) would pay for themselves.
+Each a_i is a quadratic form over GF(2) (Lidl & Niederreiter, Finite
+Fields, ch. 6), so with f the vector's bits
+f(H + L) = f(H) + f(L) + B_H(L), B_H linear in L with images
+c_j = f(H + e_j) + f(H) + f(e_j): a later block costs nine vectors and
+one byte table of B_H, and a candidate's vector three lookups.  The
+decision tests the first SCAN_CAP candidates, one gcd per distinct vector,
+and confirms a polarized hit by is_normal.  The scan's element is kept by
+the spec, so it is freed with the spec.
 """
 
 from __future__ import annotations
@@ -56,41 +59,36 @@ def is_normal(spec: FieldSpec, alpha: int) -> bool:
     return is_unit_mod_cyclic(corresponding_vector(spec, alpha))
 
 
+def _candidates(spec: FieldSpec, mask: int):
+    # (encoding, vector bits, polarized) for each trace-one encoding in ascending order
+    def trace(a):
+        return (a & mask).bit_count() & 1
+
+    def vec(a):
+        return corresponding_vector(spec, a).bits
+    H = mask & -mask & ~0xFF
+    for a in range(H, H + 256):  # for n <= 8 the whole field, which holds a normal element
+        if trace(a):
+            yield a, vec(a), False
+    low = [vec(L) for L in range(256)]
+    trace_one = [[L for L in range(256) if trace(L) ^ t] for t in (0, 1)]  # by the trace of H
+    for H in range(H + 256, spec.order, 256):
+        f_H = vec(H)
+        cross = _byte_tables([vec(H | 1 << j) ^ f_H ^ low[1 << j] for j in range(8)])[0]
+        for L in trace_one[trace(H)]:
+            yield H | L, f_H ^ low[L] ^ cross[L], True
+
+
 def _scan(spec: FieldSpec) -> int:
-    # a normal element has trace 1, so encodings below the lowest trace-one
-    # basis monomial are skipped; its block of 256 is tested directly
-    n, mask = spec.n, _trace_form(spec)[0]
-    start = mask & -mask
-    H = start & ~0xFF
-    first = range(start, min(H + 256, spec.order))
-    left = SCAN_CAP
-    for a in islice((a for a in first if (a & mask).bit_count() & 1), SCAN_CAP):
-        left -= 1
-        if is_normal(spec, a):
+    units = {}
+    for a, v, polarized in islice(_candidates(spec, _trace_form(spec)[0]), SCAN_CAP):
+        if v not in units:
+            units[v] = is_unit_mod_cyclic(CyclicPoly(spec.n, v))
+        if units[v]:
+            if polarized and not is_normal(spec, a):
+                raise RuntimeError(f"polarized vector of {a:#x} is a unit, "
+                                   "but the element is not normal (implementation bug)")
             return a
-    blocks = range(H + 256, spec.order, 256)
-    if left and blocks:
-        def vec(a):
-            return corresponding_vector(spec, a).bits
-        low, units = [vec(L) for L in range(256)], {}
-        trace_one = [[L for L in range(256) if ((L & mask).bit_count() ^ t) & 1]
-                     for t in (0, 1)]  # the L that give H | L trace one, by the trace of H
-        for H in blocks:
-            block = trace_one[(H & mask).bit_count() & 1][:left]
-            left -= len(block)
-            f_H = vec(H)
-            cross = _byte_tables([vec(H | 1 << j) ^ f_H ^ low[1 << j] for j in range(8)])[0]
-            for L in block:
-                v = f_H ^ low[L] ^ cross[L]
-                if v not in units:
-                    units[v] = is_unit_mod_cyclic(CyclicPoly(n, v))
-                if units[v]:
-                    if not is_normal(spec, H | L):
-                        raise RuntimeError(f"polarized vector of {H | L:#x} is a unit, "
-                                           "but the element is not normal (implementation bug)")
-                    return H | L
-            if left <= 0:
-                break
     return find_normal(spec, seed=0)
 
 

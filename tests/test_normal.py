@@ -139,6 +139,25 @@ def test_scan_answers_past_its_first_block_at_degree_18(modulus, expected):
     assert find_normal(spec) == _naive_scan(spec) == expected
 
 
+@pytest.mark.parametrize("n, seeded", [(16, False), (21, False), (32, False), (33, False),
+                                       (64, False), (16, True), (32, True), (64, True)])
+def test_scan_that_ends_in_its_first_block_reads_one_vector_per_candidate(monkeypatch, n, seeded):
+    # the first block is tested lazily: f(L) for L < 256 and the block tables of B_H are
+    # built only if the scan leaves it, and a hit there is not read a second time
+    rng = random.Random(n)
+    while seeded and not is_irreducible(modulus := rng.randrange(1 << n, 1 << (n + 1))):
+        pass
+    spec = FieldSpec(n, modulus) if seeded else FieldSpec.from_degree(n)
+    read, tables = [], []
+    vector, byte_tables = normal.corresponding_vector, normal._byte_tables
+    monkeypatch.setattr(normal, "corresponding_vector", lambda s, a: read.append(a) or vector(s, a))
+    monkeypatch.setattr(normal, "_byte_tables", lambda im: tables.append(im) or byte_tables(im))
+    a = find_normal(spec)
+    start = min(1 << i for i in range(n) if rel_trace(spec, 1 << i, 1)) & ~0xFF
+    assert start <= a < start + 256 and not tables
+    assert read == [b for b in range(start, a + 1) if rel_trace(spec, b, 1)]
+
+
 def test_scan_hit_that_is_not_normal_is_an_implementation_bug(monkeypatch):
     # with B_H(L) taken as L, a polarized unit at n = 31 turns up below 0x8001, where none is normal
     monkeypatch.setattr(normal, "_byte_tables", lambda images: [list(range(256))])
