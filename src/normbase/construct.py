@@ -4,13 +4,13 @@ validate_vector states each of the paper's two characterizations once:
 the 2-power rule (at n = 1, 2 it leaves the single vectors (1) and (1,0))
 and the odd rule.  For composite n = 2^s * m only necessary conditions
 are known, the two rules applied to the vector's folds onto 2^s and m
-entries, reported as NECESSARY_ONLY.  prescribe runs the construction
-pipeline: pick a normal base element, invert its vector in the cyclic
-ring, factor the quotient as g * reciprocal(g), and apply g as a basis
-change.  prescribe_in_subfield runs the same pipeline in GF(2^t) on
-full-field vectors alone: for t | n, the vector of tau = Tr_{n|t}(A) is
-the fold f_A mod (x^t - 1), as entry i of the fold is
-Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
+entries, reported as NECESSARY_ONLY.  prescribe and prescribe_in_subfield
+enter one _pipeline: it validates the vector, takes a normal base element,
+inverts its vector in the cyclic ring, factors the quotient as
+g * reciprocal(g), applies g as a basis change and runs the closing check.
+In GF(2^t) it works on full-field vectors alone: for t | n, the vector of
+tau = Tr_{n|t}(A) is the fold f_A mod (x^t - 1), as entry i of the fold
+is Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
 So the base vector is the fold of f_beta for the scan's normal beta, and
 the result is the relative trace of the lift sum g_i beta^(2^i) (the lift
 itself at t = n).  The fold, its inverse and the basis change, kept as the
@@ -169,12 +169,6 @@ class Prescription:
     vector: CyclicPoly              # recomputed from element; equals target
 
 
-def _require_valid(n: int, a: CyclicPoly) -> None:
-    verdict = validate_vector(n, a)
-    if verdict.status is not Status.VALID:
-        raise InvalidVectorError(verdict)
-
-
 def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
     """A normal beta, the vector of its trace onto GF(2^t), that vector's inverse, t conjugates."""
     b = _fold(corresponding_vector(spec, beta), t)
@@ -190,9 +184,13 @@ def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly,
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec)))
 
 
-def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, base) -> Prescription:
-    """Prescribe a valid a in GF(2^t) (t = n: the whole field) from a _base result."""
-    beta, b, b_inv, conjugates = base
+def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
+    """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, then take
+    the base of beta (by default the scan's), solve and run the closing check."""
+    verdict = validate_vector(t, a)
+    if verdict.status is not Status.VALID:
+        raise InvalidVectorError(verdict)
+    beta, b, b_inv, conjugates = _default_base(spec, t) if beta is None else _base(spec, t, beta)
     h = cyclic_mul(a, b_inv)
     g = _sqrt_odd(h) if t % 2 else _solve_2power(h)
     lift = _picked_sum(conjugates, g.bits)
@@ -214,12 +212,7 @@ def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> 
         raise ValueError(
             f"prescription requires n a power of two >= 4 or odd n, got {n} "
             "(use compose/weight3 for other composite sizes)")
-    _require_valid(n, a)
-    if beta is None:
-        base = _default_base(spec, n)
-    else:
-        base = _base(spec, n, beta)
-    return _pipeline(spec, n, a, base)
+    return _pipeline(spec, n, a, beta)
 
 
 def prescribe(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> int:
@@ -238,8 +231,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: CyclicPoly) -> int:
     if t % 2 == 0 and t > 2 and not _is_pow2(t):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
-    _require_valid(t, a)
-    return _pipeline(spec, t, a, _default_base(spec, t)).element
+    return _pipeline(spec, t, a).element
 
 
 def compose(spec: FieldSpec, a: CyclicPoly, b: CyclicPoly) -> tuple[int, CyclicPoly]:

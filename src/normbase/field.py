@@ -178,22 +178,20 @@ def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
 
 
 def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
-    """Raise a to the power e >= 0 (square-and-multiply).
+    """a^e for e >= 0, left to right: square the result, then multiply by a on a 1 bit.
 
-    For nonzero a the exponent is reduced mod 2^n - 1.
-    """
+    For nonzero a, e is reduced mod 2^n - 1.  Every multiply is by a itself: for parse_elem's
+    g = x, a shift and one reduction step."""
     _check_elem(spec, a)
     if e < 0:
         raise ValueError("negative exponent")
     if a == 0:
         return 1 if e == 0 else 0
-    e %= (1 << spec.n) - 1
     result = 1
-    while e:
-        if e & 1:
-            result = elem_mul(spec, result, a)
-        a = _linear(spec._square, a)
-        e >>= 1
+    for bit in f"{e % ((1 << spec.n) - 1):b}":
+        result = _linear(spec._square, result)
+        if bit == "1":
+            result = poly_mod(poly_mul(result, a), spec.modulus)
     return result
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -215,6 +216,24 @@ def test_empty_modulus_is_an_error_not_the_default(capsys):
     code, out, err = run(capsys, "audit", "--degree", "3", "--mode", "selfdual", "--modulus", "")
     assert code == EX_INVALID and out == ""
     assert err.startswith("normbase: --modulus does not apply to --mode selfdual")
+
+
+def test_invalid_vector_is_reported_before_a_non_normal_forced_base(capsys):
+    code, out, err = run(capsys, "prescribe", "--degree", "16", "--modulus", "0x1002D",
+                         "--vector", ",".join(["0"] * 16), "--force-beta", "0x0")
+    assert (code, out) == (EX_INVALID, "")
+    assert err == ("There isn't such a normal element: FAIL: a[0] = 1; "
+                   "FAIL: sum of a[i] over odd i < 8 equals 1\n")
+
+
+def test_twenty_thousand_pow_terms_end_fast(capsys):
+    from test_acceptance import Budget
+    # one left-to-right power per term: each multiply by g = x is a shift and one reduction
+    rng = random.Random(20000)
+    element = "pow:" + ",".join(str(rng.randrange(10**11, 10**12)) for _ in range(20000))
+    with Budget(2.5):
+        code, _, _ = run(capsys, "normal", "check", "--degree", "64", "--element", element)
+    assert code == EX_OK
 
 
 def test_empty_force_beta_is_an_error_not_the_default_base(capsys):

@@ -132,6 +132,12 @@ def test_prescribe_rejects_non_normal_base(f16):
         prescribe(f16, CyclicPoly.from_support(16, {0, 1, 15}), beta=0)
 
 
+def test_invalid_vector_is_reported_before_a_non_normal_base(f16):
+    # the pipeline validates before it takes its base, so the vector's fault is the one named
+    with pytest.raises(InvalidVectorError, match="FAIL: a\\[0\\] = 1"):
+        prescribe_steps(f16, CyclicPoly(16, 0), beta=0)
+
+
 def test_prescribe_vector_independent_of_base(f16):
     target = CyclicPoly.from_support(16, {0, 3, 13})
     assert validate_vector(16, target).status is Status.VALID

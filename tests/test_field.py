@@ -134,6 +134,26 @@ def test_pow_edge_cases(f16):
         elem_pow(f16, 3, -1)
 
 
+@pytest.mark.parametrize("spec", [FieldSpec(1, 0b10), FieldSpec(1, 0b11), FieldSpec.from_degree(2),
+                                  FieldSpec(16, 0x1002D), FieldSpec.from_degree(64)],
+                         ids=["1x", "1x+1", "2", "16", "64"])
+def test_pow_is_repeated_multiplication(spec):
+    n = spec.n
+    for a in sorted({0, 1, spec.generator, random.Random(n).randrange(spec.order)}):
+        power = 1
+        for e in range(40):
+            assert elem_pow(spec, a, e) == power
+            power = elem_mul(spec, power, a)
+        # a^(2^n) by n squarings, a^(2^n - 1) as the product of a^(2^i), i < n
+        conjugate, product = a, 1
+        for _ in range(n):
+            product = elem_mul(spec, product, conjugate)
+            conjugate = elem_mul(spec, conjugate, conjugate)
+        assert elem_pow(spec, a, 2**n - 1) == product
+        assert elem_pow(spec, a, 2**n) == conjugate
+        assert elem_pow(spec, a, 2**n + 1) == elem_mul(spec, conjugate, a)
+
+
 def test_frobenius(f16):
     rng = random.Random(2)
     for _ in range(100):

@@ -8,6 +8,9 @@ hashing (argv, exit code, stdout, stderr) per group.  The corpus:
   compose, weight3) at each n <= 64, in both output forms;
 - compose and every weight3 i0 on the default and on a seeded modulus;
 - the golden --force-beta pow:1,126 run at n = 16;
+- normal check and vector on 100-term pow: lists at each n <= 64 and at
+  n = 1 on the moduli x and x + 1, mixing 0, 1, n, 2^n - 1, 2^n, 2^n + 1,
+  twelve-digit and 300-bit exponents and repeated terms;
 - small audits, and error cases (bad vectors, moduli, elements, degrees,
   usage).
 
@@ -20,7 +23,7 @@ To compare two trees, run it once on each and diff the outputs:
 
 The vectors and moduli are drawn with the tree's own validate_vector and
 is_irreducible, so a tree that judges them differently changes the corpus,
-and its hashes, too.  A sweep of the 4,034 runs takes about 4 s on a
+and its hashes, too.  A sweep of the 4,298 runs takes about 6 s on a
 2-core Xeon with Python 3.11.
 """
 
@@ -64,7 +67,7 @@ def _corpus(nb) -> dict[str, list[list[str]]]:
 
     groups: dict[str, list[list[str]]] = {name: [] for name in (
         "find", "check", "vector", "prescribe", "compose", "weight3", "force-beta", "audit",
-        "errors")}
+        "errors", "pow")}
     for n in range(1, 65):
         s2, m = pow2_odd_split(n)
         degree = ["--degree", str(n)]
@@ -83,6 +86,16 @@ def _corpus(nb) -> dict[str, list[list[str]]]:
                                       _bits(accepted(s2)), "--vector-odd", _bits(accepted(m))])
             groups["weight3"] += [["weight3", *degree, *mod, "--i0", str(i0)]
                                   for i0 in range(1, s2, 2) if n % 4 == 0]
+    # drawn after the other groups, so their runs and hashes stay as they were
+    for n, mod in [(n, []) for n in range(1, 65)] + [(1, ["--modulus", "x"]),
+                                                      (1, ["--modulus", "x+1"])]:
+        terms = [0, 1, n, 2**n - 1, 2**n, 2**n + 1] + [rng.getrandbits(300) for _ in range(5)]
+        terms += [rng.randrange(10**11, 10**12) for _ in range(80)]
+        terms += rng.choices(terms, k=9)  # repeated terms cancel
+        rng.shuffle(terms)
+        element = "pow:" + ",".join(map(str, terms))
+        groups["pow"] += [[*command, "--degree", str(n), *mod, "--element", element]
+                          for command in (["normal", "check"], ["vector"])]
     groups["force-beta"] += [GOLDEN, GOLDEN[:-1] + ["0x1"], GOLDEN[:-1] + ["0x0"],
                              GOLDEN[:-1] + ["pow:3"], GOLDEN[:-1] + ["0x10000"]]
     modes = ("characterization", "factorization", "necessary", "selfdual")

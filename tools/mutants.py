@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, twenty-nine mutants,
-takes about 25 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, thirty-two mutants,
+takes about 30 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ CERTIFY = [
 OWNERSHIP = "tests/test_oracle.py::test_audits_leave_a_spec_its_squaring_tables_alone"
 ORACLE = "src/normbase/oracle.py"
 REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
+CONSTRUCT = "src/normbase/construct.py"
+BASE = ("    beta, b, b_inv, conjugates = _default_base(spec, t) if beta is None"
+        " else _base(spec, t, beta)")
 FACTOR = "src/normbase/factor.py"
 G_ORDER = ["tests/test_factor.py::test_iter_G_is_the_index_definition_in_order"]
 NORMAL = "src/normbase/normal.py"
@@ -76,6 +79,14 @@ MUTANTS = [
      "        values[spec, key] = build()\n"
      "    return values[spec, key]\n",
      [OWNERSHIP, "tests/test_normal.py::test_field_spec_is_freed_and_its_choices_repeat"]),
+    ("pow multiplying before it squares", FIELD,
+     "        result = _linear(spec._square, result)\n"
+     "        if bit == \"1\":\n"
+     "            result = poly_mod(poly_mul(result, a), spec.modulus)\n",
+     "        if bit == \"1\":\n"
+     "            result = poly_mod(poly_mul(result, a), spec.modulus)\n"
+     "        result = _linear(spec._square, result)\n",
+     ["tests/test_field.py"]),
     ("gcd only at n/2", FIELD,
      "primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))",
      "primes = [2]", CERTIFY),
@@ -105,9 +116,23 @@ MUTANTS = [
       "tests/test_field.py::test_trace_basics"]),
     ("wanted sees a shifted vector", ORACLE,
      "if wanted(bits) and", "if wanted(bits >> 1) and", REFERENCE),
-    ("verdict swaps ok and FAIL", "src/normbase/construct.py",
+    ("verdict swaps ok and FAIL", CONSTRUCT,
      "{'ok' if passed else 'FAIL'}", "{'FAIL' if passed else 'ok'}",
      ["tests/test_construct.py::test_reasons_at_n_equals_two"]),
+    ("base taken before validation", CONSTRUCT,
+     "    verdict = validate_vector(t, a)\n"
+     "    if verdict.status is not Status.VALID:\n"
+     "        raise InvalidVectorError(verdict)\n"
+     f"{BASE}\n",
+     f"{BASE}\n"
+     "    verdict = validate_vector(t, a)\n"
+     "    if verdict.status is not Status.VALID:\n"
+     "        raise InvalidVectorError(verdict)\n",
+     ["tests/test_construct.py::test_invalid_vector_is_reported_before_a_non_normal_base",
+      "tests/test_cli.py::test_invalid_vector_is_reported_before_a_non_normal_forced_base"]),
+    ("forced beta ignored", CONSTRUCT,
+     BASE, "    beta, b, b_inv, conjugates = _default_base(spec, t)",
+     ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
     ("free mask keeping bit 2", FACTOR, "& ~0b101", "& ~0b001", G_ORDER),
     ("submask step of (low + 1) & free", FACTOR,
      "(low - free) & free", "(low + 1) & free", G_ORDER),
