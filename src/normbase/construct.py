@@ -11,14 +11,14 @@ g * reciprocal(g), applies g as a basis change and runs the closing check.
 In GF(2^t) it works on full-field vectors alone: for t | n, the vector of
 tau = Tr_{n|t}(A) is the fold f_A mod (x^t - 1), as entry i of the fold
 is Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
-So the base vector is the fold of f_beta for the scan's normal beta, and
-the result is the relative trace of the lift sum g_i beta^(2^i) (the lift
-itself at t = n).  The fold, its inverse and the basis change, kept as the
-t conjugates of beta, depend on the field alone, so the spec keeps them
-per t; a warm prescription then squares only to check and trace down its
-result.  compose multiplies prescriptions from the coprime 2-power and odd
-subfields; weight3 specializes composition to the minimum-weight vector
-available when 4 | n.
+So the base vector is the fold of f_beta for the scan's normal beta (the
+scan keeps f_beta with beta), and the result is the relative trace of the
+lift sum g_i beta^(2^i) (the lift itself at t = n).  The fold, its
+inverse and the basis change, kept as the t conjugates of beta, depend on
+the field alone, so the spec keeps them per t; a warm prescription then
+squares only to check and trace down its result.  compose multiplies
+prescriptions from the coprime 2-power and odd subfields; weight3
+specializes composition to the minimum-weight vector available when 4 | n.
 
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
 from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
-from .normal import corresponding_vector, find_normal
+from .normal import _scanned, corresponding_vector, find_normal
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,
@@ -169,9 +169,11 @@ class Prescription:
     vector: CyclicPoly              # recomputed from element; equals target
 
 
-def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """A normal beta, the vector of its trace onto GF(2^t), that vector's inverse, t conjugates."""
-    b = _fold(corresponding_vector(spec, beta), t)
+def _base(spec: FieldSpec, t: int, beta: int,
+          f_beta: CyclicPoly | None = None) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
+    """A normal beta, the vector of its trace onto GF(2^t) (the fold of beta's vector f_beta,
+    computed when not given), that vector's inverse, t conjugates."""
+    b = _fold(corresponding_vector(spec, beta) if f_beta is None else f_beta, t)
     try:
         b_inv = cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
@@ -180,8 +182,8 @@ def _base(spec: FieldSpec, t: int, beta: int) -> tuple[int, CyclicPoly, CyclicPo
 
 
 def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """_base of the scan's normal element, kept per t."""
-    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec)))
+    """_base of the scan's normal element and the vector the scan kept with it, kept per t."""
+    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec), _scanned(spec)[1]))
 
 
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
@@ -249,7 +251,8 @@ def compose(spec: FieldSpec, a: CyclicPoly, b: CyclicPoly) -> tuple[int, CyclicP
     alpha = prescribe_in_subfield(spec, s2, a)
     beta = prescribe_in_subfield(spec, m, b)
     gamma = elem_mul(spec, alpha, beta)
-    c = CyclicPoly.from_coeffs(a.coeff(k % s2) & b.coeff(k % m) for k in range(spec.n))
+    full = (1 << spec.n) - 1  # c is a repeated to n entries AND b repeated to n entries
+    c = CyclicPoly(spec.n, a.bits * (full // ((1 << s2) - 1)) & b.bits * (full // ((1 << m) - 1)))
     if corresponding_vector(spec, gamma) != c or not is_unit_mod_cyclic(c):
         raise RuntimeError("composed element fails verification (implementation bug)")
     return gamma, c

@@ -13,8 +13,11 @@ trace form is built on its first read (_trace_form): the traces
 p_m = Tr(g^m), m < 2n - 1, the power sums of the modulus's roots, are the
 coefficients of z F'(z)/F(z) for the reversed modulus F; the trace mask is
 their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
-Tr(g^(j+k)).  Public functions validate their elements; the inner loops
-apply the tables directly.
+Tr(g^(j+k)).  It is a Hankel matrix, row j the sequence shifted down by j,
+so one 256-entry table T serves every byte of an element: T[b] sums the
+rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
+(_form).  Public functions validate their elements; the inner loops apply
+the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -131,8 +134,19 @@ def _form_tables(n: int, traces: int) -> list[list[int]]:
     return _byte_tables([(traces >> j) & full for j in range(n)])
 
 
-def _trace_form(spec: FieldSpec) -> tuple[int, list[list[int]]]:
-    """The trace mask and the Gram tables, built on the first read and kept by the spec."""
+def _form(table: list[int], a: int, n: int) -> int:
+    """w_a by the Gram table of _trace_form, so Tr(a*c) = parity(c & w_a): byte p of a adds
+    table[byte] >> 8p."""
+    w, s = 0, 0
+    while a:
+        w ^= table[a & 0xFF] >> s
+        a >>= 8
+        s += 8
+    return w & ((1 << n) - 1)
+
+
+def _trace_form(spec: FieldSpec) -> tuple[int, list[int]]:
+    """The trace mask and the Gram table, built on the first read and kept by the spec."""
     def build():
         # bit m of seq is p_m = Tr(g^m), m >= 1 the coefficient of z^m in z F'(z)/F(z),
         # F(z) = z^n modulus(1/z) with constant term 1; z F'(z) is F's odd-degree terms
@@ -144,7 +158,7 @@ def _trace_form(spec: FieldSpec) -> tuple[int, list[list[int]]]:
             if rest >> m & 1:
                 seq |= 1 << m
                 rest ^= reverse << m
-        return seq & ((1 << n) - 1), _form_tables(n, seq)
+        return seq & ((1 << n) - 1), _byte_tables([seq >> j for j in range(8)])[0]  # the Gram table
     return _owned(spec, "_trace", build)
 
 

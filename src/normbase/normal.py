@@ -7,8 +7,9 @@ That gcd criterion is the production normality test here; the independent
 rank-based test lives in the oracle module.
 
 A vector is read off the trace form (see the field module): with
-w = Gram * alpha, a_i is the parity of alpha^(2^i) & w, so the loop only
-squares; it stops after entry n/2 and mirrors the rest, as
+w = Gram * alpha, read from the spec's one Gram table, a_i is the parity of
+alpha^(2^i) & w, so the loop only squares; it stops after entry n/2 and
+mirrors the rest, as
 a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i.
 
 The deterministic scan is one stream and one decision.  The stream yields
@@ -24,8 +25,10 @@ f(H + L) = f(H) + f(L) + B_H(L), B_H linear in L with images
 c_j = f(H + e_j) + f(H) + f(e_j): a later block costs nine vectors and
 one byte table of B_H, and a candidate's vector three lookups.  The
 decision tests the first SCAN_CAP candidates, one gcd per distinct vector,
-and confirms a polarized hit by is_normal.  The scan's element is kept by
-the spec, so it is freed with the spec.
+and confirms a polarized hit by comparing its bits with the hit's
+corresponding_vector.  The scan's element and its vector are kept by the
+spec, so they are freed with the spec; the construct module's default
+bases fold that vector instead of computing it again.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .field import FieldSpec, _byte_tables, _check_elem, _linear, _owned, _trace_form
+from .field import FieldSpec, _byte_tables, _check_elem, _form, _linear, _owned, _trace_form
 from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_unit_mod_cyclic, reciprocal
 
 # trace-one candidates the deterministic scan tests before it falls back to
@@ -45,7 +48,7 @@ def corresponding_vector(spec: FieldSpec, alpha: int) -> CyclicPoly:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
     _check_elem(spec, alpha)
     square = spec._square
-    w = _linear(_trace_form(spec)[1], alpha)  # w_k = Tr(alpha * g^k)
+    w = _form(_trace_form(spec)[1], alpha, spec.n)  # w_k = Tr(alpha * g^k)
     conj = alpha
     bits = (alpha & w).bit_count() & 1
     for i in range(1, spec.n // 2 + 1):
@@ -79,17 +82,24 @@ def _candidates(spec: FieldSpec, mask: int):
             yield H | L, f_H ^ low[L] ^ cross[L], True
 
 
-def _scan(spec: FieldSpec) -> int:
+def _scan(spec: FieldSpec) -> tuple[int, CyclicPoly]:
     units = {}
     for a, v, polarized in islice(_candidates(spec, _trace_form(spec)[0]), SCAN_CAP):
         if v not in units:
             units[v] = is_unit_mod_cyclic(CyclicPoly(spec.n, v))
         if units[v]:
-            if polarized and not is_normal(spec, a):
+            f = CyclicPoly(spec.n, v)
+            if polarized and corresponding_vector(spec, a) != f:
                 raise RuntimeError(f"polarized vector of {a:#x} is a unit, "
-                                   "but the element is not normal (implementation bug)")
-            return a
-    return find_normal(spec, seed=0)
+                                   "but not the element's vector (implementation bug)")
+            return a, f
+    a = find_normal(spec, seed=0)
+    return a, corresponding_vector(spec, a)
+
+
+def _scanned(spec: FieldSpec) -> tuple[int, CyclicPoly]:
+    """The scan's normal element and its vector, kept by the spec."""
+    return _owned(spec, "_normal_scan", lambda: _scan(spec))
 
 
 def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
@@ -105,7 +115,7 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     any other value raises TypeError rather than seed a different draw.
     """
     if seed is None:
-        return _owned(spec, "_normal_scan", lambda: _scan(spec))
+        return _scanned(spec)[0]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     rng = random.Random(seed)

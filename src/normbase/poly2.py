@@ -55,7 +55,10 @@ def poly_gcd(a: int, b: int) -> int:
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     while b:
-        a, b = b, poly_mod(a, b)
+        db = b.bit_length()
+        while (shift := a.bit_length() - db) >= 0:  # a becomes a mod b
+            a ^= b << shift
+        a, b = b, a
     return a
 
 

@@ -418,3 +418,10 @@ def test_module_entry_point_exit_codes(argv, code, err):
     assert done.returncode == code
     if err is not None:
         assert done.stderr == err
+
+
+def test_audit_violation_exits_with_the_documented_code_2(capsys, monkeypatch):
+    # README documents exit code 2 for a failed verification or audit
+    _broken_characterization(monkeypatch)
+    code, _, _ = run(capsys, "audit", "--degree", "8", "--mode", "characterization")
+    assert code == 2

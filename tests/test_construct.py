@@ -510,3 +510,24 @@ def test_weight3_support_mismatch_is_an_implementation_bug(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "normbase: weight-3 support mismatch (implementation bug)\n"
+
+
+@pytest.mark.parametrize("n, run, checks", [
+    (21, lambda spec: prescribe(spec, e0(21)), 1),
+    (60, weight3, 3),
+])
+def test_cold_field_computes_each_vector_once(monkeypatch, n, run, checks):
+    # the scan keeps its element's vector and the default bases fold it: on a fresh spec the
+    # vectors read are the scan's candidates, the closing checks and compose's check, none by _base
+    spec = FieldSpec.from_degree(n)
+    scanned, checked = [], []
+    for module, reads in ((normal, scanned), (construct, checked)):
+        monkeypatch.setattr(module, "corresponding_vector",
+                            lambda s, a, _reads=reads, _real=module.corresponding_vector:
+                            _reads.append(a) or _real(s, a))
+    run(spec)
+    mask = field._trace_form(spec)[0]
+    start = min(1 << i for i in range(n) if mask >> i & 1) & ~0xFF
+    beta = find_normal(spec)
+    assert scanned == [b for b in range(start, beta + 1) if (b & mask).bit_count() & 1]
+    assert len(checked) == checks

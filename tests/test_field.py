@@ -376,3 +376,24 @@ def test_hex_modulus_above_the_degree_bound_is_named_as_written():
     with pytest.raises(ValueError) as exc:
         FieldSpec.parse(16, "0x11")  # at most x^64: still rendered by terms
     assert str(exc.value) == "modulus x^4+1 does not have degree 16"
+
+
+def test_form_reads_the_one_gram_table_as_the_byte_tables():
+    # the Gram map is Hankel: row j is the power-sum sequence >> j, so one byte table,
+    # shifted by 8p for byte p, gives what the tables of _form_tables give byte by byte
+    from normbase.oracle import _monomial_traces
+    for n in range(1, 65):
+        rng = random.Random(n)
+        while not is_irreducible(seeded := rng.randrange(1 << n, 1 << (n + 1))):
+            pass
+        for spec in (FieldSpec.from_degree(n), FieldSpec(n, seeded)):
+            tables = field._form_tables(n, _monomial_traces(spec))
+            table = field._trace_form(spec)[1]
+            elements = [1 << j for j in range(n)] + [rng.randrange(spec.order) for _ in range(200)]
+            for e in elements:
+                assert field._form(table, e, n) == field._linear(tables, e), (n, hex(spec.modulus), e)
+
+
+def test_modulus_of_degree_max_degree_at_another_n_is_named_by_its_terms():
+    with pytest.raises(ValueError, match=r"^modulus x\^64\+x\^4\+x\^3\+x\+1 does not have degree 16$"):
+        FieldSpec(16, (1 << 64) | 0b11011)

@@ -323,3 +323,52 @@ def test_self_dual():
     assert corresponding_vector(spec3, 0).bits != 1
     spec4 = FieldSpec.from_degree(4)
     assert not any(corresponding_vector(spec4, a).bits == 1 for a in range(16))
+
+
+def _stream(spec, count):
+    # the first count (encoding, bits, polarized) of the scan's candidate stream, and the trace
+    from itertools import islice
+
+    from normbase.field import _trace_form
+    mask = _trace_form(spec)[0]
+    return list(islice(normal._candidates(spec, mask), count)), lambda a: (a & mask).bit_count() & 1
+
+
+def test_polarized_blocks_yield_only_their_128_trace_one_candidates():
+    # trace mask 0x8420: the blocks at 0x100 ... 0x300 have Tr(H) = 0 and the block at 0x400 Tr(H) = 1
+    spec = FieldSpec(18, 0x4214B)
+    stream, trace = _stream(spec, 128 * 5)
+    for H, t in ((0x300, 0), (0x400, 1)):
+        assert trace(H) == t
+        block = [(a, v) for a, v, polarized in stream if polarized and a >> 8 == H >> 8]
+        assert [a for a, _ in block] == [H | L for L in range(256) if trace(H | L)]
+        assert len(block) == 128
+        assert all(v == corresponding_vector(spec, a).bits for a, v in block)
+
+
+def test_first_block_yields_each_encoding_once():
+    # trace mask 0xA800: the stream starts at 0x800, where every encoding up to 0x1000 has trace 1
+    spec = FieldSpec.from_degree(16)
+    stream, trace = _stream(spec, 512)
+    assert trace(0x900) == 1
+    assert [a for a, _, _ in stream] == list(range(0x800, 0xA00))
+    assert [polarized for _, _, polarized in stream] == [False] * 256 + [True] * 256
+
+
+def test_polarized_hit_must_carry_the_element_vector(monkeypatch):
+    # a normal element offered with another unit's bits: is_normal alone would accept it
+    spec = FieldSpec.from_degree(5)
+    a = find_normal(FieldSpec.from_degree(5))
+    other = CyclicPoly.from_support(5, {0, 1, 4})
+    assert is_normal(spec, a) and is_unit_mod_cyclic(other) and corresponding_vector(spec, a) != other
+    monkeypatch.setattr(normal, "_candidates", lambda spec, mask: iter([(a, other.bits, True)]))
+    with pytest.raises(RuntimeError, match="implementation bug"):
+        find_normal(spec)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 18, 21, 31, 60, 64])
+def test_scan_keeps_its_element_with_the_element_vector(n):
+    # the default bases fold the kept vector, so it must be the element's own
+    spec = FieldSpec.from_degree(n)
+    a, f = normal._scanned(spec)
+    assert a == find_normal(spec) and f == corresponding_vector(spec, a)

@@ -442,3 +442,9 @@ def test_input_rejections(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_parse_poly_reads_x_to_the_zero_as_the_constant_term():
+    assert parse_poly("x^0+x") == 3
+    with pytest.raises(ValueError, match="duplicate term '1'"):
+        parse_poly("x^0+x+1")
