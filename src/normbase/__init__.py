@@ -20,7 +20,7 @@ from .construct import (
     validate_vector,
     weight3,
 )
-from .factor import factor_2power, factor_odd, in_G, in_H, iter_G, iter_H, verify_factorization
+from .factor import factor_2power, in_H, iter_G, iter_H
 from .field import (
     FieldSpec,
     elem_mul,
@@ -29,12 +29,7 @@ from .field import (
     parse_elem,
     rel_trace,
 )
-from .normal import (
-    corresponding_vector,
-    find_normal,
-    is_normal,
-    vector_transform,
-)
+from .normal import corresponding_vector, find_normal, is_normal
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,

@@ -23,11 +23,11 @@ specializes composition to the minimum-weight vector available when 4 | n.
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
 the one verification of every element it returns, so it calls the bare
-solvers _solve_2power and _sqrt_odd, not the public factor_2power and
-factor_odd.  Their input checks are implied: a valid a
+solvers _solve_2power and _sqrt_odd, not factor_2power, which checks its
+input and its result.  The solvers' input conditions are implied: a valid a
 is achievable (the paper's characterization, audited by the oracle), say
 by sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which
-lies in H for t = 2^s and is symmetric for odd t.  Their result check is
+lies in H for t = 2^s and is symmetric for odd t.  The result check is
 subsumed: a valid a is a unit (for t = 2^s its weight is odd, as a_0 = 1,
 a_{t/2} = 0 and the other entries pair up; for odd t the gcd is checked),
 so vec == a proves that the element has vector a and is normal.
@@ -93,6 +93,11 @@ def _verdict(checks: list[tuple[str, bool]], ok_status: Status, notes: tuple[str
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
+
+
+def _characterized(n: int) -> bool:
+    """True when the paper characterizes the vectors of length n: n = 2^s >= 4 or n odd."""
+    return n % 2 == 1 or n >= 4 and _is_pow2(n)
 
 
 def pow2_odd_split(n: int) -> tuple[int, int]:
@@ -209,12 +214,11 @@ def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> 
     beta pins the starting normal element (it must be normal);
     by default a deterministic scan picks it.
     """
-    n = spec.n
-    if not (_is_pow2(n) and n >= 4) and n % 2 == 0:
+    if not _characterized(spec.n):
         raise ValueError(
-            f"prescription requires n a power of two >= 4 or odd n, got {n} "
+            f"prescription requires n a power of two >= 4 or odd n, got {spec.n} "
             "(use compose/weight3 for other composite sizes)")
-    return _pipeline(spec, n, a, beta)
+    return _pipeline(spec, spec.n, a, beta)
 
 
 def prescribe(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> int:
@@ -230,7 +234,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: CyclicPoly) -> int:
     the spec's default base for t.
     """
     _check_divisor(spec, t)
-    if t % 2 == 0 and t > 2 and not _is_pow2(t):
+    if not (_characterized(t) or t == 2):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
     return _pipeline(spec, t, a).element

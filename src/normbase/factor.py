@@ -15,10 +15,10 @@ byte of h's lower half.  For odd n a target factors iff it is symmetric,
 and then g_i = h_{2i mod n} gives a symmetric square root
 (g * g^* = g^2 = h).
 
-factor_2power and factor_odd check their input, and factor_2power its
-result, around the bare solvers _solve_2power and _sqrt_odd; the
-prescription pipeline calls the solvers, as its own checks already prove
-those facts (see the construct module).
+factor_2power checks its input and its result around the bare solver
+_solve_2power; the prescription pipeline calls _solve_2power and _sqrt_odd
+bare, as its own checks already prove those facts (see the construct
+module).
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ def in_H(h: CyclicPoly) -> bool:
         and is_symmetric(h)
         and _odd_half_sum(h) == 0
     )
-
-
-def in_G(g: CyclicPoly) -> bool:
-    """Membership in the structured factor set G (ring size a power of two >= 4).
-
-    G fixes b_0 = 1, b_{n-1} = 0, b_2 = b_{n-3} = 0 and mirrors
-    b_i = b_{n-1-i} for i = 1, 3, 4, ..., n/2 - 1: the free b_i fix the rest.
-    """
-    _require_pow2(g.n)
-    return g == _member(g.n, g.bits & _free_mask(g.n))
 
 
 def _free_mask(n: int) -> int:
@@ -147,7 +137,7 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
             "no structured factorization: polynomial is outside the set H "
             "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)")
     g = _solve_2power(h)
-    if not verify_factorization(h, g):
+    if cyclic_mul(g, reciprocal(g)) != h:
         raise RuntimeError("solved factor fails verification (implementation bug)")
     return g
 
@@ -157,19 +147,3 @@ def _sqrt_odd(h: CyclicPoly) -> CyclicPoly:
     coeffs = f"{h.bits:0{h.n}b}"[::-1]  # coeffs[i] = h_i
     # 2i mod n runs over the even indices for i <= (n-1)/2, then over the odd ones
     return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
-
-
-def factor_odd(h: CyclicPoly) -> CyclicPoly:
-    """The symmetric square root g (g_i = h_{2i mod n}) of a symmetric h, odd n."""
-    if h.n % 2 == 0:
-        raise ValueError(f"ring size must be odd, got {h.n}")
-    if not is_symmetric(h):
-        raise ValueError("no factorization: polynomial is not symmetric")
-    return _sqrt_odd(h)
-
-
-def verify_factorization(h: CyclicPoly, g: CyclicPoly) -> bool:
-    """True iff g * reciprocal(g) = h in the cyclic ring."""
-    if h.n != g.n:
-        raise ValueError(f"ring size mismatch: {h.n} != {g.n}")
-    return cyclic_mul(g, reciprocal(g)) == h

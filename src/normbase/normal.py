@@ -37,10 +37,11 @@ import random
 from itertools import islice
 
 from .field import FieldSpec, _byte_tables, _check_elem, _form, _linear, _owned, _trace_form
-from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_unit_mod_cyclic, reciprocal
+from .poly2 import CyclicPoly, _mirror, is_unit_mod_cyclic
 
 # trace-one candidates the deterministic scan tests before it falls back to
-# the seeded draw; every n <= 64 but 63 is served within 16,385 (n = 31)
+# the seeded draw; every default modulus of degree n <= 64 but 63 is served
+# within 16,385 (n = 31), and seeded moduli can reach the cap too
 SCAN_CAP = 1 << 15
 
 
@@ -109,7 +110,8 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     (deterministic); with one, draw seed-reproducible candidates.  The
     scan tests at most SCAN_CAP trace-one candidates and, if none of them
     is normal, returns the draw with seed 0 instead (at n = 63 on the
-    default modulus no encoding below 2^14 is normal).  Same arguments
+    default modulus no encoding below 2^14 is normal, and seeded moduli,
+    such as 0x3CB377161A95 at n = 45, can reach the cap too).  Same arguments
     always return the same element; the scan runs once per spec, which
     keeps its result.  A seed must be an int (not a bool):
     any other value raises TypeError rather than seed a different draw.
@@ -123,8 +125,3 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
         a = rng.randrange(1, spec.order)
         if is_normal(spec, a):
             return a
-
-
-def vector_transform(f_b: CyclicPoly, f_c: CyclicPoly) -> CyclicPoly:
-    """Vector of a basis-changed element: f_b * f_c * reciprocal(f_c) mod x^n - 1."""
-    return cyclic_mul(cyclic_mul(f_b, f_c), reciprocal(f_c))

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .construct import Status, pow2_odd_split, validate_vector
+from .construct import Status, _characterized, pow2_odd_split, validate_vector
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
 from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _form_tables, _linear
 from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
@@ -218,7 +218,7 @@ def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
 
 
 def _require_characterized(n: int) -> None:
-    if not ((n >= 4 and n & (n - 1) == 0) or n % 2 == 1):
+    if not _characterized(n):
         raise ValueError(f"characterization covers n = 2^s >= 4 or odd n, got {n}")
 
 

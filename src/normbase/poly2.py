@@ -22,11 +22,6 @@ from typing import Iterator
 
 # ---------- GF(2)[x] on plain ints ----------
 
-def degree(a: int) -> int | None:
-    """Degree of polynomial a, or None for the zero polynomial."""
-    return None if a == 0 else a.bit_length() - 1
-
-
 def poly_mul(a: int, b: int) -> int:
     """Multiply polynomials a and b (carry-less schoolbook)."""
     if a < b:
@@ -89,8 +84,8 @@ def is_irreducible(f: int) -> bool:
     fast; FieldSpec certifies its modulus by Rabin's test on its squaring
     tables instead.  Constants are not irreducible.
     """
-    n = degree(f)
-    if n is None or n < 1:
+    n = f.bit_length() - 1
+    if n < 1:
         return False
     h = 2  # the polynomial x
     for _ in range(n // 2):
@@ -234,14 +229,10 @@ def ring_modulus(n: int) -> int:
     return (1 << n) | 1
 
 
-def _check_sizes(a: CyclicPoly, b: CyclicPoly):
-    if a.n != b.n:
-        raise ValueError(f"ring size mismatch: {a.n} != {b.n}")
-
-
 def cyclic_mul(a: CyclicPoly, b: CyclicPoly) -> CyclicPoly:
     """Product in GF(2)[x]/(x^n - 1)."""
-    _check_sizes(a, b)
+    if a.n != b.n:
+        raise ValueError(f"ring size mismatch: {a.n} != {b.n}")
     prod = poly_mul(a.bits, b.bits)
     # deg(prod) <= 2n-2, so folding the high words once suffices
     return CyclicPoly(a.n, (prod & ((1 << a.n) - 1)) ^ (prod >> a.n))

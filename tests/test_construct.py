@@ -19,7 +19,7 @@ from normbase.construct import (
 )
 from normbase.field import FieldSpec, frobenius, parse_elem
 from normbase.normal import corresponding_vector, find_normal, is_normal
-from normbase.oracle import check_necessary, is_subfield_normal_by_rank
+from normbase.oracle import check_characterization, check_necessary, is_subfield_normal_by_rank
 from normbase.poly2 import (
     CyclicPoly,
     cyclic_mul,
@@ -208,6 +208,28 @@ def test_prescribe_in_subfield_rejects(f12):
         prescribe_in_subfield(f12, 6, e0(6))  # even, not a 2-power, not 2
 
 
+PRESCRIPTION_SCOPE = ("prescription requires n a power of two >= 4 or odd n, got {} "
+                      "(use compose/weight3 for other composite sizes)")
+AUDIT_SCOPE = "characterization covers n = 2^s >= 4 or odd n, got {}"
+
+
+@pytest.mark.parametrize("entry, args, message", [
+    (prescribe, (2, e0(2)), PRESCRIPTION_SCOPE.format(2)),
+    (prescribe, (6, e0(6)), PRESCRIPTION_SCOPE.format(6)),
+    (prescribe_in_subfield, (12, 6, e0(6)),
+     "subfield prescription requires t a power of two, t = 2, or odd t, got 6"),
+    (check_characterization, (2,), AUDIT_SCOPE.format(2)),
+    (check_characterization, (6,), AUDIT_SCOPE.format(6)),
+], ids=["prescribe-2", "prescribe-6", "prescribe_in_subfield-6",
+        "check_characterization-2", "check_characterization-6"])
+def test_degree_scope_checks_keep_their_errors(entry, args, message):
+    # the paper's scope, n = 2^s >= 4 or odd n (and t = 2 for a subfield), checked before any work
+    n, *rest = args
+    with pytest.raises(ValueError) as raised:
+        entry(FieldSpec.from_degree(n), *rest)
+    assert str(raised.value) == message
+
+
 # ---- composition ----
 
 def test_compose_degenerate_odd_part(f16):
@@ -392,7 +414,7 @@ def test_warm_prescribe_skips_the_public_factor_checks(monkeypatch, n):
     first = [prescribe(spec, a) for a in targets]  # builds and keeps the default base
     calls = []
     for module in (factor, construct):
-        for name in ("in_H", "verify_factorization", "factor_2power", "factor_odd"):
+        for name in ("in_H", "factor_2power"):
             if hasattr(module, name):
                 real = getattr(module, name)
                 monkeypatch.setattr(module, name,
@@ -413,7 +435,7 @@ def test_valid_two_power_vectors_give_quotients_in_H(n):
 
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_valid_odd_vectors_give_symmetric_quotients(n):
-    # what factor_odd's symmetry check would prove
+    # what _sqrt_odd needs to give a factor: a valid a makes h = a * b^(-1) symmetric
     _, _, b_inv, _ = construct._default_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert valid

@@ -6,15 +6,15 @@ import pytest
 
 from normbase import factor
 from normbase.factor import (
+    _free_mask,
+    _member,
     _odd_half_sum,
     _solve_2power,
+    _sqrt_odd,
     factor_2power,
-    factor_odd,
-    in_G,
     in_H,
     iter_G,
     iter_H,
-    verify_factorization,
 )
 from normbase.construct import _fold
 from normbase.oracle import _factors_in_G
@@ -22,6 +22,11 @@ from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, sym
 
 GOLDEN_H = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
 GOLDEN_G = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
+
+
+def in_G(g):
+    # membership in G: g is the member whose free coefficients are its own
+    return g == _member(g.n, g.bits & _free_mask(g.n))
 
 
 def test_in_H_examples():
@@ -103,7 +108,7 @@ def test_factor_trivial():
 
 def test_factor_golden_run():
     assert factor_2power(GOLDEN_H) == GOLDEN_G
-    assert verify_factorization(GOLDEN_H, GOLDEN_G)
+    assert cyclic_mul(GOLDEN_G, reciprocal(GOLDEN_G)) == GOLDEN_H
 
 
 def test_factor_degree_eight_matches_bruteforce():
@@ -143,13 +148,13 @@ def test_any_product_with_reciprocal_is_symmetric_with_zero_middle():
 
 
 def test_factor_odd_examples():
-    assert factor_odd(CyclicPoly(5, 1)) == CyclicPoly(5, 1)
+    assert _sqrt_odd(CyclicPoly(5, 1)) == CyclicPoly(5, 1)
     h = CyclicPoly.from_support(5, {0, 1, 4})
-    g = factor_odd(h)
+    g = _sqrt_odd(h)
     assert g == CyclicPoly.from_support(5, {0, 2, 3})
     assert cyclic_mul(g, g) == h
     h3 = CyclicPoly(3, 0b111)
-    assert factor_odd(h3) == h3
+    assert _sqrt_odd(h3) == h3
     assert cyclic_mul(h3, h3) == h3
 
 
@@ -161,17 +166,10 @@ def test_factor_odd_output_is_symmetric_square_root():
                 if (bits >> k) & 1:
                     h_bits |= (1 << k) | (1 << (n - k))
             h = CyclicPoly(n, h_bits)
-            g = factor_odd(h)
+            g = _sqrt_odd(h)
             assert is_symmetric(g)
-            assert verify_factorization(h, g)
+            assert cyclic_mul(g, reciprocal(g)) == h
             assert cyclic_mul(g, g) == h
-
-
-def test_factor_odd_requires_symmetric_and_oddness():
-    with pytest.raises(ValueError):
-        factor_odd(CyclicPoly.from_coeffs([1, 1, 0]))
-    with pytest.raises(ValueError):
-        factor_odd(CyclicPoly(4, 1))
 
 
 def test_odd_factorization_exists_iff_symmetric():
@@ -180,13 +178,6 @@ def test_odd_factorization_exists_iff_symmetric():
         products = {cyclic_mul(g, reciprocal(g)) for g in ring}
         for h in ring:
             assert (h in products) == is_symmetric(h)
-
-
-def test_verify_factorization():
-    assert verify_factorization(CyclicPoly(4, 1), CyclicPoly(4, 1))
-    assert not verify_factorization(GOLDEN_H, CyclicPoly(16, GOLDEN_G.bits ^ 2))
-    with pytest.raises(ValueError):
-        verify_factorization(CyclicPoly(4, 1), CyclicPoly(8, 1))
 
 
 def _symmetric(n, bits):
@@ -214,11 +205,11 @@ def test_loop_free_helpers_match_their_definitions():
             assert _odd_half_sum(f) == odd_half_sum(f)
     for n in range(1, 16, 2):
         for h in symmetric_vectors(n):
-            assert factor_odd(h) == square_root(h)
+            assert _sqrt_odd(h) == square_root(h)
     rng = random.Random(63)
     for _ in range(1000):
         h = _symmetric(63, rng.getrandbits(63))
-        assert factor_odd(h) == square_root(h)
+        assert _sqrt_odd(h) == square_root(h)
         assert _odd_half_sum(h) == odd_half_sum(h)
     for n in (6, 10, 12):
         divisors = [k for k in range(1, n + 1) if n % k == 0]
@@ -240,9 +231,6 @@ def test_loop_free_helpers_match_their_definitions():
     (factor_2power, CyclicPoly.from_support(16, {0, 1, 15}), ValueError,
      "no structured factorization: polynomial is outside the set H "
      "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)"),
-    (factor_odd, CyclicPoly(4, 1), ValueError, "ring size must be odd, got 4"),
-    (factor_odd, CyclicPoly.from_coeffs([1, 1, 0]), ValueError,
-     "no factorization: polynomial is not symmetric"),
 ])
 def test_public_factor_checks_keep_their_errors(solve, h, error, message):
     with pytest.raises(error) as raised:

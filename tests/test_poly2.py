@@ -14,7 +14,6 @@ from normbase.poly2 import (
     DegreeBoundError,
     cyclic_inv,
     cyclic_mul,
-    degree,
     find_irreducible,
     is_irreducible,
     is_symmetric,
@@ -81,7 +80,7 @@ def test_mod_identity(q, b, r):
     # q*b + r with deg r < deg b reduces to r
     if b == 0:
         return
-    r &= (1 << degree(b)) - 1
+    r &= (1 << (b.bit_length() - 1)) - 1
     assert poly_mod(poly_mul(q, b) ^ r, b) == r
 
 
@@ -114,23 +113,16 @@ def test_ext_gcd_of_golden_base_vector():
     assert poly_mul(u, f_b) ^ poly_mul(v, ring_modulus(16)) == 1
 
 
-def test_degree():
-    assert degree(0) is None
-    assert degree(1) == 0
-    assert degree(0b10011) == 4
-
-
 # ---- irreducibility ----
 
 def _divisible(a, b):
     return poly_mod(a, b) == 0
 
 def _is_irreducible_brute(f):
-    d = degree(f)
-    if d is None or d < 1:
+    d = f.bit_length() - 1
+    if d < 1:
         return False
-    return not any(_divisible(f, g)
-                   for g in range(2, 1 << (d // 2 + 1)) if degree(g) >= 1)
+    return not any(_divisible(f, g) for g in range(2, 1 << (d // 2 + 1)))
 
 
 def test_irreducible_examples():
@@ -149,7 +141,7 @@ def test_irreducible_matches_bruteforce_exhaustively():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_find_irreducible_is_smallest(n):
     f = find_irreducible(n)
-    assert degree(f) == n and is_irreducible(f)
+    assert f.bit_length() - 1 == n and is_irreducible(f)
     assert f == min(g for g in range(1 << n, 1 << (n + 1)) if _is_irreducible_brute(g))
 
 

@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, forty-two mutants,
-takes about 36 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, forty-seven mutants,
+takes about 50 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ SCAN = ["tests/test_normal.py::test_scan_is_the_naive_scan_on_every_modulus_of_d
 CAP = "tests/test_normal.py::test_scan_past_its_cap_returns_the_seed_zero_draw"
 LAZY = "tests/test_normal.py::test_scan_that_ends_in_its_first_block_reads_one_vector_per_candidate"
 FORM = "tests/test_field.py::test_form_reads_the_one_gram_table_as_the_byte_tables"
+POLY2 = "src/normbase/poly2.py"
+SCOPE = ["tests/test_construct.py::test_degree_scope_checks_keep_their_errors"]
+SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 
 MUTANTS = [
     ("gcd one squaring early", FIELD,
@@ -145,7 +148,19 @@ MUTANTS = [
     ("compose's b repeated with period m + 1", CONSTRUCT,
      "b.bits * (full // ((1 << m) - 1))", "b.bits * (full // ((1 << (m + 1)) - 1))",
      ["tests/test_construct.py::test_compose_twelve"]),
+    ("degree scope taking n = 2", CONSTRUCT,
+     "n >= 4 and _is_pow2(n)", "n >= 2 and _is_pow2(n)", SCOPE),
+    ("subfield guard without t = 2", CONSTRUCT,
+     SUBFIELD_GUARD, "    if not _characterized(t):\n",
+     ["tests/test_construct.py::test_prescribe_in_subfield_degenerate"]),
+    ("subfield guard dropped", CONSTRUCT,
+     SUBFIELD_GUARD + "        raise ValueError(\n"
+     "            f\"subfield prescription requires t a power of two, t = 2, or odd t, got {t}\")\n",
+     "", SCOPE),
     ("free mask keeping bit 2", FACTOR, "& ~0b101", "& ~0b001", G_ORDER),
+    ("factor_2power's result unchecked", FACTOR,
+     "if cyclic_mul(g, reciprocal(g)) != h:", "if False:",
+     ["tests/test_construct.py::test_wrong_factor_is_caught_by_the_closing_check"]),
     ("submask step of (low + 1) & free", FACTOR,
      "(low - free) & free", "(low + 1) & free", G_ORDER),
     ("member without the mirror", FACTOR,
@@ -187,13 +202,16 @@ MUTANTS = [
     ("SCAN_CAP = 2^14", NORMAL,
      "SCAN_CAP = 1 << 15", "SCAN_CAP = 1 << 14",
      ["tests/test_normal.py::test_find_normal_pinned_by_degree[31]"]),
-    ("x^0 rejected as a negative exponent", "src/normbase/poly2.py",
+    ("x^0 rejected as a negative exponent", POLY2,
      "if k < 0:", "if k <= 0:",
      ["tests/test_poly2.py::test_parse_poly_reads_x_to_the_zero_as_the_constant_term"]),
     ("audit violation exit code 3", "src/normbase/cli.py",
      "EX_VERIFY = 2", "EX_VERIFY = 3",
      ["tests/test_cli.py::test_audit_violation_exits_with_the_documented_code_2"]),
-    ("mirror without the wrap of bit n - 1", "src/normbase/poly2.py",
+    ("cyclic_mul without its size check", POLY2,
+     "    if a.n != b.n:\n        raise ValueError(f\"ring size mismatch: {a.n} != {b.n}\")\n", "",
+     ["tests/test_normal.py::test_basis_change_size_mismatch"]),
+    ("mirror without the wrap of bit n - 1", POLY2,
      "((r << 1) | (r >> (n - 1)))", "(r << 1)",
      ["tests/test_poly2.py::test_reciprocal_matches_definition"]),
 ]
