@@ -8,10 +8,11 @@ submask low is the member 1 + low + low's reflection i -> n - 1 - i
 (_member), and iter_G walks the submasks in ascending order.  The factor g
 is recovered by solving a linear system over GF(2), whose columns are
 products (1 + u)(1 + u)^* since g * g^* is affine in g's free coefficients.
-The system depends only on n, so it is eliminated once per ring size, into
-byte tables of the linear maps from h's coefficients to g's and to the
-residual that must vanish; each target then costs two table lookups per
-byte of h's lower half.  For odd n a target factors iff it is symmetric,
+The system depends only on n, so it is brought to echelon form once per
+ring size, each row a column over the sum of the u_k it combines; a target
+is reduced against it by poly2's _eliminate, the package's one GF(2)
+elimination routine, and what is left is g's free part, or a column bit
+when h is outside H.  For odd n a target factors iff it is symmetric,
 and then g_i = h_{2i mod n} gives a symmetric square root
 (g * g^* = g^2 = h).
 
@@ -26,8 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .field import _byte_tables, _linear
-from .poly2 import CyclicPoly, _mirror, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
+from .poly2 import CyclicPoly, _eliminate, _mirror, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 
 def _require_pow2(n: int):
@@ -79,48 +79,38 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
 
 
 @lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use
-def _eliminated_system(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The factor_2power system for ring size n, eliminated once.
+def _echelon(n: int) -> tuple[int, ...]:
+    """The factor_2power system for ring size n in echelon form, pivots indexed by leading bit.
 
     The unknowns are G's free coefficients z_k.  Column k is bits 1 .. n/2 - 1
     of g * reciprocal(g) for g = _member(n, 1 << k) = 1 + u_k, u_k = x^k + x^(n-1-k)
-    (see factor_2power), and bit j of the right-hand side rhs is h_(j+1).
-    Gauss-Jordan elimination keeps each column tagged with the sum of the u_k
-    it combines, and leaves each pivot bit in one column only.  Returns
-    (solution, residual), byte tables of two linear maps of rhs: solution
-    sums the tags of the columns whose pivot bits rhs holds, which is U in
-    g = 1 + U; residual is rhs minus those columns, zero exactly when rhs
-    lies in the columns' span.  Raises RuntimeError if a column is
-    dependent, which would be an implementation bug.
+    (see factor_2power), and bit j of the right-hand side rhs is h_(j+1).  Row k
+    is column k shifted left by n bits over its tag u_k, so _eliminate keeps
+    each row a sum of columns over the sum of their tags; every pivot leads
+    with a column bit, so rhs << n reduces to a tag sum U alone exactly when
+    rhs is in the columns' span, and then g = 1 + U.  Raises RuntimeError if
+    a column is dependent, which would be an implementation bug.
     """
     mask = (1 << (n // 2 - 1)) - 1
-    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (column, tag), each pivot in one column
+    basis = [0] * (n + n // 2 - 1)  # rows are n/2 - 1 column bits over n tag bits
     free = _free_mask(n)
     for g in (_member(n, 1 << k) for k in range(n // 2) if free >> k & 1):
         tag, col = g.bits ^ 1, (cyclic_mul(g, reciprocal(g)).bits >> 1) & mask
-        for p, (c, t) in pivots.items():
-            if col >> p & 1:
-                col, tag = col ^ c, tag ^ t
-        if not col:
+        row = _eliminate(basis, col << n | tag)
+        if not row >> n:
             raise RuntimeError("factorization system is rank-deficient (implementation bug)")
-        p = col.bit_length() - 1
-        for q, (c, t) in pivots.items():
-            if c >> p & 1:
-                pivots[q] = c ^ col, t ^ tag
-        pivots[p] = col, tag
-    images = [pivots.get(j, (0, 0)) for j in range(n // 2 - 1)]
-    return (_byte_tables([t for _, t in images]),
-            _byte_tables([c ^ (1 << j) for j, (c, _) in enumerate(images)]))
+        basis[row.bit_length() - 1] = row
+    return tuple(basis)
 
 
 def _solve_2power(h: CyclicPoly) -> CyclicPoly:
-    """The g in G solving the eliminated system for h, which must lie in H; g is not verified."""
+    """The g in G solving the echelon system for h, which must lie in H; g is not verified."""
     n = h.n
-    solution, residual = _eliminated_system(n)
     rhs = (h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)
-    if _linear(residual, rhs):
+    u = _eliminate(_echelon(n), rhs << n)
+    if u >> n:
         raise RuntimeError("factorization system is inconsistent (implementation bug)")
-    return CyclicPoly(n, 1 | _linear(solution, rhs))
+    return CyclicPoly(n, 1 | u)
 
 
 def factor_2power(h: CyclicPoly) -> CyclicPoly:

@@ -13,12 +13,15 @@ Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
 and an enumeration by two half-width tables; the subfield rank test squares
 naively.  The generic helpers _byte_tables, _form_tables and _linear only
 tabulate and apply the values they are given, so a wrong spec table can
-reach an audit only through that certification.  The subfield
-construction is the same pipeline as the full-field one, and is audited by
-the same rank test on the first t conjugates.  The enumeration decides each
-Frobenius orbit once: conjugates share normality and the vector, so one
-rank test and one vector stand for the orbit's n elements, and the audits
-count per element.
+reach an audit only through that certification.  The rank test reduces
+by poly2's _eliminate, as the factor solver does; the audits stay
+non-circular, since the factorization audit checks that solver against a
+brute force over G, and the rank test is checked against is_normal's gcd
+criterion, which never eliminates.  The subfield construction is the same
+pipeline as the full-field one, and is audited by the same rank test on
+the first t conjugates.  The enumeration decides each Frobenius orbit
+once: conjugates share normality and the vector, so one rank test and one
+vector stand for the orbit's n elements, and the audits count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
 and the trace are both GF(2)-linear, so Tr(e*c) is the sum of
@@ -58,7 +61,7 @@ from typing import Callable, Iterator
 from .construct import Status, _characterized, pow2_odd_split, validate_vector
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
 from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _form_tables, _linear
-from .poly2 import CyclicPoly, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
+from .poly2 import CyclicPoly, _eliminate, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
@@ -125,15 +128,9 @@ def _independent(rows: list[int]) -> bool:
     """GF(2) elimination: True iff the rows are independent (stops at the first dependent)."""
     basis = [0] * max(rows).bit_length()  # pivots by leading bit: sized by width, not row count
     for r in rows:
-        while r:
-            lead = r.bit_length() - 1
-            b = basis[lead]
-            if not b:
-                basis[lead] = r
-                break
-            r ^= b
-        else:
+        if not (r := _eliminate(basis, r)):
             return False
+        basis[r.bit_length() - 1] = r
     return True
 
 

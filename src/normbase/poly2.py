@@ -17,7 +17,7 @@ rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 # ---------- GF(2)[x] on plain ints ----------
@@ -72,6 +72,13 @@ def poly_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         u, u1 = u1, u ^ poly_mul(q, u1)
         v, v1 = v1, v ^ poly_mul(q, v1)
     return a, u, v
+
+
+def _eliminate(basis: Sequence[int], r: int) -> int:
+    """XOR into the GF(2) row r the pivot basis[i] at its leading bit i while there is one."""
+    while r and (b := basis[r.bit_length() - 1]):
+        r ^= b
+    return r
 
 
 def is_irreducible(f: int) -> bool:

@@ -138,6 +138,17 @@ def test_factor_set_bijection(n):
         assert factor_2power(h) == g
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_factor_round_trips_past_the_enumerable_sizes(n):
+    # seeded members of G where G is too large to walk: the solver inverts g -> g * g^*
+    rng, free = random.Random(n), _free_mask(n)
+    for low in [0, free] + [rng.getrandbits(n // 2) & free for _ in range(300)]:
+        g = _member(n, low)
+        h = cyclic_mul(g, reciprocal(g))
+        assert _solve_2power(h) == g
+        assert factor_2power(h) == g
+
+
 def test_any_product_with_reciprocal_is_symmetric_with_zero_middle():
     n = 8
     for bits in range(1 << n):
@@ -251,10 +262,10 @@ def test_solver_raises_outside_H(n):
 def test_rank_deficient_system_is_an_implementation_bug(monkeypatch):
     # every column 0: the constant 1 has no bits in positions 1 .. n/2 - 1
     monkeypatch.setattr(factor, "cyclic_mul", lambda a, b: CyclicPoly(a.n, 1))
-    factor._eliminated_system.cache_clear()
+    factor._echelon.cache_clear()
     try:
         with pytest.raises(RuntimeError) as exc:
-            factor._eliminated_system(16)
+            factor._echelon(16)
     finally:
-        factor._eliminated_system.cache_clear()
+        factor._echelon.cache_clear()
     assert str(exc.value) == "factorization system is rank-deficient (implementation bug)"

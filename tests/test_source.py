@@ -87,6 +87,20 @@ def test_oracle_does_not_use_the_field_kernel():
     assert not production & names
 
 
+def test_factor_builds_on_poly2_alone():
+    # the factor solver reduces by poly2's _eliminate: no other package module, so no second
+    # elimination routine or table map can come in through an import
+    factor = next(path for path in SOURCES if path.name == "factor.py")
+    modules = set()
+    for node in ast.walk(ast.parse(factor.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    package = {m for m in modules if m.startswith(".") or m.split(".")[0] == "normbase"}
+    assert package == {".poly2"}
+
+
 def _unbounded_cache(decorator: ast.expr) -> bool:
     # @cache, @functools.cache, @lru_cache(maxsize=None), @lru_cache(None)
     func = decorator.func if isinstance(decorator, ast.Call) else decorator
