@@ -1,10 +1,13 @@
 """End-to-end constructions of normal elements with prescribed vectors.
 
-validate_vector states each of the paper's two characterizations once:
-the 2-power rule (at n = 1, 2 it leaves the single vectors (1) and (1,0))
-and the odd rule.  For composite n = 2^s * m only necessary conditions
-are known, the two rules applied to the vector's folds onto 2^s and m
-entries, reported as NECESSARY_ONLY.  prescribe and prescribe_in_subfield
+_flags states each of the paper's two characterizations once, as pass
+flags: the 2-power rule (at n = 1, 2 it leaves the single vectors (1) and
+(1,0)) and the odd rule.  For composite n = 2^s * m only necessary
+conditions are known, the two rules applied to the vector's folds onto 2^s
+and m entries, reported as NECESSARY_ONLY.  The flags alone decide, for
+the audits and the pipeline; validate_vector renders each condition's text
+from n and a on demand and pairs it with its flag, and the pipeline builds
+that Verdict only to reject a vector.  prescribe and prescribe_in_subfield
 enter one _pipeline: it validates the vector, takes a normal base element,
 inverts its vector in the cyclic ring, factors the quotient as
 g * reciprocal(g), applies g as a basis change and runs the closing check.
@@ -86,11 +89,6 @@ class InvalidVectorError(ValueError):
         super().__init__(f"There isn't such a normal element: {detail}")
 
 
-def _verdict(checks: list[tuple[str, bool]], ok_status: Status, notes: tuple[str, ...] = ()) -> Verdict:
-    status = ok_status if all(p for _, p in checks) else Status.INVALID
-    return Verdict(status, tuple(checks), notes)
-
-
 def _is_pow2(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -109,28 +107,35 @@ def pow2_odd_split(n: int) -> tuple[int, int]:
 _SYMMETRIC = "symmetric (a[i] = a[n-i])"
 
 
-def _pow2_rule(a: CyclicPoly) -> list[tuple[str, bool]]:
-    """The characterization for a.n = 2^s, as (description, passed) pairs."""
-    n = a.n
-    checks = [("a[0] = 1", a.coeff(0) == 1)]
-    if n >= 2:
-        checks.append((f"a[{n // 2}] = 0", a.coeff(n // 2) == 0))
-    if n >= 4:
-        checks.append((_SYMMETRIC, is_symmetric(a)))
-        checks.append((f"sum of a[i] over odd i < {n // 2} equals 1", _odd_half_sum(a) == 1))
-    return checks
-
-
-def _odd_rule(a: CyclicPoly) -> list[tuple[str, bool]]:
-    """The characterization for odd a.n, as (description, passed) pairs."""
-    g = poly_gcd(a.bits, ring_modulus(a.n)) if a.bits else 0  # 0: a itself is zero
-    note = "" if g == 1 else f" (common factor {poly_to_text(g) if g else 'zero polynomial'})"
-    return [(_SYMMETRIC, is_symmetric(a)), (f"coprime to x^{a.n}-1{note}", g == 1)]
-
-
 def _fold(a: CyclicPoly, k: int) -> CyclicPoly:
     """a mod (x^k - 1), for k dividing a.n: entry j sums the a_i with i = j mod k."""
     return a if k == a.n else CyclicPoly(k, poly_mod(a.bits, ring_modulus(k)))
+
+
+def _flags(n: int, a: CyclicPoly) -> list[bool]:
+    """Each condition's pass flag, in the order validate_vector lists the conditions."""
+    if a.n != n:
+        raise ValueError(f"vector length mismatch: {a.n} != {n}")
+    if _is_pow2(n):  # a[0] = 1, a[n/2] = 0, symmetric, odd half-sum 1; at n = 1, 2 the first n
+        return [a.bits & 1 == 1, not a.bits >> n // 2 & 1, is_symmetric(a),
+                _odd_half_sum(a) == 1][:min(n, 4)]
+    if n % 2 == 1:  # symmetric, coprime to x^n - 1
+        return [is_symmetric(a), is_unit_mod_cyclic(a)]
+    return [is_symmetric(a), *(f for k in pow2_odd_split(n) for f in _flags(k, _fold(a, k)))]
+
+
+def _texts(a: CyclicPoly) -> list[str]:
+    """The description of each condition _flags(a.n, a) decides, in its order."""
+    n = a.n
+    if _is_pow2(n):
+        return ["a[0] = 1", f"a[{n // 2}] = 0", _SYMMETRIC,
+                f"sum of a[i] over odd i < {n // 2} equals 1"][:min(n, 4)]
+    if n % 2 == 1:
+        g = poly_gcd(a.bits, ring_modulus(n)) if a.bits else 0  # 0: a itself is zero
+        note = "" if g == 1 else f" (common factor {poly_to_text(g) if g else 'zero polynomial'})"
+        return [_SYMMETRIC, f"coprime to x^{n}-1{note}"]
+    return [_SYMMETRIC, *(f"a mod x^{k}-1 = {u}: {desc}"
+                          for k in pow2_odd_split(n) for u in [_fold(a, k)] for desc in _texts(u))]
 
 
 def validate_vector(n: int, a: CyclicPoly) -> Verdict:
@@ -141,22 +146,16 @@ def validate_vector(n: int, a: CyclicPoly) -> Verdict:
     rules applied to the folds a mod x^(2^s) - 1 and a mod x^m - 1 (the
     vectors of the element's traces onto GF(2^(2^s)) and GF(2^m)), after
     symmetry of a; they are only necessary, so passing them yields
-    NECESSARY_ONLY.
+    NECESSARY_ONLY.  The flags decide; the text is rendered here, on demand.
     """
-    if a.n != n:
-        raise ValueError(f"vector length mismatch: {a.n} != {n}")
-    if _is_pow2(n):
-        return _verdict(_pow2_rule(a), Status.VALID)
-    if n % 2 == 1:
-        return _verdict(_odd_rule(a), Status.VALID)
+    flags = _flags(n, a)
+    checks = tuple(zip(_texts(a), flags))
+    if _is_pow2(n) or n % 2 == 1:
+        return Verdict(Status.VALID if all(flags) else Status.INVALID, checks)
     s2, m = pow2_odd_split(n)
-    checks = [(_SYMMETRIC, is_symmetric(a))]
-    for k, rule in ((s2, _pow2_rule), (m, _odd_rule)):
-        u = _fold(a, k)
-        checks += [(f"a mod x^{k}-1 = {u}: {desc}", passed) for desc, passed in rule(u)]
     note = (f"conditions for n = {s2}*{m} are necessary only; "
             "sufficiency is open (see compose/weight3 for constructive cases)",)
-    return _verdict(checks, Status.NECESSARY_ONLY, note)
+    return Verdict(Status.NECESSARY_ONLY if all(flags) else Status.INVALID, checks, note)
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,8 @@ def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly,
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
     """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, then take
     the base of beta (by default the scan's), solve and run the closing check."""
-    verdict = validate_vector(t, a)
-    if verdict.status is not Status.VALID:
-        raise InvalidVectorError(verdict)
+    if not all(_flags(t, a)):
+        raise InvalidVectorError(validate_vector(t, a))
     beta, b, b_inv, conjugates = _default_base(spec, t) if beta is None else _base(spec, t, beta)
     h = cyclic_mul(a, b_inv)
     g = _sqrt_odd(h) if t % 2 else _solve_2power(h)

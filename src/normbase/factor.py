@@ -37,7 +37,8 @@ def _require_pow2(n: int):
 
 def _odd_half_sum(f: CyclicPoly) -> int:
     """Parity of the coefficients at the odd indices below n/2."""
-    return (f.bits & int("10" * (f.n // 4) or "0", 2)).bit_count() & 1
+    # 2^j // 3 = 0b1010...10 holds the odd bits below an odd j; with j = n//2 | 1, those below n/2
+    return (f.bits & (1 << (f.n // 2 | 1)) // 3).bit_count() & 1
 
 
 def in_H(h: CyclicPoly) -> bool:

@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .construct import Status, _characterized, pow2_odd_split, validate_vector
+from .construct import _characterized, _flags, pow2_odd_split
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
 from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _form_tables, _linear
 from .poly2 import CyclicPoly, _eliminate, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
@@ -223,7 +223,7 @@ def predicted_vectors(n: int) -> set[CyclicPoly]:
     """All vectors the characterization declares achievable (n = 2^s >= 4 or odd)."""
     _require_characterized(n)
     # corresponding vectors are symmetric
-    return {v for v in symmetric_vectors(n) if validate_vector(n, v).status is Status.VALID}
+    return {v for v in symmetric_vectors(n) if all(_flags(n, v))}
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def check_necessary(spec: FieldSpec) -> Report:
         # counted per element: each orbit stands for its n conjugates, which share vec
         count += spec.n
         if vec not in failed:
-            failed[vec] = validate_vector(spec.n, vec).status is Status.INVALID
+            failed[vec] = not all(_flags(spec.n, vec))
         if failed[vec]:
             failures += [f"vector {vec}"] * spec.n
     return _violations("necessary", "necessary-conditions", spec.n, "normal_elements",

@@ -10,6 +10,12 @@ identification between length-n bit vectors and ring elements stays
 positional and lossless.  Cyclic ring values double as coefficient vectors
 throughout the package (trace vectors, basis-change coefficients).
 
+poly_mul takes b two bits at a time, each picking one of 0, a, x*a, x*a + a.
+_mirror reverses the n bits a byte at a time through a 256-entry
+bytes.translate table, then rotates them so that bit 0 stays fixed.
+symmetric_vectors doubles its list of sums over the pairs x^k + x^(n-k),
+k = 0 .. n/2, which keeps them ascending in f_0 .. f_{n//2}.
+
 Text formats: "x^16+x^5+x^3+x^2+1" (terms in any order, duplicates
 rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
 """
@@ -23,15 +29,15 @@ from typing import Iterator, Sequence
 # ---------- GF(2)[x] on plain ints ----------
 
 def poly_mul(a: int, b: int) -> int:
-    """Multiply polynomials a and b (carry-less schoolbook)."""
+    """Multiply polynomials a and b (carry-less schoolbook, two bits of b per step)."""
     if a < b:
         a, b = b, a
-    acc = 0
+    window = (0, a, a << 1, a << 1 ^ a)  # window[d] = d * a for the 2-bit digits d of b
+    acc = shift = 0
     while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+        acc ^= window[b & 3] << shift
+        b >>= 2
+        shift += 2
     return acc
 
 
@@ -255,10 +261,14 @@ def cyclic_inv(f: CyclicPoly) -> CyclicPoly:
     return CyclicPoly(f.n, poly_mod(u, m))
 
 
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # byte i, bits reversed
+
+
 def _mirror(bits: int, n: int) -> int:
-    """The n coefficient bits with bit i moved to n - i mod n, bit 0 fixed."""
-    r = int(f"{bits:0{n}b}"[::-1], 2)  # coefficient at i moved to n - 1 - i
-    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
+    """The n coefficient bits with bit i moved to n - i mod n, bit 0 fixed; 0 <= bits < 2^n."""
+    w = (n + 7) // 8  # reversing w bytes moves bit i to 8w - 1 - i
+    r = int.from_bytes(bits.to_bytes(w, "little").translate(_REVERSED), "big") >> (8 * w - n)
+    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)  # r: coefficient at i moved to n - 1 - i
 
 
 def reciprocal(g: CyclicPoly) -> CyclicPoly:
@@ -273,8 +283,12 @@ def is_symmetric(f: CyclicPoly) -> bool:
 
 def symmetric_vectors(n: int) -> Iterator[CyclicPoly]:
     """Every symmetric f of ring size n, once, ascending in f_0 .. f_{n//2}, which fix the rest."""
-    for low in range(1 << (n // 2 + 1)):
-        yield CyclicPoly(n, low | _mirror(low, n))
+    sums = [0]
+    for k in range(n // 2 + 1):  # sums[low] is the sum of the pairs at the bits k of low
+        pair = 1 << k | 1 << (n - k) % n
+        sums += [s | pair for s in sums]
+    for s in sums:
+        yield CyclicPoly(n, s)
 
 
 def is_unit_mod_cyclic(f: CyclicPoly) -> bool:

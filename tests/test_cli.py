@@ -255,8 +255,7 @@ def _broken_factor(monkeypatch):
 
 
 def _broken_conditions(monkeypatch):
-    failed = construct.Verdict(construct.Status.INVALID, (("broken", False),))
-    monkeypatch.setattr(oracle, "validate_vector", lambda n, a: failed)
+    monkeypatch.setattr(oracle, "_flags", lambda n, a: [False])
 
 
 @pytest.mark.parametrize("break_audit, argv, lines", [

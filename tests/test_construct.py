@@ -74,8 +74,35 @@ def test_validate_composite_is_necessary_only():
 
 
 def test_validate_length_mismatch():
-    with pytest.raises(ValueError):
-        validate_vector(8, CyclicPoly(4, 1))
+    for decide in (validate_vector, construct._flags):
+        with pytest.raises(ValueError, match="^vector length mismatch: 4 != 8$"):
+            decide(8, CyclicPoly(4, 1))
+
+
+def _pinned_vectors():
+    """Every vector at n <= 12, then seeded ones, half symmetrized, at larger n of each kind."""
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            yield CyclicPoly(n, bits)
+    rng = random.Random(35)
+    for n in (15, 16, 21, 32, 33, 64):
+        for i in range(400):
+            a = CyclicPoly(n, rng.getrandbits(n))
+            yield CyclicPoly(n, a.bits | reciprocal(a).bits) if i % 2 else a
+
+
+# sha256 of every pinned vector's (n, bits, status, reasons), as validate_vector rendered them
+# when each rule still built its text with its flags
+VERDICTS_SHA256 = "4fdb39f580c37cbd63d1ee9ebd14ec66e030b612e1d7a7ccccf30c3c3a415da6"
+
+
+def test_verdicts_pinned_and_decided_by_the_flags():
+    digest = hashlib.sha256()
+    for a in _pinned_vectors():
+        verdict = validate_vector(a.n, a)
+        digest.update(repr((a.n, a.bits, verdict.status.value, verdict.reasons)).encode())
+        assert construct._flags(a.n, a) == [passed for _, passed in verdict.checks]
+    assert digest.hexdigest() == VERDICTS_SHA256
 
 
 def test_necessary_conditions_examples(f12):

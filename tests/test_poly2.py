@@ -12,6 +12,7 @@ from normbase.field import FieldSpec, parse_elem
 from normbase.poly2 import (
     CyclicPoly,
     DegreeBoundError,
+    _mirror,
     cyclic_inv,
     cyclic_mul,
     find_irreducible,
@@ -408,6 +409,47 @@ def test_symmetric_vectors_are_every_symmetric_vector_once():
         assert set(found) == {f for bits in range(1 << n) if is_symmetric(f := CyclicPoly(n, bits))}
         lows = [f.bits & ((2 << (n // 2)) - 1) for f in found]  # entries 0 .. n//2
         assert lows == sorted(set(lows))
+
+
+def _mirror_by_string(bits, n):
+    # the reference reversal: bit i moves to n - 1 - i in a binary string, then all rotate by one
+    r = int(f"{bits:0{n}b}"[::-1], 2)
+    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
+
+
+def test_mirror_matches_the_string_reversal():
+    # _mirror's contract is 0 <= bits < 2^n, which every caller keeps
+    for n in range(1, 15):
+        for bits in range(1 << n):
+            assert _mirror(bits, n) == _mirror_by_string(bits, n)
+    rng = random.Random(600)
+    for n in range(15, 601):
+        for bits in (rng.getrandbits(n), 1 << (n - 1), (1 << n) - 1):
+            assert _mirror(bits, n) == _mirror_by_string(bits, n)
+
+
+def test_symmetric_vectors_are_the_mirrored_count_in_order():
+    for n in range(1, 17):
+        expected = [CyclicPoly(n, low | _mirror_by_string(low, n))
+                    for low in range(1 << (n // 2 + 1))]
+        assert list(symmetric_vectors(n)) == expected
+
+
+def _mul_bit_serial(a, b):
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+# up to 1,200 bits: past the squares of ~570-bit values that degrees up to 571 would take
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 1200) - 1), st.integers(0, (1 << 1200) - 1))
+def test_poly_mul_matches_the_bit_serial_product(a, b):
+    assert poly_mul(a, b) == poly_mul(b, a) == _mul_bit_serial(a, b)
 
 
 def _compose_twelve_short_odd_part():

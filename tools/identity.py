@@ -12,7 +12,11 @@ hashing (argv, exit code, stdout, stderr) per group.  The corpus:
   n = 1 on the moduli x and x + 1, mixing 0, 1, n, 2^n - 1, 2^n, 2^n + 1,
   twelve-digit and 300-bit exponents and repeated terms;
 - small audits, and error cases (bad vectors, moduli, elements, degrees,
-  usage).
+  usage);
+- prescribe on unachievable vectors: each condition of the 2-power rule
+  failing alone at n = 1 .. 64, and odd n whose vectors are zero,
+  asymmetric, or share different factors with x^n - 1, so that every
+  rendered FAIL line and common-factor note is hashed.
 
 To compare two trees, run it once on each and diff the outputs:
 
@@ -23,8 +27,8 @@ To compare two trees, run it once on each and diff the outputs:
 
 The vectors and moduli are drawn with the tree's own validate_vector and
 is_irreducible, so a tree that judges them differently changes the corpus,
-and its hashes, too.  A sweep of the 4,298 runs takes about 6 s on a
-2-core Xeon with Python 3.11.
+and its hashes, too; the unachievable vectors are fixed.  A sweep of the
+4,374 runs takes about 6 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _corpus(nb) -> dict[str, list[list[str]]]:
 
     groups: dict[str, list[list[str]]] = {name: [] for name in (
         "find", "check", "vector", "prescribe", "compose", "weight3", "force-beta", "audit",
-        "errors", "pow")}
+        "errors", "pow", "invalid")}
     for n in range(1, 65):
         s2, m = pow2_odd_split(n)
         degree = ["--degree", str(n)]
@@ -131,6 +135,19 @@ def _corpus(nb) -> dict[str, list[list[str]]]:
         ["audit", "--degree", "8", "--mode", "nope"],
         ["frobnicate"], ["normal"], ["prescribe", "--degree", "16"], ["--help"],
     ]
+    # fixed supports, no draws: a[0] = 0, a[n/2] = 1, asymmetric, odd half-sum 0, each alone
+    unachievable = [(1, ())] + [(n, ones) for n in (4, 8, 16, 32, 64) for ones in (
+        (1, n - 1), (0, 1, n // 2, n - 1), (0, 1), (0,))]
+    # odd n: zero, asymmetric with and without a common factor, and symmetric vectors whose
+    # common factor with x^n - 1 is x+1, x^2+x+1, x^3+1, x^4+x^3+x^2+x+1, x^5+1, x^7+1, ...
+    unachievable += [(9, (0, 3, 6)), (9, (1, 2, 7, 8)), (15, ()), (15, (0, 1)), (15, (0, 1, 3)),
+                     (15, (1, 14)), (15, (0, 1, 14)), (15, (0, 5, 10)), (15, (1, 2, 13, 14)),
+                     (15, (2, 3, 12, 13)), (15, (0, 1, 2, 13, 14)), (15, (0, 1, 3, 12, 14)),
+                     (15, tuple(range(15))), (21, (3, 4, 17, 18)), (21, (2, 5, 16, 19)),
+                     (21, (0, 1, 2, 3, 18, 19, 20)), (21, (0, 7, 14))]
+    groups["invalid"] += [["prescribe", "--degree", str(n), "--vector",
+                           ",".join("1" if i in ones else "0" for i in range(n))]
+                          for n, ones in unachievable]
     return groups
 
 
