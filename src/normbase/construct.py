@@ -16,10 +16,11 @@ tau = Tr_{n|t}(A) is the fold f_A mod (x^t - 1), as entry i of the fold
 is Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
 So the base vector is the fold of f_beta for the scan's normal beta (the
 scan keeps f_beta with beta), and the result is the relative trace of the
-lift sum g_i beta^(2^i) (the lift itself at t = n).  The fold, its
-inverse and the basis change, kept as the t conjugates of beta, depend on
-the field alone, so the spec keeps them per t; a warm prescription then
-squares only to check and trace down its result.  compose multiplies
+lift sum g_i beta^(2^i) (at t = n the lift itself, with no trace taken).
+The fold, its inverse and the basis change, kept as the t conjugates of
+beta, depend on the field alone, so the spec keeps them per t; a warm
+prescription then reads conjugates only to check its result, and to trace
+it down when t < n.  compose multiplies
 prescriptions from the coprime 2-power and odd subfields; weight3
 specializes composition to the minimum-weight vector available when 4 | n.
 
@@ -203,7 +204,8 @@ def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -
     if vec != a:  # the one verification of the result; see the module docstring
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
-    return Prescription(spec, a, beta, b, b_inv, h, g, rel_trace(spec, lift, t), vec)
+    element = rel_trace(spec, lift, t) if t < spec.n else lift
+    return Prescription(spec, a, beta, b, b_inv, h, g, element, vec)
 
 
 def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> Prescription:

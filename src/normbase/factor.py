@@ -14,7 +14,8 @@ is reduced against it by poly2's _eliminate, the package's one GF(2)
 elimination routine, and what is left is g's free part, or a column bit
 when h is outside H.  For odd n a target factors iff it is symmetric,
 and then g_i = h_{2i mod n} gives a symmetric square root
-(g * g^* = g^2 = h).
+(g * g^* = g^2 = h); that is a bit permutation, bit j of h to bit
+j(n+1)/2 mod n, read through one 256-byte translate table for every n.
 
 factor_2power checks its input and its result around the bare solver
 _solve_2power; the prescription pipeline calls _solve_2power and _sqrt_odd
@@ -133,8 +134,14 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
     return g
 
 
+# byte b -> its odd bits 7, 5, 3, 1 as the high hex digit and its even bits 6, 4, 2, 0 as the low one
+_HALVES = bytes(int(s[::2] + s[1::2], 2) for s in (f"{b:08b}" for b in range(256)))
+
+
 def _sqrt_odd(h: CyclicPoly) -> CyclicPoly:
-    """g_i = h_{2i mod n}, odd n: the symmetric square root when h is symmetric."""
-    coeffs = f"{h.bits:0{h.n}b}"[::-1]  # coeffs[i] = h_i
-    # 2i mod n runs over the even indices for i <= (n-1)/2, then over the odd ones
-    return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
+    """g_i = h_{2i mod n}, odd n: the symmetric square root when h is symmetric.
+
+    2i mod n runs over the even indices for i <= (n-1)/2, then over the odd
+    ones: g is h's even bits in order, then its odd bits from (n+1)/2 up."""
+    digits = h.bits.to_bytes((h.n + 7) // 8, "big").translate(_HALVES).hex()  # high digit first
+    return CyclicPoly(h.n, int(digits[1::2], 16) | int(digits[::2], 16) << (h.n + 1) // 2)

@@ -16,8 +16,15 @@ their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
 Tr(g^(j+k)).  It is a Hankel matrix, row j the sequence shifted down by j,
 so one 256-entry table T serves every byte of an element: T[b] sums the
 rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
-(_form).  Public functions validate their elements; the inner loops apply
-the tables directly.
+(_form).  A warm spec also keeps byte tables of the Frobenius steps
+x -> (x, x^2, ..., x^(2^M)), M = _STEPS, each image a block of P = 8 ceil(n/8)
+bits (_frobenius_tables), so that one lookup round reads M conjugates and
+the block that starts the next round.  A spec counts the vectors read by
+squaring until they have cost about one build, n M squarings at n/2 per
+vector, so after about 2M vectors (rent or buy), and then builds the table
+(_frobenius_table); a spec that reads a few vectors never pays for it.
+Public functions validate their elements; the inner loops apply the tables
+directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -38,6 +45,7 @@ from .poly2 import (
 )
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
+_STEPS = 8  # M, the conjugates one lookup round of a Frobenius table reads
 
 
 def _check_degree(n: int):
@@ -66,6 +74,7 @@ class FieldSpec:
             images.append(x)
             x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
+        object.__setattr__(self, "_frobenius", 0)  # see _frobenius_table
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -126,6 +135,44 @@ def _is_certified(spec: FieldSpec) -> bool:
     h = _conjugates(spec, x, n + 1)
     primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
     return h[n] == x and all(poly_gcd(h[n // p] ^ x, spec.modulus) == 1 for p in primes)
+
+
+def _frobenius_table(spec: FieldSpec) -> tuple | None:
+    """None while squaring is the cheaper way to read a vector, then the spec's Frobenius table.
+
+    spec._frobenius counts the vectors read by squaring until they have cost
+    about one build, n * _STEPS squarings at n // 2 per vector, and then holds
+    the table, freed with the spec.  Threads that race here lose counts or
+    build the same table twice; either way the result is the same.
+    """
+    held = spec._frobenius
+    if type(held) is int:
+        n = spec.n
+        if held * (n // 2) < n * _STEPS:
+            object.__setattr__(spec, "_frobenius", held + 1)
+            return None
+        held = _frobenius_tables(spec)
+        object.__setattr__(spec, "_frobenius", held)
+    return held
+
+
+def _frobenius_tables(spec: FieldSpec) -> tuple:
+    """(tables, shifts, step, rep, lanes, spread) for normal.corresponding_vector.
+
+    The byte tables send x to the sum of x^(2^k) << kP, k = 0 .. _STEPS, with
+    P = 8 * lanes, lanes = ceil(n/8); round r of a vector ORs its image in at
+    shift rMP, and step = MP takes out block M, the next round's input.  rep
+    repeats w over the n // 2 + 1 blocks the vector needs; spread sums the
+    lanes bytes of a block.
+    """
+    n = spec.n
+    lanes, half = (n + 7) // 8, n // 2 + 1
+    stride = 8 * lanes
+    step = _STEPS * stride
+    images = [sum(c << k * stride for k, c in enumerate(_conjugates(spec, 1 << j, _STEPS + 1)))
+              for j in range(n)]
+    return (_byte_tables(images), range(0, -(-half // _STEPS) * step, step), step,
+            sum(1 << k * stride for k in range(half)), lanes, sum(1 << 8 * j for j in range(lanes)))
 
 
 def _form_tables(n: int, traces: int) -> list[list[int]]:

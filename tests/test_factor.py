@@ -169,6 +169,22 @@ def test_factor_odd_examples():
     assert cyclic_mul(h3, h3) == h3
 
 
+def test_sqrt_odd_is_the_string_permutation():
+    # the translate-table permutation against the string form it replaced: coefficient 2i mod n
+    # moved to i, read off the even indices and then the odd ones
+    def by_string(h):
+        coeffs = f"{h.bits:0{h.n}b}"[::-1]
+        return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
+
+    for n in range(1, 14, 2):
+        for bits in range(1 << n):
+            assert _sqrt_odd(CyclicPoly(n, bits)) == by_string(CyclicPoly(n, bits))
+    rng = random.Random(601)
+    for n in range(15, 602, 2):
+        for h in (CyclicPoly(n, rng.getrandbits(n)) for _ in range(4)):
+            assert _sqrt_odd(h) == by_string(h)
+
+
 def test_factor_odd_output_is_symmetric_square_root():
     for n in (3, 5, 7, 9):
         for bits in range(1 << ((n + 1) // 2)):

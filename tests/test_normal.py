@@ -2,13 +2,15 @@
 
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 
 from normbase import normal
 from normbase.construct import _fold, compose, prescribe, weight3
-from normbase.field import FieldSpec, elem_mul, frobenius, rel_trace
+from normbase.field import _STEPS, FieldSpec, _frobenius_tables, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import is_subfield_normal_by_rank
 from normbase.poly2 import (
@@ -193,11 +195,87 @@ def test_vector_polarization_identity(n):
         assert f(H ^ L) == f(H) ^ f(L) ^ cross
 
 
+def _vectors_by_path(spec, elements):
+    # corresponding_vector with the squaring loop forced (a fresh count before each vector),
+    # then with the Frobenius table forced (built now, whatever the count)
+    loop = []
+    for a in elements:
+        object.__setattr__(spec, "_frobenius", 0)
+        loop.append(corresponding_vector(spec, a))
+    object.__setattr__(spec, "_frobenius", _frobenius_tables(spec))
+    return loop, [corresponding_vector(spec, a) for a in elements]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_loop_and_table_vectors_are_the_naive_vector_on_every_element(n, naive_subfield_vector):
+    spec = FieldSpec.from_degree(n)
+    loop, table = _vectors_by_path(spec, range(spec.order))
+    assert loop == table == [naive_subfield_vector(spec, a, n) for a in range(spec.order)]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_loop_and_table_vectors_agree_on_default_and_seeded_moduli(n, naive_subfield_vector):
+    # the stride P = 8 ceil(n/8) exceeds n unless 8 | n, and _STEPS divides the n // 2 + 1
+    # conjugates a vector reads at n = 14, 15, 30, 31, 46, 47, 62, 63 alone
+    rng = random.Random(n)
+    while not is_irreducible(modulus := rng.randrange(1 << n, 1 << (n + 1))):
+        pass
+    for spec in (FieldSpec.from_degree(n), FieldSpec(n, modulus)):
+        elements = [spec.generator] + [rng.randrange(spec.order) for _ in range(15)]
+        loop, table = _vectors_by_path(spec, elements)
+        assert loop == table
+        assert loop[:2] == [naive_subfield_vector(spec, a, n) for a in elements[:2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 21, 32, 33, 64])
+def test_a_spec_builds_its_table_once_the_loop_has_cost_one_build(n):
+    # the loop serves vectors while their n // 2 squarings each have cost less than the
+    # build's n * _STEPS, about 2 * _STEPS vectors; n = 1 squares nothing, so it keeps the loop
+    spec = FieldSpec.from_degree(n)
+    served = -(-n * _STEPS // (n // 2)) if n > 1 else 3 * _STEPS
+    for k in range(served):
+        corresponding_vector(spec, k % spec.order)
+        assert spec._frobenius == k + 1
+    if n > 1:
+        vector = corresponding_vector(spec, spec.generator)
+        assert type(spec._frobenius) is tuple
+        object.__setattr__(spec, "_frobenius", 0)
+        assert corresponding_vector(spec, spec.generator) == vector
+
+
+def test_threads_sharing_a_spec_read_the_same_vectors():
+    # threads that race on the count lose counts or build the table twice; every vector they
+    # read, by either path, is still the element's vector
+    spec = FieldSpec.from_degree(33)
+    elements = range(1, 120)
+    expected = [corresponding_vector(FieldSpec.from_degree(33), a) for a in elements]
+    results = {}
+
+    def read(k):
+        results[k] = [corresponding_vector(spec, a) for a in elements]
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]  # more than the cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[k] == expected for k in range(4))
+    assert type(spec._frobenius) is tuple
+
+
 def test_field_spec_is_freed_and_its_choices_repeat():
     # per-field values live on the spec, so nothing keeps a dropped spec alive
     spec = FieldSpec.from_degree(21)
     element = find_normal(spec)
-    corresponding_vector(spec, element)
+    for _ in range(3 * _STEPS):  # past the switch point, so the spec holds its Frobenius table
+        corresponding_vector(spec, element)
+    frobenius_table = spec._frobenius[0][0]
+    frobenius_map = (id(frobenius_table), tuple(frobenius_table))
     prescribe(spec, CyclicPoly(21, 1))
     drawn = find_normal(spec, seed=7)
     sub = FieldSpec.from_degree(12)
@@ -207,9 +285,9 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     bases = [vars(s)[f"_base_{t}"] for s, t in ((spec, 21), (sub, 4), (sub, 3))]
     base_vectors = [weakref.ref(base[1]) for base in bases]
     # a list takes no weak reference, so each kept basis-change map is looked for by id and value
-    maps = [(id(base[3]), tuple(base[3])) for base in bases]
+    maps = [(id(base[3]), tuple(base[3])) for base in bases] + [frobenius_map]
     ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
-    del spec, sub, bases
+    del spec, sub, bases, frobenius_table
     gc.collect()
     assert ref() is None and sub_ref() is None
     assert all(r() is None for r in base_vectors)
@@ -224,7 +302,7 @@ def test_field_spec_is_freed_and_its_choices_repeat():
 def test_explicit_base_is_not_kept_by_the_spec():
     spec = FieldSpec.from_degree(16)
     prescribe(spec, CyclicPoly.from_support(16, {0, 1, 15}), beta=find_normal(spec, seed=3))
-    assert set(vars(spec)) <= {"n", "modulus", "_square", "_trace"}  # the fields and their tables, no base
+    assert set(vars(spec)) <= {"n", "modulus", "_square", "_frobenius", "_trace"}  # tables, no base
 
 
 def test_basis_change_identity(f16, basis_change):

@@ -397,9 +397,9 @@ def test_audits_leave_a_spec_its_squaring_tables_alone(monkeypatch):
     assert check_self_dual_existence(6).ok
     assert [spec.n for spec in made] == [5, 8, 12, 2, 3, 4, 5, 6]
     for spec in made:
-        assert set(vars(spec)) == {"n", "modulus", "_square"}
+        assert set(vars(spec)) == {"n", "modulus", "_square", "_frobenius"}
         corresponding_vector(spec, spec.generator)
-        assert set(vars(spec)) == {"n", "modulus", "_square", "_trace"}
+        assert set(vars(spec)) == {"n", "modulus", "_square", "_frobenius", "_trace"}
         assert _trace_form(spec)[0] == _naive_trace_mask(spec)
 
 

@@ -81,24 +81,35 @@ def test_oracle_does_not_use_the_field_kernel():
     # and builds its squaring tables from it: no kernel table, so a wrong one cannot leak in
     oracle = next(path for path in SOURCES if path.name == "oracle.py")
     production = {"elem_square", "frobenius", "_trace_mask", "_kernel", "corresponding_vector",
-                  "is_normal", "gram", "trace_mask", "_square", "_trace", "_trace_form"}
+                  "is_normal", "gram", "trace_mask", "_square", "_trace", "_trace_form",
+                  "_frobenius", "_frobenius_table", "_frobenius_tables"}
     names = set(_names(ast.parse(oracle.read_text())))
     assert "_naive_trace_mask" in names  # the oracle's own helper is a different name
     assert not production & names
 
 
-def test_factor_builds_on_poly2_alone():
-    # the factor solver reduces by poly2's _eliminate: no other package module, so no second
-    # elimination routine or table map can come in through an import
-    factor = next(path for path in SOURCES if path.name == "factor.py")
+def _package_imports(name: str) -> set[str]:
+    # the package modules that a module imports, relative or absolute
+    source = next(path for path in SOURCES if path.name == name)
     modules = set()
-    for node in ast.walk(ast.parse(factor.read_text())):
+    for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
-    package = {m for m in modules if m.startswith(".") or m.split(".")[0] == "normbase"}
-    assert package == {".poly2"}
+    return {m for m in modules if m.startswith(".") or m.split(".")[0] == "normbase"}
+
+
+def test_factor_builds_on_poly2_alone():
+    # the factor solver reduces by poly2's _eliminate: no other package module, so no second
+    # elimination routine or table map can come in through an import
+    assert _package_imports("factor.py") == {".poly2"}
+
+
+def test_oracle_imports_are_pinned():
+    # the oracle takes rules and solvers from construct and factor and plain tables from field,
+    # never the normal module's vectors: a new import could bring the production kernel in
+    assert _package_imports("oracle.py") == {".construct", ".factor", ".field", ".poly2"}
 
 
 def _unbounded_cache(decorator: ast.expr) -> bool:
