@@ -40,7 +40,6 @@ from .poly2 import (
     is_unit_mod_cyclic,
     parse_poly,
     parse_vector,
-    poly_ext_gcd,
     poly_gcd,
     poly_mul,
     poly_to_text,

@@ -16,15 +16,11 @@ their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
 Tr(g^(j+k)).  It is a Hankel matrix, row j the sequence shifted down by j,
 so one 256-entry table T serves every byte of an element: T[b] sums the
 rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
-(_form).  A warm spec also keeps byte tables of the Frobenius steps
-x -> (x, x^2, ..., x^(2^M)), M = _STEPS, each image a block of P = 8 ceil(n/8)
-bits (_frobenius_tables), so that one lookup round reads M conjugates and
-the block that starts the next round.  A spec counts the vectors read by
-squaring until they have cost about one build, n M squarings at n/2 per
-vector, so after about 2M vectors (rent or buy), and then builds the table
-(_frobenius_table); a spec that reads a few vectors never pays for it.
-Public functions validate their elements; the inner loops apply the tables
-directly.
+(_form).  So a vector's bits a_i = Tr(alpha * alpha^(2^i)) are the parities
+of alpha^(2^i) & w_alpha, and a spec reads them by a loop of table squarings
+until that has cost about one build of a multi-step Frobenius table, then by
+the table (_half_vector).  Public functions validate their elements; the
+inner loops apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -46,6 +42,7 @@ from .poly2 import (
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
 _STEPS = 8  # M, the conjugates one lookup round of a Frobenius table reads
+_PARITY = bytes(b.bit_count() & 1 for b in range(256))  # translate: byte -> its parity
 
 
 def _check_degree(n: int):
@@ -74,7 +71,7 @@ class FieldSpec:
             images.append(x)
             x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
-        object.__setattr__(self, "_frobenius", 0)  # see _frobenius_table
+        object.__setattr__(self, "_frobenius", 0)  # see _half_vector
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -137,42 +134,68 @@ def _is_certified(spec: FieldSpec) -> bool:
     return h[n] == x and all(poly_gcd(h[n // p] ^ x, spec.modulus) == 1 for p in primes)
 
 
-def _frobenius_table(spec: FieldSpec) -> tuple | None:
-    """None while squaring is the cheaper way to read a vector, then the spec's Frobenius table.
+def _half_vector(spec: FieldSpec, alpha: int) -> int:
+    """The bits a_0 .. a_{n//2} of alpha's vector, a_i the parity of alpha^(2^i) & w_alpha.
 
-    spec._frobenius counts the vectors read by squaring until they have cost
-    about one build, n * _STEPS squarings at n // 2 per vector, and then holds
-    the table, freed with the spec.  Threads that race here lose counts or
-    build the same table twice; either way the result is the same.
+    spec._frobenius counts the vectors read by a loop of n // 2 table
+    squarings while they have cost less than a build counted as n * _STEPS
+    squarings (rent or buy), and then holds the spec's Frobenius table, freed
+    with the spec.  That count leaves out the fill of 256 ceil(n/8) entries:
+    on a 2-core Xeon a build took 0.16-0.19 ms at n = 21 and 0.7-0.9 ms at
+    n = 64, the time of 18-22 loop vectors rather than 2 * _STEPS = 16.  The
+    rule stays as it is, since moving it changes which specs build a table.
+
+    A lookup round of the table gives M = _STEPS conjugates as blocks of
+    P = 8 ceil(n/8) bits, ORed into one int next to the rounds before; block
+    M is the next round's input.  That int is ANDed with w repeated per
+    block, a byte-parity translate and one multiply sum each block's bytes
+    into its last byte, and one int(..., 2) reads the low bits of those sums.
+    Threads that race here lose counts or build the same table twice; either
+    way the bits are the same.
     """
+    n = spec.n
+    w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
     held = spec._frobenius
     if type(held) is int:
-        n = spec.n
         if held * (n // 2) < n * _STEPS:
             object.__setattr__(spec, "_frobenius", held + 1)
-            return None
+            square, conj = spec._square, alpha
+            bits = (alpha & w).bit_count() & 1
+            for i in range(1, n // 2 + 1):
+                conj = _linear(square, conj)
+                bits |= ((conj & w).bit_count() & 1) << i
+            return bits
         held = _frobenius_tables(spec)
         object.__setattr__(spec, "_frobenius", held)
-    return held
+    tables, rep, spread = held
+    lanes, half = (n + 7) // 8, n // 2 + 1
+    step = _STEPS * 8 * lanes
+    packed, conj = 0, alpha
+    for shift in range(0, -(-half // _STEPS) * step, step):
+        image = _linear(tables, conj)
+        packed |= image << shift  # its top block is the next round's block 0, so OR keeps it
+        conj = image >> step
+    size = half * lanes
+    parities = int.from_bytes((packed & w * rep).to_bytes(size, "little").translate(_PARITY),
+                              "little")
+    sums = (parities * spread).to_bytes(size + lanes, "little")[lanes - 1::lanes]
+    return int(sums.translate(b"01" * 128)[::-1], 2)  # a sum's low bit is its block's parity
 
 
 def _frobenius_tables(spec: FieldSpec) -> tuple:
-    """(tables, shifts, step, rep, lanes, spread) for normal.corresponding_vector.
+    """(tables, rep, spread) for _half_vector.
 
     The byte tables send x to the sum of x^(2^k) << kP, k = 0 .. _STEPS, with
-    P = 8 * lanes, lanes = ceil(n/8); round r of a vector ORs its image in at
-    shift rMP, and step = MP takes out block M, the next round's input.  rep
-    repeats w over the n // 2 + 1 blocks the vector needs; spread sums the
-    lanes bytes of a block.
+    P = 8 ceil(n/8); rep repeats w over the n // 2 + 1 blocks a vector needs,
+    and spread sums the bytes of a block.
     """
     n = spec.n
-    lanes, half = (n + 7) // 8, n // 2 + 1
+    lanes = (n + 7) // 8
     stride = 8 * lanes
-    step = _STEPS * stride
     images = [sum(c << k * stride for k, c in enumerate(_conjugates(spec, 1 << j, _STEPS + 1)))
               for j in range(n)]
-    return (_byte_tables(images), range(0, -(-half // _STEPS) * step, step), step,
-            sum(1 << k * stride for k in range(half)), lanes, sum(1 << 8 * j for j in range(lanes)))
+    return (_byte_tables(images), sum(1 << k * stride for k in range(n // 2 + 1)),
+            sum(1 << 8 * j for j in range(lanes)))
 
 
 def _form_tables(n: int, traces: int) -> list[list[int]]:

@@ -6,18 +6,9 @@ f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
 That gcd criterion is the production normality test here; the independent
 rank-based test lives in the oracle module.
 
-A vector is read off the trace form (see the field module): with
-w = Gram * alpha, read from the spec's one Gram table, a_i is the parity of
-alpha^(2^i) & w, for i <= n/2 only, as the rest mirror:
+A vector is read off the trace form (the field module's _half_vector reads
+a_0 .. a_{n/2}, by squaring or by a Frobenius table), as the rest mirror:
 a_{n-i} = Tr(alpha^(2^(n-i)) * alpha) = Tr((alpha * alpha^(2^i))^(2^(n-i))) = a_i.
-A cold spec reads the conjugates with a loop of table squarings, one parity
-each.  A warm one holds the multi-step Frobenius table instead: each lookup
-round gives M = 8 conjugates as P-bit blocks, ORed into one int next to the
-rounds before; that int is ANDed with w repeated per block, a byte-parity
-translate and one multiply sum each block's P/8 byte lanes into its last
-lane, and one int(..., 2) reads the low bits of those sums.  The field
-module's _frobenius_table picks the path: squaring until the loop has cost
-about one table build, then the table.
 
 The deterministic scan is one stream and one decision.  The stream yields
 each trace-one encoding in ascending order with its vector bits, by
@@ -43,42 +34,20 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .field import (FieldSpec, _byte_tables, _check_elem, _form, _frobenius_table, _linear, _owned,
-                    _trace_form)
+from .field import FieldSpec, _byte_tables, _check_elem, _half_vector, _owned, _trace_form
 from .poly2 import CyclicPoly, _mirror, is_unit_mod_cyclic
 
 # trace-one candidates the deterministic scan tests before it falls back to
 # the seeded draw; every default modulus of degree n <= 64 but 63 is served
 # within 16,385 (n = 31), and seeded moduli can reach the cap too
 SCAN_CAP = 1 << 15
-_PARITY = bytes(b.bit_count() & 1 for b in range(256))  # translate: byte -> its parity
 
 
 def corresponding_vector(spec: FieldSpec, alpha: int) -> CyclicPoly:
     """The vector a with a_i = Tr(alpha * alpha^(2^i)), 0 <= i < n."""
     _check_elem(spec, alpha)
-    n = spec.n
-    w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
-    table = _frobenius_table(spec)
-    if table is None:
-        square, conj = spec._square, alpha
-        bits = (alpha & w).bit_count() & 1
-        for i in range(1, n // 2 + 1):
-            conj = _linear(square, conj)
-            bits |= ((conj & w).bit_count() & 1) << i
-    else:
-        tables, shifts, step, rep, lanes, spread = table
-        packed, conj = 0, alpha
-        for shift in shifts:
-            image = _linear(tables, conj)
-            packed |= image << shift  # its top block is the next round's block 0, so OR keeps it
-            conj = image >> step
-        size = (n // 2 + 1) * lanes
-        parities = int.from_bytes((packed & w * rep).to_bytes(size, "little").translate(_PARITY),
-                                  "little")
-        sums = (parities * spread).to_bytes(size + lanes, "little")[lanes - 1::lanes]
-        bits = int(sums.translate(b"01" * 128)[::-1], 2)  # a sum's low bit is its block's parity
-    return CyclicPoly(n, bits | _mirror(bits, n))
+    bits = _half_vector(spec, alpha)
+    return CyclicPoly(spec.n, bits | _mirror(bits, spec.n))
 
 
 def is_normal(spec: FieldSpec, alpha: int) -> bool:

@@ -63,23 +63,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended GCD: returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    u, u1 = 1, 0
-    v, v1 = 0, 1
-    while b:
-        q, db = 0, b.bit_length()
-        while (shift := a.bit_length() - db) >= 0:  # a becomes a mod b
-            q |= 1 << shift
-            a ^= b << shift
-        a, b = b, a
-        u, u1 = u1, u ^ poly_mul(q, u1)
-        v, v1 = v1, v ^ poly_mul(q, v1)
-    return a, u, v
-
-
 def _eliminate(basis: Sequence[int], r: int) -> int:
     """XOR into the GF(2) row r the pivot basis[i] at its leading bit i while there is one."""
     while r and (b := basis[r.bit_length() - 1]):
@@ -252,12 +235,19 @@ def cyclic_mul(a: CyclicPoly, b: CyclicPoly) -> CyclicPoly:
 
 
 def cyclic_inv(f: CyclicPoly) -> CyclicPoly:
-    """Inverse of f modulo x^n - 1, for f coprime to x^n - 1."""
+    """Inverse of f modulo x^n - 1, for f coprime to x^n - 1: Euclid keeping f's cofactor u alone."""
     m = ring_modulus(f.n)
-    g, u, _ = poly_ext_gcd(f.bits, m)
-    if g != 1:
+    a, b, u, u1 = f.bits, m, 1, 0
+    while b:
+        q, db = 0, b.bit_length()
+        while (shift := a.bit_length() - db) >= 0:  # a becomes a mod b
+            q |= 1 << shift
+            a ^= b << shift
+        a, b = b, a
+        u, u1 = u1, u ^ poly_mul(q, u1)
+    if a != 1:
         raise ZeroDivisionError(
-            f"not invertible modulo x^{f.n}-1: shares factor {poly_to_text(g)}")
+            f"not invertible modulo x^{f.n}-1: shares factor {poly_to_text(a)}")
     return CyclicPoly(f.n, poly_mod(u, m))
 
 

@@ -22,7 +22,6 @@ from normbase.poly2 import (
     parse_poly,
     parse_vector,
     poly_mod,
-    poly_ext_gcd,
     poly_gcd,
     poly_mul,
     poly_to_text,
@@ -95,23 +94,6 @@ def test_gcd_example_degree_five():
     # gcd(1+x+x^4, x^5-1) = 1, by hand-run Euclid:
     #   x^5+1 mod x^4+x+1 = x^2+x+1; x^4+x+1 mod x^2+x+1 = 1
     assert poly_gcd(0b10011, ring_modulus(5)) == 1
-
-
-@given(polys, polys)
-def test_ext_gcd_bezout(a, b):
-    if a == 0 and b == 0:
-        return
-    g, u, v = poly_ext_gcd(a, b)
-    assert poly_mul(u, a) ^ poly_mul(v, b) == g
-    if a and b:
-        assert poly_gcd(a, b) == g
-
-
-def test_ext_gcd_of_golden_base_vector():
-    f_b = CyclicPoly.from_support(16, {0, 2, 3, 4, 12, 13, 14}).bits
-    g, u, v = poly_ext_gcd(f_b, ring_modulus(16))
-    assert g == 1
-    assert poly_mul(u, f_b) ^ poly_mul(v, ring_modulus(16)) == 1
 
 
 # ---- irreducibility ----
@@ -465,7 +447,7 @@ def _compose_twelve_short_odd_part():
     (lambda: CyclicPoly(3, 8), "coefficients do not fit ring size 3"),
     (lambda: CyclicPoly.from_coeffs([1, 2]), "coefficients must be 0 or 1"),
     (lambda: CyclicPoly.from_support(3, {3}), "support index 3 outside [0, 3)"),
-    (lambda: poly_ext_gcd(0, 0), "gcd(0, 0) is undefined"),
+    (lambda: poly_gcd(0, 0), "gcd(0, 0) is undefined"),
     (lambda: find_irreducible(0), "degree must be positive"),
     (lambda: parse_elem(FieldSpec.from_degree(8), "pow:-1"),
      "negative exponent in element 'pow:-1'"),

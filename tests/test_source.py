@@ -82,10 +82,20 @@ def test_oracle_does_not_use_the_field_kernel():
     oracle = next(path for path in SOURCES if path.name == "oracle.py")
     production = {"elem_square", "frobenius", "_trace_mask", "_kernel", "corresponding_vector",
                   "is_normal", "gram", "trace_mask", "_square", "_trace", "_trace_form",
-                  "_frobenius", "_frobenius_table", "_frobenius_tables"}
+                  "_frobenius", "_frobenius_table", "_frobenius_tables", "_half_vector"}
     names = set(_names(ast.parse(oracle.read_text())))
     assert "_naive_trace_mask" in names  # the oracle's own helper is a different name
     assert not production & names
+
+
+def test_normal_leaves_the_vector_read_to_field():
+    # one module owns the squaring loop, the Frobenius table, its switch and its layout;
+    # normal wraps field._half_vector and knows none of them
+    normal = next(path for path in SOURCES if path.name == "normal.py")
+    internals = {"_square", "_frobenius", "_frobenius_tables", "_linear", "_form", "_PARITY"}
+    names = set(_names(ast.parse(normal.read_text())))
+    assert "_half_vector" in names
+    assert not internals & names
 
 
 def _package_imports(name: str) -> set[str]:
