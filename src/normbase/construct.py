@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
 from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
-from .normal import _scanned, corresponding_vector, find_normal
+from .normal import _scanned, corresponding_vector
 from .poly2 import (
     CyclicPoly,
     cyclic_inv,
@@ -85,8 +85,7 @@ class InvalidVectorError(ValueError):
 
     def __init__(self, verdict: Verdict):
         self.verdict = verdict
-        failures = [r for r in verdict.reasons if r.startswith("FAIL")]
-        detail = "; ".join(failures if failures else verdict.reasons)
+        detail = "; ".join(f"FAIL: {desc}" for desc, passed in verdict.checks if not passed)
         super().__init__(f"There isn't such a normal element: {detail}")
 
 
@@ -188,7 +187,7 @@ def _base(spec: FieldSpec, t: int, beta: int,
 
 def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
     """_base of the scan's normal element and the vector the scan kept with it, kept per t."""
-    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, find_normal(spec), _scanned(spec)[1]))
+    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, *_scanned(spec)))
 
 
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
@@ -278,7 +277,7 @@ def weight3(spec: FieldSpec, i0: int = 1) -> tuple[int, CyclicPoly]:
     b = CyclicPoly(m, 1)
     gamma, c = compose(spec, a, b)
     j0 = (i0 * pow(m, -1, s2)) % s2
-    expected = {0, j0 * m, spec.n - j0 * m}
-    if c.weight() != 3 or set(c.support()) != expected:
+    # the three indices are distinct (j0 is odd, 2^s >= 4), so this also checks weight 3
+    if c != CyclicPoly.from_support(spec.n, {0, j0 * m, spec.n - j0 * m}):
         raise RuntimeError("weight-3 support mismatch (implementation bug)")
     return gamma, c

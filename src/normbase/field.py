@@ -144,6 +144,9 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
     on a 2-core Xeon a build took 0.16-0.19 ms at n = 21 and 0.7-0.9 ms at
     n = 64, the time of 18-22 loop vectors rather than 2 * _STEPS = 16.  The
     rule stays as it is, since moving it changes which specs build a table.
+    At small n a table read saves little over the loop (2.3 against 2.8 us
+    at n = 13, 3.1 against 5.2 us at n = 21, 10 against 37 us at n = 64), so
+    a table built at n <= 21 pays back only after 60-190 more reads.
 
     A lookup round of the table gives M = _STEPS conjugates as blocks of
     P = 8 ceil(n/8) bits, ORed into one int next to the rounds before; block
@@ -196,12 +199,6 @@ def _frobenius_tables(spec: FieldSpec) -> tuple:
               for j in range(n)]
     return (_byte_tables(images), sum(1 << k * stride for k in range(n // 2 + 1)),
             sum(1 << 8 * j for j in range(lanes)))
-
-
-def _form_tables(n: int, traces: int) -> list[list[int]]:
-    """Byte tables of e -> w_e, bit j sent to (traces >> j) & (2^n - 1): Tr(e*c) = parity(c & w_e)."""
-    full = (1 << n) - 1
-    return _byte_tables([(traces >> j) & full for j in range(n)])
 
 
 def _form(table: list[int], a: int, n: int) -> int:

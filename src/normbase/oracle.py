@@ -11,9 +11,9 @@ its trace form.  Squaring is GF(2)-linear, so the oracle squares by tables
 of its own naive squares of g^j, built once per call: the trace mask, each
 Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
 and an enumeration by two half-width tables; the subfield rank test squares
-naively.  The generic helpers _byte_tables, _form_tables and _linear only
-tabulate and apply the values they are given, so a wrong spec table can
-reach an audit only through that certification.  The rank test reduces
+naively.  The generic helpers _byte_tables and _linear only tabulate and
+apply the values they are given, so a wrong spec table can reach an audit
+only through that certification.  The rank test reduces
 by poly2's _eliminate, as the factor solver does; the audits stay
 non-circular, since the factorization audit checks that solver against a
 brute force over G, and the rank test is checked against is_normal's gcd
@@ -31,10 +31,10 @@ naive trace mask once per enumeration.  Grouped by the bits of c, Tr(e*c)
 is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1) over
 the set bits j of e.  w_e is linear in e, so those n images are tabulated
 once per call and one _linear lookup per orbit gives all n entries.  The
-oracle shares with the field's trace form only that identity and its
-tabulation (_form_tables), not its coefficients: T comes from naive
-conjugate sums and poly_mod, never from the spec.  The low n bits of T
-give Tr(e), the sum of the n conjugates of e, as the parity of e & T.
+oracle shares with the field's trace form only that identity, not its
+coefficients or its tables: T comes from naive conjugate sums and
+poly_mod, never from the spec.  The low n bits of T give Tr(e), the sum
+of the n conjugates of e, as the parity of e & T.
 When it is 0 the conjugates are linearly dependent, so e is never walked:
 the visited map starts with every such e marked, built from those n bits
 in n doublings, and bytearray.find jumps to the next element to decide.
@@ -60,7 +60,7 @@ from typing import Callable, Iterator
 
 from .construct import _characterized, _flags, pow2_odd_split
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
-from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _form_tables, _linear
+from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
 from .poly2 import CyclicPoly, _eliminate, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
@@ -78,20 +78,18 @@ def _naive_square(spec: FieldSpec, a: int) -> int:
 
 
 def _naive_trace_mask(spec: FieldSpec) -> int:
-    """Bit i set iff Tr(g^i) = 1, each trace the sum of n conjugates squared by naive tables."""
+    """Bit i set iff Tr(g^i) = 1 (g^i = 1 << i), the sum of n conjugates squared by naive tables."""
     square = _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)])
     mask = 0
-    p = 1
     for i in range(spec.n):
         tr = 0
-        x = p
+        x = 1 << i
         for _ in range(spec.n):
             tr ^= x
             x = _linear(square, x)
         if tr not in (0, 1):
             raise RuntimeError("trace must land in GF(2) (implementation bug)")
         mask |= tr << i
-        p = poly_mod(p << 1, spec.modulus)
     return mask
 
 
@@ -176,7 +174,8 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
     n = spec.n
     _require_enumerable(n)
     traces = _monomial_traces(spec)
-    form = _form_tables(n, traces)
+    full = (1 << n) - 1
+    form = _byte_tables([(traces >> j) & full for j in range(n)])  # e -> w_e
     h, low, high = _square_tables(spec)
     half = (1 << h) - 1
     # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the trace,

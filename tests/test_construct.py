@@ -315,7 +315,7 @@ def test_subfield_base_kept_per_degree(monkeypatch):
     spec = FieldSpec.from_degree(60)
     first = weight3(spec)
     calls = []
-    for name in ("find_normal", "_base"):
+    for name in ("_scanned", "_base"):
         real = getattr(construct, name)
         monkeypatch.setattr(construct, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))

@@ -380,14 +380,15 @@ def test_hex_modulus_above_the_degree_bound_is_named_as_written():
 
 def test_form_reads_the_one_gram_table_as_the_byte_tables():
     # the Gram map is Hankel: row j is the power-sum sequence >> j, so one byte table,
-    # shifted by 8p for byte p, gives what the tables of _form_tables give byte by byte
+    # shifted by 8p for byte p, gives what byte tables of the n rows give byte by byte
     from normbase.oracle import _monomial_traces
     for n in range(1, 65):
         rng = random.Random(n)
         while not is_irreducible(seeded := rng.randrange(1 << n, 1 << (n + 1))):
             pass
         for spec in (FieldSpec.from_degree(n), FieldSpec(n, seeded)):
-            tables = field._form_tables(n, _monomial_traces(spec))
+            traces = _monomial_traces(spec)
+            tables = field._byte_tables([traces >> j & ((1 << n) - 1) for j in range(n)])
             table = field._trace_form(spec)[1]
             elements = [1 << j for j in range(n)] + [rng.randrange(spec.order) for _ in range(200)]
             for e in elements:

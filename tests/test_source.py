@@ -122,6 +122,29 @@ def test_oracle_imports_are_pinned():
     assert _package_imports("oracle.py") == {".construct", ".factor", ".field", ".poly2"}
 
 
+def _names_imported_from(name: str, module: str) -> set[str]:
+    # the names a module imports from one package module, relative or absolute
+    source = next(path for path in SOURCES if path.name == name)
+    return {alias.name
+            for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and "." * node.level + (node.module or "") in (f".{module}", f"normbase.{module}")
+            for alias in node.names}
+
+
+def test_construct_takes_the_scan_and_the_vector_from_normal():
+    # the default base reads the scan's (element, vector) pair once; find_normal or is_normal
+    # would be a second way to the same element
+    assert _names_imported_from("construct.py", "normal") == {"_scanned", "corresponding_vector"}
+
+
+def test_oracle_takes_plain_tables_and_checks_from_field():
+    # generic tabulation and argument checks only: field keeps no helper for the oracle, and
+    # anything else from field would be the production kernel the audits check
+    assert _names_imported_from("oracle.py", "field") == {
+        "FieldSpec", "_byte_tables", "_check_divisor", "_check_elem", "_linear"}
+
+
 def _unbounded_cache(decorator: ast.expr) -> bool:
     # @cache, @functools.cache, @lru_cache(maxsize=None), @lru_cache(None)
     func = decorator.func if isinstance(decorator, ast.Call) else decorator
