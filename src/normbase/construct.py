@@ -20,13 +20,21 @@ lift sum g_i beta^(2^i) (at t = n the lift itself, with no trace taken).
 The fold, its inverse and the basis change, kept as the t conjugates of
 beta, depend on the field alone, so the spec keeps them per t; a warm
 prescription then reads conjugates only to check its result, and to trace
-it down when t < n.  compose multiplies
-prescriptions from the coprime 2-power and odd subfields; weight3
-specializes composition to the minimum-weight vector available when 4 | n.
+it down when t < n.  The two steps around the factor, a -> a * b^(-1) and
+g -> sum g_i beta^(2^i), are GF(2)-linear maps fixed by the base, so a kept
+base also keeps their byte tables, the t rotations of b^(-1) and the t
+conjugates tabulated, once it has served as many prescriptions as building
+them costs (field._rented); a base that is not kept serves one
+prescription, by cyclic_mul and a sum over the set bits of g.  compose
+multiplies prescriptions from the coprime 2-power and odd subfields;
+weight3 specializes composition to the minimum-weight vector available
+when 4 | n.
 
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
-the one verification of every element it returns, so it calls the bare
+the one verification of every element it returns; at t = n it compares
+entries 0 .. n/2 alone, as vec and the valid a are both symmetric, and
+builds the whole vector only to report a mismatch.  So it calls the bare
 solvers _solve_2power and _sqrt_odd, not factor_2power, which checks its
 input and its result.  The solvers' input conditions are implied: a valid a
 is achievable (the paper's characterization, audited by the oracle), say
@@ -43,7 +51,19 @@ import enum
 from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
-from .field import FieldSpec, _check_divisor, _conjugates, _owned, _picked_sum, elem_mul, rel_trace
+from .field import (
+    FieldSpec,
+    _byte_tables,
+    _check_divisor,
+    _conjugates,
+    _half_vector,
+    _linear,
+    _owned,
+    _picked_sum,
+    _rented,
+    elem_mul,
+    rel_trace,
+)
 from .normal import _scanned, corresponding_vector
 from .poly2 import (
     CyclicPoly,
@@ -68,7 +88,8 @@ class Status(enum.Enum):
 class Verdict:
     """Outcome of vector validation: each condition checked, as (description, passed), and notes.
 
-    reasons renders one line per condition, then the notes, on read; the audits read the status.
+    reasons renders one line per condition, then the notes, on read.  The audits and the
+    pipeline decide by the pass flags alone (_flags); status is the verdict for callers.
     """
 
     status: Status
@@ -170,7 +191,7 @@ class Prescription:
     quotient: CyclicPoly            # target * base_vector_inverse in the cyclic ring
     change: CyclicPoly              # basis-change coefficients (the factor g)
     element: int
-    vector: CyclicPoly              # recomputed from element; equals target
+    vector: CyclicPoly              # element's vector: the closing check proved it is target
 
 
 def _base(spec: FieldSpec, t: int, beta: int,
@@ -190,21 +211,35 @@ def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly,
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, *_scanned(spec)))
 
 
+def _base_tables(b_inv: CyclicPoly, conjugates: list[int]) -> tuple[list, list]:
+    """Byte tables of a -> a * b_inv, which sends bit j to b_inv rotated by j, and of
+    g -> sum g_i conjugates[i]."""
+    t, x = b_inv.n, b_inv.bits
+    rotations = [(x << j | x >> t - j) & ((1 << t) - 1) for j in range(t)]
+    return _byte_tables(rotations), _byte_tables(conjugates)
+
+
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
     """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, then take
     the base of beta (by default the scan's), solve and run the closing check."""
     if not all(_flags(t, a)):
         raise InvalidVectorError(validate_vector(t, a))
-    beta, b, b_inv, conjugates = _default_base(spec, t) if beta is None else _base(spec, t, beta)
-    h = cyclic_mul(a, b_inv)
+    if beta is None:  # the kept base, and its byte tables once it has served field._RENT
+        beta, b, b_inv, conjugates = _default_base(spec, t)
+        tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(b_inv, conjugates))
+    else:  # a base that is not kept serves this one prescription, by the loops
+        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None
+    h = cyclic_mul(a, b_inv) if tables is None else CyclicPoly(t, _linear(tables[0], a.bits))
     g = _sqrt_odd(h) if t % 2 else _solve_2power(h)
-    lift = _picked_sum(conjugates, g.bits)
-    vec = _fold(corresponding_vector(spec, lift), t)
-    if vec != a:  # the one verification of the result; see the module docstring
+    lift = _picked_sum(conjugates, g.bits) if tables is None else _linear(tables[1], g.bits)
+    # the one verification of the result; see the module docstring
+    if (_half_vector(spec, lift) != a.bits & ((2 << t // 2) - 1) if t == spec.n
+            else _fold(corresponding_vector(spec, lift), t) != a):
+        vec = _fold(corresponding_vector(spec, lift), t)
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
     element = rel_trace(spec, lift, t) if t < spec.n else lift
-    return Prescription(spec, a, beta, b, b_inv, h, g, element, vec)
+    return Prescription(spec, a, beta, b, b_inv, h, g, element, a)
 
 
 def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> Prescription:

@@ -19,8 +19,10 @@ rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
 (_form).  So a vector's bits a_i = Tr(alpha * alpha^(2^i)) are the parities
 of alpha^(2^i) & w_alpha, and a spec reads them by a loop of table squarings
 until that has cost about one build of a multi-step Frobenius table, then by
-the table (_half_vector).  Public functions validate their elements; the
-inner loops apply the tables directly.
+the table (_half_vector).  That switch is the package's one rent-or-buy rule
+(_rented), which the construct module's kept bases share for the byte
+tables of their two linear maps.  Public functions validate their elements;
+the inner loops apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -42,6 +44,7 @@ from .poly2 import (
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
 _STEPS = 8  # M, the conjugates one lookup round of a Frobenius table reads
+_RENT = 20  # the uses a loop serves before the spec builds its byte tables (_rented)
 _PARITY = bytes(b.bit_count() & 1 for b in range(256))  # translate: byte -> its parity
 
 
@@ -71,7 +74,7 @@ class FieldSpec:
             images.append(x)
             x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
-        object.__setattr__(self, "_frobenius", 0)  # see _half_vector
+        object.__setattr__(self, "_frobenius", 0)  # the loop reads so far; see _rented
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -137,39 +140,29 @@ def _is_certified(spec: FieldSpec) -> bool:
 def _half_vector(spec: FieldSpec, alpha: int) -> int:
     """The bits a_0 .. a_{n//2} of alpha's vector, a_i the parity of alpha^(2^i) & w_alpha.
 
-    spec._frobenius counts the vectors read by a loop of n // 2 table
-    squarings while they have cost less than a build counted as n * _STEPS
-    squarings (rent or buy), and then holds the spec's Frobenius table, freed
-    with the spec.  That count leaves out the fill of 256 ceil(n/8) entries:
-    on a 2-core Xeon a build took 0.16-0.19 ms at n = 21 and 0.7-0.9 ms at
-    n = 64, the time of 18-22 loop vectors rather than 2 * _STEPS = 16.  The
-    rule stays as it is, since moving it changes which specs build a table.
-    At small n a table read saves little over the loop (2.3 against 2.8 us
-    at n = 13, 3.1 against 5.2 us at n = 21, 10 against 37 us at n = 64), so
-    a table built at n <= 21 pays back only after 60-190 more reads.
+    A loop of n // 2 table squarings reads the vector until the spec has
+    served _RENT of them, and the spec's Frobenius table from then on
+    (_rented).  A table read took 3.2 us against the loop's 3.2 at n = 8,
+    3.7 against 4.8 at n = 13, 4.9 against 7.9 at n = 21 and 14 against 46
+    at n = 64, so a table built at n <= 21 pays back after 50-80 more reads
+    or never; the rule bounds that loss by one build.
 
     A lookup round of the table gives M = _STEPS conjugates as blocks of
     P = 8 ceil(n/8) bits, ORed into one int next to the rounds before; block
     M is the next round's input.  That int is ANDed with w repeated per
     block, a byte-parity translate and one multiply sum each block's bytes
     into its last byte, and one int(..., 2) reads the low bits of those sums.
-    Threads that race here lose counts or build the same table twice; either
-    way the bits are the same.
     """
     n = spec.n
     w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
-    held = spec._frobenius
-    if type(held) is int:
-        if held * (n // 2) < n * _STEPS:
-            object.__setattr__(spec, "_frobenius", held + 1)
-            square, conj = spec._square, alpha
-            bits = (alpha & w).bit_count() & 1
-            for i in range(1, n // 2 + 1):
-                conj = _linear(square, conj)
-                bits |= ((conj & w).bit_count() & 1) << i
-            return bits
-        held = _frobenius_tables(spec)
-        object.__setattr__(spec, "_frobenius", held)
+    held = _rented(spec, "_frobenius", lambda: _frobenius_tables(spec))
+    if held is None:
+        square, conj = spec._square, alpha
+        bits = (alpha & w).bit_count() & 1
+        for i in range(1, n // 2 + 1):
+            conj = _linear(square, conj)
+            bits |= ((conj & w).bit_count() & 1) << i
+        return bits
     tables, rep, spread = held
     lanes, half = (n + 7) // 8, n // 2 + 1
     step = _STEPS * 8 * lanes
@@ -240,6 +233,33 @@ def _owned(spec: FieldSpec, key: str, build):
     if not hasattr(spec, key):
         object.__setattr__(spec, key, build())
     return getattr(spec, key)
+
+
+def _rented(spec: FieldSpec, key: str, build):
+    """Rent or buy: None for the first _RENT calls, counted in spec.<key>, then build(), made
+    once and held by the spec, so freed with it.
+
+    For a loop that byte tables of the same linear maps can replace: the
+    caller runs its loop on None and reads the tables otherwise, so a spec
+    pays for tables only once its loop has cost about as much as building
+    them.  Both sites price a build at _RENT loop uses, as measured on a
+    2-core Xeon with Python 3.11 (best of 9, three processes), the fill of
+    256 entries per input byte included: the Frobenius table of _half_vector
+    costs 18-22 loop reads at n = 13 .. 64 (0.14-0.17 ms at n = 21, 0.87-0.89
+    ms at n = 64), and the two tables of a kept base (construct._pipeline)
+    cost 15-24 loop prescriptions at n = 16 .. 64 (0.07-0.08 ms at n = 21,
+    0.33-0.34 ms at n = 64).  At n <= 8 a build costs 4-16 uses.  Threads
+    that race here lose counts or build the same tables twice; either way
+    the result is the same.
+    """
+    held = getattr(spec, key, 0)
+    if type(held) is int:
+        if held < _RENT:
+            object.__setattr__(spec, key, held + 1)
+            return None
+        held = build()
+        object.__setattr__(spec, key, held)
+    return held
 
 
 def _check_elem(spec: FieldSpec, a: int):

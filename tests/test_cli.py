@@ -322,14 +322,15 @@ def test_parser_built_once_and_reused(capsys):
 def test_printed_element_vector_computed_once_per_verification(capsys, monkeypatch, argv, calls):
     run(capsys, *argv)  # warm-up: the find_normal scan may test the same element
     seen = []
-    original = normal.corresponding_vector
 
-    def counting(spec, alpha):  # every vector computation goes through this body
-        seen.append(alpha)
-        return original(spec, alpha)
+    def counting(read):  # every vector computation goes through one of the two reads counted
+        return lambda spec, alpha: seen.append(alpha) or read(spec, alpha)
 
-    monkeypatch.setattr(normal, "corresponding_vector", counting)
-    monkeypatch.setattr(construct, "corresponding_vector", counting)
+    vector = counting(normal.corresponding_vector)
+    monkeypatch.setattr(normal, "corresponding_vector", vector)
+    monkeypatch.setattr(construct, "corresponding_vector", vector)
+    # the pipeline's closing check at t = n reads entries 0 .. n/2 alone
+    monkeypatch.setattr(construct, "_half_vector", counting(construct._half_vector))
     code, out, _ = run(capsys, "--json", *argv)
     assert code == EX_OK
     assert seen.count(int(json.loads(out)["element"], 16)) == calls

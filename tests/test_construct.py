@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +19,7 @@ from normbase.construct import (
     validate_vector,
     weight3,
 )
-from normbase.field import FieldSpec, frobenius, parse_elem
+from normbase.field import _RENT, FieldSpec, frobenius, parse_elem
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import check_characterization, check_necessary, is_subfield_normal_by_rank
 from normbase.poly2 import (
@@ -352,12 +354,14 @@ def test_kept_basis_change_matches_apply_basis_change(n, basis_change):
         # test_acceptance covers that degree
         if not (n == 63 and spec is default):
             bases += [construct._default_base(spec, t) for t in sorted({n, s2, m})]
-        for beta, _, _, conjugates in bases:
+        for beta, _, b_inv, conjugates in bases:
             t = len(conjugates)
             assert conjugates == [frobenius(spec, beta, i) for i in range(t)]
+            inverse, lift = construct._base_tables(b_inv, conjugates)
             for g in [0, 1, (1 << t) - 1] + [rng.getrandbits(t) for _ in range(10)]:
                 expected = basis_change(spec, beta, CyclicPoly(n, g))
-                assert field._picked_sum(conjugates, g) == expected
+                assert field._picked_sum(conjugates, g) == field._linear(lift, g) == expected
+                assert field._linear(inverse, g) == cyclic_mul(CyclicPoly(t, g), b_inv).bits
 
 
 def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
@@ -375,6 +379,111 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
     monkeypatch.setattr(field, "_linear", counted)  # field reads every vector
     assert prescribe(spec, target) == first
     assert 0 < len(squarings) <= 64 // 2 + 1
+
+
+def _by_path(spec, run):
+    """run(spec) with each kept base forced to its loops, then to its byte tables (built for
+    each pipeline call, whatever the count): each run's result and its Prescriptions."""
+    pipeline = construct._pipeline
+    runs = []
+    for on in (False, True):
+        seen = []
+
+        def forced(s, t, *args, _on=on, _seen=seen):
+            _, _, b_inv, conjugates = construct._default_base(s, t)
+            tables = construct._base_tables(b_inv, conjugates) if _on else 0  # 0: count again
+            object.__setattr__(s, f"_maps_{t}", tables)
+            _seen.append(pipeline(s, t, *args))
+            return _seen[-1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construct, "_pipeline", forced)
+            runs.append((run(spec), seen))
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 11])
+def test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector(n):
+    # every field of every Prescription: the element and each intermediate value
+    valid = _valid_vectors(n)
+    (_, loop), (_, table) = _by_path(FieldSpec.from_degree(n),
+                                     lambda s: [prescribe_steps(s, a) for a in valid])
+    assert loop == table and len(loop) == len(valid) > 0
+
+
+@pytest.mark.parametrize("n", [16, 21, 32, 33, 64])
+def test_kept_tables_and_loops_prescribe_alike_on_seeded_vectors(n):
+    spec = FieldSpec.from_degree(n)
+    rng = random.Random(n)
+    targets = [_seeded_valid_vector(rng, n) for _ in range(30)]
+    (_, loop), (_, table) = _by_path(spec, lambda s: [prescribe_steps(s, a) for a in targets])
+    assert loop == table and len(loop) == 30
+
+
+@pytest.mark.parametrize("n", [12, 20, 60])
+def test_kept_tables_and_loops_compose_alike(n):
+    spec = FieldSpec.from_degree(n)
+    s2, m = pow2_odd_split(n)
+    rng = random.Random(n)
+    parts = [(_seeded_valid_vector(rng, s2), _seeded_valid_vector(rng, m)) for _ in range(5)]
+
+    def run(s):
+        return [compose(s, a, b) for a, b in parts] + [weight3(s, i0) for i0 in range(1, s2, 2)]
+    (loop_results, loop), (table_results, table) = _by_path(spec, run)
+    assert loop_results == table_results and loop == table
+    assert len(loop) == 2 * (len(parts) + s2 // 2)
+
+
+@pytest.mark.parametrize("n, support", [(4, {0, 1, 3}), (21, {0}), (64, {0, 1, 63})])
+def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, n, support):
+    # the loops serve _RENT prescriptions, about the cost of building the two tables, and the
+    # tables serve from the next one on
+    spec = FieldSpec.from_degree(n)
+    target = CyclicPoly.from_support(n, support)
+    element = prescribe(FieldSpec.from_degree(n), target)
+    loops = []
+    for name in ("cyclic_mul", "_picked_sum"):
+        real = getattr(construct, name)
+        monkeypatch.setattr(construct, name,
+                            lambda *args, _name=name, _real=real: loops.append(_name) or _real(*args))
+    for k in range(_RENT):
+        assert prescribe(spec, target) == element
+        assert getattr(spec, f"_maps_{n}") == k + 1
+    assert loops == ["cyclic_mul", "_picked_sum"] * _RENT
+    assert prescribe(spec, target) == element
+    assert type(getattr(spec, f"_maps_{n}")) is tuple
+    assert len(loops) == 2 * _RENT
+    # an explicit base serves by the loops, however often, and keeps no tables
+    beta = find_normal(spec, seed=1)
+    for _ in range(_RENT + 1):
+        prescribe(spec, target, beta)
+    assert len(loops) == 2 * (2 * _RENT + 1)
+
+
+def test_threads_sharing_a_spec_prescribe_the_same_elements():
+    # threads that race on the count lose counts or build the tables twice; every element
+    # they get, by either path, is the one a fresh spec gives
+    spec = FieldSpec.from_degree(33)
+    rng = random.Random(33)
+    targets = [_seeded_valid_vector(rng, 33) for _ in range(3 * _RENT)]
+    fresh = FieldSpec.from_degree(33)
+    expected = [prescribe(fresh, a) for a in targets]
+    results = {}
+
+    def run(k):
+        results[k] = [prescribe(spec, a) for a in targets]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]  # more than the cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[k] == expected for k in range(4))
+    assert type(spec._maps_33) is tuple
 
 
 # ---- subfield results pinned ----
@@ -566,12 +675,15 @@ def test_weight3_support_mismatch_is_an_implementation_bug(capsys, monkeypatch):
 ])
 def test_cold_field_computes_each_vector_once(monkeypatch, n, run, checks):
     # the scan keeps its element's vector and the default bases fold it: on a fresh spec the
-    # vectors read are the scan's candidates, the closing checks and compose's check, none by _base
+    # vectors read are the scan's candidates, the closing checks and compose's check, none by
+    # _base; at t = n the closing check reads entries 0 .. n/2 alone (_half_vector)
     spec = FieldSpec.from_degree(n)
     scanned, checked = [], []
-    for module, reads in ((normal, scanned), (construct, checked)):
-        monkeypatch.setattr(module, "corresponding_vector",
-                            lambda s, a, _reads=reads, _real=module.corresponding_vector:
+    for module, name, reads in ((normal, "corresponding_vector", scanned),
+                                (construct, "corresponding_vector", checked),
+                                (construct, "_half_vector", checked)):
+        monkeypatch.setattr(module, name,
+                            lambda s, a, _reads=reads, _real=getattr(module, name):
                             _reads.append(a) or _real(s, a))
     run(spec)
     mask = field._trace_form(spec)[0]

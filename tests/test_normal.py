@@ -10,7 +10,7 @@ import pytest
 
 from normbase import normal
 from normbase.construct import _fold, compose, prescribe, weight3
-from normbase.field import _STEPS, FieldSpec, _frobenius_tables, elem_mul, frobenius, rel_trace
+from normbase.field import _RENT, FieldSpec, _frobenius_tables, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import is_subfield_normal_by_rank
 from normbase.poly2 import (
@@ -229,18 +229,16 @@ def test_loop_and_table_vectors_agree_on_default_and_seeded_moduli(n, naive_subf
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 21, 32, 33, 64])
 def test_a_spec_builds_its_table_once_the_loop_has_cost_one_build(n):
-    # the loop serves vectors while their n // 2 squarings each have cost less than the
-    # build's n * _STEPS, about 2 * _STEPS vectors; n = 1 squares nothing, so it keeps the loop
+    # the loop serves _RENT vectors, about the cost of one build at every n >= 8, and the
+    # Frobenius table serves from the next one on
     spec = FieldSpec.from_degree(n)
-    served = -(-n * _STEPS // (n // 2)) if n > 1 else 3 * _STEPS
-    for k in range(served):
+    for k in range(_RENT):
         corresponding_vector(spec, k % spec.order)
         assert spec._frobenius == k + 1
-    if n > 1:
-        vector = corresponding_vector(spec, spec.generator)
-        assert type(spec._frobenius) is tuple
-        object.__setattr__(spec, "_frobenius", 0)
-        assert corresponding_vector(spec, spec.generator) == vector
+    vector = corresponding_vector(spec, spec.generator)
+    assert type(spec._frobenius) is tuple
+    object.__setattr__(spec, "_frobenius", 0)
+    assert corresponding_vector(spec, spec.generator) == vector
 
 
 def test_threads_sharing_a_spec_read_the_same_vectors():
@@ -272,22 +270,28 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     # per-field values live on the spec, so nothing keeps a dropped spec alive
     spec = FieldSpec.from_degree(21)
     element = find_normal(spec)
-    for _ in range(3 * _STEPS):  # past the switch point, so the spec holds its Frobenius table
+    for _ in range(_RENT + 1):  # past the switch point, so the spec holds its Frobenius table
         corresponding_vector(spec, element)
     frobenius_table = spec._frobenius[0][0]
     frobenius_map = (id(frobenius_table), tuple(frobenius_table))
-    prescribe(spec, CyclicPoly(21, 1))
+    for _ in range(_RENT + 1):  # past the switch point, so the base holds its byte tables
+        prescribe(spec, CyclicPoly(21, 1))
     drawn = find_normal(spec, seed=7)
     sub = FieldSpec.from_degree(12)
-    # the subfield prescriptions keep one base per subfield degree on the spec
-    weight3(sub)
+    # the subfield prescriptions keep one base per subfield degree on the spec, with its tables
+    for _ in range(_RENT + 1):
+        weight3(sub)
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
-    bases = [vars(s)[f"_base_{t}"] for s, t in ((spec, 21), (sub, 4), (sub, 3))]
+    kept = ((spec, 21), (sub, 4), (sub, 3))
+    bases = [vars(s)[f"_base_{t}"] for s, t in kept]
+    base_tables = [table for s, t in kept for tables in vars(s)[f"_maps_{t}"] for table in tables]
     base_vectors = [weakref.ref(base[1]) for base in bases]
-    # a list takes no weak reference, so each kept basis-change map is looked for by id and value
-    maps = [(id(base[3]), tuple(base[3])) for base in bases] + [frobenius_map]
+    # a list takes no weak reference, so each kept basis-change map and byte table is looked
+    # for by id and value
+    maps = ([(id(base[3]), tuple(base[3])) for base in bases] + [frobenius_map]
+            + [(id(table), tuple(table)) for table in base_tables])
     ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
-    del spec, sub, bases, frobenius_table
+    del spec, sub, bases, frobenius_table, kept, base_tables
     gc.collect()
     assert ref() is None and sub_ref() is None
     assert all(r() is None for r in base_vectors)

@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, sixty-five mutants,
-takes about 75 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, seventy mutants,
+takes about 85 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -42,8 +42,15 @@ ORACLE = "src/normbase/oracle.py"
 REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
 FULL_SPAN = ["tests/test_oracle.py::test_independent_is_a_full_span"]
 CONSTRUCT = "src/normbase/construct.py"
-BASE = ("    beta, b, b_inv, conjugates = _default_base(spec, t) if beta is None"
-        " else _base(spec, t, beta)")
+BASE_IF = "    if beta is None:  # the kept base, and its byte tables once it has served field._RENT\n"
+BASE_TABLES = '        tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(b_inv, conjugates))\n'
+BASE = (f"{BASE_IF}        beta, b, b_inv, conjugates = _default_base(spec, t)\n{BASE_TABLES}"
+        "    else:  # a base that is not kept serves this one prescription, by the loops\n"
+        "        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None\n")
+KEPT_TABLES = ["tests/test_construct.py::test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector",
+               "tests/test_construct.py::test_kept_tables_and_loops_compose_alike"]
+BASE_SWITCH = [
+    "tests/test_construct.py::test_a_kept_base_builds_its_tables_once_it_has_served_its_rent"]
 VALIDATE = ("    if not all(_flags(t, a)):\n"
             "        raise InvalidVectorError(validate_vector(t, a))\n")
 VERDICTS = ["tests/test_construct.py::test_verdicts_pinned_and_decided_by_the_flags"]
@@ -61,7 +68,7 @@ SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naive_vector_on_every_element"]
 SEEDED_VECTORS = ["tests/test_normal.py::test_loop_and_table_vectors_agree_on_default_and_seeded_moduli"]
 SWITCH = ["tests/test_normal.py::test_a_spec_builds_its_table_once_the_loop_has_cost_one_build"]
-LOOP_SERVES = "        if held * (n // 2) < n * _STEPS:\n"
+FROBENIUS_RENTED = '    held = _rented(spec, "_frobenius", lambda: _frobenius_tables(spec))\n'
 
 MUTANTS = [
     ("gcd one squaring early", FIELD,
@@ -107,8 +114,11 @@ MUTANTS = [
      "    stride = 8 * lanes\n", "    stride = 8 * lanes - 8\n", EVERY_ELEMENT),
     ("one byte lane dropped from the parity sum", FIELD,
      "sum(1 << 8 * j for j in range(lanes))", "sum(1 << 8 * j for j in range(1, lanes))", EVERY_ELEMENT),
-    ("Frobenius table built on the first vector", FIELD, LOOP_SERVES, "        if False:\n", SWITCH),
-    ("Frobenius table never built", FIELD, LOOP_SERVES, "        if True:\n", SWITCH),
+    ("Frobenius table built on the first vector", FIELD,
+     FROBENIUS_RENTED, "    held = _frobenius_tables(spec)\n", SWITCH),
+    ("Frobenius table never built", FIELD, FROBENIUS_RENTED, "    held = None\n", SWITCH),
+    ("rent paid one use late", FIELD,
+     "        if held < _RENT:\n", "        if held <= _RENT:\n", SWITCH + BASE_SWITCH),
     ("gcd only at n/2", FIELD,
      "primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))",
      "primes = [2]", CERTIFY),
@@ -150,15 +160,22 @@ MUTANTS = [
      ["tests/test_construct.py::test_invalid_vector_is_reported_before_a_non_normal_base",
       "tests/test_cli.py::test_invalid_vector_is_reported_before_a_non_normal_forced_base"]),
     ("base taken before validation", CONSTRUCT,
-     f"{VALIDATE}{BASE}\n", f"{BASE}\n{VALIDATE}",
+     VALIDATE + BASE, BASE + VALIDATE,
      ["tests/test_construct.py::test_invalid_vector_is_reported_before_a_non_normal_base",
       "tests/test_cli.py::test_invalid_vector_is_reported_before_a_non_normal_forced_base"]),
     ("odd rule's two flags swapped", CONSTRUCT,
      "[is_symmetric(a), is_unit_mod_cyclic(a)]", "[is_unit_mod_cyclic(a), is_symmetric(a)]",
      VERDICTS),
     ("forced beta ignored", CONSTRUCT,
-     BASE, "    beta, b, b_inv, conjugates = _default_base(spec, t)",
-     ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
+     BASE_IF, "    if True:\n", ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
+    ("base tables built on the first use", CONSTRUCT,
+     BASE_TABLES, "        tables = _base_tables(b_inv, conjugates)\n", BASE_SWITCH),
+    ("base tables never built", CONSTRUCT, BASE_TABLES, "        tables = None\n", BASE_SWITCH),
+    ("b^(-1) rotated the wrong way", CONSTRUCT,
+     "(x << j | x >> t - j)", "(x >> j | x << t - j)",  # a valid a is symmetric: a table test
+     ["tests/test_construct.py::test_kept_basis_change_matches_apply_basis_change"]),
+    ("lift table of the conjugates off by one", CONSTRUCT,
+     "_byte_tables(conjugates)", "_byte_tables(conjugates[1:] + conjugates[:1])", KEPT_TABLES),
     ("weight-3 support off by one", CONSTRUCT,
      "{0, j0 * m, ", "{0, j0 * m + 1, ", ["tests/test_construct.py::test_weight3_supports"]),
     ("compose's b repeated with period m + 1", CONSTRUCT,
