@@ -11,6 +11,10 @@ that Verdict only to reject a vector.  prescribe and prescribe_in_subfield
 enter one _pipeline: it validates the vector, takes a normal base element,
 inverts its vector in the cyclic ring, factors the quotient as
 g * reciprocal(g), applies g as a basis change and runs the closing check.
+It returns the base, its vector, that vector's inverse and the element;
+only prescribe_steps wraps them in a Prescription, with the quotient and
+the factor computed again, and prescribe and prescribe_in_subfield take
+the element alone.
 In GF(2^t) it works on full-field vectors alone: for t | n, the vector of
 tau = Tr_{n|t}(A) is the fold f_A mod (x^t - 1), as entry i of the fold
 is Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
@@ -20,12 +24,16 @@ lift sum g_i beta^(2^i) (at t = n the lift itself, with no trace taken).
 The fold, its inverse and the basis change, kept as the t conjugates of
 beta, depend on the field alone, so the spec keeps them per t; a warm
 prescription then reads conjugates only to check its result, and to trace
-it down when t < n.  The two steps around the factor, a -> a * b^(-1) and
-g -> sum g_i beta^(2^i), are GF(2)-linear maps fixed by the base, so a kept
-base also keeps their byte tables, the t rotations of b^(-1) and the t
-conjugates tabulated, once it has served as many prescriptions as building
-them costs (field._rented); a base that is not kept serves one
-prescription, by cyclic_mul and a sum over the set bits of g.  compose
+it down when t < n.  The whole way from a valid a to the lift is an affine
+map fixed by the base: a -> a * b^(-1) and g -> sum g_i beta^(2^i) are
+GF(2)-linear, g is a permutation of h's bits for odd t, and for t = 2^s it
+is 1 + U with U linear in h on H (factor._solution_images).  So a kept
+base also keeps the byte tables of its linear part, once it has served as
+many prescriptions as building them costs (field._rented); from then on a
+request reads the base and its tables by one lookup in spec._warm, and
+its lift by one table pass, with no quotient or factor built.  A base that
+is not kept serves one prescription, by cyclic_mul, the solver and a sum
+over the set bits of g.  compose
 multiplies prescriptions from the coprime 2-power and odd subfields;
 weight3 specializes composition to the minimum-weight vector available
 when 4 | n.
@@ -36,13 +44,15 @@ the one verification of every element it returns; at t = n it compares
 entries 0 .. n/2 alone, as vec and the valid a are both symmetric, and
 builds the whole vector only to report a mismatch.  So it calls the bare
 solvers _solve_2power and _sqrt_odd, not factor_2power, which checks its
-input and its result.  The solvers' input conditions are implied: a valid a
-is achievable (the paper's characterization, audited by the oracle), say
-by sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which
-lies in H for t = 2^s and is symmetric for odd t.  The result check is
+input and its result, and a table carries no check of its own.  The
+solvers' input conditions are implied: a valid a is achievable (the
+paper's characterization, audited by the oracle), say by
+sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which lies
+in H for t = 2^s and is symmetric for odd t.  The result check is
 subsumed: a valid a is a unit (for t = 2^s its weight is odd, as a_0 = 1,
-a_{t/2} = 0 and the other entries pair up; for odd t the gcd is checked),
-so vec == a proves that the element has vector a and is normal.
+a_{t/2} = 0 and the other entries pair up; for odd t the odd rule tests
+it by poly2.is_unit_mod_cyclic), so vec == a proves that the element has
+vector a and is normal.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factor import _odd_half_sum, _solve_2power, _sqrt_odd
+from .factor import _odd_half_sum, _solution_images, _solve_2power, _sqrt_odd
 from .field import (
     FieldSpec,
     _byte_tables,
@@ -211,27 +221,53 @@ def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly,
     return _owned(spec, f"_base_{t}", lambda: _base(spec, t, *_scanned(spec)))
 
 
-def _base_tables(b_inv: CyclicPoly, conjugates: list[int]) -> tuple[list, list]:
-    """Byte tables of a -> a * b_inv, which sends bit j to b_inv rotated by j, and of
-    g -> sum g_i conjugates[i]."""
+def _kept_base(spec: FieldSpec, t: int) -> tuple:
+    """_default_base and the byte tables of its map a -> lift once it has served field._RENT
+    prescriptions, None before.  With its tables the tuple is kept in spec._warm[t], which
+    _pipeline reads first, so a warm request looks its base up once."""
+    base = _default_base(spec, t)
+    tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(base[2], base[3]))
+    if tables is not None:
+        _owned(spec, "_warm", dict)[t] = *base, tables
+    return *base, tables
+
+
+def _base_tables(b_inv: CyclicPoly, conjugates: list[int]) -> list[list[int]]:
+    """Byte tables of the linear part of a -> lift, for t = 2^s or odd t: bit j goes to
+    h = b_inv rotated by j, then to g, then to sum g_i conjugates[i].  g is a permutation of
+    h's bits for odd t, and for t = 2^s it is 1 + U, U linear in h_1 .. h_{t/2-1}
+    (factor._solution_images), whose 1 adds conjugates[0], left to _pipeline."""
     t, x = b_inv.n, b_inv.bits
     rotations = [(x << j | x >> t - j) & ((1 << t) - 1) for j in range(t)]
-    return _byte_tables(rotations), _byte_tables(conjugates)
+    if t % 2:
+        gs = [_sqrt_odd(CyclicPoly(t, h)).bits for h in rotations]
+    else:
+        images = _solution_images(t)
+        gs = [_picked_sum(images, h >> 1 & (1 << t // 2 - 1) - 1) for h in rotations]
+    return _byte_tables([_picked_sum(conjugates, g) for g in gs])
 
 
-def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> Prescription:
-    """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, then take
-    the base of beta (by default the scan's), solve and run the closing check."""
+def _factor(h: CyclicPoly) -> CyclicPoly:
+    """The pipeline's g with g * reciprocal(g) = h, for h = a * b^(-1) of a valid a."""
+    return _sqrt_odd(h) if h.n % 2 else _solve_2power(h)
+
+
+def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> tuple:
+    """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, take the
+    base of beta (by default the scan's), map a to the lift, by the solver or by the kept
+    base's table, and run the closing check.  Returns (beta, b, b_inv, element), which only
+    prescribe_steps wraps."""
     if not all(_flags(t, a)):
         raise InvalidVectorError(validate_vector(t, a))
     if beta is None:  # the kept base, and its byte tables once it has served field._RENT
-        beta, b, b_inv, conjugates = _default_base(spec, t)
-        tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(b_inv, conjugates))
+        beta, b, b_inv, conjugates, tables = (getattr(spec, "_warm", {}).get(t)
+                                              or _kept_base(spec, t))
     else:  # a base that is not kept serves this one prescription, by the loops
         (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None
-    h = cyclic_mul(a, b_inv) if tables is None else CyclicPoly(t, _linear(tables[0], a.bits))
-    g = _sqrt_odd(h) if t % 2 else _solve_2power(h)
-    lift = _picked_sum(conjugates, g.bits) if tables is None else _linear(tables[1], g.bits)
+    if tables is None:
+        lift = _picked_sum(conjugates, _factor(cyclic_mul(a, b_inv)).bits)
+    else:  # the same map, tabulated; g's constant 1 for t = 2^s adds conjugates[0]
+        lift = _linear(tables, a.bits) ^ (0 if t % 2 else conjugates[0])
     # the one verification of the result; see the module docstring
     if (_half_vector(spec, lift) != a.bits & ((2 << t // 2) - 1) if t == spec.n
             else _fold(corresponding_vector(spec, lift), t) != a):
@@ -239,25 +275,33 @@ def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
     element = rel_trace(spec, lift, t) if t < spec.n else lift
-    return Prescription(spec, a, beta, b, b_inv, h, g, element, a)
+    return beta, b, b_inv, element
+
+
+def _full_degree(spec: FieldSpec) -> int:
+    """spec.n, once the paper's characterization is known to cover it."""
+    if not _characterized(spec.n):
+        raise ValueError(
+            f"prescription requires n a power of two >= 4 or odd n, got {spec.n} "
+            "(use compose/weight3 for other composite sizes)")
+    return spec.n
 
 
 def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> Prescription:
     """Run the full prescription pipeline, keeping every intermediate value.
 
     beta pins the starting normal element (it must be normal);
-    by default a deterministic scan picks it.
+    by default a deterministic scan picks it.  The quotient and the factor are computed
+    again for the record, as a kept base maps a to its element by one table.
     """
-    if not _characterized(spec.n):
-        raise ValueError(
-            f"prescription requires n a power of two >= 4 or odd n, got {spec.n} "
-            "(use compose/weight3 for other composite sizes)")
-    return _pipeline(spec, spec.n, a, beta)
+    beta, b, b_inv, element = _pipeline(spec, _full_degree(spec), a, beta)
+    h = cyclic_mul(a, b_inv)
+    return Prescription(spec, a, beta, b, b_inv, h, _factor(h), element, a)
 
 
 def prescribe(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> int:
     """A normal element whose corresponding vector equals a (n = 2^s >= 4 or odd)."""
-    return prescribe_steps(spec, a, beta).element
+    return _pipeline(spec, _full_degree(spec), a, beta)[-1]
 
 
 def prescribe_in_subfield(spec: FieldSpec, t: int, a: CyclicPoly) -> int:
@@ -271,7 +315,7 @@ def prescribe_in_subfield(spec: FieldSpec, t: int, a: CyclicPoly) -> int:
     if not (_characterized(t) or t == 2):
         raise ValueError(
             f"subfield prescription requires t a power of two, t = 2, or odd t, got {t}")
-    return _pipeline(spec, t, a).element
+    return _pipeline(spec, t, a)[-1]
 
 
 def compose(spec: FieldSpec, a: CyclicPoly, b: CyclicPoly) -> tuple[int, CyclicPoly]:

@@ -115,6 +115,16 @@ def _solve_2power(h: CyclicPoly) -> CyclicPoly:
     return CyclicPoly(n, 1 | u)
 
 
+def _solution_images(n: int) -> list[int]:
+    """_solve_2power's U for each right-hand side bit j < n/2 - 1 alone, with a row of no tag
+    at the one column that leads no row, so every rhs reduces: a linear map, and U itself on
+    every rhs that the columns span (those rows are never reached there)."""
+    basis = list(_echelon(n))
+    for p in range(n, n + n // 2 - 1):
+        basis[p] = basis[p] or 1 << p
+    return [_eliminate(basis, 1 << n + j) for j in range(n // 2 - 1)]
+
+
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
     """The unique g in G with g * reciprocal(g) = h, for h in H.
 

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 
 from .poly2 import (
     DegreeBoundError,
+    _byte_tables,
+    _linear,
+    _prime_divisors,
     find_irreducible,
     parse_poly,
     poly_gcd,
@@ -107,34 +110,13 @@ class FieldSpec:
         return poly_mod(2, self.modulus)
 
 
-def _byte_tables(images: list[int], width: int = 8) -> list[list[int]]:
-    """Tables of the GF(2)-linear map that sends bit j to images[j], one per width input bits."""
-    tables = []
-    for start in range(0, len(images), width):
-        table = [0]
-        for image in images[start:start + width]:
-            table += [t ^ image for t in table]
-        tables.append(table)
-    return tables
-
-
-def _linear(tables: list[list[int]], a: int) -> int:
-    """Apply the linear map given by _byte_tables to a."""
-    out = 0
-    for table in tables:
-        out ^= table[a & 0xFF]
-        a >>= 8
-    return out
-
-
 def _is_certified(spec: FieldSpec) -> bool:
     """Rabin's test: f of degree n is irreducible iff x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x,
     f) = 1 for each prime p | n (Rabin 1980; Gao & Panario 1997).  The modulus search keeps
     poly2's Ben-Or test instead, as its early exit on small factors suits candidates."""
     n, x = spec.n, spec.generator
     h = _conjugates(spec, x, n + 1)
-    primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
-    return h[n] == x and all(poly_gcd(h[n // p] ^ x, spec.modulus) == 1 for p in primes)
+    return h[n] == x and all(poly_gcd(h[n // p] ^ x, spec.modulus) == 1 for p in _prime_divisors(n))
 
 
 def _half_vector(spec: FieldSpec, alpha: int) -> int:
@@ -246,11 +228,13 @@ def _rented(spec: FieldSpec, key: str, build):
     2-core Xeon with Python 3.11 (best of 9, three processes), the fill of
     256 entries per input byte included: the Frobenius table of _half_vector
     costs 18-22 loop reads at n = 13 .. 64 (0.14-0.17 ms at n = 21, 0.87-0.89
-    ms at n = 64), and the two tables of a kept base (construct._pipeline)
-    cost 15-24 loop prescriptions at n = 16 .. 64 (0.07-0.08 ms at n = 21,
-    0.33-0.34 ms at n = 64).  At n <= 8 a build costs 4-16 uses.  Threads
-    that race here lose counts or build the same tables twice; either way
-    the result is the same.
+    ms at n = 64).  At n <= 8 a build costs 4-16 uses.  The table of a
+    kept base's map a -> lift (construct._base_tables) costs 14-21 loop
+    prescriptions at n = 64 (0.57-0.61 ms), 10-12 at 32 and 33 and 4-8 at
+    16 and 21 (0.10-0.16 ms at 21; best of 9 over 100 vectors, two
+    processes), so there the rule buys late, by at most 20 loop
+    prescriptions.  Threads that race here lose counts or build the same
+    tables twice; either way the result is the same.
     """
     held = getattr(spec, key, 0)
     if type(held) is int:

@@ -3,8 +3,9 @@
 The corresponding vector of a is (a_0, ..., a_{n-1}) with
 a_i = Tr(a * a^(2^i)); it is always symmetric and, read as a polynomial
 f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
-That gcd criterion is the production normality test here; the independent
-rank-based test lives in the oracle module.
+That criterion, decided by poly2.is_unit_mod_cyclic (Euclid, then
+evaluation at the roots of unity), is the production normality test here;
+the independent rank-based test lives in the oracle module.
 
 A vector is read off the trace form (the field module's _half_vector reads
 a_0 .. a_{n/2}, by squaring or by a Frobenius table), as the rest mirror:
@@ -22,8 +23,8 @@ Fields, ch. 6), so with f the vector's bits
 f(H + L) = f(H) + f(L) + B_H(L), B_H linear in L with images
 c_j = f(H + e_j) + f(H) + f(e_j): a later block costs nine vectors and
 one byte table of B_H, and a candidate's vector three lookups.  The
-decision tests the first SCAN_CAP candidates, one gcd per distinct vector,
-and confirms a polarized hit by comparing its bits with the hit's
+decision tests the first SCAN_CAP candidates, one unit test per distinct
+vector, and confirms a polarized hit by comparing its bits with the hit's
 corresponding_vector.  The scan's element and its vector are kept by the
 spec, so they are freed with the spec; the construct module's default
 bases fold that vector instead of computing it again.

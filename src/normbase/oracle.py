@@ -16,12 +16,13 @@ apply the values they are given, so a wrong spec table can reach an audit
 only through that certification.  The rank test reduces
 by poly2's _eliminate, as the factor solver does; the audits stay
 non-circular, since the factorization audit checks that solver against a
-brute force over G, and the rank test is checked against is_normal's gcd
-criterion, which never eliminates.  The subfield construction is the same
-pipeline as the full-field one, and is audited by the same rank test on
-the first t conjugates.  The enumeration decides each Frobenius orbit
-once: conjugates share normality and the vector, so one rank test and one
-vector stand for the orbit's n elements, and the audits count per element.
+brute force over G, and the rank test is checked against is_normal's unit
+test (Euclid, then evaluation at roots of unity), which never eliminates.
+The subfield construction is the same pipeline as the full-field one, and
+is audited by the same rank test on the first t conjugates.  The
+enumeration decides each Frobenius orbit once: conjugates share normality
+and the vector, so one rank test and one vector stand for the orbit's n
+elements, and the audits count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
 and the trace are both GF(2)-linear, so Tr(e*c) is the sum of

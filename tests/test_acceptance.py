@@ -9,6 +9,9 @@ import json
 import random
 import time
 
+import pytest
+
+from normbase import poly2
 from normbase.cli import EX_OK, main
 from normbase.construct import (
     Status,
@@ -44,7 +47,11 @@ from normbase.poly2 import (
     is_irreducible,
     is_symmetric,
     is_unit_mod_cyclic,
+    poly_gcd,
+    poly_mod,
+    poly_mul,
     reciprocal,
+    ring_modulus,
 )
 
 
@@ -374,3 +381,23 @@ def test_prescribe_degree_63_roundtrip(capsys):
         alpha = parse_elem(FieldSpec.from_degree(63), record["element"])
         assert corresponding_vector(FieldSpec.from_degree(63), alpha) == target
     _report(f"prescribe --degree 63 roundtrip ({budget.elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("n", [127, 163])
+def test_unit_tables_at_large_ring_sizes(monkeypatch, n):
+    # x^127 - 1 is x + 1 times the 18 irreducible heptics (k = 7, 19 cosets); x^163 - 1 is
+    # x + 1 times the all-ones polynomial, irreducible of degree k = 162 (two cosets)
+    rng = random.Random(n)
+    ones = (1 << n) - 1  # odd weight, but a multiple of (x^n - 1)/(x - 1)
+    odd = rng.getrandbits(n) | 1 << n - 1
+    odd ^= odd.bit_count() % 2 == 0  # x^7 + x + 1 times it has odd weight too
+    heptic = poly_mod(poly_mul(0b10000011, odd), ring_modulus(n))
+    vectors = [CyclicPoly(n, b) for b in [0, 1, ones, heptic]]
+    vectors += [CyclicPoly(n, rng.getrandbits(n)) for _ in range(200)]
+    expected = [f.bits != 0 and poly_gcd(f.bits, ring_modulus(n)) == 1 for f in vectors]
+    with Budget(1.0):
+        monkeypatch.setattr(poly2, "_units", {n: poly2._unit_tables(n)})
+        assert [is_unit_mod_cyclic(f) for f in vectors] == expected
+    assert expected[:3] == [False, True, False] and expected[3] == (n != 127)
+    assert True in expected[4:] and False in expected[4:]
+    _report(f"unit tables at ring size {n}")

@@ -9,6 +9,7 @@ from normbase.factor import (
     _free_mask,
     _member,
     _odd_half_sum,
+    _solution_images,
     _solve_2power,
     _sqrt_odd,
     factor_2power,
@@ -17,6 +18,7 @@ from normbase.factor import (
     iter_H,
 )
 from normbase.construct import _fold
+from normbase.field import _picked_sum
 from normbase.oracle import _factors_in_G
 from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
@@ -147,6 +149,25 @@ def test_factor_round_trips_past_the_enumerable_sizes(n):
         h = cyclic_mul(g, reciprocal(g))
         assert _solve_2power(h) == g
         assert factor_2power(h) == g
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_solution_images_solve_every_target_in_H_linearly(n):
+    # the sum of the images over h's right-hand side bits is g's free part, for every h in H
+    # (all of H up to 16, seeded members above), though the images leave the span
+    rng, free = random.Random(n), _free_mask(n)
+    if n == 2:
+        targets = [CyclicPoly(2, 1)]
+    elif n <= 16:
+        targets = list(iter_H(n))
+    else:
+        targets = [cyclic_mul(g, reciprocal(g)) for g in
+                   (_member(n, rng.getrandbits(n // 2) & free) for _ in range(300))]
+    images = _solution_images(n)
+    assert len(images) == max(n // 2 - 1, 0) and all(u < 1 << n for u in images)
+    for h in targets:
+        rhs = h.bits >> 1 & (1 << n // 2 - 1) - 1
+        assert 1 | _picked_sum(images, rhs) == _solve_2power(h).bits, (n, h)
 
 
 def test_any_product_with_reciprocal_is_symmetric_with_zero_middle():

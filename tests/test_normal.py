@@ -284,7 +284,7 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
     kept = ((spec, 21), (sub, 4), (sub, 3))
     bases = [vars(s)[f"_base_{t}"] for s, t in kept]
-    base_tables = [table for s, t in kept for tables in vars(s)[f"_maps_{t}"] for table in tables]
+    base_tables = [table for s, t in kept for table in vars(s)[f"_maps_{t}"]]
     base_vectors = [weakref.ref(base[1]) for base in bases]
     # a list takes no weak reference, so each kept basis-change map and byte table is looked
     # for by id and value

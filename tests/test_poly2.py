@@ -1,12 +1,15 @@
 """GF(2)[x] and cyclic-ring arithmetic."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normbase import poly2
 from normbase.construct import compose
 from normbase.field import FieldSpec, parse_elem
 from normbase.poly2 import (
@@ -327,6 +330,107 @@ def test_unit_agrees_with_invertibility(f):
     else:
         with pytest.raises(ZeroDivisionError):
             cyclic_inv(f)
+
+
+# ---- the unit test by evaluation at roots of unity ----
+
+def _by_gcd(f):
+    return f.bits != 0 and poly_gcd(f.bits, ring_modulus(f.n)) == 1
+
+
+def _force(monkeypatch, n, tables):
+    # ring size n tests by its evaluation tables (built now) or by Euclid, whatever the count
+    monkeypatch.setattr(poly2, "_units", {n: poly2._unit_tables(n)} if tables else {})
+    monkeypatch.setattr(poly2, "_UNIT_RENT", poly2._UNIT_RENT if tables else 1 << 62)
+
+
+@pytest.mark.parametrize("tables", [True, False])
+def test_unit_test_is_the_gcd_criterion_on_every_vector(monkeypatch, tables):
+    for n in range(1, 17):
+        _force(monkeypatch, n, tables and n & (n - 1) != 0)
+        assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
+            _by_gcd(CyclicPoly(n, b)) for b in range(1 << n)], n
+
+
+def test_unit_test_is_the_gcd_criterion_on_seeded_vectors(monkeypatch):
+    # half symmetric, half arbitrary, each answer seen at every ring size with an odd part
+    for n in range(1, 65):
+        rng = random.Random(n)
+        half = [rng.getrandbits(n) for _ in range(60)]
+        vectors = [CyclicPoly(n, b | _mirror(b, n)) for b in half] + [
+            CyclicPoly(n, rng.getrandbits(n)) for _ in range(60)]
+        expected = [_by_gcd(f) for f in vectors]
+        for tables in (True, False):
+            _force(monkeypatch, n, tables and n & (n - 1) != 0)
+            assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, tables)
+        assert True in expected and (n == 1 or False in expected), n
+
+
+def test_zero_is_no_unit_and_two_power_ring_sizes_read_the_parity(monkeypatch):
+    monkeypatch.setattr(poly2, "_units", {})
+    for n in range(1, 65):
+        assert not is_unit_mod_cyclic(CyclicPoly(n, 0)), n
+    for n in (1, 2, 4, 8, 16):  # x^n - 1 = (x - 1)^n: f is a unit exactly when f(1) = 1
+        assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
+            b.bit_count() % 2 == 1 for b in range(1 << n)]
+    assert not any(n & (n - 1) == 0 for n in poly2._units)  # the parity keeps no state
+    _force(monkeypatch, 63, True)
+    assert not is_unit_mod_cyclic(CyclicPoly(63, 0))
+
+
+def test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build(monkeypatch):
+    monkeypatch.setattr(poly2, "_units", {})
+    calls = []
+    for name in ("poly_gcd", "_unit_tables"):
+        real = getattr(poly2, name)
+        monkeypatch.setattr(poly2, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    f = CyclicPoly.from_support(21, {0, 3, 18})  # a unit; 1 + x + x^20 shares x^3 + x + 1
+    for k in range(poly2._UNIT_RENT):
+        assert is_unit_mod_cyclic(f)
+        assert poly2._units[21] == k + 1
+    assert calls == ["poly_gcd"] * poly2._UNIT_RENT
+    assert is_unit_mod_cyclic(f) and calls[poly2._UNIT_RENT] == "_unit_tables"
+    assert type(poly2._units[21]) is tuple
+    built = len(calls)  # the build's own modulus search runs gcds too
+    for _ in range(3):
+        assert is_unit_mod_cyclic(f)
+    assert len(calls) == built  # neither Euclid nor a second build
+
+
+def test_ring_sizes_held_stay_within_the_bound(monkeypatch):
+    monkeypatch.setattr(poly2, "_units", {})
+    sizes = [n for n in range(3, 400) if n & (n - 1)][:poly2._UNIT_RINGS + 5]
+    for n in sizes:
+        assert is_unit_mod_cyclic(CyclicPoly(n, 1))
+        assert len(poly2._units) <= poly2._UNIT_RINGS and poly2._units[n] == 1
+    assert sizes[-1] in poly2._units and sizes[0] not in poly2._units
+
+
+def test_threads_racing_on_the_counts_get_the_gcd_answers(monkeypatch):
+    # threads that race lose counts or build the same tables twice; every answer is the gcd's
+    monkeypatch.setattr(poly2, "_units", {})
+    monkeypatch.setattr(poly2, "_UNIT_RENT", 5)
+    rng = random.Random(4)
+    vectors = [CyclicPoly(n, rng.getrandbits(n)) for _ in range(40) for n in (15, 21, 33, 45, 63)]
+    expected = [_by_gcd(f) for f in vectors]
+    results = {}
+
+    def run(k):
+        results[k] = [is_unit_mod_cyclic(f) for f in vectors]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]  # more than the cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[k] == expected for k in range(4))
+    assert all(type(poly2._units[n]) is tuple for n in (15, 21, 33, 45, 63))
 
 
 # ---- symmetric-polynomial laws used by the constructions ----

@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, seventy mutants,
-takes about 85 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, seventy-nine mutants,
+takes about 120 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"
 FULL_SPAN = ["tests/test_oracle.py::test_independent_is_a_full_span"]
 CONSTRUCT = "src/normbase/construct.py"
 BASE_IF = "    if beta is None:  # the kept base, and its byte tables once it has served field._RENT\n"
-BASE_TABLES = '        tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(b_inv, conjugates))\n'
-BASE = (f"{BASE_IF}        beta, b, b_inv, conjugates = _default_base(spec, t)\n{BASE_TABLES}"
+BASE_TABLES = '    tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(base[2], base[3]))\n'
+BASE = (f"{BASE_IF}        beta, b, b_inv, conjugates, tables = (getattr(spec, \"_warm\", {{}}).get(t)\n"
+        "                                              or _kept_base(spec, t))\n"
         "    else:  # a base that is not kept serves this one prescription, by the loops\n"
         "        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None\n")
 KEPT_TABLES = ["tests/test_construct.py::test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector",
@@ -69,6 +70,11 @@ EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naiv
 SEEDED_VECTORS = ["tests/test_normal.py::test_loop_and_table_vectors_agree_on_default_and_seeded_moduli"]
 SWITCH = ["tests/test_normal.py::test_a_spec_builds_its_table_once_the_loop_has_cost_one_build"]
 FROBENIUS_RENTED = '    held = _rented(spec, "_frobenius", lambda: _frobenius_tables(spec))\n'
+UNIT_EVERY = ["tests/test_poly2.py::test_unit_test_is_the_gcd_criterion_on_every_vector"]
+UNIT_SWITCH = [
+    "tests/test_poly2.py::test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build"]
+ORDER_CHECK = ("        if all(_pow_mod(zeta, m // p, modulus) != 1 for p in primes):\n"
+               "            break\n")
 
 MUTANTS = [
     ("gcd one squaring early", FIELD,
@@ -120,8 +126,7 @@ MUTANTS = [
     ("rent paid one use late", FIELD,
      "        if held < _RENT:\n", "        if held <= _RENT:\n", SWITCH + BASE_SWITCH),
     ("gcd only at n/2", FIELD,
-     "primes = (p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))",
-     "primes = [2]", CERTIFY),
+     "for p in _prime_divisors(n))", "for p in [2])", CERTIFY),
     ("walk without the longer-than-n raise", ORACLE,
      "            if x != e:\n"
      "                raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n",
@@ -169,13 +174,20 @@ MUTANTS = [
     ("forced beta ignored", CONSTRUCT,
      BASE_IF, "    if True:\n", ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
     ("base tables built on the first use", CONSTRUCT,
-     BASE_TABLES, "        tables = _base_tables(b_inv, conjugates)\n", BASE_SWITCH),
-    ("base tables never built", CONSTRUCT, BASE_TABLES, "        tables = None\n", BASE_SWITCH),
-    ("b^(-1) rotated the wrong way", CONSTRUCT,
-     "(x << j | x >> t - j)", "(x >> j | x << t - j)",  # a valid a is symmetric: a table test
-     ["tests/test_construct.py::test_kept_basis_change_matches_apply_basis_change"]),
+     BASE_TABLES, "    tables = _base_tables(base[2], base[3])\n", BASE_SWITCH),
+    ("base tables never built", CONSTRUCT, BASE_TABLES, "    tables = None\n", BASE_SWITCH),
+    ("base kept warm while it pays rent", CONSTRUCT,
+     "    if tables is not None:\n", "    if True:\n", BASE_SWITCH),
     ("lift table of the conjugates off by one", CONSTRUCT,
-     "_byte_tables(conjugates)", "_byte_tables(conjugates[1:] + conjugates[:1])", KEPT_TABLES),
+     "_picked_sum(conjugates, g) for g in gs", "_picked_sum(conjugates[1:] + conjugates[:1], g) for g in gs",
+     KEPT_TABLES),
+    ("odd table without the square root", CONSTRUCT,
+     "gs = [_sqrt_odd(CyclicPoly(t, h)).bits for h in rotations]", "gs = rotations", KEPT_TABLES),
+    ("two-power table without g's constant", CONSTRUCT,
+     "^ (0 if t % 2 else conjugates[0])", "^ 0", KEPT_TABLES),
+    ("solution images without the free column", FACTOR,
+     "        basis[p] = basis[p] or 1 << p\n", "        basis[p] = basis[p] or 0\n",
+     ["tests/test_factor.py::test_solution_images_solve_every_target_in_H_linearly"] + KEPT_TABLES),
     ("weight-3 support off by one", CONSTRUCT,
      "{0, j0 * m, ", "{0, j0 * m + 1, ", ["tests/test_construct.py::test_weight3_supports"]),
     ("compose's b repeated with period m + 1", CONSTRUCT,
@@ -250,6 +262,18 @@ MUTANTS = [
     ("SCAN_CAP = 2^14", NORMAL,
      "SCAN_CAP = 1 << 15", "SCAN_CAP = 1 << 14",
      ["tests/test_normal.py::test_find_normal_pinned_by_degree[31]"]),
+    ("unit L mask without the top low bit", POLY2,
+     "ones * ((1 << k - 1) - 1)", "ones * ((1 << k - 2) - 1)", UNIT_EVERY),
+    ("unit H at bit k - 2", POLY2, "ones << k - 1", "ones << k - 2", UNIT_EVERY),
+    ("unit test skipping the coset of 1", POLY2,
+     "            reps.append(r)\n", "            reps += [r] if r != 1 else []\n", UNIT_EVERY),
+    ("zeta of order m/p", POLY2,
+     ORDER_CHECK, ORDER_CHECK.replace("break", "zeta = _pow_mod(zeta, primes[0], modulus)\n"
+                                              "            break"), UNIT_EVERY),
+    ("unit rent paid one test late", POLY2,
+     "if held < _UNIT_RENT:", "if held <= _UNIT_RENT:", UNIT_SWITCH),
+    ("unit tables never built", POLY2,
+     "if held < _UNIT_RENT:", "if True:", UNIT_SWITCH),
     ("x^0 rejected as a negative exponent", POLY2,
      "if k < 0:", "if k <= 0:",
      ["tests/test_poly2.py::test_parse_poly_reads_x_to_the_zero_as_the_constant_term"]),
