@@ -29,9 +29,9 @@ map fixed by the base: a -> a * b^(-1) and g -> sum g_i beta^(2^i) are
 GF(2)-linear, g is a permutation of h's bits for odd t, and for t = 2^s it
 is 1 + U with U linear in h on H (factor._solution_images).  So a kept
 base also keeps the byte tables of its linear part, once it has served as
-many prescriptions as building them costs (field._rented); from then on a
-request reads the base and its tables by one lookup in spec._warm, and
-its lift by one table pass, with no quotient or factor built.  A base that
+many prescriptions as building them costs (poly2._rented); from then on a
+request reads the base and its tables by one lookup in the spec's store,
+and its lift by one table pass, with no quotient or factor built.  A base that
 is not kept serves one prescription, by cyclic_mul, the solver and a sum
 over the set bits of g.  compose
 multiplies prescriptions from the coprime 2-power and odd subfields;
@@ -62,21 +62,22 @@ from dataclasses import dataclass
 
 from .factor import _odd_half_sum, _solution_images, _solve_2power, _sqrt_odd
 from .field import (
+    _RENT,
     FieldSpec,
-    _byte_tables,
     _check_divisor,
     _conjugates,
     _half_vector,
-    _linear,
     _owned,
     _picked_sum,
-    _rented,
     elem_mul,
     rel_trace,
 )
 from .normal import _scanned, corresponding_vector
 from .poly2 import (
     CyclicPoly,
+    _byte_tables,
+    _linear,
+    _rented,
     cyclic_inv,
     cyclic_mul,
     is_symmetric,
@@ -216,20 +217,21 @@ def _base(spec: FieldSpec, t: int, beta: int,
     return beta, b, b_inv, _conjugates(spec, beta, t)
 
 
-def _default_base(spec: FieldSpec, t: int) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """_base of the scan's normal element and the vector the scan kept with it, kept per t."""
-    return _owned(spec, f"_base_{t}", lambda: _base(spec, t, *_scanned(spec)))
-
-
 def _kept_base(spec: FieldSpec, t: int) -> tuple:
-    """_default_base and the byte tables of its map a -> lift once it has served field._RENT
-    prescriptions, None before.  With its tables the tuple is kept in spec._warm[t], which
-    _pipeline reads first, so a warm request looks its base up once."""
-    base = _default_base(spec, t)
-    tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(base[2], base[3]))
-    if tables is not None:
-        _owned(spec, "_warm", dict)[t] = *base, tables
-    return *base, tables
+    """(beta, b, b_inv, conjugates, tables): _base of the scan's normal element and the vector
+    the scan kept with it, made once per t, and the byte tables of its map a -> lift
+    (_base_tables) once it has served _RENT prescriptions, None before.  With its tables the
+    tuple is held in spec._held[t], the one entry that _pipeline reads first.
+
+    On a 2-core Xeon with Python 3.11 (best of 9 over 100 vectors, two
+    processes), the fill of 256 entries per input byte included, the
+    table cost 14-21 loop prescriptions at n = 64 (0.57-0.61 ms), 10-12 at
+    32 and 33 and 4-8 at 16 and 21 (0.10-0.16 ms at 21), so there the rule
+    buys late, by at most _RENT loop prescriptions.
+    """
+    base = _owned(spec, ("base", t), lambda: _base(spec, t, *_scanned(spec)))
+    return (_rented(spec._held, t, _RENT, lambda: (*base, _base_tables(base[2], base[3])))
+            or (*base, None))
 
 
 def _base_tables(b_inv: CyclicPoly, conjugates: list[int]) -> list[list[int]]:
@@ -259,9 +261,9 @@ def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -
     prescribe_steps wraps."""
     if not all(_flags(t, a)):
         raise InvalidVectorError(validate_vector(t, a))
-    if beta is None:  # the kept base, and its byte tables once it has served field._RENT
-        beta, b, b_inv, conjugates, tables = (getattr(spec, "_warm", {}).get(t)
-                                              or _kept_base(spec, t))
+    if beta is None:  # the kept base, and its byte tables once it has served _RENT
+        held = spec._held.get(t)  # a count until the tables are built
+        beta, b, b_inv, conjugates, tables = held if type(held) is tuple else _kept_base(spec, t)
     else:  # a base that is not kept serves this one prescription, by the loops
         (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None
     if tables is None:

@@ -8,8 +8,9 @@ elements stay compact and specs can be shared freely across threads.
 Squaring and the trace form are GF(2)-linear (Lidl & Niederreiter, Finite
 Fields, ch. 2), so a spec keeps their byte tables, freed with it.  The
 squaring map (images g^(2j), by shifting and reducing) is built with the
-spec, which certifies its modulus by Rabin's test on it (_is_certified).  The
-trace form is built on its first read (_trace_form): the traces
+spec, which certifies its modulus by Rabin's test on it (_is_certified).
+Everything built later lives in the spec's one store, the dict spec._held
+(_owned).  The trace form is built on its first read (_trace_form): the traces
 p_m = Tr(g^m), m < 2n - 1, the power sums of the modulus's roots, are the
 coefficients of z F'(z)/F(z) for the reversed modulus F; the trace mask is
 their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
@@ -19,10 +20,10 @@ rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
 (_form).  So a vector's bits a_i = Tr(alpha * alpha^(2^i)) are the parities
 of alpha^(2^i) & w_alpha, and a spec reads them by a loop of table squarings
 until that has cost about one build of a multi-step Frobenius table, then by
-the table (_half_vector).  That switch is the package's one rent-or-buy rule
-(_rented), which the construct module's kept bases share for the byte
-tables of their two linear maps.  Public functions validate their elements;
-the inner loops apply the tables directly.
+the table (_half_vector).  That switch is the package's one rent-or-buy rule,
+poly2._rented, which also buys a kept base of the construct module the table
+of its map a -> lift.  Public functions validate their elements; the inner
+loops apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -36,7 +37,9 @@ from .poly2 import (
     DegreeBoundError,
     _byte_tables,
     _linear,
+    _pow_mod,
     _prime_divisors,
+    _rented,
     find_irreducible,
     parse_poly,
     poly_gcd,
@@ -77,7 +80,7 @@ class FieldSpec:
             images.append(x)
             x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
-        object.__setattr__(self, "_frobenius", 0)  # the loop reads so far; see _rented
+        object.__setattr__(self, "_held", {})  # the values built later, by key (_owned, _rented)
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -124,10 +127,14 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
 
     A loop of n // 2 table squarings reads the vector until the spec has
     served _RENT of them, and the spec's Frobenius table from then on
-    (_rented).  A table read took 3.2 us against the loop's 3.2 at n = 8,
-    3.7 against 4.8 at n = 13, 4.9 against 7.9 at n = 21 and 14 against 46
-    at n = 64, so a table built at n <= 21 pays back after 50-80 more reads
-    or never; the rule bounds that loss by one build.
+    (_rented).  On a 2-core Xeon with Python 3.11 (best of 9, three
+    processes), the fill of 256 entries per input byte included, a build
+    cost 18-22 loop reads at n = 13 .. 64 (0.14-0.17 ms at n = 21, 0.87-0.89
+    ms at n = 64), and 4-16 at n <= 8.  A table read took 3.2 us against
+    the loop's 3.2 at n = 8, 3.7 against 4.8 at n = 13, 4.9 against 7.9 at
+    n = 21 and 14 against 46 at n = 64, so a table built at n <= 21 pays
+    back after 50-80 more reads or never; the rule bounds that loss by one
+    build.
 
     A lookup round of the table gives M = _STEPS conjugates as blocks of
     P = 8 ceil(n/8) bits, ORed into one int next to the rounds before; block
@@ -137,7 +144,7 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
     """
     n = spec.n
     w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
-    held = _rented(spec, "_frobenius", lambda: _frobenius_tables(spec))
+    held = _rented(spec._held, "frobenius", _RENT, lambda: _frobenius_tables(spec))
     if held is None:
         square, conj = spec._square, alpha
         bits = (alpha & w).bit_count() & 1
@@ -201,49 +208,20 @@ def _trace_form(spec: FieldSpec) -> tuple[int, list[int]]:
                 seq |= 1 << m
                 rest ^= reverse << m
         return seq & ((1 << n) - 1), _byte_tables([seq >> j for j in range(8)])[0]  # the Gram table
-    return _owned(spec, "_trace", build)
+    return _owned(spec, "trace", build)
 
 
-def _owned(spec: FieldSpec, key: str, build):
-    """build() once per spec, kept as a spec attribute and freed with it.
+def _owned(spec: FieldSpec, key, build):
+    """build() once per spec, held in its store spec._held and freed with it.
 
-    For values derived from the field alone.  object.__setattr__ keeps
-    attribute reads fast, where a __dict__ write (as by cached_property)
-    makes them all slower; eq and hash still see only n and modulus.
-    Threads that race here each build the same value, and one of them is kept.
+    For values derived from the field alone; eq and hash still see only n
+    and modulus.  Threads that race here each build the same value, and one
+    of them is kept.
     """
-    if not hasattr(spec, key):
-        object.__setattr__(spec, key, build())
-    return getattr(spec, key)
-
-
-def _rented(spec: FieldSpec, key: str, build):
-    """Rent or buy: None for the first _RENT calls, counted in spec.<key>, then build(), made
-    once and held by the spec, so freed with it.
-
-    For a loop that byte tables of the same linear maps can replace: the
-    caller runs its loop on None and reads the tables otherwise, so a spec
-    pays for tables only once its loop has cost about as much as building
-    them.  Both sites price a build at _RENT loop uses, as measured on a
-    2-core Xeon with Python 3.11 (best of 9, three processes), the fill of
-    256 entries per input byte included: the Frobenius table of _half_vector
-    costs 18-22 loop reads at n = 13 .. 64 (0.14-0.17 ms at n = 21, 0.87-0.89
-    ms at n = 64).  At n <= 8 a build costs 4-16 uses.  The table of a
-    kept base's map a -> lift (construct._base_tables) costs 14-21 loop
-    prescriptions at n = 64 (0.57-0.61 ms), 10-12 at 32 and 33 and 4-8 at
-    16 and 21 (0.10-0.16 ms at 21; best of 9 over 100 vectors, two
-    processes), so there the rule buys late, by at most 20 loop
-    prescriptions.  Threads that race here lose counts or build the same
-    tables twice; either way the result is the same.
-    """
-    held = getattr(spec, key, 0)
-    if type(held) is int:
-        if held < _RENT:
-            object.__setattr__(spec, key, held + 1)
-            return None
-        held = build()
-        object.__setattr__(spec, key, held)
-    return held
+    held = spec._held
+    if key not in held:
+        held[key] = build()
+    return held[key]
 
 
 def _check_elem(spec: FieldSpec, a: int):
@@ -263,21 +241,15 @@ def elem_mul(spec: FieldSpec, a: int, b: int) -> int:
 
 
 def elem_pow(spec: FieldSpec, a: int, e: int) -> int:
-    """a^e for e >= 0, left to right: square the result, then multiply by a on a 1 bit.
-
-    For nonzero a, e is reduced mod 2^n - 1.  Every multiply is by a itself: for parse_elem's
-    g = x, a shift and one reduction step."""
+    """a^e for e >= 0; for nonzero a, e is reduced mod 2^n - 1.  poly2._pow_mod squares by the
+    spec's tables, and each multiply is by a itself: for parse_elem's g = x, a shift and one
+    reduction step."""
     _check_elem(spec, a)
     if e < 0:
         raise ValueError("negative exponent")
     if a == 0:
         return 1 if e == 0 else 0
-    result = 1
-    for bit in f"{e % ((1 << spec.n) - 1):b}":
-        result = _linear(spec._square, result)
-        if bit == "1":
-            result = poly_mod(poly_mul(result, a), spec.modulus)
-    return result
+    return _pow_mod(a, e % ((1 << spec.n) - 1), spec.modulus, spec._square)
 
 
 def frobenius(spec: FieldSpec, a: int, k: int) -> int:

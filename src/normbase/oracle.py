@@ -61,8 +61,9 @@ from typing import Callable, Iterator
 
 from .construct import _characterized, _flags, pow2_odd_split
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
-from .field import FieldSpec, _byte_tables, _check_divisor, _check_elem, _linear
-from .poly2 import CyclicPoly, _eliminate, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
+from .field import FieldSpec, _check_divisor, _check_elem
+from .poly2 import (CyclicPoly, _byte_tables, _eliminate, _linear, cyclic_mul, poly_mod, reciprocal,
+                    symmetric_vectors)
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24

@@ -16,8 +16,10 @@ bytes.translate table, then rotates them so that bit 0 stays fixed.
 symmetric_vectors doubles its list of sums over the pairs x^k + x^(n-k),
 k = 0 .. n/2, which keeps them ascending in f_0 .. f_{n//2}.
 is_unit_mod_cyclic tests a ring size by Euclid, then by evaluation at the
-roots of unity through byte tables (_byte_tables, which the field module
-shares); its per-size counts and tables are the module's one state.
+roots of unity through byte tables (_byte_tables), bought by the
+package's one rent-or-buy rule (_rented); its per-size counts and tables
+are the module's one state.  The other modules take _byte_tables, _linear
+and _rented from here.
 
 Text formats: "x^16+x^5+x^3+x^2+1" (terms in any order, duplicates
 rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
@@ -88,6 +90,25 @@ def _linear(tables: list[list[int]], a: int) -> int:
         out ^= table[a & 0xFF]
         a >>= 8
     return out
+
+
+def _rented(store: dict, key, price: int, build):
+    """Rent or buy: None for the first price calls, counted in store[key], then build(), made
+    once and held in store[key].
+
+    For a loop that tables can replace: the caller runs its loop on None and
+    reads the tables otherwise, so it pays for tables only once its loop has
+    cost about as much as building them, and each site prices a build in its
+    own loop uses.  Threads that race here lose counts or build the same
+    tables twice; either way the result is the same.
+    """
+    held = store.get(key, 0)
+    if type(held) is int:
+        if held < price:
+            store[key] = held + 1
+            return None
+        held = store[key] = build()
+    return held
 
 
 def _eliminate(basis: Sequence[int], r: int) -> int:
@@ -313,11 +334,12 @@ def symmetric_vectors(n: int) -> Iterator[CyclicPoly]:
         yield CyclicPoly(n, s)
 
 
-def _pow_mod(a: int, e: int, f: int) -> int:
-    """a^e mod f, left to right: square, then multiply by a on a 1 bit."""
+def _pow_mod(a: int, e: int, f: int, square: list[list[int]] | None = None) -> int:
+    """a^e mod f, left to right: square, then multiply by a on a 1 bit.  square, if given,
+    holds the byte tables of r -> r^2 mod f (_byte_tables), which square without a reduction."""
     r = 1
     for bit in f"{e:b}":
-        r = poly_mod(poly_mul(r, r), f)
+        r = _linear(square, r) if square else poly_mod(poly_mul(r, r), f)
         if bit == "1":
             r = poly_mod(poly_mul(r, a), f)
     return r
@@ -367,33 +389,28 @@ def is_unit_mod_cyclic(f: CyclicPoly) -> bool:
     are not all 0.
 
     A ring size runs Euclid for its first _UNIT_RENT tests, counted in
-    _units, and buys its tables then: the rent-or-buy rule of
-    field._rented.  On a 2-core Xeon with Python 3.11 (best of 7 over 300
-    seeded vectors, two processes), a test took 0.5 us by the tables
-    against 2.2-3.4 us by Euclid at n = 21 and 1.0-1.7 against 6.6-9.5 at
-    63.  A build, the search for the modulus of GF(2^k) included, cost as
-    much as 15-90 Euclid tests at most n <= 64 (0.08-0.09 ms at 21,
-    0.26-0.42 ms at 63), 130-230 at n = 37, 53 and 61, and 300-380 at 59
-    (k = 58, 2.9-3.8 ms), and it holds 256 ceil(n/8) ints.  So 256 tests
-    cover the build's time at every n <= 64 but 59, and a process that
-    tests a ring size up to about two hundred times, as a stream of CLI
-    requests on fresh fields of every degree does, holds no tables it would
-    barely use.  _units holds at most _UNIT_RINGS ring sizes, every size up
-    to field.MAX_DEGREE among them, and is emptied when one more would pass
-    that.  Threads that race here lose counts or build the same tables
-    twice; either way the answer is the same.
+    _units, and buys its tables then (_rented).  On a 2-core Xeon with
+    Python 3.11 (best of 7 over 300 seeded vectors, two processes), a test
+    took 0.5 us by the tables against 2.2-3.4 us by Euclid at n = 21 and
+    1.0-1.7 against 6.6-9.5 at 63.  A build, the search for the modulus of
+    GF(2^k) included, cost as much as 15-90 Euclid tests at most n <= 64
+    (0.08-0.09 ms at 21, 0.26-0.42 ms at 63), 130-230 at n = 37, 53 and 61,
+    and 300-380 at 59 (k = 58, 2.9-3.8 ms), and it holds 256 ceil(n/8)
+    ints.  So 256 tests cover the build's time at every n <= 64 but 59, and
+    a process that tests a ring size up to about two hundred times, as a
+    stream of CLI requests on fresh fields of every degree does, holds no
+    tables it would barely use.  _units holds at most _UNIT_RINGS ring
+    sizes, every size up to field.MAX_DEGREE among them, and is emptied
+    when one more would pass that.
     """
     n, bits = f.n, f.bits
     if n & (n - 1) == 0:
         return bits.bit_count() & 1 == 1
-    held = _units.get(n, 0)
-    if type(held) is int:
-        if held < _UNIT_RENT:
-            if n not in _units and len(_units) >= _UNIT_RINGS:
-                _units.clear()
-            _units[n] = held + 1
-            return bits != 0 and poly_gcd(bits, ring_modulus(n)) == 1
-        held = _units[n] = _unit_tables(n)
+    if n not in _units and len(_units) >= _UNIT_RINGS:
+        _units.clear()
+    held = _rented(_units, n, _UNIT_RENT, lambda: _unit_tables(n))
+    if held is None:
+        return bits != 0 and poly_gcd(bits, ring_modulus(n)) == 1
     tables, low, high = held
     x = _linear(tables, bits)
     return ((x & low) + low | x) & high == high

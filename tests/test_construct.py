@@ -21,7 +21,13 @@ from normbase.construct import (
 )
 from normbase.field import _RENT, FieldSpec, frobenius, parse_elem
 from normbase.normal import corresponding_vector, find_normal, is_normal
-from normbase.oracle import check_characterization, check_necessary, is_subfield_normal_by_rank
+from normbase.oracle import (
+    check_characterization,
+    check_factorization,
+    check_necessary,
+    check_self_dual_existence,
+    is_subfield_normal_by_rank,
+)
 from normbase.poly2 import (
     CyclicPoly,
     cyclic_mul,
@@ -353,7 +359,7 @@ def test_kept_basis_change_matches_apply_basis_change(n, basis_change):
         # on the default modulus at n = 63 the scan runs to its cap (about 2 s);
         # test_acceptance covers that degree
         if not (n == 63 and spec is default):
-            bases += [construct._default_base(spec, t) for t in sorted({n, s2, m})]
+            bases += [construct._kept_base(spec, t)[:4] for t in sorted({n, s2, m})]
         for beta, _, b_inv, conjugates in bases:
             t = len(conjugates)
             assert conjugates == [frobenius(spec, beta, i) for i in range(t)]
@@ -394,10 +400,9 @@ def _by_path(spec, run):
         seen = []
 
         def forced(s, t, *args, _on=on, _seen=seen):
-            _, _, b_inv, conjugates = construct._default_base(s, t)
-            tables = construct._base_tables(b_inv, conjugates) if _on else 0  # 0: count again
-            object.__setattr__(s, f"_maps_{t}", tables)
-            vars(s).get("_warm", {}).pop(t, None)  # so the pipeline reads _maps_{t}
+            base = construct._kept_base(s, t)[:4]
+            # the base with its tables, or 0: the count starts again
+            s._held[t] = (*base, construct._base_tables(base[2], base[3])) if _on else 0
             _seen.append(pipeline(s, t, *args))
             return _seen[-1]
         with pytest.MonkeyPatch.context() as patch:
@@ -440,8 +445,8 @@ def test_kept_tables_and_loops_compose_alike(n):
 
 @pytest.mark.parametrize("n, support", [(4, {0, 1, 3}), (21, {0}), (64, {0, 1, 63})])
 def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, n, support):
-    # the loops serve _RENT prescriptions, about the cost of building the two tables, and the
-    # tables serve from the next one on
+    # the loops serve _RENT prescriptions, about the cost of building the table, and the
+    # table serves from the next one on
     spec = FieldSpec.from_degree(n)
     target = CyclicPoly.from_support(n, support)
     element = prescribe(FieldSpec.from_degree(n), target)
@@ -452,10 +457,10 @@ def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, 
                             lambda *args, _name=name, _real=real: loops.append(_name) or _real(*args))
     for k in range(_RENT):
         assert prescribe(spec, target) == element
-        assert getattr(spec, f"_maps_{n}") == k + 1
+        assert spec._held[n] == k + 1
     assert loops == ["cyclic_mul", "_picked_sum"] * _RENT
     assert prescribe(spec, target) == element
-    assert type(getattr(spec, f"_maps_{n}")) is list
+    assert type(spec._held[n]) is tuple and type(spec._held[n][4]) is list
     assert loops.count("cyclic_mul") == _RENT  # the build sums conjugates, and multiplies nothing
     built = len(loops)
     assert prescribe(spec, target) == element
@@ -465,6 +470,31 @@ def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, 
     for _ in range(_RENT + 1):
         prescribe(spec, target, beta)
     assert len(loops) == built + 2 * (_RENT + 1)
+
+
+def test_a_spec_keeps_what_it_builds_later_in_its_one_store(monkeypatch):
+    # vectors, kept bases past their switch and the audits add no attribute to a spec
+    attributes = {"n", "modulus", "_square", "_held"}
+    spec = FieldSpec.from_degree(21)
+    for a in range(1, _RENT + 2):  # past the Frobenius table's switch
+        corresponding_vector(spec, a)
+    assert set(vars(spec)) == attributes and type(spec._held["frobenius"]) is tuple
+    for _ in range(_RENT + 1):  # past the kept base's switch
+        prescribe(spec, CyclicPoly(21, 1))
+    assert set(vars(spec)) == attributes and type(spec._held[21]) is tuple
+    sub = FieldSpec.from_degree(12)
+    for _ in range(_RENT + 1):
+        weight3(sub)
+        compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
+    assert set(vars(sub)) == attributes and all(type(sub._held[t]) is tuple for t in (3, 4))
+    made = []
+    from_degree = FieldSpec.from_degree
+    monkeypatch.setattr(FieldSpec, "from_degree",
+                        classmethod(lambda cls, n: made.append(from_degree(n)) or made[-1]))
+    for check, n in [(check_characterization, 5), (check_factorization, 8), (check_necessary, 12)]:
+        assert check(FieldSpec.from_degree(n)).ok
+    assert check_self_dual_existence(6).ok
+    assert len(made) == 8 and all(set(vars(s)) == attributes for s in made)
 
 
 def test_prescribe_and_the_subfield_path_build_no_prescription(monkeypatch):
@@ -524,7 +554,7 @@ def test_threads_sharing_a_spec_prescribe_the_same_elements():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(results[k] == expected for k in range(4))
-    assert type(spec._maps_33) is list
+    assert type(spec._held[33][4]) is list
 
 
 # ---- subfield results pinned ----
@@ -603,7 +633,7 @@ def test_warm_prescribe_skips_the_public_factor_checks(monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_valid_two_power_vectors_give_quotients_in_H(n):
     # what factor_2power's in_H check would prove: a valid a makes h = a * b^(-1) a member of H
-    _, _, b_inv, _ = construct._default_base(FieldSpec.from_degree(n), n)
+    _, _, b_inv, _, _ = construct._kept_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert len(valid) == 1 << (n // 2 - 2)
     assert all(factor.in_H(cyclic_mul(a, b_inv)) for a in valid)
@@ -612,7 +642,7 @@ def test_valid_two_power_vectors_give_quotients_in_H(n):
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_valid_odd_vectors_give_symmetric_quotients(n):
     # what _sqrt_odd needs to give a factor: a valid a makes h = a * b^(-1) symmetric
-    _, _, b_inv, _ = construct._default_base(FieldSpec.from_degree(n), n)
+    _, _, b_inv, _, _ = construct._kept_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert valid
     assert all(is_symmetric(cyclic_mul(a, b_inv)) for a in valid)
@@ -621,7 +651,7 @@ def test_valid_odd_vectors_give_symmetric_quotients(n):
 def test_wrong_factor_is_caught_by_the_closing_check(monkeypatch, capsys):
     spec = FieldSpec.from_degree(16)
     target = CyclicPoly.from_support(16, {0, 1, 15})
-    _, _, b_inv, _ = construct._default_base(spec, 16)
+    _, _, b_inv, _, _ = construct._kept_base(spec, 16)
     solve = factor._solve_2power
 
     def flipped(h):  # another member of G: free coefficient 1 and its mirror n - 2 flipped

@@ -154,6 +154,32 @@ def test_pow_is_repeated_multiplication(spec):
         assert elem_pow(spec, a, 2**n + 1) == elem_mul(spec, conjugate, a)
 
 
+def _pow_by_conjugates(spec, a, e):
+    # a^e as the product of the conjugates a^(2^i) over the bits i of e, e never reduced
+    power, conjugate = 1, a
+    while e:
+        if e & 1:
+            power = elem_mul(spec, power, conjugate)
+        conjugate = elem_mul(spec, conjugate, conjugate)
+        e >>= 1
+    return power
+
+
+def test_pow_is_repeated_multiplication_at_every_degree():
+    for n in range(1, 13):
+        spec = FieldSpec.from_degree(n)
+        for a in random.Random(n).sample(range(spec.order), min(spec.order, 8)):
+            power = 1
+            for e in range(3 * n):
+                assert elem_pow(spec, a, e) == power, (n, a, e)
+                power = elem_mul(spec, power, a)
+    for n in range(1, 65):  # e up to 2^80, so above 2^n - 1 at every n but for few draws
+        spec = FieldSpec.from_degree(n)
+        rng = random.Random(n)
+        for a, e in [(rng.randrange(spec.order), rng.getrandbits(80)) for _ in range(10)]:
+            assert elem_pow(spec, a, e) == _pow_by_conjugates(spec, a, e), (n, a, e)
+
+
 def test_frobenius(f16):
     rng = random.Random(2)
     for _ in range(100):

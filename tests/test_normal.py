@@ -200,9 +200,9 @@ def _vectors_by_path(spec, elements):
     # then with the Frobenius table forced (built now, whatever the count)
     loop = []
     for a in elements:
-        object.__setattr__(spec, "_frobenius", 0)
+        spec._held["frobenius"] = 0
         loop.append(corresponding_vector(spec, a))
-    object.__setattr__(spec, "_frobenius", _frobenius_tables(spec))
+    spec._held["frobenius"] = _frobenius_tables(spec)
     return loop, [corresponding_vector(spec, a) for a in elements]
 
 
@@ -234,10 +234,10 @@ def test_a_spec_builds_its_table_once_the_loop_has_cost_one_build(n):
     spec = FieldSpec.from_degree(n)
     for k in range(_RENT):
         corresponding_vector(spec, k % spec.order)
-        assert spec._frobenius == k + 1
+        assert spec._held["frobenius"] == k + 1
     vector = corresponding_vector(spec, spec.generator)
-    assert type(spec._frobenius) is tuple
-    object.__setattr__(spec, "_frobenius", 0)
+    assert type(spec._held["frobenius"]) is tuple
+    spec._held["frobenius"] = 0
     assert corresponding_vector(spec, spec.generator) == vector
 
 
@@ -263,7 +263,7 @@ def test_threads_sharing_a_spec_read_the_same_vectors():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(results[k] == expected for k in range(4))
-    assert type(spec._frobenius) is tuple
+    assert type(spec._held["frobenius"]) is tuple
 
 
 def test_field_spec_is_freed_and_its_choices_repeat():
@@ -272,7 +272,7 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     element = find_normal(spec)
     for _ in range(_RENT + 1):  # past the switch point, so the spec holds its Frobenius table
         corresponding_vector(spec, element)
-    frobenius_table = spec._frobenius[0][0]
+    frobenius_table = spec._held["frobenius"][0][0]
     frobenius_map = (id(frobenius_table), tuple(frobenius_table))
     for _ in range(_RENT + 1):  # past the switch point, so the base holds its byte tables
         prescribe(spec, CyclicPoly(21, 1))
@@ -283,8 +283,8 @@ def test_field_spec_is_freed_and_its_choices_repeat():
         weight3(sub)
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
     kept = ((spec, 21), (sub, 4), (sub, 3))
-    bases = [vars(s)[f"_base_{t}"] for s, t in kept]
-    base_tables = [table for s, t in kept for table in vars(s)[f"_maps_{t}"]]
+    bases = [s._held[t] for s, t in kept]  # each the base with its tables
+    base_tables = [table for base in bases for table in base[4]]
     base_vectors = [weakref.ref(base[1]) for base in bases]
     # a list takes no weak reference, so each kept basis-change map and byte table is looked
     # for by id and value
@@ -306,7 +306,8 @@ def test_field_spec_is_freed_and_its_choices_repeat():
 def test_explicit_base_is_not_kept_by_the_spec():
     spec = FieldSpec.from_degree(16)
     prescribe(spec, CyclicPoly.from_support(16, {0, 1, 15}), beta=find_normal(spec, seed=3))
-    assert set(vars(spec)) <= {"n", "modulus", "_square", "_frobenius", "_trace"}  # tables, no base
+    assert set(vars(spec)) == {"n", "modulus", "_square", "_held"}
+    assert set(spec._held) <= {"frobenius", "trace"}  # the vector read's state, no base
 
 
 def test_basis_change_identity(f16, basis_change):

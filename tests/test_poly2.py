@@ -378,6 +378,23 @@ def test_zero_is_no_unit_and_two_power_ring_sizes_read_the_parity(monkeypatch):
     assert not is_unit_mod_cyclic(CyclicPoly(63, 0))
 
 
+@pytest.mark.parametrize("price", [0, 1, 20])
+def test_rent_is_none_for_price_calls_then_one_build(price):
+    store, built = {"other": 7}, []
+
+    def build():
+        built.append([len(built)])
+        return built[-1]
+    for k in range(price):
+        assert poly2._rented(store, "key", price, build) is None
+        assert store == {"other": 7, "key": k + 1}
+    assert built == []
+    held = poly2._rented(store, "key", price, build)
+    assert built == [held] and store["key"] is held
+    assert all(poly2._rented(store, "key", price, build) is held for _ in range(3))
+    assert len(built) == 1 and store["other"] == 7
+
+
 def test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build(monkeypatch):
     monkeypatch.setattr(poly2, "_units", {})
     calls = []

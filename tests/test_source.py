@@ -82,7 +82,7 @@ def test_oracle_does_not_use_the_field_kernel():
     oracle = next(path for path in SOURCES if path.name == "oracle.py")
     production = {"elem_square", "frobenius", "_trace_mask", "_kernel", "corresponding_vector",
                   "is_normal", "gram", "trace_mask", "_square", "_trace", "_trace_form",
-                  "_frobenius", "_frobenius_table", "_frobenius_tables", "_half_vector"}
+                  "_frobenius", "_frobenius_table", "_frobenius_tables", "_half_vector", "_held"}
     names = set(_names(ast.parse(oracle.read_text())))
     assert "_naive_trace_mask" in names  # the oracle's own helper is a different name
     assert not production & names
@@ -117,8 +117,9 @@ def test_factor_builds_on_poly2_alone():
 
 
 def test_oracle_imports_are_pinned():
-    # the oracle takes rules and solvers from construct and factor and plain tables from field,
-    # never the normal module's vectors: a new import could bring the production kernel in
+    # the oracle takes rules and solvers from construct and factor, the spec from field and plain
+    # tables from poly2, never the normal module's vectors: a new import could bring the
+    # production kernel in
     assert _package_imports("oracle.py") == {".construct", ".factor", ".field", ".poly2"}
 
 
@@ -139,10 +140,9 @@ def test_construct_takes_the_scan_and_the_vector_from_normal():
 
 
 def test_oracle_takes_plain_tables_and_checks_from_field():
-    # generic tabulation and argument checks only: field keeps no helper for the oracle, and
-    # anything else from field would be the production kernel the audits check
-    assert _names_imported_from("oracle.py", "field") == {
-        "FieldSpec", "_byte_tables", "_check_divisor", "_check_elem", "_linear"}
+    # the spec and its argument checks only: the generic tables come from poly2, field keeps no
+    # helper for the oracle, and anything else from field would be the production kernel
+    assert _names_imported_from("oracle.py", "field") == {"FieldSpec", "_check_divisor", "_check_elem"}
 
 
 def _unbounded_cache(decorator: ast.expr) -> bool:

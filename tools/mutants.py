@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, seventy-nine mutants,
-takes about 120 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, eighty-two mutants,
+takes about 130 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -38,16 +38,19 @@ CERTIFY = [
     "tests/test_field.py::test_only_the_gcd_rejects_a_product_of_irreducibles_of_degree_n_over_p",
 ]
 OWNERSHIP = "tests/test_oracle.py::test_audits_leave_a_spec_its_squaring_tables_alone"
+FREED = "tests/test_normal.py::test_field_spec_is_freed_and_its_choices_repeat"
+STORE = '        object.__setattr__(self, "_held", {})  # the values built later, by key (_owned, _rented)\n'
 ORACLE = "src/normbase/oracle.py"
 REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
 FULL_SPAN = ["tests/test_oracle.py::test_independent_is_a_full_span"]
 CONSTRUCT = "src/normbase/construct.py"
-BASE_IF = "    if beta is None:  # the kept base, and its byte tables once it has served field._RENT\n"
-BASE_TABLES = '    tables = _rented(spec, f"_maps_{t}", lambda: _base_tables(base[2], base[3]))\n'
-BASE = (f"{BASE_IF}        beta, b, b_inv, conjugates, tables = (getattr(spec, \"_warm\", {{}}).get(t)\n"
-        "                                              or _kept_base(spec, t))\n"
+BASE_IF = "    if beta is None:  # the kept base, and its byte tables once it has served _RENT\n"
+BASE_READ = "held if type(held) is tuple else _kept_base(spec, t)"
+BASE = (f"{BASE_IF}        held = spec._held.get(t)  # a count until the tables are built\n"
+        f"        beta, b, b_inv, conjugates, tables = {BASE_READ}\n"
         "    else:  # a base that is not kept serves this one prescription, by the loops\n"
         "        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None\n")
+BASE_RENTED = "_rented(spec._held, t, _RENT, lambda: (*base, _base_tables(base[2], base[3])))"
 KEPT_TABLES = ["tests/test_construct.py::test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector",
                "tests/test_construct.py::test_kept_tables_and_loops_compose_alike"]
 BASE_SWITCH = [
@@ -69,10 +72,14 @@ SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naive_vector_on_every_element"]
 SEEDED_VECTORS = ["tests/test_normal.py::test_loop_and_table_vectors_agree_on_default_and_seeded_moduli"]
 SWITCH = ["tests/test_normal.py::test_a_spec_builds_its_table_once_the_loop_has_cost_one_build"]
-FROBENIUS_RENTED = '    held = _rented(spec, "_frobenius", lambda: _frobenius_tables(spec))\n'
+FROBENIUS_RENTED = '    held = _rented(spec._held, "frobenius", _RENT, lambda: _frobenius_tables(spec))\n'
+RENT = [
+    "tests/test_poly2.py::test_rent_is_none_for_price_calls_then_one_build"]
 UNIT_EVERY = ["tests/test_poly2.py::test_unit_test_is_the_gcd_criterion_on_every_vector"]
 UNIT_SWITCH = [
     "tests/test_poly2.py::test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build"]
+POW_SQUARE = "        r = _linear(square, r) if square else poly_mod(poly_mul(r, r), f)\n"
+UNIT_RENTED = "    held = _rented(_units, n, _UNIT_RENT, lambda: _unit_tables(n))\n"
 ORDER_CHECK = ("        if all(_pow_mod(zeta, m // p, modulus) != 1 for p in primes):\n"
                "            break\n")
 
@@ -96,25 +103,23 @@ MUTANTS = [
      "elem_to_hex(self.modulus) if d > MAX_DEGREE", "elem_to_hex(self.modulus) if d >= MAX_DEGREE",
      ["tests/test_field.py::test_modulus_of_degree_max_degree_at_another_n_is_named_by_its_terms"]),
     ("trace form built with the spec", FIELD,
-     '        object.__setattr__(self, "_square", _byte_tables(images))\n',
-     '        object.__setattr__(self, "_square", _byte_tables(images))\n        _trace_form(self)\n',
-     [OWNERSHIP]),
+     STORE, STORE + "        _trace_form(self)\n", [OWNERSHIP]),
     ("owned values in a module-level dict", FIELD,
-     "    if not hasattr(spec, key):\n"
-     "        object.__setattr__(spec, key, build())\n"
-     "    return getattr(spec, key)\n",
-     "    values = globals().setdefault(\"_OWNED\", {})\n"
-     "    if (spec, key) not in values:\n"
-     "        values[spec, key] = build()\n"
-     "    return values[spec, key]\n",
-     [OWNERSHIP, "tests/test_normal.py::test_field_spec_is_freed_and_its_choices_repeat"]),
-    ("pow multiplying before it squares", FIELD,
-     "        result = _linear(spec._square, result)\n"
-     "        if bit == \"1\":\n"
-     "            result = poly_mod(poly_mul(result, a), spec.modulus)\n",
-     "        if bit == \"1\":\n"
-     "            result = poly_mod(poly_mul(result, a), spec.modulus)\n"
-     "        result = _linear(spec._square, result)\n",
+     "    held = spec._held\n"
+     "    if key not in held:\n"
+     "        held[key] = build()\n"
+     "    return held[key]\n",
+     "    held = globals().setdefault(\"_OWNED\", {})\n"
+     "    if (spec, key) not in held:\n"
+     "        held[spec, key] = build()\n"
+     "    return held[spec, key]\n",
+     [OWNERSHIP, FREED]),
+    ("store module-level, one per modulus", FIELD,
+     STORE, STORE.replace("{}", "globals().setdefault(\"_HELD\", {}).setdefault(self.modulus, {})"),
+     [FREED]),
+    ("pow multiplying before it squares", POLY2,
+     POW_SQUARE + "        if bit == \"1\":\n            r = poly_mod(poly_mul(r, a), f)\n",
+     "        if bit == \"1\":\n            r = poly_mod(poly_mul(r, a), f)\n" + POW_SQUARE,
      ["tests/test_field.py"]),
     ("Frobenius stride one byte short", FIELD,
      "    stride = 8 * lanes\n", "    stride = 8 * lanes - 8\n", EVERY_ELEMENT),
@@ -123,8 +128,11 @@ MUTANTS = [
     ("Frobenius table built on the first vector", FIELD,
      FROBENIUS_RENTED, "    held = _frobenius_tables(spec)\n", SWITCH),
     ("Frobenius table never built", FIELD, FROBENIUS_RENTED, "    held = None\n", SWITCH),
-    ("rent paid one use late", FIELD,
-     "        if held < _RENT:\n", "        if held <= _RENT:\n", SWITCH + BASE_SWITCH),
+    ("Frobenius rent of _RENT + 1 reads", FIELD,
+     FROBENIUS_RENTED, FROBENIUS_RENTED.replace("_RENT,", "_RENT + 1,"), SWITCH),
+    ("rent paid one use late", POLY2,
+     "        if held < price:\n", "        if held <= price:\n",
+     RENT + SWITCH + BASE_SWITCH + UNIT_SWITCH),
     ("gcd only at n/2", FIELD,
      "for p in _prime_divisors(n))", "for p in [2])", CERTIFY),
     ("walk without the longer-than-n raise", ORACLE,
@@ -174,10 +182,12 @@ MUTANTS = [
     ("forced beta ignored", CONSTRUCT,
      BASE_IF, "    if True:\n", ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
     ("base tables built on the first use", CONSTRUCT,
-     BASE_TABLES, "    tables = _base_tables(base[2], base[3])\n", BASE_SWITCH),
-    ("base tables never built", CONSTRUCT, BASE_TABLES, "    tables = None\n", BASE_SWITCH),
-    ("base kept warm while it pays rent", CONSTRUCT,
-     "    if tables is not None:\n", "    if True:\n", BASE_SWITCH),
+     BASE_RENTED, "(*base, _base_tables(base[2], base[3]))", BASE_SWITCH),
+    ("base tables never built", CONSTRUCT, BASE_RENTED, "None", BASE_SWITCH),
+    ("base rent of _RENT + 1 prescriptions", CONSTRUCT,
+     BASE_RENTED, BASE_RENTED.replace("_RENT,", "_RENT + 1,"), BASE_SWITCH),
+    ("warm read taking a count for the base", CONSTRUCT,
+     BASE_READ, "held or _kept_base(spec, t)", BASE_SWITCH),
     ("lift table of the conjugates off by one", CONSTRUCT,
      "_picked_sum(conjugates, g) for g in gs", "_picked_sum(conjugates[1:] + conjugates[:1], g) for g in gs",
      KEPT_TABLES),
@@ -270,10 +280,9 @@ MUTANTS = [
     ("zeta of order m/p", POLY2,
      ORDER_CHECK, ORDER_CHECK.replace("break", "zeta = _pow_mod(zeta, primes[0], modulus)\n"
                                               "            break"), UNIT_EVERY),
-    ("unit rent paid one test late", POLY2,
-     "if held < _UNIT_RENT:", "if held <= _UNIT_RENT:", UNIT_SWITCH),
-    ("unit tables never built", POLY2,
-     "if held < _UNIT_RENT:", "if True:", UNIT_SWITCH),
+    ("unit rent of _UNIT_RENT + 1 tests", POLY2,
+     UNIT_RENTED, UNIT_RENTED.replace("_UNIT_RENT,", "_UNIT_RENT + 1,"), UNIT_SWITCH),
+    ("unit tables never built", POLY2, UNIT_RENTED, "    held = None\n", UNIT_SWITCH),
     ("x^0 rejected as a negative exponent", POLY2,
      "if k < 0:", "if k <= 0:",
      ["tests/test_poly2.py::test_parse_poly_reads_x_to_the_zero_as_the_constant_term"]),
