@@ -24,31 +24,30 @@ lift sum g_i beta^(2^i) (at t = n the lift itself, with no trace taken).
 The fold, its inverse and the basis change, kept as the t conjugates of
 beta, depend on the field alone, so the spec keeps them per t; a warm
 prescription then reads conjugates only to check its result, and to trace
-it down when t < n.  The whole way from a valid a to the lift is an affine
-map fixed by the base: a -> a * b^(-1) and g -> sum g_i beta^(2^i) are
-GF(2)-linear, g is a permutation of h's bits for odd t, and for t = 2^s it
-is 1 + U with U linear in h on H (factor._solution_images).  So a kept
-base also keeps the byte tables of its linear part, once it has served as
-many prescriptions as building them costs (poly2._rented); from then on a
-request reads the base and its tables by one lookup in the spec's store,
-and its lift by one table pass, with no quotient or factor built.  A base that
-is not kept serves one prescription, by cyclic_mul, the solver and a sum
-over the set bits of g.  compose
-multiplies prescriptions from the coprime 2-power and odd subfields;
-weight3 specializes composition to the minimum-weight vector available
-when 4 | n.
+it down when t < n.  The whole way from a valid a to the lift is a linear
+map fixed by the base: a -> a * b^(-1), h -> g (factor._factor, one list
+of images per ring size for odd t and t = 2^s alike) and
+g -> sum g_i beta^(2^i) are all GF(2)-linear.  So a kept base also keeps
+the byte tables of that map, once it has served as many prescriptions as
+building them costs (poly2._rented); from then on a request reads the base
+and its tables by one lookup in the spec's store, and its lift by one
+table pass, with no quotient or factor built.  A base that is not kept
+serves one prescription, by cyclic_mul, _factor and a sum over the set
+bits of g.  compose multiplies prescriptions from the coprime 2-power and
+odd subfields; weight3 specializes composition to the minimum-weight
+vector available when 4 | n.
 
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
 the one verification of every element it returns; at t = n it compares
 entries 0 .. n/2 alone, as vec and the valid a are both symmetric, and
 builds the whole vector only to report a mismatch.  So it calls the bare
-solvers _solve_2power and _sqrt_odd, not factor_2power, which checks its
-input and its result, and a table carries no check of its own.  The
-solvers' input conditions are implied: a valid a is achievable (the
-paper's characterization, audited by the oracle), say by
-sum c_i beta^(2^i) with c a unit, so h = a * b^(-1) = c * c^*, which lies
-in H for t = 2^s and is symmetric for odd t.  The result check is
+map _factor, not factor_2power, which checks its input and its result,
+and a table carries no check of its own.  The map's input conditions are
+implied: a valid a is achievable (the paper's characterization, audited
+by the oracle), say by sum c_i beta^(2^i) with c a unit, so
+h = a * b^(-1) = c * c^*, which lies in H for t = 2^s and is symmetric
+for odd t.  The result check is
 subsumed: a valid a is a unit (for t = 2^s its weight is odd, as a_0 = 1,
 a_{t/2} = 0 and the other entries pair up; for odd t the odd rule tests
 it by poly2.is_unit_mod_cyclic), so vec == a proves that the element has
@@ -60,23 +59,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factor import _odd_half_sum, _solution_images, _solve_2power, _sqrt_odd
-from .field import (
-    _RENT,
-    FieldSpec,
-    _check_divisor,
-    _conjugates,
-    _half_vector,
-    _owned,
-    _picked_sum,
-    elem_mul,
-    rel_trace,
-)
+from .factor import _factor, _images, _odd_half_sum
+from .field import _RENT, FieldSpec, _check_divisor, _conjugates, _half_vector, elem_mul, rel_trace
 from .normal import _scanned, corresponding_vector
 from .poly2 import (
     CyclicPoly,
     _byte_tables,
     _linear,
+    _picked_sum,
     _rented,
     cyclic_inv,
     cyclic_mul,
@@ -162,8 +152,8 @@ def _texts(a: CyclicPoly) -> list[str]:
     if _is_pow2(n):
         return ["a[0] = 1", f"a[{n // 2}] = 0", _SYMMETRIC,
                 f"sum of a[i] over odd i < {n // 2} equals 1"][:min(n, 4)]
-    if n % 2 == 1:
-        g = poly_gcd(a.bits, ring_modulus(n)) if a.bits else 0  # 0: a itself is zero
+    if n % 2 == 1:  # the gcd only for a vector the unit test rejects; 0: a itself is zero
+        g = 1 if is_unit_mod_cyclic(a) else poly_gcd(a.bits, ring_modulus(n)) if a.bits else 0
         note = "" if g == 1 else f" (common factor {poly_to_text(g) if g else 'zero polynomial'})"
         return [_SYMMETRIC, f"coprime to x^{n}-1{note}"]
     return [_SYMMETRIC, *(f"a mod x^{k}-1 = {u}: {desc}"
@@ -205,11 +195,12 @@ class Prescription:
     vector: CyclicPoly              # element's vector: the closing check proved it is target
 
 
-def _base(spec: FieldSpec, t: int, beta: int,
-          f_beta: CyclicPoly | None = None) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
-    """A normal beta, the vector of its trace onto GF(2^t) (the fold of beta's vector f_beta,
-    computed when not given), that vector's inverse, t conjugates."""
-    b = _fold(corresponding_vector(spec, beta) if f_beta is None else f_beta, t)
+def _base(spec: FieldSpec, t: int,
+          beta: int | None = None) -> tuple[int, CyclicPoly, CyclicPoly, list[int]]:
+    """A normal beta (by default the scan's), the vector of its trace onto GF(2^t) (the fold of
+    beta's vector, which the scan keeps with its element), that vector's inverse, t conjugates."""
+    beta, f_beta = _scanned(spec) if beta is None else (beta, corresponding_vector(spec, beta))
+    b = _fold(f_beta, t)
     try:
         b_inv = cyclic_inv(b)
     except ZeroDivisionError:  # the base vector is a unit exactly when the base is normal
@@ -218,40 +209,24 @@ def _base(spec: FieldSpec, t: int, beta: int,
 
 
 def _kept_base(spec: FieldSpec, t: int) -> tuple:
-    """(beta, b, b_inv, conjugates, tables): _base of the scan's normal element and the vector
-    the scan kept with it, made once per t, and the byte tables of its map a -> lift
-    (_base_tables) once it has served _RENT prescriptions, None before.  With its tables the
-    tuple is held in spec._held[t], the one entry that _pipeline reads first.
-
-    On a 2-core Xeon with Python 3.11 (best of 9 over 100 vectors, two
-    processes), the fill of 256 entries per input byte included, the
-    table cost 14-21 loop prescriptions at n = 64 (0.57-0.61 ms), 10-12 at
-    32 and 33 and 4-8 at 16 and 21 (0.10-0.16 ms at 21), so there the rule
-    buys late, by at most _RENT loop prescriptions.
+    """(beta, b, b_inv, conjugates, tables): the default _base, made once per t, and the byte
+    tables of its map a -> lift (_base_tables) once it has served _RENT prescriptions, None
+    before.  With its tables the tuple is held in spec._held[t], the one entry that _pipeline
+    reads first.  A table costs more loop prescriptions as t grows, so at small t the rule
+    buys late, by at most _RENT.
     """
-    base = _owned(spec, ("base", t), lambda: _base(spec, t, *_scanned(spec)))
-    return (_rented(spec._held, t, _RENT, lambda: (*base, _base_tables(base[2], base[3])))
-            or (*base, None))
+    base = _rented(spec._held, ("base", t), 0, _base, spec, t)
+    return _rented(spec._held, t, _RENT, _base_tables, *base) or (*base, None)
 
 
-def _base_tables(b_inv: CyclicPoly, conjugates: list[int]) -> list[list[int]]:
-    """Byte tables of the linear part of a -> lift, for t = 2^s or odd t: bit j goes to
-    h = b_inv rotated by j, then to g, then to sum g_i conjugates[i].  g is a permutation of
-    h's bits for odd t, and for t = 2^s it is 1 + U, U linear in h_1 .. h_{t/2-1}
-    (factor._solution_images), whose 1 adds conjugates[0], left to _pipeline."""
+def _base_tables(beta: int, b: CyclicPoly, b_inv: CyclicPoly, conjugates: list[int]) -> tuple:
+    """The base with the byte tables of its map a -> lift, for t = 2^s or odd t: bit j goes to
+    h = b_inv rotated by j, then to g = factor._factor(h), then to sum g_i conjugates[i]."""
     t, x = b_inv.n, b_inv.bits
-    rotations = [(x << j | x >> t - j) & ((1 << t) - 1) for j in range(t)]
-    if t % 2:
-        gs = [_sqrt_odd(CyclicPoly(t, h)).bits for h in rotations]
-    else:
-        images = _solution_images(t)
-        gs = [_picked_sum(images, h >> 1 & (1 << t // 2 - 1) - 1) for h in rotations]
-    return _byte_tables([_picked_sum(conjugates, g) for g in gs])
-
-
-def _factor(h: CyclicPoly) -> CyclicPoly:
-    """The pipeline's g with g * reciprocal(g) = h, for h = a * b^(-1) of a valid a."""
-    return _sqrt_odd(h) if h.n % 2 else _solve_2power(h)
+    images = _images(t)
+    lifts = [_picked_sum(conjugates, _picked_sum(images, (x << j | x >> t - j) & ((1 << t) - 1)))
+             for j in range(t)]
+    return beta, b, b_inv, conjugates, _byte_tables(lifts)
 
 
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> tuple:
@@ -266,10 +241,8 @@ def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -
         beta, b, b_inv, conjugates, tables = held if type(held) is tuple else _kept_base(spec, t)
     else:  # a base that is not kept serves this one prescription, by the loops
         (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None
-    if tables is None:
-        lift = _picked_sum(conjugates, _factor(cyclic_mul(a, b_inv)).bits)
-    else:  # the same map, tabulated; g's constant 1 for t = 2^s adds conjugates[0]
-        lift = _linear(tables, a.bits) ^ (0 if t % 2 else conjugates[0])
+    lift = (_picked_sum(conjugates, _factor(cyclic_mul(a, b_inv)).bits) if tables is None
+            else _linear(tables, a.bits))  # the same linear map, tabulated
     # the one verification of the result; see the module docstring
     if (_half_vector(spec, lift) != a.bits & ((2 << t // 2) - 1) if t == spec.n
             else _fold(corresponding_vector(spec, lift), t) != a):

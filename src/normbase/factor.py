@@ -7,20 +7,18 @@ one mask of free coefficients, bits 1, 3, 4, ..., n/2 - 1 (_free_mask): a
 submask low is the member 1 + low + low's reflection i -> n - 1 - i
 (_member), and iter_G walks the submasks in ascending order.  The factor g
 is recovered by solving a linear system over GF(2), whose columns are
-products (1 + u)(1 + u)^* since g * g^* is affine in g's free coefficients.
-The system depends only on n, so it is brought to echelon form once per
-ring size, each row a column over the sum of the u_k it combines; a target
-is reduced against it by poly2's _eliminate, the package's one GF(2)
-elimination routine, and what is left is g's free part, or a column bit
-when h is outside H.  For odd n a target factors iff it is symmetric,
-and then g_i = h_{2i mod n} gives a symmetric square root
-(g * g^* = g^2 = h); that is a bit permutation, bit j of h to bit
-j(n+1)/2 mod n, read through one 256-byte translate table for every n.
+products (1 + u)(1 + u)^* since g * g^* is affine in g's free coefficients;
+it is brought to echelon form by poly2's _eliminate, the package's one GF(2)
+elimination routine.  For odd n a target factors iff it is symmetric, and
+then g_i = h_{2i mod n} gives a symmetric square root (g * g^* = g^2 = h).
 
-factor_2power checks its input and its result around the bare solver
-_solve_2power; the prescription pipeline calls _solve_2power and _sqrt_odd
-bare, as its own checks already prove those facts (see the construct
-module).
+Both ways from h to g are one GF(2)-linear map per ring size, kept as the
+images of the monomials (_images): the odd root is a bit permutation, and
+the 2-power solution is linear in h on H, whose members all have odd
+weight.  _factor sums those images over the set bits of h.  factor_2power
+checks its input and its result around it; the prescription pipeline calls
+_factor bare, as its own checks already prove those facts (see the
+construct module), and tabulates the same map in a kept base's tables.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .poly2 import CyclicPoly, _eliminate, _mirror, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
+from .poly2 import (CyclicPoly, _eliminate, _mirror, _picked_sum, cyclic_mul, is_symmetric, reciprocal,
+                    symmetric_vectors)
 
 
 def _require_pow2(n: int):
@@ -80,19 +79,28 @@ def iter_H(n: int) -> Iterator[CyclicPoly]:
     yield from filter(in_H, symmetric_vectors(n))
 
 
-@lru_cache(maxsize=8)  # keyed on the ring size; one entry per power of two in use
-def _echelon(n: int) -> tuple[int, ...]:
-    """The factor_2power system for ring size n in echelon form, pivots indexed by leading bit.
+@lru_cache(maxsize=64)  # keyed on the ring size; every size up to field.MAX_DEGREE
+def _images(n: int) -> tuple[int, ...]:
+    """The factor g of h = x^j for each j < n, n odd or a power of two: _factor's linear map.
 
-    The unknowns are G's free coefficients z_k.  Column k is bits 1 .. n/2 - 1
-    of g * reciprocal(g) for g = _member(n, 1 << k) = 1 + u_k, u_k = x^k + x^(n-1-k)
-    (see factor_2power), and bit j of the right-hand side rhs is h_(j+1).  Row k
-    is column k shifted left by n bits over its tag u_k, so _eliminate keeps
-    each row a sum of columns over the sum of their tags; every pivot leads
-    with a column bit, so rhs << n reduces to a tag sum U alone exactly when
-    rhs is in the columns' span, and then g = 1 + U.  Raises RuntimeError if
-    a column is dependent, which would be an implementation bug.
+    For odd n, g_i = h_(2i mod n) is the symmetric square root of a symmetric
+    h (g * g^* = g^2 = h): bit j goes to bit j(n+1)/2 mod n.  For n = 2^s the
+    unknowns are G's free coefficients z_k.  Column k is bits 1 .. n/2 - 1 of
+    g * reciprocal(g) for g = _member(n, 1 << k) = 1 + u_k, u_k = x^k + x^(n-1-k)
+    (see factor_2power), and the right-hand side is h_1 .. h_(n/2-1).  Row k is
+    column k shifted left by n bits over its tag u_k, so _eliminate keeps each
+    row a sum of columns over the sum of their tags; every pivot leads with a
+    column bit, so a right-hand side in the columns' span reduces to a tag sum
+    U alone, and then g = 1 + U.  A row of no tag at the one column that leads
+    no row makes every bit j reduce, to U_j: image j is 1 + U_j for 0 < j < n/2,
+    and 1 for j = 0 and j >= n/2.  Every h in H has odd weight (h_0 = 1,
+    h_(n/2) = 0, the others pair up), so the sum of its images counts the 1
+    once and is 1 + U: the map, linear on the whole ring, gives g on H.
+    Raises RuntimeError if a column is dependent, which would be an
+    implementation bug.
     """
+    if n % 2:
+        return tuple(1 << j * (n + 1) // 2 % n for j in range(n))
     mask = (1 << (n // 2 - 1)) - 1
     basis = [0] * (n + n // 2 - 1)  # rows are n/2 - 1 column bits over n tag bits
     free = _free_mask(n)
@@ -102,27 +110,15 @@ def _echelon(n: int) -> tuple[int, ...]:
         if not row >> n:
             raise RuntimeError("factorization system is rank-deficient (implementation bug)")
         basis[row.bit_length() - 1] = row
-    return tuple(basis)
-
-
-def _solve_2power(h: CyclicPoly) -> CyclicPoly:
-    """The g in G solving the echelon system for h, which must lie in H; g is not verified."""
-    n = h.n
-    rhs = (h.bits >> 1) & ((1 << (n // 2 - 1)) - 1)
-    u = _eliminate(_echelon(n), rhs << n)
-    if u >> n:
-        raise RuntimeError("factorization system is inconsistent (implementation bug)")
-    return CyclicPoly(n, 1 | u)
-
-
-def _solution_images(n: int) -> list[int]:
-    """_solve_2power's U for each right-hand side bit j < n/2 - 1 alone, with a row of no tag
-    at the one column that leads no row, so every rhs reduces: a linear map, and U itself on
-    every rhs that the columns span (those rows are never reached there)."""
-    basis = list(_echelon(n))
     for p in range(n, n + n // 2 - 1):
         basis[p] = basis[p] or 1 << p
-    return [_eliminate(basis, 1 << n + j) for j in range(n // 2 - 1)]
+    return (1, *(1 | _eliminate(basis, 1 << n + j) for j in range(n // 2 - 1)), *[1] * (n - n // 2))
+
+
+def _factor(h: CyclicPoly) -> CyclicPoly:
+    """The g of _images for h, the factor with g * reciprocal(g) = h for h in H (n = 2^s) or
+    symmetric h (odd n); g is not verified."""
+    return CyclicPoly(h.n, _picked_sum(_images(h.n), h.bits))
 
 
 def factor_2power(h: CyclicPoly) -> CyclicPoly:
@@ -138,20 +134,7 @@ def factor_2power(h: CyclicPoly) -> CyclicPoly:
         raise ValueError(
             "no structured factorization: polynomial is outside the set H "
             "(needs constant term 1, middle coefficient 0, symmetry, odd-index half-sum 0)")
-    g = _solve_2power(h)
+    g = _factor(h)
     if cyclic_mul(g, reciprocal(g)) != h:
         raise RuntimeError("solved factor fails verification (implementation bug)")
     return g
-
-
-# byte b -> its odd bits 7, 5, 3, 1 as the high hex digit and its even bits 6, 4, 2, 0 as the low one
-_HALVES = bytes(int(s[::2] + s[1::2], 2) for s in (f"{b:08b}" for b in range(256)))
-
-
-def _sqrt_odd(h: CyclicPoly) -> CyclicPoly:
-    """g_i = h_{2i mod n}, odd n: the symmetric square root when h is symmetric.
-
-    2i mod n runs over the even indices for i <= (n-1)/2, then over the odd
-    ones: g is h's even bits in order, then its odd bits from (n+1)/2 up."""
-    digits = h.bits.to_bytes((h.n + 7) // 8, "big").translate(_HALVES).hex()  # high digit first
-    return CyclicPoly(h.n, int(digits[1::2], 16) | int(digits[::2], 16) << (h.n + 1) // 2)

@@ -9,8 +9,9 @@ Squaring and the trace form are GF(2)-linear (Lidl & Niederreiter, Finite
 Fields, ch. 2), so a spec keeps their byte tables, freed with it.  The
 squaring map (images g^(2j), by shifting and reducing) is built with the
 spec, which certifies its modulus by Rabin's test on it (_is_certified).
-Everything built later lives in the spec's one store, the dict spec._held
-(_owned).  The trace form is built on its first read (_trace_form): the traces
+Everything built later lives in the spec's one store, the dict spec._held,
+through poly2._rented.  The trace form is built on its first read (_trace_form,
+price 0): the traces
 p_m = Tr(g^m), m < 2n - 1, the power sums of the modulus's roots, are the
 coefficients of z F'(z)/F(z) for the reversed modulus F; the trace mask is
 their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
@@ -37,6 +38,7 @@ from .poly2 import (
     DegreeBoundError,
     _byte_tables,
     _linear,
+    _picked_sum,
     _pow_mod,
     _prime_divisors,
     _rented,
@@ -80,7 +82,7 @@ class FieldSpec:
             images.append(x)
             x = poly_mod(x << 2, self.modulus)
         object.__setattr__(self, "_square", _byte_tables(images))
-        object.__setattr__(self, "_held", {})  # the values built later, by key (_owned, _rented)
+        object.__setattr__(self, "_held", {})  # the values built later, by key (_rented)
         if not _is_certified(self):
             raise ValueError(f"modulus {poly_to_text(self.modulus)} is reducible")
 
@@ -144,7 +146,7 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
     """
     n = spec.n
     w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
-    held = _rented(spec._held, "frobenius", _RENT, lambda: _frobenius_tables(spec))
+    held = _rented(spec._held, "frobenius", _RENT, _frobenius_tables, spec)
     if held is None:
         square, conj = spec._square, alpha
         bits = (alpha & w).bit_count() & 1
@@ -196,32 +198,21 @@ def _form(table: list[int], a: int, n: int) -> int:
 
 def _trace_form(spec: FieldSpec) -> tuple[int, list[int]]:
     """The trace mask and the Gram table, built on the first read and kept by the spec."""
-    def build():
-        # bit m of seq is p_m = Tr(g^m), m >= 1 the coefficient of z^m in z F'(z)/F(z),
-        # F(z) = z^n modulus(1/z) with constant term 1; z F'(z) is F's odd-degree terms
-        n = spec.n
-        reverse = int(f"{spec.modulus:0{n + 1}b}"[::-1], 2)
-        rest = reverse & int("10" * (n // 2 + 1), 2)
-        seq = n & 1  # p_0 = Tr(1)
-        for m in range(1, 2 * n - 1):  # long division by F, one quotient bit per step
-            if rest >> m & 1:
-                seq |= 1 << m
-                rest ^= reverse << m
-        return seq & ((1 << n) - 1), _byte_tables([seq >> j for j in range(8)])[0]  # the Gram table
-    return _owned(spec, "trace", build)
+    return _rented(spec._held, "trace", 0, _trace_sequence, spec)
 
 
-def _owned(spec: FieldSpec, key, build):
-    """build() once per spec, held in its store spec._held and freed with it.
-
-    For values derived from the field alone; eq and hash still see only n
-    and modulus.  Threads that race here each build the same value, and one
-    of them is kept.
-    """
-    held = spec._held
-    if key not in held:
-        held[key] = build()
-    return held[key]
+def _trace_sequence(spec: FieldSpec) -> tuple[int, list[int]]:
+    # bit m of seq is p_m = Tr(g^m), m >= 1 the coefficient of z^m in z F'(z)/F(z),
+    # F(z) = z^n modulus(1/z) with constant term 1; z F'(z) is F's odd-degree terms
+    n = spec.n
+    reverse = int(f"{spec.modulus:0{n + 1}b}"[::-1], 2)
+    rest = reverse & int("10" * (n // 2 + 1), 2)
+    seq = n & 1  # p_0 = Tr(1)
+    for m in range(1, 2 * n - 1):  # long division by F, one quotient bit per step
+        if rest >> m & 1:
+            seq |= 1 << m
+            rest ^= reverse << m
+    return seq & ((1 << n) - 1), _byte_tables([seq >> j for j in range(8)])[0]  # the Gram table
 
 
 def _check_elem(spec: FieldSpec, a: int):
@@ -269,16 +260,6 @@ def _conjugates(spec: FieldSpec, a: int, count: int) -> list[int]:
         a = _linear(square, a)
         out.append(a)
     return out
-
-
-def _picked_sum(values: list[int], mask: int) -> int:
-    """Sum of values[i] over the set bits i of mask."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc ^= values[low.bit_length() - 1]
-        mask ^= low
-    return acc
 
 
 def rel_trace(spec: FieldSpec, a: int, t: int) -> int:

@@ -35,8 +35,8 @@ from __future__ import annotations
 import random
 from itertools import islice
 
-from .field import FieldSpec, _check_elem, _half_vector, _owned, _trace_form
-from .poly2 import CyclicPoly, _byte_tables, _mirror, is_unit_mod_cyclic
+from .field import FieldSpec, _check_elem, _half_vector, _trace_form
+from .poly2 import CyclicPoly, _byte_tables, _mirror, _rented, is_unit_mod_cyclic
 
 # trace-one candidates the deterministic scan tests before it falls back to
 # the seeded draw; every default modulus of degree n <= 64 but 63 is served
@@ -93,7 +93,7 @@ def _scan(spec: FieldSpec) -> tuple[int, CyclicPoly]:
 
 def _scanned(spec: FieldSpec) -> tuple[int, CyclicPoly]:
     """The scan's normal element and its vector, kept by the spec."""
-    return _owned(spec, "scan", lambda: _scan(spec))
+    return _rented(spec._held, "scan", 0, _scan, spec)
 
 
 def find_normal(spec: FieldSpec, seed: int | None = None) -> int:

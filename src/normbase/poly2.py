@@ -18,8 +18,9 @@ k = 0 .. n/2, which keeps them ascending in f_0 .. f_{n//2}.
 is_unit_mod_cyclic tests a ring size by Euclid, then by evaluation at the
 roots of unity through byte tables (_byte_tables), bought by the
 package's one rent-or-buy rule (_rented); its per-size counts and tables
-are the module's one state.  The other modules take _byte_tables, _linear
-and _rented from here.
+are the module's one state.  The other modules take _byte_tables, _linear,
+_picked_sum and _rented from here; _rented at price 0 is also their one
+lazy value.
 
 Text formats: "x^16+x^5+x^3+x^2+1" (terms in any order, duplicates
 rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
@@ -92,22 +93,33 @@ def _linear(tables: list[list[int]], a: int) -> int:
     return out
 
 
-def _rented(store: dict, key, price: int, build):
-    """Rent or buy: None for the first price calls, counted in store[key], then build(), made
-    once and held in store[key].
+def _picked_sum(values: list[int], mask: int) -> int:
+    """Sum of values[i] over the set bits i of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= values[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _rented(store: dict, key, price: int, build, *args):
+    """Rent or buy: None for the first price calls, counted in store[key], then build(*args),
+    made once and held in store[key]; the value built is never an int.
 
     For a loop that tables can replace: the caller runs its loop on None and
     reads the tables otherwise, so it pays for tables only once its loop has
     cost about as much as building them, and each site prices a build in its
-    own loop uses.  Threads that race here lose counts or build the same
-    tables twice; either way the result is the same.
+    own loop uses.  At price 0 it is a lazy value, built on the first read.
+    Threads that race here lose counts or build the same value twice; either
+    way the result is the same.
     """
     held = store.get(key, 0)
     if type(held) is int:
         if held < price:
             store[key] = held + 1
             return None
-        held = store[key] = build()
+        held = store[key] = build(*args)
     return held
 
 
@@ -408,7 +420,7 @@ def is_unit_mod_cyclic(f: CyclicPoly) -> bool:
         return bits.bit_count() & 1 == 1
     if n not in _units and len(_units) >= _UNIT_RINGS:
         _units.clear()
-    held = _rented(_units, n, _UNIT_RENT, lambda: _unit_tables(n))
+    held = _rented(_units, n, _UNIT_RENT, _unit_tables, n)
     if held is None:
         return bits != 0 and poly_gcd(bits, ring_modulus(n)) == 1
     tables, low, high = held

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from normbase import cli, construct, factor, field, normal
+from normbase import cli, construct, factor, field, normal, poly2
 from normbase.construct import (
     InvalidVectorError,
     Status,
@@ -360,17 +360,17 @@ def test_kept_basis_change_matches_apply_basis_change(n, basis_change):
         # test_acceptance covers that degree
         if not (n == 63 and spec is default):
             bases += [construct._kept_base(spec, t)[:4] for t in sorted({n, s2, m})]
-        for beta, _, b_inv, conjugates in bases:
+        for beta, b, b_inv, conjugates in bases:
             t = len(conjugates)
             assert conjugates == [frobenius(spec, beta, i) for i in range(t)]
             if not (construct._characterized(t) or t == 2):
                 continue  # no pipeline runs at a composite t, so no base tabulates its map
-            tables = construct._base_tables(b_inv, conjugates)
+            tables = construct._base_tables(beta, b, b_inv, conjugates)[4]
             for a in [_seeded_valid_vector(rng, t) for _ in range(10)]:
                 g = construct._factor(cyclic_mul(a, b_inv))
                 expected = basis_change(spec, beta, CyclicPoly(n, g.bits))
-                assert field._picked_sum(conjugates, g.bits) == expected
-                assert field._linear(tables, a.bits) ^ (0 if t % 2 else beta) == expected
+                assert poly2._picked_sum(conjugates, g.bits) == expected
+                assert poly2._linear(tables, a.bits) == expected
 
 
 def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
@@ -402,7 +402,7 @@ def _by_path(spec, run):
         def forced(s, t, *args, _on=on, _seen=seen):
             base = construct._kept_base(s, t)[:4]
             # the base with its tables, or 0: the count starts again
-            s._held[t] = (*base, construct._base_tables(base[2], base[3])) if _on else 0
+            s._held[t] = construct._base_tables(*base) if _on else 0
             _seen.append(pipeline(s, t, *args))
             return _seen[-1]
         with pytest.MonkeyPatch.context() as patch:
@@ -641,7 +641,7 @@ def test_valid_two_power_vectors_give_quotients_in_H(n):
 
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_valid_odd_vectors_give_symmetric_quotients(n):
-    # what _sqrt_odd needs to give a factor: a valid a makes h = a * b^(-1) symmetric
+    # what _factor needs to give an odd factor: a valid a makes h = a * b^(-1) symmetric
     _, _, b_inv, _, _ = construct._kept_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert valid
@@ -652,14 +652,14 @@ def test_wrong_factor_is_caught_by_the_closing_check(monkeypatch, capsys):
     spec = FieldSpec.from_degree(16)
     target = CyclicPoly.from_support(16, {0, 1, 15})
     _, _, b_inv, _, _ = construct._kept_base(spec, 16)
-    solve = factor._solve_2power
+    solve = factor._factor
 
     def flipped(h):  # another member of G: free coefficient 1 and its mirror n - 2 flipped
         g = solve(h)
         return CyclicPoly(g.n, g.bits ^ (1 << 1) ^ (1 << (g.n - 2)))
 
     for module in (factor, construct):
-        monkeypatch.setattr(module, "_solve_2power", flipped)
+        monkeypatch.setattr(module, "_factor", flipped)
     with pytest.raises(RuntimeError, match="prescribed vector mismatch"):
         prescribe(spec, target)
     vector = ",".join(map(str, target.coeffs()))

@@ -6,21 +6,19 @@ import pytest
 
 from normbase import factor
 from normbase.factor import (
+    _factor,
     _free_mask,
+    _images,
     _member,
     _odd_half_sum,
-    _solution_images,
-    _solve_2power,
-    _sqrt_odd,
     factor_2power,
     in_H,
     iter_G,
     iter_H,
 )
 from normbase.construct import _fold
-from normbase.field import _picked_sum
 from normbase.oracle import _factors_in_G
-from normbase.poly2 import CyclicPoly, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
+from normbase.poly2 import CyclicPoly, _picked_sum, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
 GOLDEN_H = CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15})
 GOLDEN_G = CyclicPoly.from_support(16, {0, 1, 5, 6, 9, 10, 14})
@@ -147,14 +145,14 @@ def test_factor_round_trips_past_the_enumerable_sizes(n):
     for low in [0, free] + [rng.getrandbits(n // 2) & free for _ in range(300)]:
         g = _member(n, low)
         h = cyclic_mul(g, reciprocal(g))
-        assert _solve_2power(h) == g
+        assert _factor(h) == g
         assert factor_2power(h) == g
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_solution_images_solve_every_target_in_H_linearly(n):
-    # the sum of the images over h's right-hand side bits is g's free part, for every h in H
-    # (all of H up to 16, seeded members above), though the images leave the span
+    # the sum of the images over h's bits is h's factor in G, for every h in H (all of H up
+    # to 16, seeded members above): h's odd weight counts the constant 1 once
     rng, free = random.Random(n), _free_mask(n)
     if n == 2:
         targets = [CyclicPoly(2, 1)]
@@ -163,11 +161,21 @@ def test_solution_images_solve_every_target_in_H_linearly(n):
     else:
         targets = [cyclic_mul(g, reciprocal(g)) for g in
                    (_member(n, rng.getrandbits(n // 2) & free) for _ in range(300))]
-    images = _solution_images(n)
-    assert len(images) == max(n // 2 - 1, 0) and all(u < 1 << n for u in images)
+    images = _images(n)
+    assert len(images) == n and all(u < 1 << n for u in images)
     for h in targets:
-        rhs = h.bits >> 1 & (1 << n // 2 - 1) - 1
-        assert 1 | _picked_sum(images, rhs) == _solve_2power(h).bits, (n, h)
+        g = CyclicPoly(n, _picked_sum(images, h.bits))
+        assert in_G(g) and cyclic_mul(g, reciprocal(g)) == h, (n, h)
+        assert _factor(h) == g
+
+
+@pytest.mark.parametrize("n", [n for n in range(1, 65) if n % 2 or n & (n - 1) == 0])
+def test_factor_is_linear_at_every_ring_size(n):
+    # a kept base tabulates _factor bit by bit, so h -> g must be GF(2)-linear on the whole ring
+    rng = random.Random(n)
+    for _ in range(50):
+        h1, h2 = CyclicPoly(n, rng.getrandbits(n)), CyclicPoly(n, rng.getrandbits(n))
+        assert _factor(CyclicPoly(n, h1.bits ^ h2.bits)).bits == _factor(h1).bits ^ _factor(h2).bits
 
 
 def test_any_product_with_reciprocal_is_symmetric_with_zero_middle():
@@ -180,30 +188,30 @@ def test_any_product_with_reciprocal_is_symmetric_with_zero_middle():
 
 
 def test_factor_odd_examples():
-    assert _sqrt_odd(CyclicPoly(5, 1)) == CyclicPoly(5, 1)
+    assert _factor(CyclicPoly(5, 1)) == CyclicPoly(5, 1)
     h = CyclicPoly.from_support(5, {0, 1, 4})
-    g = _sqrt_odd(h)
+    g = _factor(h)
     assert g == CyclicPoly.from_support(5, {0, 2, 3})
     assert cyclic_mul(g, g) == h
     h3 = CyclicPoly(3, 0b111)
-    assert _sqrt_odd(h3) == h3
+    assert _factor(h3) == h3
     assert cyclic_mul(h3, h3) == h3
 
 
 def test_sqrt_odd_is_the_string_permutation():
-    # the translate-table permutation against the string form it replaced: coefficient 2i mod n
-    # moved to i, read off the even indices and then the odd ones
+    # the odd images against the string form of the square root: coefficient 2i mod n moved
+    # to i, read off the even indices and then the odd ones
     def by_string(h):
         coeffs = f"{h.bits:0{h.n}b}"[::-1]
         return CyclicPoly(h.n, int((coeffs[::2] + coeffs[1::2])[::-1], 2))
 
     for n in range(1, 14, 2):
         for bits in range(1 << n):
-            assert _sqrt_odd(CyclicPoly(n, bits)) == by_string(CyclicPoly(n, bits))
+            assert _factor(CyclicPoly(n, bits)) == by_string(CyclicPoly(n, bits))
     rng = random.Random(601)
     for n in range(15, 602, 2):
         for h in (CyclicPoly(n, rng.getrandbits(n)) for _ in range(4)):
-            assert _sqrt_odd(h) == by_string(h)
+            assert _factor(h) == by_string(h)
 
 
 def test_factor_odd_output_is_symmetric_square_root():
@@ -214,7 +222,7 @@ def test_factor_odd_output_is_symmetric_square_root():
                 if (bits >> k) & 1:
                     h_bits |= (1 << k) | (1 << (n - k))
             h = CyclicPoly(n, h_bits)
-            g = _sqrt_odd(h)
+            g = _factor(h)
             assert is_symmetric(g)
             assert cyclic_mul(g, reciprocal(g)) == h
             assert cyclic_mul(g, g) == h
@@ -253,11 +261,11 @@ def test_loop_free_helpers_match_their_definitions():
             assert _odd_half_sum(f) == odd_half_sum(f)
     for n in range(1, 16, 2):
         for h in symmetric_vectors(n):
-            assert _sqrt_odd(h) == square_root(h)
+            assert _factor(h) == square_root(h)
     rng = random.Random(63)
     for _ in range(1000):
         h = _symmetric(63, rng.getrandbits(63))
-        assert _sqrt_odd(h) == square_root(h)
+        assert _factor(h) == square_root(h)
         assert _odd_half_sum(h) == odd_half_sum(h)
     for n in (6, 10, 12):
         divisors = [k for k in range(1, n + 1) if n % k == 0]
@@ -286,23 +294,13 @@ def test_public_factor_checks_keep_their_errors(solve, h, error, message):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
-def test_solver_raises_outside_H(n):
-    # symmetric with h_0 = 1 and h_{n/2} = 0, but odd-index half-sum 1: not in H
-    h = CyclicPoly.from_support(n, {0, 1, n - 1})
-    assert not in_H(h)
-    with pytest.raises(RuntimeError) as exc:
-        _solve_2power(h)
-    assert str(exc.value) == "factorization system is inconsistent (implementation bug)"
-
-
 def test_rank_deficient_system_is_an_implementation_bug(monkeypatch):
     # every column 0: the constant 1 has no bits in positions 1 .. n/2 - 1
     monkeypatch.setattr(factor, "cyclic_mul", lambda a, b: CyclicPoly(a.n, 1))
-    factor._echelon.cache_clear()
+    factor._images.cache_clear()
     try:
         with pytest.raises(RuntimeError) as exc:
-            factor._echelon(16)
+            factor._images(16)
     finally:
-        factor._echelon.cache_clear()
+        factor._images.cache_clear()
     assert str(exc.value) == "factorization system is rank-deficient (implementation bug)"

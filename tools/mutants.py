@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, eighty-two mutants,
-takes about 130 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, eighty-five mutants,
+takes about 100 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ CERTIFY = [
 ]
 OWNERSHIP = "tests/test_oracle.py::test_audits_leave_a_spec_its_squaring_tables_alone"
 FREED = "tests/test_normal.py::test_field_spec_is_freed_and_its_choices_repeat"
-STORE = '        object.__setattr__(self, "_held", {})  # the values built later, by key (_owned, _rented)\n'
+STORE = '        object.__setattr__(self, "_held", {})  # the values built later, by key (_rented)\n'
 ORACLE = "src/normbase/oracle.py"
 REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
 FULL_SPAN = ["tests/test_oracle.py::test_independent_is_a_full_span"]
@@ -50,7 +50,7 @@ BASE = (f"{BASE_IF}        held = spec._held.get(t)  # a count until the tables 
         f"        beta, b, b_inv, conjugates, tables = {BASE_READ}\n"
         "    else:  # a base that is not kept serves this one prescription, by the loops\n"
         "        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None\n")
-BASE_RENTED = "_rented(spec._held, t, _RENT, lambda: (*base, _base_tables(base[2], base[3])))"
+BASE_RENTED = "_rented(spec._held, t, _RENT, _base_tables, *base)"
 KEPT_TABLES = ["tests/test_construct.py::test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector",
                "tests/test_construct.py::test_kept_tables_and_loops_compose_alike"]
 BASE_SWITCH = [
@@ -60,6 +60,8 @@ VALIDATE = ("    if not all(_flags(t, a)):\n"
 VERDICTS = ["tests/test_construct.py::test_verdicts_pinned_and_decided_by_the_flags"]
 FACTOR = "src/normbase/factor.py"
 G_ORDER = ["tests/test_factor.py::test_iter_G_is_the_index_definition_in_order"]
+TWO_POWER_IMAGES = ["tests/test_factor.py::test_solution_images_solve_every_target_in_H_linearly"]
+ODD_IMAGES = ["tests/test_factor.py::test_sqrt_odd_is_the_string_permutation"]
 NORMAL = "src/normbase/normal.py"
 SCAN = ["tests/test_normal.py::test_scan_is_the_naive_scan_on_every_modulus_of_degree_15",
         "tests/test_normal.py::test_scan_answers_past_its_first_block_at_degree_18"]
@@ -72,14 +74,14 @@ SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naive_vector_on_every_element"]
 SEEDED_VECTORS = ["tests/test_normal.py::test_loop_and_table_vectors_agree_on_default_and_seeded_moduli"]
 SWITCH = ["tests/test_normal.py::test_a_spec_builds_its_table_once_the_loop_has_cost_one_build"]
-FROBENIUS_RENTED = '    held = _rented(spec._held, "frobenius", _RENT, lambda: _frobenius_tables(spec))\n'
+FROBENIUS_RENTED = '    held = _rented(spec._held, "frobenius", _RENT, _frobenius_tables, spec)\n'
 RENT = [
     "tests/test_poly2.py::test_rent_is_none_for_price_calls_then_one_build"]
 UNIT_EVERY = ["tests/test_poly2.py::test_unit_test_is_the_gcd_criterion_on_every_vector"]
 UNIT_SWITCH = [
     "tests/test_poly2.py::test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build"]
 POW_SQUARE = "        r = _linear(square, r) if square else poly_mod(poly_mul(r, r), f)\n"
-UNIT_RENTED = "    held = _rented(_units, n, _UNIT_RENT, lambda: _unit_tables(n))\n"
+UNIT_RENTED = "    held = _rented(_units, n, _UNIT_RENT, _unit_tables, n)\n"
 ORDER_CHECK = ("        if all(_pow_mod(zeta, m // p, modulus) != 1 for p in primes):\n"
                "            break\n")
 
@@ -104,15 +106,8 @@ MUTANTS = [
      ["tests/test_field.py::test_modulus_of_degree_max_degree_at_another_n_is_named_by_its_terms"]),
     ("trace form built with the spec", FIELD,
      STORE, STORE + "        _trace_form(self)\n", [OWNERSHIP]),
-    ("owned values in a module-level dict", FIELD,
-     "    held = spec._held\n"
-     "    if key not in held:\n"
-     "        held[key] = build()\n"
-     "    return held[key]\n",
-     "    held = globals().setdefault(\"_OWNED\", {})\n"
-     "    if (spec, key) not in held:\n"
-     "        held[spec, key] = build()\n"
-     "    return held[spec, key]\n",
+    ("trace form in a module-level dict", FIELD,
+     "_rented(spec._held, \"trace\", 0,", "_rented(globals().setdefault(\"_OWNED\", {}), spec, 0,",
      [OWNERSHIP, FREED]),
     ("store module-level, one per modulus", FIELD,
      STORE, STORE.replace("{}", "globals().setdefault(\"_HELD\", {}).setdefault(self.modulus, {})"),
@@ -182,22 +177,20 @@ MUTANTS = [
     ("forced beta ignored", CONSTRUCT,
      BASE_IF, "    if True:\n", ["tests/test_construct.py::test_prescribe_rejects_non_normal_base"]),
     ("base tables built on the first use", CONSTRUCT,
-     BASE_RENTED, "(*base, _base_tables(base[2], base[3]))", BASE_SWITCH),
+     BASE_RENTED, "_base_tables(*base)", BASE_SWITCH),
     ("base tables never built", CONSTRUCT, BASE_RENTED, "None", BASE_SWITCH),
     ("base rent of _RENT + 1 prescriptions", CONSTRUCT,
      BASE_RENTED, BASE_RENTED.replace("_RENT,", "_RENT + 1,"), BASE_SWITCH),
     ("warm read taking a count for the base", CONSTRUCT,
      BASE_READ, "held or _kept_base(spec, t)", BASE_SWITCH),
     ("lift table of the conjugates off by one", CONSTRUCT,
-     "_picked_sum(conjugates, g) for g in gs", "_picked_sum(conjugates[1:] + conjugates[:1], g) for g in gs",
+     "lifts = [_picked_sum(conjugates, ", "lifts = [_picked_sum(conjugates[1:] + conjugates[:1], ",
      KEPT_TABLES),
-    ("odd table without the square root", CONSTRUCT,
-     "gs = [_sqrt_odd(CyclicPoly(t, h)).bits for h in rotations]", "gs = rotations", KEPT_TABLES),
-    ("two-power table without g's constant", CONSTRUCT,
-     "^ (0 if t % 2 else conjugates[0])", "^ 0", KEPT_TABLES),
+    ("table without the factor map", CONSTRUCT,
+     "    images = _images(t)\n", "    images = [1 << j for j in range(t)]\n", KEPT_TABLES),
     ("solution images without the free column", FACTOR,
      "        basis[p] = basis[p] or 1 << p\n", "        basis[p] = basis[p] or 0\n",
-     ["tests/test_factor.py::test_solution_images_solve_every_target_in_H_linearly"] + KEPT_TABLES),
+     TWO_POWER_IMAGES + KEPT_TABLES),
     ("weight-3 support off by one", CONSTRUCT,
      "{0, j0 * m, ", "{0, j0 * m + 1, ", ["tests/test_construct.py::test_weight3_supports"]),
     ("compose's b repeated with period m + 1", CONSTRUCT,
@@ -216,16 +209,23 @@ MUTANTS = [
     ("odd half-sum mask without | 1", FACTOR,
      "(1 << (f.n // 2 | 1)) // 3", "(1 << f.n // 2) // 3",
      ["tests/test_factor.py::test_loop_free_helpers_match_their_definitions"]),
-    ("echelon solve without its consistency check", FACTOR,
-     "    if u >> n:\n", "    if False:\n",
-     ["tests/test_factor.py::test_solver_raises_outside_H"]),
+    ("factor_2power without its in_H check", FACTOR,
+     "    if not in_H(h):\n", "    if False:\n",
+     ["tests/test_factor.py::test_public_factor_checks_keep_their_errors"]),
+    ("image of h_0 without the constant", FACTOR,
+     "return (1, *(1 | ", "return (0, *(1 | ", TWO_POWER_IMAGES),
+    ("image constant dropped", FACTOR,
+     "*(1 | _eliminate(", "*(_eliminate(", TWO_POWER_IMAGES),
+    ("upper images without the constant", FACTOR,
+     "*[1] * (n - n // 2)", "*[0] * (n - n // 2)", TWO_POWER_IMAGES),
     ("echelon without its rank check", FACTOR,
      "        if not row >> n:\n"
      "            raise RuntimeError(\"factorization system is rank-deficient (implementation bug)\")\n",
      "", ["tests/test_factor.py::test_rank_deficient_system_is_an_implementation_bug"]),
-    ("odd square root permutation off by one", FACTOR,
-     "<< (h.n + 1) // 2)", "<< (h.n - 1) // 2)",
-     ["tests/test_factor.py::test_sqrt_odd_is_the_string_permutation"]),
+    ("odd root by (n - 1)/2", FACTOR,
+     "1 << j * (n + 1) // 2 % n", "1 << j * (n - 1) // 2 % n", ODD_IMAGES),
+    ("odd image permutation off by one", FACTOR,
+     "1 << j * (n + 1) // 2 % n", "1 << (j + 1) * (n + 1) // 2 % n", ODD_IMAGES),
     ("factor_2power's result unchecked", FACTOR,
      "if cyclic_mul(g, reciprocal(g)) != h:", "if False:",
      ["tests/test_construct.py::test_wrong_factor_is_caught_by_the_closing_check"]),
