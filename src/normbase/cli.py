@@ -4,9 +4,11 @@ Subcommands define fields, find/check normal elements, compute vectors,
 run the prescription/composition constructions, and audit the exhaustive
 oracles.  Human output is a small aligned table; --json emits one line of
 machine-readable JSON with stable key order.  Every emitted element record
-is re-verified in-process before printing.  The oracle module decides each
-audit; audit prints the report's lines or, with --json, its payload.
-Each subcommand's parser names its handler, which main calls.
+is re-verified in-process before printing: its vector is recomputed, and a
+construction's must equal its target, or the run exits 2.  The oracle
+module decides each audit; audit prints the report's lines or, with
+--json, its payload.  Each subcommand's parser names its handler, which
+main calls.
 
 Exit codes: 0 ok, 1 invalid input vector (or unsupported construction),
 2 verification/audit failure, 64 usage error.
@@ -132,17 +134,17 @@ def _cmd_field_find(args) -> int:
     return EX_OK
 
 
-def _find(spec, args) -> tuple[int, dict]:
+def _find(spec, args) -> tuple[int, dict, poly2.CyclicPoly | None]:
     construction = ({"name": "find", "strategy": "scan"} if args.seed is None
                     else {"name": "find", "strategy": "random", "seed": args.seed})
-    return normal.find_normal(spec, args.seed), construction
+    return normal.find_normal(spec, args.seed), construction, None
 
 
-def _given(spec, args) -> tuple[int, dict]:
-    return field.parse_elem(spec, args.element), {"name": args.name}
+def _given(spec, args) -> tuple[int, dict, poly2.CyclicPoly | None]:
+    return field.parse_elem(spec, args.element), {"name": args.name}, None
 
 
-def _prescribe(spec, args) -> tuple[int, dict]:
+def _prescribe(spec, args) -> tuple[int, dict, poly2.CyclicPoly | None]:
     target = poly2.parse_vector(args.vector)
     beta = field.parse_elem(spec, args.force_beta) if args.force_beta is not None else None
     steps = construct.prescribe_steps(spec, target, beta)
@@ -150,27 +152,31 @@ def _prescribe(spec, args) -> tuple[int, dict]:
         "name": "prescribe",
         "base": field.elem_to_hex(steps.base),
         "change": str(steps.change),
-    }
+    }, target
 
 
-def _compose(spec, args) -> tuple[int, dict]:
+def _compose(spec, args) -> tuple[int, dict, poly2.CyclicPoly | None]:
     a = poly2.parse_vector(args.vector_pow2)
     b = poly2.parse_vector(args.vector_odd)
-    gamma, _ = construct.compose(spec, a, b)
-    return gamma, {"name": "compose", "vector_pow2": str(a), "vector_odd": str(b)}
+    gamma, c = construct.compose(spec, a, b)
+    return gamma, {"name": "compose", "vector_pow2": str(a), "vector_odd": str(b)}, c
 
 
-def _weight3(spec, args) -> tuple[int, dict]:
-    gamma, _ = construct.weight3(spec, args.i0)
-    return gamma, {"name": "weight3", "i0": args.i0}
+def _weight3(spec, args) -> tuple[int, dict, poly2.CyclicPoly | None]:
+    gamma, c = construct.weight3(spec, args.i0)
+    return gamma, {"name": "weight3", "i0": args.i0}, c
 
 
 def _cmd_element(args) -> int:
-    """Build the field, make (element, construction) in it, and print the verified record."""
+    """Build the field, make (element, construction, target vector or None) in it, and print the
+    verified record."""
     spec = _spec_from(args)
-    element, construction = args.make(spec, args)
+    element, construction, target = args.make(spec, args)
     # recompute from scratch so "verified" means what it says
     vector = normal.corresponding_vector(spec, element)
+    if target is not None and vector != target:
+        raise RuntimeError(f"{construction['name']} element has vector {vector}, "
+                           f"not {target} (implementation bug)")
     _emit({
         **_field_record(spec),
         "element": field.elem_to_hex(element),

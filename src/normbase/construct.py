@@ -8,10 +8,9 @@ and m entries, reported as NECESSARY_ONLY.  The flags alone decide, for
 the audits and the pipeline; validate_vector renders each condition's text
 from n and a on demand and pairs it with its flag, and the pipeline builds
 that Verdict only to reject a vector.  prescribe and prescribe_in_subfield
-enter one _pipeline: it validates the vector, takes a normal base element,
-inverts its vector in the cyclic ring, factors the quotient as
-g * reciprocal(g), applies g as a basis change and runs the closing check.
-It returns the base, its vector, that vector's inverse and the element;
+enter one _pipeline: it validates the vector, takes a normal base, maps the
+vector to its lift and runs the closing check.  It returns the base (beta,
+its vector, that vector's inverse and beta's conjugates) and the element;
 only prescribe_steps wraps them in a Prescription, with the quotient and
 the factor computed again, and prescribe and prescribe_in_subfield take
 the element alone.
@@ -21,21 +20,19 @@ is Tr_n(A * tau^(2^i)) = Tr_t(tau * tau^(2^i)) (tau^(2^i) lies in GF(2^t)).
 So the base vector is the fold of f_beta for the scan's normal beta (the
 scan keeps f_beta with beta), and the result is the relative trace of the
 lift sum g_i beta^(2^i) (at t = n the lift itself, with no trace taken).
-The fold, its inverse and the basis change, kept as the t conjugates of
-beta, depend on the field alone, so the spec keeps them per t; a warm
-prescription then reads conjugates only to check its result, and to trace
-it down when t < n.  The whole way from a valid a to the lift is a linear
-map fixed by the base: a -> a * b^(-1), h -> g (factor._factor, one list
-of images per ring size for odd t and t = 2^s alike) and
-g -> sum g_i beta^(2^i) are all GF(2)-linear.  So a kept base also keeps
-the byte tables of that map, once it has served as many prescriptions as
-building them costs (poly2._rented); from then on a request reads the base
-and its tables by one lookup in the spec's store, and its lift by one
-table pass, with no quotient or factor built.  A base that is not kept
-serves one prescription, by cyclic_mul, _factor and a sum over the set
-bits of g.  compose multiplies prescriptions from the coprime 2-power and
-odd subfields; weight3 specializes composition to the minimum-weight
-vector available when 4 | n.
+The base fixes the lift map, _lift: a -> h = a * b^(-1), h -> g
+(factor._factor, one list of images per ring size for odd t and t = 2^s
+alike) and g -> sum g_i beta^(2^i), each GF(2)-linear.  The fold, its
+inverse and the t conjugates of beta depend on the field alone, so the
+spec keeps the base per t, and once it has served as many prescriptions
+as building them costs (poly2._rented), the byte tables of _lift with it;
+from then on a request reads the base and its tables by one lookup in the
+spec's store, and its lift by one table pass, with no quotient or factor
+built.  Before that, and for a base that is not kept, _lift runs as it
+reads.  A warm prescription reads conjugates only to check its result, and
+to trace it down when t < n.  compose multiplies prescriptions from the
+coprime 2-power and odd subfields; weight3 specializes composition to the
+minimum-weight vector available when 4 | n.
 
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
@@ -59,7 +56,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .factor import _factor, _images, _odd_half_sum
+from .factor import _factor, _odd_half_sum
 from .field import _RENT, FieldSpec, _check_divisor, _conjugates, _half_vector, elem_mul, rel_trace
 from .normal import _scanned, corresponding_vector
 from .poly2 import (
@@ -209,48 +206,45 @@ def _base(spec: FieldSpec, t: int,
 
 
 def _kept_base(spec: FieldSpec, t: int) -> tuple:
-    """(beta, b, b_inv, conjugates, tables): the default _base, made once per t, and the byte
-    tables of its map a -> lift (_base_tables) once it has served _RENT prescriptions, None
-    before.  With its tables the tuple is held in spec._held[t], the one entry that _pipeline
-    reads first.  A table costs more loop prescriptions as t grows, so at small t the rule
-    buys late, by at most _RENT.
+    """(base, tables): the default _base, made once per t, and the byte tables of its _lift once
+    it has served _RENT prescriptions, None before.  With its tables the pair is held in
+    spec._held[t], the one entry that _pipeline reads first.  A table costs more loop
+    prescriptions as t grows, so at small t the rule buys late, by at most _RENT.
     """
     base = _rented(spec._held, ("base", t), 0, _base, spec, t)
-    return _rented(spec._held, t, _RENT, _base_tables, *base) or (*base, None)
+    return _rented(spec._held, t, _RENT, _base_tables, base) or (base, None)
 
 
-def _base_tables(beta: int, b: CyclicPoly, b_inv: CyclicPoly, conjugates: list[int]) -> tuple:
-    """The base with the byte tables of its map a -> lift, for t = 2^s or odd t: bit j goes to
-    h = b_inv rotated by j, then to g = factor._factor(h), then to sum g_i conjugates[i]."""
-    t, x = b_inv.n, b_inv.bits
-    images = _images(t)
-    lifts = [_picked_sum(conjugates, _picked_sum(images, (x << j | x >> t - j) & ((1 << t) - 1)))
-             for j in range(t)]
-    return beta, b, b_inv, conjugates, _byte_tables(lifts)
+def _lift(base: tuple, a: CyclicPoly) -> int:
+    """sum g_i conjugates[i] for the factor g of h = a * b_inv: the lift of a valid a."""
+    _, _, b_inv, conjugates = base
+    return _picked_sum(conjugates, _factor(cyclic_mul(a, b_inv)).bits)
+
+
+def _base_tables(base: tuple) -> tuple:
+    """The base with the byte tables of its _lift, tabulated at each monomial x^j."""
+    t = base[1].n
+    return base, _byte_tables([_lift(base, CyclicPoly(t, 1 << j)) for j in range(t)])
 
 
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> tuple:
     """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, take the
-    base of beta (by default the scan's), map a to the lift, by the solver or by the kept
-    base's table, and run the closing check.  Returns (beta, b, b_inv, element), which only
-    prescribe_steps wraps."""
+    base of beta (by default the kept base, with its tables once it has served _RENT), map a
+    to the lift, by _lift or by the tables, and run the closing check.  Returns
+    (base, element), which only prescribe_steps unpacks."""
     if not all(_flags(t, a)):
         raise InvalidVectorError(validate_vector(t, a))
-    if beta is None:  # the kept base, and its byte tables once it has served _RENT
-        held = spec._held.get(t)  # a count until the tables are built
-        beta, b, b_inv, conjugates, tables = held if type(held) is tuple else _kept_base(spec, t)
-    else:  # a base that is not kept serves this one prescription, by the loops
-        (beta, b, b_inv, conjugates), tables = _base(spec, t, beta), None
-    lift = (_picked_sum(conjugates, _factor(cyclic_mul(a, b_inv)).bits) if tables is None
-            else _linear(tables, a.bits))  # the same linear map, tabulated
+    # the kept base with its tables, or a count until they are built; a forced beta is not kept
+    held = spec._held.get(t) if beta is None else (_base(spec, t, beta), None)
+    base, tables = held if type(held) is tuple else _kept_base(spec, t)
+    lift = _lift(base, a) if tables is None else _linear(tables, a.bits)
     # the one verification of the result; see the module docstring
     if (_half_vector(spec, lift) != a.bits & ((2 << t // 2) - 1) if t == spec.n
             else _fold(corresponding_vector(spec, lift), t) != a):
         vec = _fold(corresponding_vector(spec, lift), t)
         raise RuntimeError(
             f"prescribed vector mismatch (implementation bug): got {vec}, wanted {a}")
-    element = rel_trace(spec, lift, t) if t < spec.n else lift
-    return beta, b, b_inv, element
+    return base, rel_trace(spec, lift, t) if t < spec.n else lift
 
 
 def _full_degree(spec: FieldSpec) -> int:
@@ -269,7 +263,7 @@ def prescribe_steps(spec: FieldSpec, a: CyclicPoly, beta: int | None = None) -> 
     by default a deterministic scan picks it.  The quotient and the factor are computed
     again for the record, as a kept base maps a to its element by one table.
     """
-    beta, b, b_inv, element = _pipeline(spec, _full_degree(spec), a, beta)
+    (beta, b, b_inv, _), element = _pipeline(spec, _full_degree(spec), a, beta)
     h = cyclic_mul(a, b_inv)
     return Prescription(spec, a, beta, b, b_inv, h, _factor(h), element, a)
 

@@ -16,9 +16,9 @@ Both ways from h to g are one GF(2)-linear map per ring size, kept as the
 images of the monomials (_images): the odd root is a bit permutation, and
 the 2-power solution is linear in h on H, whose members all have odd
 weight.  _factor sums those images over the set bits of h.  factor_2power
-checks its input and its result around it; the prescription pipeline calls
-_factor bare, as its own checks already prove those facts (see the
-construct module), and tabulates the same map in a kept base's tables.
+checks its input and its result around it; the prescription pipeline's
+lift map calls _factor bare, as its own checks already prove those facts
+(see the construct module), and a kept base's tables tabulate that lift.
 """
 
 from __future__ import annotations

@@ -10,19 +10,18 @@ its squaring tables, which the spec uses only to certify its modulus, nor
 its trace form.  Squaring is GF(2)-linear, so the oracle squares by tables
 of its own naive squares of g^j, built once per call: the trace mask, each
 Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
-and an enumeration by two half-width tables; the subfield rank test squares
-naively.  The generic helpers _byte_tables and _linear only tabulate and
-apply the values they are given, so a wrong spec table can reach an audit
-only through that certification.  The rank test reduces
-by poly2's _eliminate, as the factor solver does; the audits stay
-non-circular, since the factorization audit checks that solver against a
-brute force over G, and the rank test is checked against is_normal's unit
-test (Euclid, then evaluation at roots of unity), which never eliminates.
-The subfield construction is the same pipeline as the full-field one, and
-is audited by the same rank test on the first t conjugates.  The
-enumeration decides each Frobenius orbit once: conjugates share normality
-and the vector, so one rank test and one vector stand for the orbit's n
-elements, and the audits count per element.
+and an enumeration by two half-width tables.  The generic helpers
+_byte_tables and _linear only tabulate and apply the values they are
+given, so a wrong spec table can reach an audit only through that
+certification.  The rank test reduces by poly2's _eliminate, as the factor
+solver does; the audits stay non-circular, since the factorization audit
+checks that solver against a brute force over G, and the rank test is
+checked against is_normal's unit test (Euclid, then evaluation at roots of
+unity), which never eliminates.  The subfield construction is the same
+pipeline as the full-field one; the tests check it by rank on the first t
+conjugates.  The enumeration decides each Frobenius orbit once: conjugates
+share normality and the vector, so one rank test and one vector stand for
+the orbit's n elements, and the audits count per element.
 
 Each vector entry is still a product traced: reduction mod the modulus
 and the trace are both GF(2)-linear, so Tr(e*c) is the sum of
@@ -61,7 +60,7 @@ from typing import Callable, Iterator
 
 from .construct import _characterized, _flags, pow2_odd_split
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
-from .field import FieldSpec, _check_divisor, _check_elem
+from .field import FieldSpec
 from .poly2 import (CyclicPoly, _byte_tables, _eliminate, _linear, cyclic_mul, poly_mod, reciprocal,
                     symmetric_vectors)
 
@@ -112,18 +111,6 @@ def _square_tables(spec: FieldSpec) -> tuple[int, list[int], list[int]]:
     return h, low, high
 
 
-def _orbit(spec: FieldSpec, alpha: int) -> list[int]:
-    """The Frobenius orbit alpha, alpha^2, alpha^4, ... up to its first repeat, naively squared."""
-    orbit = [alpha]
-    x = _naive_square(spec, alpha)
-    while x != alpha:
-        if len(orbit) == spec.n:
-            raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
-        orbit.append(x)
-        x = _naive_square(spec, x)
-    return orbit
-
-
 def _independent(rows: list[int]) -> bool:
     """GF(2) elimination: True iff the rows are independent (stops at the first dependent)."""
     basis = [0] * max(rows).bit_length()  # pivots by leading bit: sized by width, not row count
@@ -132,16 +119,6 @@ def _independent(rows: list[int]) -> bool:
             return False
         basis[r.bit_length() - 1] = r
     return True
-
-
-def is_subfield_normal_by_rank(spec: FieldSpec, alpha: int, t: int) -> bool:
-    """Rank-based subfield normality: alpha in GF(2^t), t independent conjugates."""
-    _check_divisor(spec, t)
-    _check_elem(spec, alpha)
-    # t distinct conjugates iff alpha lies in GF(2^t) and in no smaller subfield,
-    # where its t conjugates would repeat
-    orbit = _orbit(spec, alpha)
-    return len(orbit) == t and _independent(orbit)
 
 
 def _trace_zero_marks(n: int, traces: int) -> bytearray:

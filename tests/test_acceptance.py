@@ -37,7 +37,6 @@ from normbase.oracle import (
     check_necessary,
     check_self_dual_existence,
     enumerate_normal,
-    is_subfield_normal_by_rank,
 )
 from normbase.poly2 import (
     CyclicPoly,
@@ -53,6 +52,8 @@ from normbase.poly2 import (
     reciprocal,
     ring_modulus,
 )
+
+from rank_reference import is_subfield_normal_by_rank
 
 
 class Budget:

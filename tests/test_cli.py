@@ -1,5 +1,6 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import random
@@ -425,3 +426,26 @@ def test_audit_violation_exits_with_the_documented_code_2(capsys, monkeypatch):
     _broken_characterization(monkeypatch)
     code, _, _ = run(capsys, "audit", "--degree", "8", "--mode", "characterization")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("prescribe", "--degree", "16", "--vector", GOLDEN_VECTOR), "prescribe_steps"),
+    (("compose", "--degree", "12", "--vector-pow2", "1,1,0,1", "--vector-odd", "1,0,0"), "compose"),
+    (("weight3", "--degree", "12"), "weight3"),
+], ids=["prescribe", "compose", "weight3"])
+def test_element_that_misses_its_target_vector_exits_2(capsys, monkeypatch, argv, name):
+    # "verified" compares: the recomputed vector must be the --vector, or the composed c; the
+    # element 1 stands in, whose vector at even n is Tr(1) = 0 in every entry
+    real = getattr(construct, name)
+
+    def wrong(*args):
+        made = real(*args)
+        if name == "prescribe_steps":
+            return dataclasses.replace(made, element=1)
+        return 1, made[1]
+
+    monkeypatch.setattr(construct, name, wrong)
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == EX_VERIFY and out == ""
+    assert err.startswith(f"normbase: {argv[0]} element has vector ")
+    assert err.endswith(" (implementation bug)\n")

@@ -26,7 +26,6 @@ from normbase.oracle import (
     check_factorization,
     check_necessary,
     check_self_dual_existence,
-    is_subfield_normal_by_rank,
 )
 from normbase.poly2 import (
     CyclicPoly,
@@ -36,6 +35,8 @@ from normbase.poly2 import (
     reciprocal,
     symmetric_vectors,
 )
+
+from rank_reference import is_subfield_normal_by_rank
 
 
 def e0(n):
@@ -359,17 +360,18 @@ def test_kept_basis_change_matches_apply_basis_change(n, basis_change):
         # on the default modulus at n = 63 the scan runs to its cap (about 2 s);
         # test_acceptance covers that degree
         if not (n == 63 and spec is default):
-            bases += [construct._kept_base(spec, t)[:4] for t in sorted({n, s2, m})]
-        for beta, b, b_inv, conjugates in bases:
+            bases += [construct._kept_base(spec, t)[0] for t in sorted({n, s2, m})]
+        for base in bases:
+            beta, _, b_inv, conjugates = base
             t = len(conjugates)
             assert conjugates == [frobenius(spec, beta, i) for i in range(t)]
             if not (construct._characterized(t) or t == 2):
                 continue  # no pipeline runs at a composite t, so no base tabulates its map
-            tables = construct._base_tables(beta, b, b_inv, conjugates)[4]
+            tables = construct._base_tables(base)[1]
             for a in [_seeded_valid_vector(rng, t) for _ in range(10)]:
                 g = construct._factor(cyclic_mul(a, b_inv))
                 expected = basis_change(spec, beta, CyclicPoly(n, g.bits))
-                assert poly2._picked_sum(conjugates, g.bits) == expected
+                assert construct._lift(base, a) == expected
                 assert poly2._linear(tables, a.bits) == expected
 
 
@@ -400,9 +402,9 @@ def _by_path(spec, run):
         seen = []
 
         def forced(s, t, *args, _on=on, _seen=seen):
-            base = construct._kept_base(s, t)[:4]
+            base = construct._kept_base(s, t)[0]
             # the base with its tables, or 0: the count starts again
-            s._held[t] = construct._base_tables(*base) if _on else 0
+            s._held[t] = construct._base_tables(base) if _on else 0
             _seen.append(pipeline(s, t, *args))
             return _seen[-1]
         with pytest.MonkeyPatch.context() as patch:
@@ -413,7 +415,8 @@ def _by_path(spec, run):
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 11])
 def test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector(n):
-    # every value the pipeline returns: the base, its vector, that vector's inverse, the element
+    # every value the pipeline returns: the base (beta, its vector, that vector's inverse, the
+    # conjugates) and the element
     valid = _valid_vectors(n)
     (_, loop), (_, table) = _by_path(FieldSpec.from_degree(n),
                                      lambda s: [prescribe_steps(s, a) for a in valid])
@@ -460,8 +463,9 @@ def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, 
         assert spec._held[n] == k + 1
     assert loops == ["cyclic_mul", "_picked_sum"] * _RENT
     assert prescribe(spec, target) == element
-    assert type(spec._held[n]) is tuple and type(spec._held[n][4]) is list
-    assert loops.count("cyclic_mul") == _RENT  # the build sums conjugates, and multiplies nothing
+    assert type(spec._held[n]) is tuple and type(spec._held[n][1]) is list
+    # the build lifts each monomial x^j once; from then on no request calls a loop
+    assert loops == ["cyclic_mul", "_picked_sum"] * (_RENT + n)
     built = len(loops)
     assert prescribe(spec, target) == element
     assert len(loops) == built
@@ -554,7 +558,7 @@ def test_threads_sharing_a_spec_prescribe_the_same_elements():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(results[k] == expected for k in range(4))
-    assert type(spec._held[33][4]) is list
+    assert type(spec._held[33][1]) is list
 
 
 # ---- subfield results pinned ----
@@ -633,7 +637,7 @@ def test_warm_prescribe_skips_the_public_factor_checks(monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_valid_two_power_vectors_give_quotients_in_H(n):
     # what factor_2power's in_H check would prove: a valid a makes h = a * b^(-1) a member of H
-    _, _, b_inv, _, _ = construct._kept_base(FieldSpec.from_degree(n), n)
+    (_, _, b_inv, _), _ = construct._kept_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert len(valid) == 1 << (n // 2 - 2)
     assert all(factor.in_H(cyclic_mul(a, b_inv)) for a in valid)
@@ -642,7 +646,7 @@ def test_valid_two_power_vectors_give_quotients_in_H(n):
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_valid_odd_vectors_give_symmetric_quotients(n):
     # what _factor needs to give an odd factor: a valid a makes h = a * b^(-1) symmetric
-    _, _, b_inv, _, _ = construct._kept_base(FieldSpec.from_degree(n), n)
+    (_, _, b_inv, _), _ = construct._kept_base(FieldSpec.from_degree(n), n)
     valid = _valid_vectors(n)
     assert valid
     assert all(is_symmetric(cyclic_mul(a, b_inv)) for a in valid)
@@ -651,7 +655,7 @@ def test_valid_odd_vectors_give_symmetric_quotients(n):
 def test_wrong_factor_is_caught_by_the_closing_check(monkeypatch, capsys):
     spec = FieldSpec.from_degree(16)
     target = CyclicPoly.from_support(16, {0, 1, 15})
-    _, _, b_inv, _, _ = construct._kept_base(spec, 16)
+    (_, _, b_inv, _), _ = construct._kept_base(spec, 16)
     solve = factor._factor
 
     def flipped(h):  # another member of G: free coefficient 1 and its mirror n - 2 flipped

@@ -17,6 +17,7 @@ from normbase.factor import (
     iter_H,
 )
 from normbase.construct import _fold
+from normbase.field import MAX_DEGREE
 from normbase.oracle import _factors_in_G
 from normbase.poly2 import CyclicPoly, _picked_sum, cyclic_mul, is_symmetric, reciprocal, symmetric_vectors
 
@@ -304,3 +305,16 @@ def test_rank_deficient_system_is_an_implementation_bug(monkeypatch):
     finally:
         factor._images.cache_clear()
     assert str(exc.value) == "factorization system is rank-deficient (implementation bug)"
+
+
+def test_images_cache_holds_every_ring_size_it_serves():
+    # _factor runs at the odd and 2-power ring sizes up to MAX_DEGREE: the pipeline's t, and
+    # factor_2power's n; the cache holds them all at once, so a sweep over the degrees builds
+    # each size's images once
+    sizes = [t for t in range(1, MAX_DEGREE + 1) if t % 2 or t & (t - 1) == 0]
+    assert len(sizes) <= _images.cache_info().maxsize
+    _images.cache_clear()
+    for _ in range(2):
+        for t in sizes:
+            _images(t)
+    assert _images.cache_info().misses == len(sizes)

@@ -12,7 +12,6 @@ from normbase import normal
 from normbase.construct import _fold, compose, prescribe, weight3
 from normbase.field import _RENT, FieldSpec, _frobenius_tables, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal
-from normbase.oracle import is_subfield_normal_by_rank
 from normbase.poly2 import (
     CyclicPoly,
     cyclic_mul,
@@ -21,6 +20,8 @@ from normbase.poly2 import (
     is_unit_mod_cyclic,
     reciprocal,
 )
+
+from rank_reference import is_subfield_normal_by_rank
 
 
 def test_zero_and_one(f16):
@@ -284,11 +285,11 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
     kept = ((spec, 21), (sub, 4), (sub, 3))
     bases = [s._held[t] for s, t in kept]  # each the base with its tables
-    base_tables = [table for base in bases for table in base[4]]
-    base_vectors = [weakref.ref(base[1]) for base in bases]
+    base_tables = [table for _, tables in bases for table in tables]
+    base_vectors = [weakref.ref(base[1]) for base, _ in bases]
     # a list takes no weak reference, so each kept basis-change map and byte table is looked
     # for by id and value
-    maps = ([(id(base[3]), tuple(base[3])) for base in bases] + [frobenius_map]
+    maps = ([(id(base[3]), tuple(base[3])) for base, _ in bases] + [frobenius_map]
             + [(id(table), tuple(table)) for table in base_tables])
     ref, sub_ref = weakref.ref(spec), weakref.ref(sub)
     del spec, sub, bases, frobenius_table, kept, base_tables

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from normbase import poly2
 from normbase.construct import compose
-from normbase.field import FieldSpec, parse_elem
+from normbase.field import MAX_DEGREE, FieldSpec, parse_elem
 from normbase.poly2 import (
     CyclicPoly,
     DegreeBoundError,
@@ -422,6 +422,20 @@ def test_ring_sizes_held_stay_within_the_bound(monkeypatch):
         assert is_unit_mod_cyclic(CyclicPoly(n, 1))
         assert len(poly2._units) <= poly2._UNIT_RINGS and poly2._units[n] == 1
     assert sizes[-1] in poly2._units and sizes[0] not in poly2._units
+
+
+def test_ring_size_bound_holds_every_field_degree(monkeypatch):
+    # a spec's vectors live in the ring of its degree n <= MAX_DEGREE (is_normal, the scan,
+    # compose's check), and the odd rule tests folds at smaller sizes; a power of two tests
+    # parity and is not held.  All the others are held at once, so a sweep over the degrees
+    # never empties _units
+    sizes = [n for n in range(1, MAX_DEGREE + 1) if n & (n - 1)]
+    assert len(sizes) <= poly2._UNIT_RINGS
+    monkeypatch.setattr(poly2, "_units", {})
+    for _ in range(2):
+        for n in sizes:
+            is_unit_mod_cyclic(CyclicPoly(n, 1))
+    assert poly2._units == dict.fromkeys(sizes, 2)
 
 
 def test_threads_racing_on_the_counts_get_the_gcd_answers(monkeypatch):

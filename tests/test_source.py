@@ -139,10 +139,16 @@ def test_construct_takes_the_scan_and_the_vector_from_normal():
     assert _names_imported_from("construct.py", "normal") == {"_scanned", "corresponding_vector"}
 
 
-def test_oracle_takes_plain_tables_and_checks_from_field():
-    # the spec and its argument checks only: the generic tables come from poly2, field keeps no
-    # helper for the oracle, and anything else from field would be the production kernel
-    assert _names_imported_from("oracle.py", "field") == {"FieldSpec", "_check_divisor", "_check_elem"}
+def test_construct_takes_the_bare_factor_map_from_factor():
+    # _lift is the one spelling of a base's map, and its table tabulates it: factor's images or
+    # its solvers in construct would be a second spelling of the same map
+    assert _names_imported_from("construct.py", "factor") == {"_factor", "_odd_half_sum"}
+
+
+def test_oracle_takes_the_spec_alone_from_field():
+    # the generic tables come from poly2, field keeps no helper for the oracle, and anything
+    # else from field would be the production kernel
+    assert _names_imported_from("oracle.py", "field") == {"FieldSpec"}
 
 
 def _unbounded_cache(decorator: ast.expr) -> bool:
