@@ -1,77 +1,35 @@
-"""CLI output pinned byte for byte: one sha256 over a fixed, seeded corpus of runs."""
+"""CLI output pinned byte for byte: tools/identity.py's hashes over its seeded corpus."""
 
-import contextlib
-import hashlib
-import io
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from normbase import poly2
-from normbase.cli import main
-from normbase.construct import Status, pow2_odd_split, validate_vector
+ROOT = Path(__file__).resolve().parent.parent
 
-# sha256 of (argv, exit code, stdout, stderr) over _corpus(); a deliberate change to
-# any CLI output (a message, a record, a choice of modulus or element) must update it
-DIGEST = "3de9b8e2ad65a8bce1309e6953b401f72b9f1ba0f1ac6a380d172d49ee4c22fe"
-
-AUDIT_MODES = ("characterization", "factorization", "necessary", "selfdual")
-
-
-def _bits(v: poly2.CyclicPoly) -> str:
-    return ",".join(str(b) for b in v.coeffs())
-
-
-def _random_symmetric(rng: random.Random, n: int) -> poly2.CyclicPoly:
-    bits = rng.getrandbits(1)
-    for i in range(1, n // 2 + 1):
-        if rng.getrandbits(1):
-            bits |= (1 << i) | (1 << (n - i) % n)
-    return poly2.CyclicPoly(n, bits)
-
-
-def _accepted(rng: random.Random, n: int) -> poly2.CyclicPoly:
-    """A seeded random symmetric vector that validate_vector does not reject."""
-    for _ in range(100):  # bounded: a rule that rejects every vector must fail, not hang
-        v = _random_symmetric(rng, n)
-        if validate_vector(n, v).status is not Status.INVALID:
-            return v
-    raise AssertionError(f"no accepted vector of length {n} in 100 draws")
-
-
-def _corpus() -> list[list[str]]:
-    """prescribe (accepted, random), compose and every weight3 i0 per degree; small audits."""
-    rng = random.Random(2013)
-    runs = []
-    for n in [*range(1, 41), 48, 64]:
-        s2, m = pow2_odd_split(n)
-        degree = ["--degree", str(n)]
-        runs.append(["prescribe", *degree, "--vector", _bits(_accepted(rng, n))])
-        runs.append(["prescribe", *degree,
-                     "--vector", _bits(poly2.CyclicPoly(n, rng.getrandbits(n)))])
-        runs.append(["compose", *degree, "--vector-pow2", _bits(_accepted(rng, s2)),
-                     "--vector-odd", _bits(_accepted(rng, m))])
-        # below 4 | n the range holds only i0 = 1, which weight3 rejects
-        runs += [["weight3", *degree, "--i0", str(i0)] for i0 in range(1, max(s2, 2), 2)]
-    runs += [["audit", "--degree", str(n), "--mode", mode]
-             for n in (8, 12) for mode in AUDIT_MODES]
-    return [form + argv for argv in runs for form in ([], ["--json"])]
-
-
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # a usage error exits from the parser
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _corpus_digest() -> str:
-    h = hashlib.sha256()
-    for argv in _corpus():
-        h.update(repr((argv, *_run(argv))).encode())
-    return h.hexdigest()
+# group -> (runs, sha256); a deliberate change to any CLI output must update its group and all
+DIGESTS = {
+    "find": (384, "59511037a1b949730308c08cb953e1ae6a28cf1801a9e7e9006e37c59b02c3ca"),
+    "check": (1024, "35173b8922a385b00a50326a927ef8db69ddf1106b501c3a872988354f622b26"),
+    "vector": (1024, "3baf8ee6af9f8d3a8ab41f894885dc0cfe6410dc8143c4965ab370860a356b99"),
+    "prescribe": (768, "a4c8ea10a9663140a6f87c1d54de7065b1cc5e2392f062f74e1ff38b94decf78"),
+    "compose": (256, "0be92b6fc8da9992404d14579c131f703eec239aadeba3d9af45134dae7fbb64"),
+    "weight3": (384, "7caa3e8ec7de7428ed721e62ee987080eb2ffb62f9bf26181a0bea53a4baa6d4"),
+    "force-beta": (10, "c6a67a3c06690fd027963e8d1a206e18dcbfae5ecdbc7d5e46ed507412093c2b"),
+    "audit": (122, "e61b5224c9a604207f9dbc4c7ec754a49551990e2a3639efc52f9d81766e47fc"),
+    "errors": (62, "17e71b5c95560229066e12fa3e8d1b390430406cbafd22fdcad080db0ee49a66"),
+    "pow": (264, "7245b022597cd183b1b11bf0f451d9d38a1086859865bd4b8f990784fbfe9b10"),
+    "invalid": (76, "f8209e0ff4d4cac15ac557702e5a146fa3619a26666a3c1188eda0bc66075fa6"),
+    "all": (4374, "bc2af081a9b25511d4fd3823e90377ab28179aa638253ccb6a77b75175113f0b"),
+}
 
 
 def test_cli_output_matches_the_recorded_digest():
-    assert _corpus_digest() == DIGEST
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "tools/identity.py"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    got = {name: (int(runs), sha) for name, runs, sha in
+           (line.split() for line in done.stdout.splitlines()[1:])}
+    moved = [name for name in DIGESTS.keys() | got.keys() if got.get(name) != DIGESTS.get(name)]
+    assert not moved, f"groups whose output moved: {sorted(moved)}"

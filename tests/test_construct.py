@@ -19,7 +19,7 @@ from normbase.construct import (
     validate_vector,
     weight3,
 )
-from normbase.field import _RENT, FieldSpec, frobenius, parse_elem
+from normbase.field import _RENT, FieldSpec, frobenius
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import (
     check_characterization,
@@ -133,16 +133,6 @@ def test_all_normal_vectors_pass_necessary_conditions(f12, per_element):
 
 
 # ---- prescription ----
-
-def test_prescribe_golden_run(f16):
-    beta = parse_elem(f16, "pow:1,126")
-    target = CyclicPoly.from_support(16, {0, 1, 15})
-    steps = prescribe_steps(f16, target, beta)
-    assert steps.change == CyclicPoly.from_coeffs(
-        [1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0])
-    assert steps.vector == target
-    assert is_normal(f16, steps.element)
-
 
 def test_prescribe_self_dual_in_gf8():
     spec = FieldSpec.from_degree(3)

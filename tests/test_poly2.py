@@ -352,6 +352,24 @@ def test_unit_test_is_the_gcd_criterion_on_every_vector(monkeypatch, tables):
             _by_gcd(CyclicPoly(n, b)) for b in range(1 << n)], n
 
 
+def test_unit_test_is_sympys_gcd_criterion_on_seeded_vectors(monkeypatch):
+    # an outside reference: poly_gcd runs the same Euclid as the unit test's first tests
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    for n in range(1, 65):
+        rng = random.Random(n)
+        half = [rng.getrandbits(n) for _ in range(20)]
+        vectors = [CyclicPoly(n, b | _mirror(b, n)) for b in half] + [
+            CyclicPoly(n, rng.getrandbits(n)) for _ in range(20)]
+        ring = [1, *[0] * (n - 1), 1]  # x^n + 1, leading coefficient first
+        expected = [galoistools.gf_gcd(galoistools.gf_strip([int(c) for c in f"{f.bits:b}"]),
+                                       ring, 2, ZZ) == [1] for f in vectors]
+        for tables in (True, False):
+            _force(monkeypatch, n, tables and n & (n - 1) != 0)
+            assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, tables)
+        assert True in expected and (n == 1 or False in expected), n
+
+
 def test_unit_test_is_the_gcd_criterion_on_seeded_vectors(monkeypatch):
     # half symmetric, half arbitrary, each answer seen at every ring size with an odd part
     for n in range(1, 65):

@@ -2,7 +2,10 @@
 
 Imports normbase from the source tree given by --src (default: this
 checkout's src) and runs cli.main in-process on every run of the corpus,
-hashing (argv, exit code, stdout, stderr) per group.  The corpus:
+hashing (argv, exit code, stdout, stderr) per group.  A run that exits from
+the parser (a usage error or --help) is hashed by its argv and exit code
+alone: argparse wraps that text to the terminal width and words it by
+Python version, so no hash depends on either.  The corpus:
 
 - every element command (normal find, normal check, vector, prescribe,
   compose, weight3) at each n <= 64, in both output forms;
@@ -28,7 +31,11 @@ To compare two trees, run it once on each and diff the outputs:
 The vectors and moduli are drawn with the tree's own validate_vector and
 is_irreducible, so a tree that judges them differently changes the corpus,
 and its hashes, too; the unachievable vectors are fixed.  A sweep of the
-4,374 runs takes about 6 s on a 2-core Xeon with Python 3.11.
+4,374 runs takes about 3.5 s on a 2-core Xeon with Python 3.11.
+
+The test suite enforces it: tests/test_cli_digest.py runs this script on
+the checkout and compares every printed line with pinned hashes, so a
+deliberate change to any CLI output must update them there.
 """
 
 from __future__ import annotations
@@ -151,13 +158,14 @@ def _corpus(nb) -> dict[str, list[list[str]]]:
     return groups
 
 
-def _run(main, argv: list[str]) -> tuple[int, str, str]:
+def _run(main, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr), or (exit code,) alone for a run that exits from the parser."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # a usage error exits from the parser
-            code = exc.code
+        except SystemExit as exc:  # usage or --help: argparse wraps to the terminal width
+            return (exc.code,)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -3,7 +3,7 @@
 A mutant is (name, file, old, new, tests): the text old, which must occur
 exactly once in file, is replaced by new, and the pytest ids in tests are
 run on that mutated copy.  The check works in a temporary copy of src/,
-tests/ and pyproject.toml, so the checkout is never edited:
+tests/, tools/ and pyproject.toml, so the checkout is never edited:
 
 1. every listed test must pass on the unmutated copy;
 2. each mutant is applied alone and its tests run with `pytest -x -q`, one
@@ -17,8 +17,8 @@ rewritten).  Run it from anywhere:
 
     python tools/mutants.py
 
-It is not part of the test suite; the catalogue, eighty-seven mutants,
-takes about 100 s on a 2-core Xeon with Python 3.11.
+It is not part of the test suite; the catalogue, eighty-nine mutants,
+takes about 130 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ CAP = "tests/test_normal.py::test_scan_past_its_cap_returns_the_seed_zero_draw"
 LAZY = "tests/test_normal.py::test_scan_that_ends_in_its_first_block_reads_one_vector_per_candidate"
 FORM = "tests/test_field.py::test_form_reads_the_one_gram_table_as_the_byte_tables"
 POLY2 = "src/normbase/poly2.py"
+CLI = "src/normbase/cli.py"
 SCOPE = ["tests/test_construct.py::test_degree_scope_checks_keep_their_errors"]
 SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naive_vector_on_every_element"]
@@ -82,6 +83,8 @@ UNIT_SWITCH = [
     "tests/test_poly2.py::test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build"]
 POW_SQUARE = "        r = _linear(square, r) if square else poly_mod(poly_mul(r, r), f)\n"
 UNIT_RENTED = "    held = _rented(_units, n, _UNIT_RENT, _unit_tables, n)\n"
+LIFT = "_picked_sum(conjugates, _factor("
+NEXT_LIFT = "_picked_sum(conjugates[1:] + conjugates[:1], _factor("
 ORDER_CHECK = ("        if all(_pow_mod(zeta, m // p, modulus) != 1 for p in primes):\n"
                "            break\n")
 
@@ -187,9 +190,10 @@ MUTANTS = [
     ("held tables ignored", CONSTRUCT,
      "lift = _lift(base, a) if tables is None else _linear(tables, a.bits)", "lift = _lift(base, a)",
      BASE_SWITCH),
-    ("lift of the conjugates off by one", CONSTRUCT,
-     "_picked_sum(conjugates, _factor(", "_picked_sum(conjugates[1:] + conjugates[:1], _factor(",
+    ("lift of the conjugates off by one", CONSTRUCT, LIFT, NEXT_LIFT,
      ["tests/test_construct.py::test_kept_basis_change_matches_apply_basis_change"]),
+    ("golden element: lift by the next conjugates", CONSTRUCT, LIFT, NEXT_LIFT,
+     ["tests/test_acceptance.py::test_criterion_1_golden_sixteen_bit_run"]),
     ("table without the factor map", CONSTRUCT,
      f"_lift(base, {MONOMIAL})", f"_picked_sum(base[3], cyclic_mul({MONOMIAL}, base[2]).bits)",
      KEPT_TABLES),
@@ -292,7 +296,9 @@ MUTANTS = [
     ("x^0 rejected as a negative exponent", POLY2,
      "if k < 0:", "if k <= 0:",
      ["tests/test_poly2.py::test_parse_poly_reads_x_to_the_zero_as_the_constant_term"]),
-    ("audit violation exit code 3", "src/normbase/cli.py",
+    ("human column one wider", CLI, "{key:14}", "{key:15}",
+     ["tests/test_cli_digest.py::test_cli_output_matches_the_recorded_digest"]),
+    ("audit violation exit code 3", CLI,
      "EX_VERIFY = 2", "EX_VERIFY = 3",
      ["tests/test_cli.py::test_audit_violation_exits_with_the_documented_code_2"]),
     ("cyclic_mul without its size check", POLY2,
@@ -330,7 +336,7 @@ def _pytest(copy: Path, tests: list[str]) -> bool:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
