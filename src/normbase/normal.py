@@ -5,7 +5,7 @@ a_i = Tr(a * a^(2^i)); it is always symmetric and, read as a polynomial
 f_a = sum a_i x^i, it is a unit mod x^n - 1 exactly when a is normal.
 That criterion, decided by poly2.is_unit_mod_cyclic (Euclid, then
 evaluation at the roots of unity), is the production normality test here;
-the independent rank-based test lives in the oracle module.
+the tests compare it with the rank-based reference, tests/rank_reference.py.
 
 A vector is read off the trace form (the field module's _half_vector reads
 a_0 .. a_{n/2}, by squaring or by a Frobenius table), as the rest mirror:

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from normbase import poly2
 from normbase.cli import EX_OK, main
 from normbase.construct import (
     Status,
@@ -53,6 +52,7 @@ from normbase.poly2 import (
     ring_modulus,
 )
 
+from prices import at_price, each_price
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -77,36 +77,37 @@ def _report(name):
 
 
 def test_criterion_1_golden_sixteen_bit_run():
-    with Budget(1.0) as budget:
-        spec = FieldSpec(16, 0x1002D)
-        beta = parse_elem(spec, "pow:1,126")
-        target = CyclicPoly.from_support(16, {0, 1, 15})
-        steps = prescribe_steps(spec, target, beta)
-        expected = {
-            "base vector": CyclicPoly.from_coeffs(
-                [1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0]),
-            "base vector inverse": CyclicPoly.from_support(
-                16, {0, 1, 2, 3, 5, 6, 10, 11, 13, 14, 15}),
-            "quotient": CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15}),
-            "change": CyclicPoly.from_coeffs(
-                [1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0]),
-            "output vector": target,
-        }
-        got = {
-            "base vector": steps.base_vector,
-            "base vector inverse": steps.base_vector_inverse,
-            "quotient": steps.quotient,
-            "change": steps.change,
-            "output vector": corresponding_vector(spec, steps.element),
-        }
-        mismatches = [f"{k}: recomputed {got[k]} != published {expected[k]}"
-                      for k in expected if got[k] != expected[k]]
-        assert not mismatches, (
-            "recomputed values govern; discrepancies vs published values:\n  "
-            + "\n  ".join(mismatches))
-        assert is_normal(spec, steps.element)
-        # each Frobenius conjugate has the same vector, so only the element itself pins the lift
-        assert steps.element == 0xE626, hex(steps.element)
+    for prices in each_price():
+        with Budget(1.0) as budget, prices:
+            spec = FieldSpec(16, 0x1002D)
+            beta = parse_elem(spec, "pow:1,126")
+            target = CyclicPoly.from_support(16, {0, 1, 15})
+            steps = prescribe_steps(spec, target, beta)
+            expected = {
+                "base vector": CyclicPoly.from_coeffs(
+                    [1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0]),
+                "base vector inverse": CyclicPoly.from_support(
+                    16, {0, 1, 2, 3, 5, 6, 10, 11, 13, 14, 15}),
+                "quotient": CyclicPoly.from_support(16, {0, 1, 2, 7, 9, 14, 15}),
+                "change": CyclicPoly.from_coeffs(
+                    [1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0]),
+                "output vector": target,
+            }
+            got = {
+                "base vector": steps.base_vector,
+                "base vector inverse": steps.base_vector_inverse,
+                "quotient": steps.quotient,
+                "change": steps.change,
+                "output vector": corresponding_vector(spec, steps.element),
+            }
+            mismatches = [f"{k}: recomputed {got[k]} != published {expected[k]}"
+                          for k in expected if got[k] != expected[k]]
+            assert not mismatches, (
+                "recomputed values govern; discrepancies vs published values:\n  "
+                + "\n  ".join(mismatches))
+            assert is_normal(spec, steps.element)
+            # each Frobenius conjugate has the same vector, so only the element itself pins the lift
+            assert steps.element == 0xE626, hex(steps.element)
     _report(f"1 golden sixteen-bit construction run ({budget.elapsed:.2f}s)")
 
 
@@ -387,7 +388,7 @@ def test_prescribe_degree_63_roundtrip(capsys):
 
 
 @pytest.mark.parametrize("n", [127, 163])
-def test_unit_tables_at_large_ring_sizes(monkeypatch, n):
+def test_unit_tables_at_large_ring_sizes(n):
     # x^127 - 1 is x + 1 times the 18 irreducible heptics (k = 7, 19 cosets); x^163 - 1 is
     # x + 1 times the all-ones polynomial, irreducible of degree k = 162 (two cosets)
     rng = random.Random(n)
@@ -398,8 +399,7 @@ def test_unit_tables_at_large_ring_sizes(monkeypatch, n):
     vectors = [CyclicPoly(n, b) for b in [0, 1, ones, heptic]]
     vectors += [CyclicPoly(n, rng.getrandbits(n)) for _ in range(200)]
     expected = [f.bits != 0 and poly_gcd(f.bits, ring_modulus(n)) == 1 for f in vectors]
-    with Budget(1.0):
-        monkeypatch.setattr(poly2, "_units", {n: poly2._unit_tables(n)})
+    with Budget(1.0), at_price(0):
         assert [is_unit_mod_cyclic(f) for f in vectors] == expected
     assert expected[:3] == [False, True, False] and expected[3] == (n != 127)
     assert True in expected[4:] and False in expected[4:]

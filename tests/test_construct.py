@@ -36,6 +36,7 @@ from normbase.poly2 import (
     symmetric_vectors,
 )
 
+from prices import at_both_prices, each_price
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -106,12 +107,14 @@ VERDICTS_SHA256 = "4fdb39f580c37cbd63d1ee9ebd14ec66e030b612e1d7a7ccccf30c3c3a415
 
 
 def test_verdicts_pinned_and_decided_by_the_flags():
-    digest = hashlib.sha256()
-    for a in _pinned_vectors():
-        verdict = validate_vector(a.n, a)
-        digest.update(repr((a.n, a.bits, verdict.status.value, verdict.reasons)).encode())
-        assert construct._flags(a.n, a) == [passed for _, passed in verdict.checks]
-    assert digest.hexdigest() == VERDICTS_SHA256
+    for prices in each_price():
+        digest = hashlib.sha256()
+        with prices:
+            for a in _pinned_vectors():
+                verdict = validate_vector(a.n, a)
+                digest.update(repr((a.n, a.bits, verdict.status.value, verdict.reasons)).encode())
+                assert construct._flags(a.n, a) == [passed for _, passed in verdict.checks]
+        assert digest.hexdigest() == VERDICTS_SHA256
 
 
 def test_necessary_conditions_examples(f12):
@@ -382,35 +385,13 @@ def test_warm_prescribe_squares_at_most_half_the_degree(monkeypatch):
     assert 0 < len(squarings) <= 64 // 2 + 1
 
 
-def _by_path(spec, run):
-    """run(spec) with each kept base forced to its loops, then to its byte tables (built for
-    each pipeline call, whatever the count): each run's result and the values each pipeline
-    call returned, base to element."""
-    pipeline = construct._pipeline
-    runs = []
-    for on in (False, True):
-        seen = []
-
-        def forced(s, t, *args, _on=on, _seen=seen):
-            base = construct._kept_base(s, t)[0]
-            # the base with its tables, or 0: the count starts again
-            s._held[t] = construct._base_tables(base) if _on else 0
-            _seen.append(pipeline(s, t, *args))
-            return _seen[-1]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(construct, "_pipeline", forced)
-            runs.append((run(spec), seen))
-    return runs
-
-
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 11])
 def test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector(n):
-    # every value the pipeline returns: the base (beta, its vector, that vector's inverse, the
-    # conjugates) and the element
+    # whole records: beta, its vector and that vector's inverse, quotient, change and element
     valid = _valid_vectors(n)
-    (_, loop), (_, table) = _by_path(FieldSpec.from_degree(n),
-                                     lambda s: [prescribe_steps(s, a) for a in valid])
-    assert loop == table and len(loop) == len(valid) > 0
+    tables, loops = at_both_prices(FieldSpec.from_degree(n),
+                                   lambda s: [prescribe_steps(s, a) for a in valid])
+    assert tables == loops and len(loops) == len(valid) > 0
 
 
 @pytest.mark.parametrize("n", [16, 21, 32, 33, 64])
@@ -418,8 +399,8 @@ def test_kept_tables_and_loops_prescribe_alike_on_seeded_vectors(n):
     spec = FieldSpec.from_degree(n)
     rng = random.Random(n)
     targets = [_seeded_valid_vector(rng, n) for _ in range(30)]
-    (_, loop), (_, table) = _by_path(spec, lambda s: [prescribe_steps(s, a) for a in targets])
-    assert loop == table and len(loop) == 30
+    tables, loops = at_both_prices(spec, lambda s: [prescribe_steps(s, a) for a in targets])
+    assert tables == loops and len(loops) == 30
 
 
 @pytest.mark.parametrize("n", [12, 20, 60])
@@ -431,9 +412,8 @@ def test_kept_tables_and_loops_compose_alike(n):
 
     def run(s):
         return [compose(s, a, b) for a, b in parts] + [weight3(s, i0) for i0 in range(1, s2, 2)]
-    (loop_results, loop), (table_results, table) = _by_path(spec, run)
-    assert loop_results == table_results and loop == table
-    assert len(loop) == 2 * (len(parts) + s2 // 2)
+    tables, loops = at_both_prices(spec, run)
+    assert tables == loops
 
 
 @pytest.mark.parametrize("n, support", [(4, {0, 1, 3}), (21, {0}), (64, {0, 1, 63})])
@@ -586,8 +566,12 @@ def _subfield_results():
 
 
 def test_subfield_results_pinned():
-    digest = hashlib.sha256("\n".join(_subfield_results()).encode()).hexdigest()
-    assert digest == SUBFIELD_RESULTS_SHA256
+    # at the default prices each (spec, t) serves two prescriptions, so only price 0 reads a
+    # subfield base's tables
+    for prices in each_price():
+        with prices:
+            digest = hashlib.sha256("\n".join(_subfield_results()).encode()).hexdigest()
+        assert digest == SUBFIELD_RESULTS_SHA256
 
 
 # ---- each fact proved once: the pipeline's closing vector check ----

@@ -10,7 +10,7 @@ import pytest
 
 from normbase import normal
 from normbase.construct import _fold, compose, prescribe, weight3
-from normbase.field import _RENT, FieldSpec, _frobenius_tables, elem_mul, frobenius, rel_trace
+from normbase.field import _RENT, FieldSpec, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.poly2 import (
     CyclicPoly,
@@ -21,6 +21,7 @@ from normbase.poly2 import (
     reciprocal,
 )
 
+from prices import at_both_prices
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -196,22 +197,11 @@ def test_vector_polarization_identity(n):
         assert f(H ^ L) == f(H) ^ f(L) ^ cross
 
 
-def _vectors_by_path(spec, elements):
-    # corresponding_vector with the squaring loop forced (a fresh count before each vector),
-    # then with the Frobenius table forced (built now, whatever the count)
-    loop = []
-    for a in elements:
-        spec._held["frobenius"] = 0
-        loop.append(corresponding_vector(spec, a))
-    spec._held["frobenius"] = _frobenius_tables(spec)
-    return loop, [corresponding_vector(spec, a) for a in elements]
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_loop_and_table_vectors_are_the_naive_vector_on_every_element(n, naive_subfield_vector):
     spec = FieldSpec.from_degree(n)
-    loop, table = _vectors_by_path(spec, range(spec.order))
-    assert loop == table == [naive_subfield_vector(spec, a, n) for a in range(spec.order)]
+    tables, loops = at_both_prices(spec, lambda s: [corresponding_vector(s, a) for a in range(s.order)])
+    assert tables == loops == [naive_subfield_vector(spec, a, n) for a in range(spec.order)]
 
 
 @pytest.mark.parametrize("n", range(1, 65))
@@ -223,9 +213,9 @@ def test_loop_and_table_vectors_agree_on_default_and_seeded_moduli(n, naive_subf
         pass
     for spec in (FieldSpec.from_degree(n), FieldSpec(n, modulus)):
         elements = [spec.generator] + [rng.randrange(spec.order) for _ in range(15)]
-        loop, table = _vectors_by_path(spec, elements)
-        assert loop == table
-        assert loop[:2] == [naive_subfield_vector(spec, a, n) for a in elements[:2]]
+        tables, loops = at_both_prices(spec, lambda s: [corresponding_vector(s, a) for a in elements])
+        assert tables == loops
+        assert loops[:2] == [naive_subfield_vector(spec, a, n) for a in elements[:2]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 21, 32, 33, 64])

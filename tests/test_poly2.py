@@ -33,6 +33,8 @@ from normbase.poly2 import (
     symmetric_vectors,
 )
 
+from prices import NEVER, at_price
+
 polys = st.integers(min_value=0, max_value=(1 << 24) - 1)
 
 
@@ -338,25 +340,19 @@ def _by_gcd(f):
     return f.bits != 0 and poly_gcd(f.bits, ring_modulus(f.n)) == 1
 
 
-def _force(monkeypatch, n, tables):
-    # ring size n tests by its evaluation tables (built now) or by Euclid, whatever the count
-    monkeypatch.setattr(poly2, "_units", {n: poly2._unit_tables(n)} if tables else {})
-    monkeypatch.setattr(poly2, "_UNIT_RENT", poly2._UNIT_RENT if tables else 1 << 62)
-
-
 @pytest.mark.parametrize("tables", [True, False])
-def test_unit_test_is_the_gcd_criterion_on_every_vector(monkeypatch, tables):
-    for n in range(1, 17):
-        _force(monkeypatch, n, tables and n & (n - 1) != 0)
-        assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
-            _by_gcd(CyclicPoly(n, b)) for b in range(1 << n)], n
+def test_unit_test_is_the_gcd_criterion_on_every_vector(tables):
+    with at_price(0 if tables else NEVER):
+        for n in range(1, 17):
+            assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
+                _by_gcd(CyclicPoly(n, b)) for b in range(1 << n)], n
 
 
-def test_unit_test_is_sympys_gcd_criterion_on_seeded_vectors(monkeypatch):
+def test_unit_test_is_sympys_gcd_criterion_on_seeded_vectors():
     # an outside reference: poly_gcd runs the same Euclid as the unit test's first tests
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
-    for n in range(1, 65):
+    for n in [*range(1, 65), 127, 163]:
         rng = random.Random(n)
         half = [rng.getrandbits(n) for _ in range(20)]
         vectors = [CyclicPoly(n, b | _mirror(b, n)) for b in half] + [
@@ -364,13 +360,13 @@ def test_unit_test_is_sympys_gcd_criterion_on_seeded_vectors(monkeypatch):
         ring = [1, *[0] * (n - 1), 1]  # x^n + 1, leading coefficient first
         expected = [galoistools.gf_gcd(galoistools.gf_strip([int(c) for c in f"{f.bits:b}"]),
                                        ring, 2, ZZ) == [1] for f in vectors]
-        for tables in (True, False):
-            _force(monkeypatch, n, tables and n & (n - 1) != 0)
-            assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, tables)
+        for price in (0, NEVER):
+            with at_price(price):
+                assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, price)
         assert True in expected and (n == 1 or False in expected), n
 
 
-def test_unit_test_is_the_gcd_criterion_on_seeded_vectors(monkeypatch):
+def test_unit_test_is_the_gcd_criterion_on_seeded_vectors():
     # half symmetric, half arbitrary, each answer seen at every ring size with an odd part
     for n in range(1, 65):
         rng = random.Random(n)
@@ -378,22 +374,21 @@ def test_unit_test_is_the_gcd_criterion_on_seeded_vectors(monkeypatch):
         vectors = [CyclicPoly(n, b | _mirror(b, n)) for b in half] + [
             CyclicPoly(n, rng.getrandbits(n)) for _ in range(60)]
         expected = [_by_gcd(f) for f in vectors]
-        for tables in (True, False):
-            _force(monkeypatch, n, tables and n & (n - 1) != 0)
-            assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, tables)
+        for price in (0, NEVER):
+            with at_price(price):
+                assert [is_unit_mod_cyclic(f) for f in vectors] == expected, (n, price)
         assert True in expected and (n == 1 or False in expected), n
 
 
-def test_zero_is_no_unit_and_two_power_ring_sizes_read_the_parity(monkeypatch):
-    monkeypatch.setattr(poly2, "_units", {})
-    for n in range(1, 65):
-        assert not is_unit_mod_cyclic(CyclicPoly(n, 0)), n
-    for n in (1, 2, 4, 8, 16):  # x^n - 1 = (x - 1)^n: f is a unit exactly when f(1) = 1
-        assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
-            b.bit_count() % 2 == 1 for b in range(1 << n)]
-    assert not any(n & (n - 1) == 0 for n in poly2._units)  # the parity keeps no state
-    _force(monkeypatch, 63, True)
-    assert not is_unit_mod_cyclic(CyclicPoly(63, 0))
+def test_zero_is_no_unit_and_two_power_ring_sizes_read_the_parity():
+    for price in (0, NEVER):
+        with at_price(price):
+            for n in range(1, 65):
+                assert not is_unit_mod_cyclic(CyclicPoly(n, 0)), (n, price)
+            for n in (1, 2, 4, 8, 16):  # x^n - 1 = (x - 1)^n: f is a unit exactly when f(1) = 1
+                assert [is_unit_mod_cyclic(CyclicPoly(n, b)) for b in range(1 << n)] == [
+                    b.bit_count() % 2 == 1 for b in range(1 << n)]
+            assert not any(n & (n - 1) == 0 for n in poly2._units)  # the parity keeps no state
 
 
 @pytest.mark.parametrize("price", [0, 1, 20])

@@ -1,12 +1,15 @@
 """Source-level rules for the package code."""
 
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import normbase
 
 SOURCES = sorted(Path(normbase.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements():
@@ -170,3 +173,20 @@ def test_no_unbounded_cache_keyed_on_a_field_spec():
              and "FieldSpec" in ast.unparse(node.args.args[0].annotation or ast.Pass())
              and any(_unbounded_cache(d) for d in node.decorator_list)]
     assert not found
+
+
+def test_every_catalogued_mutant_names_one_text_and_existing_tests():
+    # a stale entry of tools/mutants.py fails here at once, not only in its slow sweep: each old
+    # text occurs once in its file, and each test id names a file and, after ::, a function in it
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    stale = [name for name, file, old, *_ in mutants.MUTANTS
+             if (ROOT / file).read_text().count(old) != 1]
+    ids = {test.partition("::") for *_, tests in mutants.MUTANTS for test in tests}
+    texts = {path: (ROOT / path).read_text() for path, _, _ in ids if (ROOT / path).is_file()}
+    missing = [path + sep + function for path, sep, function in ids
+               if path not in texts or function and not re.search(
+                   rf"^def {re.escape(function.split('[')[0])}\(", texts[path], re.M)]
+    assert mutants.MUTANTS and ids
+    assert (stale, missing) == ([], [])
