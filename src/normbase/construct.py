@@ -25,14 +25,14 @@ The base fixes the lift map, _lift: a -> h = a * b^(-1), h -> g
 alike) and g -> sum g_i beta^(2^i), each GF(2)-linear.  The fold, its
 inverse and the t conjugates of beta depend on the field alone, so the
 spec keeps the base per t, and once it has served as many prescriptions
-as building them costs (poly2._rented), the byte tables of _lift with it;
-from then on a request reads the base and its tables by one lookup in the
-spec's store, and its lift by one table pass, with no quotient or factor
-built.  Before that, and for a base that is not kept, _lift runs as it
-reads.  A warm prescription reads conjugates only to check its result, and
-to trace it down when t < n.  compose multiplies prescriptions from the
-coprime 2-power and odd subfields; weight3 specializes composition to the
-minimum-weight vector available when 4 | n.
+as building them costs (poly2._rented at poly2._PRICES["lift"]), the byte
+tables of _lift with it; from then on a request reads the base and its
+tables by one lookup in the spec's store, and its lift by one table pass,
+with no quotient or factor built.  Before that, and for a base that is not
+kept, _lift runs as it reads.  A warm prescription reads conjugates only to
+check its result, and to trace it down when t < n.  compose multiplies
+prescriptions from the coprime 2-power and odd subfields; weight3
+specializes composition to the minimum-weight vector available when 4 | n.
 
 The pipeline's closing check, vec == a for the fold of the lift's
 recomputed vector (by the identity, the returned element's vector), is
@@ -57,7 +57,7 @@ import enum
 from dataclasses import dataclass
 
 from .factor import _factor, _odd_half_sum
-from .field import _RENT, FieldSpec, _check_divisor, _conjugates, _half_vector, elem_mul, rel_trace
+from .field import FieldSpec, _check_divisor, _conjugates, _half_vector, elem_mul, rel_trace
 from .normal import _scanned, corresponding_vector
 from .poly2 import (
     CyclicPoly,
@@ -207,12 +207,12 @@ def _base(spec: FieldSpec, t: int,
 
 def _kept_base(spec: FieldSpec, t: int) -> tuple:
     """(base, tables): the default _base, made once per t, and the byte tables of its _lift once
-    it has served _RENT prescriptions, None before.  With its tables the pair is held in
-    spec._held[t], the one entry that _pipeline reads first.  A table costs more loop
-    prescriptions as t grows, so at small t the rule buys late, by at most _RENT.
+    it has served _PRICES["lift"] prescriptions, None before.  With its tables the pair is held
+    in spec._held[t], the one entry that _pipeline reads first.  A table costs more loop
+    prescriptions as t grows, so at small t the rule buys late, by at most that price.
     """
-    base = _rented(spec._held, ("base", t), 0, _base, spec, t)
-    return _rented(spec._held, t, _RENT, _base_tables, base) or (base, None)
+    base = _rented(spec._held, ("base", t), None, _base, spec, t)
+    return _rented(spec._held, t, "lift", _base_tables, base) or (base, None)
 
 
 def _lift(base: tuple, a: CyclicPoly) -> int:
@@ -229,8 +229,8 @@ def _base_tables(base: tuple) -> tuple:
 
 def _pipeline(spec: FieldSpec, t: int, a: CyclicPoly, beta: int | None = None) -> tuple:
     """The one prescription entry, in GF(2^t) (t = n: the whole field): validate a, take the
-    base of beta (by default the kept base, with its tables once it has served _RENT), map a
-    to the lift, by _lift or by the tables, and run the closing check.  Returns
+    base of beta (by default the kept base, with its tables once it has served _PRICES["lift"]),
+    map a to the lift, by _lift or by the tables, and run the closing check.  Returns
     (base, element), which only prescribe_steps unpacks."""
     if not all(_flags(t, a)):
         raise InvalidVectorError(validate_vector(t, a))

@@ -10,8 +10,8 @@ Fields, ch. 2), so a spec keeps their byte tables, freed with it.  The
 squaring map (images g^(2j), by shifting and reducing) is built with the
 spec, which certifies its modulus by Rabin's test on it (_is_certified).
 Everything built later lives in the spec's one store, the dict spec._held,
-through poly2._rented.  The trace form is built on its first read (_trace_form,
-price 0): the traces
+through poly2._rented.  The trace form is built on its first read
+(_trace_form, no fork, so price 0): the traces
 p_m = Tr(g^m), m < 2n - 1, the power sums of the modulus's roots, are the
 coefficients of z F'(z)/F(z) for the reversed modulus F; the trace mask is
 their low n bits, and the Gram matrix of (x, y) -> Tr(xy) has row j, bit k
@@ -22,9 +22,10 @@ rows j over the bits j of b, and byte p of a contributes T[byte] >> 8p
 of alpha^(2^i) & w_alpha, and a spec reads them by a loop of table squarings
 until that has cost about one build of a multi-step Frobenius table, then by
 the table (_half_vector).  That switch is the package's one rent-or-buy rule,
-poly2._rented, which also buys a kept base of the construct module the table
-of its map a -> lift.  Public functions validate their elements; the inner
-loops apply the tables directly.
+poly2._rented, at the price poly2._PRICES["frobenius"]; the rule also buys a
+kept base of the construct module the table of its map a -> lift, at
+_PRICES["lift"].  Public functions validate their elements; the inner loops
+apply the tables directly.
 
 Element text formats: LSB-first hex of the coordinates ("0x2B") or a power
 sum "pow:1,126" meaning g^1 + g^126.
@@ -52,7 +53,6 @@ from .poly2 import (
 
 MAX_DEGREE = 64  # desk-scale bound; exhaustive oracles restrict further
 _STEPS = 8  # M, the conjugates one lookup round of a Frobenius table reads
-_RENT = 20  # the uses a loop serves before the spec builds its byte tables (_rented)
 _PARITY = bytes(b.bit_count() & 1 for b in range(256))  # translate: byte -> its parity
 
 
@@ -128,9 +128,9 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
     """The bits a_0 .. a_{n//2} of alpha's vector, a_i the parity of alpha^(2^i) & w_alpha.
 
     A loop of n // 2 table squarings reads the vector until the spec has
-    served _RENT of them, and the spec's Frobenius table from then on
-    (_rented).  On a 2-core Xeon with Python 3.11 (best of 9, three
-    processes), the fill of 256 entries per input byte included, a build
+    served poly2._PRICES["frobenius"] of them, and the spec's Frobenius table
+    from then on (_rented).  On a 2-core Xeon with Python 3.11 (best of 9,
+    three processes), the fill of 256 entries per input byte included, a build
     cost 18-22 loop reads at n = 13 .. 64 (0.14-0.17 ms at n = 21, 0.87-0.89
     ms at n = 64), and 4-16 at n <= 8.  A table read took 3.2 us against
     the loop's 3.2 at n = 8, 3.7 against 4.8 at n = 13, 4.9 against 7.9 at
@@ -146,7 +146,7 @@ def _half_vector(spec: FieldSpec, alpha: int) -> int:
     """
     n = spec.n
     w = _form(_trace_form(spec)[1], alpha, n)  # w_k = Tr(alpha * g^k)
-    held = _rented(spec._held, "frobenius", _RENT, _frobenius_tables, spec)
+    held = _rented(spec._held, "frobenius", "frobenius", _frobenius_tables, spec)
     if held is None:
         square, conj = spec._square, alpha
         bits = (alpha & w).bit_count() & 1
@@ -198,7 +198,7 @@ def _form(table: list[int], a: int, n: int) -> int:
 
 def _trace_form(spec: FieldSpec) -> tuple[int, list[int]]:
     """The trace mask and the Gram table, built on the first read and kept by the spec."""
-    return _rented(spec._held, "trace", 0, _trace_sequence, spec)
+    return _rented(spec._held, "trace", None, _trace_sequence, spec)
 
 
 def _trace_sequence(spec: FieldSpec) -> tuple[int, list[int]]:

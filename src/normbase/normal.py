@@ -93,7 +93,7 @@ def _scan(spec: FieldSpec) -> tuple[int, CyclicPoly]:
 
 def _scanned(spec: FieldSpec) -> tuple[int, CyclicPoly]:
     """The scan's normal element and its vector, kept by the spec."""
-    return _rented(spec._held, "scan", 0, _scan, spec)
+    return _rented(spec._held, "scan", None, _scan, spec)
 
 
 def find_normal(spec: FieldSpec, seed: int | None = None) -> int:

@@ -18,9 +18,10 @@ k = 0 .. n/2, which keeps them ascending in f_0 .. f_{n//2}.
 is_unit_mod_cyclic tests a ring size by Euclid, then by evaluation at the
 roots of unity through byte tables (_byte_tables), bought by the
 package's one rent-or-buy rule (_rented); its per-size counts and tables
-are the module's one state.  The other modules take _byte_tables, _linear,
-_picked_sum and _rented from here; _rented at price 0 is also their one
-lazy value.
+are the module's one state.  The rule reads every fork's price from the one
+table _PRICES, and each site names its fork there.  The other modules take
+_byte_tables, _linear, _picked_sum and _rented from here; _rented with no
+fork (None, price 0) is also their one lazy value.
 
 Text formats: "x^16+x^5+x^3+x^2+1" (terms in any order, duplicates
 rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
@@ -31,7 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-_UNIT_RENT = 256  # the gcd tests a ring size runs before it builds its evaluation tables
+# the uses a fork's loop serves before its tables are built (_rented): a spec's vector reads
+# (field._half_vector), a kept base's prescriptions (construct._kept_base), a ring size's
+# gcd tests (is_unit_mod_cyclic)
+_PRICES = {"frobenius": 20, "lift": 20, "units": 256}
 _UNIT_RINGS = 128  # the ring sizes _units holds at most (is_unit_mod_cyclic)
 _units: dict[int, int | tuple] = {}  # ring size -> its gcd tests so far, then its tables
 
@@ -103,20 +107,21 @@ def _picked_sum(values: list[int], mask: int) -> int:
     return acc
 
 
-def _rented(store: dict, key, price: int, build, *args):
-    """Rent or buy: None for the first price calls, counted in store[key], then build(*args),
-    made once and held in store[key]; the value built is never an int.
+def _rented(store: dict, key, fork: str | None, build, *args):
+    """Rent or buy: None for the first _PRICES[fork] calls, counted in store[key], then
+    build(*args), made once and held in store[key]; the value built is never an int.
 
     For a loop that tables can replace: the caller runs its loop on None and
     reads the tables otherwise, so it pays for tables only once its loop has
-    cost about as much as building them, and each site prices a build in its
-    own loop uses.  At price 0 it is a lazy value, built on the first read.
+    cost about as much as building them, and each fork prices a build in its
+    own loop uses, named in the one table _PRICES and read while the count
+    runs.  Fork None is price 0, a lazy value built on the first read.
     Threads that race here lose counts or build the same value twice; either
     way the result is the same.
     """
     held = store.get(key, 0)
     if type(held) is int:
-        if held < price:
+        if fork is not None and held < _PRICES[fork]:
             store[key] = held + 1
             return None
         held = store[key] = build(*args)
@@ -400,8 +405,8 @@ def is_unit_mod_cyclic(f: CyclicPoly) -> bool:
     nonzero: (x & L) + L carries into a field's top bit when its low bits
     are not all 0.
 
-    A ring size runs Euclid for its first _UNIT_RENT tests, counted in
-    _units, and buys its tables then (_rented).  On a 2-core Xeon with
+    A ring size runs Euclid for its first _PRICES["units"] tests, counted
+    in _units, and buys its tables then (_rented).  On a 2-core Xeon with
     Python 3.11 (best of 7 over 300 seeded vectors, two processes), a test
     took 0.5 us by the tables against 2.2-3.4 us by Euclid at n = 21 and
     1.0-1.7 against 6.6-9.5 at 63.  A build, the search for the modulus of
@@ -420,7 +425,7 @@ def is_unit_mod_cyclic(f: CyclicPoly) -> bool:
         return bits.bit_count() & 1 == 1
     if n not in _units and len(_units) >= _UNIT_RINGS:
         _units.clear()
-    held = _rented(_units, n, _UNIT_RENT, _unit_tables, n)
+    held = _rented(_units, n, "units", _unit_tables, n)
     if held is None:
         return bits != 0 and poly_gcd(bits, ring_modulus(n)) == 1
     tables, low, high = held

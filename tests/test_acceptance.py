@@ -7,14 +7,20 @@ and enforces the stated runtime budget.
 
 import json
 import random
+import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 from normbase.cli import EX_OK, main
 from normbase.construct import (
     Status,
+    compose,
     prescribe,
+    prescribe_in_subfield,
     prescribe_steps,
     validate_vector,
     weight3,
@@ -52,7 +58,7 @@ from normbase.poly2 import (
     ring_modulus,
 )
 
-from prices import at_price, each_price
+from prices import NEVER, at_price, each_price
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -404,3 +410,98 @@ def test_unit_tables_at_large_ring_sizes(n):
     assert expected[:3] == [False, True, False] and expected[3] == (n != 127)
     assert True in expected[4:] and False in expected[4:]
     _report(f"unit tables at ring size {n}")
+
+
+
+_SUBFIELDS = {12: (1, 2, 3, 4), 16: (1, 2, 4, 8, 16), 21: (1, 3, 7, 21)}  # the supported t
+_VALID = {t: [(_random_valid_odd if t % 2 else _random_valid_two_power)(t, random.Random(t))
+              for _ in range(8)] if t > 2 else [CyclicPoly(t, 1)]
+          for t in {t for ts in _SUBFIELDS.values() for t in ts}}
+_REFERENCES = {n: FieldSpec.from_degree(n) for n in _SUBFIELDS}  # only ever run at NEVER
+
+
+class SharedSpecsAtSmallPrices(RuleBasedStateMachine):
+    """Calls on shared specs at one price k of 1-8, so that every fork switches mid-stream while
+    other specs, subfields and ring sizes are at other stages.  Each result must be the same
+    call's on a reference spec that only ever runs at NEVER, and so never leaves its loops, and
+    each element must have the vector asked for, by the naive reference vector."""
+
+    def __init__(self, vector):
+        super().__init__()
+        self.vector = vector  # (spec, element, t) -> its vector in GF(2^t), naively
+
+    @initialize(price=st.integers(1, 8))
+    def enter(self, price):
+        self.price = at_price(price)
+        self.price.__enter__()
+        self.specs = {n: FieldSpec.from_degree(n) for n in _SUBFIELDS}
+
+    def teardown(self):
+        if hasattr(self, "price"):
+            self.price.__exit__(None, None, None)
+
+    def _alike(self, call, n, *args):
+        result = call(self.specs[n], *args)
+        with at_price(NEVER):
+            assert result == call(_REFERENCES[n], *args)
+        return result
+
+    @rule(n=st.sampled_from((16, 21)), data=st.data())
+    def prescribe(self, n, data):
+        a = data.draw(st.sampled_from(_VALID[n]))
+        assert self.vector(_REFERENCES[n], self._alike(prescribe, n, a), n) == a
+
+    @rule(n=st.sampled_from((16, 21)), data=st.data())
+    def prescribe_on_two_threads(self, n, data):
+        batch = data.draw(st.lists(st.sampled_from(_VALID[n]), min_size=1, max_size=8))
+        results = {}
+
+        def run(k):
+            results[k] = [prescribe(self.specs[n], a) for a in batch]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        with at_price(NEVER):
+            expected = [prescribe(_REFERENCES[n], a) for a in batch]
+        assert results == {0: expected, 1: expected}
+
+    @rule(n=st.sampled_from(tuple(_SUBFIELDS)), data=st.data())
+    def prescribe_in_subfield(self, n, data):
+        t = data.draw(st.sampled_from(_SUBFIELDS[n]))
+        a = data.draw(st.sampled_from(_VALID[t]))
+        assert self.vector(_REFERENCES[n], self._alike(prescribe_in_subfield, n, t, a), t) == a
+
+    @rule(a=st.sampled_from(_VALID[4]), b=st.sampled_from(_VALID[3]))
+    def compose(self, a, b):
+        gamma, c = self._alike(compose, 12, a, b)
+        assert self.vector(_REFERENCES[12], gamma, 12) == c
+
+    @rule(i0=st.sampled_from((1, 3)))
+    def weight3(self, i0):
+        gamma, c = self._alike(weight3, 12, i0)
+        assert self.vector(_REFERENCES[12], gamma, 12) == c and c.bits.bit_count() == 3
+
+    @rule(n=st.sampled_from(tuple(_SUBFIELDS)), alpha=st.integers(0, (1 << 21) - 1))
+    def corresponding_vector(self, n, alpha):
+        self._alike(corresponding_vector, n, alpha % (1 << n))
+
+    @rule(n=st.sampled_from((12, 15, 21, 33)), bits=st.integers(0, (1 << 33) - 1))
+    def is_unit_mod_cyclic(self, n, bits):
+        f = CyclicPoly(n, bits % (1 << n))
+        result = is_unit_mod_cyclic(f)
+        with at_price(NEVER):
+            assert result == is_unit_mod_cyclic(f)
+
+
+def test_shared_specs_at_small_prices_match_the_loops(naive_subfield_vector):
+    with Budget(5.0) as budget:
+        run_state_machine_as_test(
+            lambda: SharedSpecsAtSmallPrices(naive_subfield_vector), settings=settings(
+                derandomize=True, database=None, deadline=None, max_examples=30,
+                stateful_step_count=50))
+    # the references held their loops throughout
+    assert not any(type(value) is tuple for spec in _REFERENCES.values()
+                   for key, value in spec._held.items() if key == "frobenius" or type(key) is int)
+    _report(f"evidence: shared specs at prices 1-8 match the loops ({budget.elapsed:.1f}s)")

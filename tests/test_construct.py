@@ -19,7 +19,7 @@ from normbase.construct import (
     validate_vector,
     weight3,
 )
-from normbase.field import _RENT, FieldSpec, frobenius
+from normbase.field import FieldSpec, frobenius
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.oracle import (
     check_characterization,
@@ -32,11 +32,12 @@ from normbase.poly2 import (
     cyclic_mul,
     is_irreducible,
     is_symmetric,
+    is_unit_mod_cyclic,
     reciprocal,
     symmetric_vectors,
 )
 
-from prices import at_both_prices, each_price
+from prices import at_both_prices, at_prices, each_price
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -418,8 +419,9 @@ def test_kept_tables_and_loops_compose_alike(n):
 
 @pytest.mark.parametrize("n, support", [(4, {0, 1, 3}), (21, {0}), (64, {0, 1, 63})])
 def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, n, support):
-    # the loops serve _RENT prescriptions, about the cost of building the table, and the
-    # table serves from the next one on
+    # the loops serve the "lift" price of prescriptions, about the cost of building the table,
+    # and the table serves from the next one on
+    rent = poly2._PRICES["lift"]
     spec = FieldSpec.from_degree(n)
     target = CyclicPoly.from_support(n, support)
     element = prescribe(FieldSpec.from_degree(n), target)
@@ -428,36 +430,57 @@ def test_a_kept_base_builds_its_tables_once_it_has_served_its_rent(monkeypatch, 
         real = getattr(construct, name)
         monkeypatch.setattr(construct, name,
                             lambda *args, _name=name, _real=real: loops.append(_name) or _real(*args))
-    for k in range(_RENT):
+    for k in range(rent):
         assert prescribe(spec, target) == element
         assert spec._held[n] == k + 1
-    assert loops == ["cyclic_mul", "_picked_sum"] * _RENT
+    assert loops == ["cyclic_mul", "_picked_sum"] * rent
     assert prescribe(spec, target) == element
     assert type(spec._held[n]) is tuple and type(spec._held[n][1]) is list
     # the build lifts each monomial x^j once; from then on no request calls a loop
-    assert loops == ["cyclic_mul", "_picked_sum"] * (_RENT + n)
+    assert loops == ["cyclic_mul", "_picked_sum"] * (rent + n)
     built = len(loops)
     assert prescribe(spec, target) == element
     assert len(loops) == built
     # an explicit base serves by the loops, however often, and keeps no tables
     beta = find_normal(spec, seed=1)
-    for _ in range(_RENT + 1):
+    for _ in range(rent + 1):
         prescribe(spec, target, beta)
-    assert len(loops) == built + 2 * (_RENT + 1)
+    assert len(loops) == built + 2 * (rent + 1)
+
+
+def test_each_fork_switches_at_its_own_price():
+    # three distinct prices, so a site that names another fork's entry of the one table
+    # switches at the wrong count
+    with at_prices(frobenius=3, lift=5, units=7):
+        one = CyclicPoly(15, 1)  # at a ring size no spec below tests
+        for k in range(7):
+            assert is_unit_mod_cyclic(one) and poly2._units[15] == k + 1
+        assert is_unit_mod_cyclic(one) and type(poly2._units[15]) is tuple
+        spec = FieldSpec.from_degree(21)
+        for k in range(3):
+            corresponding_vector(spec, k + 1)
+            assert spec._held["frobenius"] == k + 1
+        corresponding_vector(spec, 4)
+        assert type(spec._held["frobenius"]) is tuple
+        for k in range(5):
+            prescribe(spec, CyclicPoly(21, 1))
+            assert spec._held[21] == k + 1
+        prescribe(spec, CyclicPoly(21, 1))
+        assert type(spec._held[21]) is tuple
 
 
 def test_a_spec_keeps_what_it_builds_later_in_its_one_store(monkeypatch):
     # vectors, kept bases past their switch and the audits add no attribute to a spec
     attributes = {"n", "modulus", "_square", "_held"}
     spec = FieldSpec.from_degree(21)
-    for a in range(1, _RENT + 2):  # past the Frobenius table's switch
+    for a in range(1, poly2._PRICES["frobenius"] + 2):  # past the Frobenius table's switch
         corresponding_vector(spec, a)
     assert set(vars(spec)) == attributes and type(spec._held["frobenius"]) is tuple
-    for _ in range(_RENT + 1):  # past the kept base's switch
+    for _ in range(poly2._PRICES["lift"] + 1):  # past the kept base's switch
         prescribe(spec, CyclicPoly(21, 1))
     assert set(vars(spec)) == attributes and type(spec._held[21]) is tuple
     sub = FieldSpec.from_degree(12)
-    for _ in range(_RENT + 1):
+    for _ in range(poly2._PRICES["lift"] + 1):
         weight3(sub)
         compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
     assert set(vars(sub)) == attributes and all(type(sub._held[t]) is tuple for t in (3, 4))
@@ -477,11 +500,12 @@ def test_prescribe_and_the_subfield_path_build_no_prescription(monkeypatch):
     monkeypatch.setattr(construct, "Prescription", lambda *args: built.append(args) or real(*args))
     spec = FieldSpec.from_degree(21)
     rng = random.Random(21)
-    targets = [_seeded_valid_vector(rng, 21) for _ in range(_RENT + 2)]  # past the switch
+    rent = poly2._PRICES["lift"]
+    targets = [_seeded_valid_vector(rng, 21) for _ in range(rent + 2)]  # past the switch
     elements = [prescribe(spec, a) for a in targets]
     prescribe(spec, targets[0], find_normal(spec, seed=1))
     wide = FieldSpec.from_degree(12)
-    for _ in range(_RENT + 2):
+    for _ in range(rent + 2):
         prescribe_in_subfield(wide, 3, CyclicPoly(3, 1))
         weight3(wide)
     assert built == []
@@ -499,7 +523,8 @@ def test_prescribe_is_the_element_of_prescribe_steps_on_every_valid_vector(n):
 def test_prescribe_is_the_element_of_prescribe_steps_on_seeded_vectors(n):
     spec = FieldSpec.from_degree(n)
     rng = random.Random(n)
-    targets = [_seeded_valid_vector(rng, n) for _ in range(2 * _RENT)]  # both sides of the switch
+    # both sides of the switch
+    targets = [_seeded_valid_vector(rng, n) for _ in range(2 * poly2._PRICES["lift"])]
     assert [prescribe(spec, a) for a in targets] == [
         prescribe_steps(spec, a).element for a in targets]
 
@@ -509,7 +534,7 @@ def test_threads_sharing_a_spec_prescribe_the_same_elements():
     # they get, by either path, is the one a fresh spec gives
     spec = FieldSpec.from_degree(33)
     rng = random.Random(33)
-    targets = [_seeded_valid_vector(rng, 33) for _ in range(3 * _RENT)]
+    targets = [_seeded_valid_vector(rng, 33) for _ in range(3 * poly2._PRICES["lift"])]
     fresh = FieldSpec.from_degree(33)
     expected = [prescribe(fresh, a) for a in targets]
     results = {}

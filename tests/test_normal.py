@@ -8,9 +8,9 @@ import weakref
 
 import pytest
 
-from normbase import normal
+from normbase import normal, poly2
 from normbase.construct import _fold, compose, prescribe, weight3
-from normbase.field import _RENT, FieldSpec, elem_mul, frobenius, rel_trace
+from normbase.field import FieldSpec, elem_mul, frobenius, rel_trace
 from normbase.normal import corresponding_vector, find_normal, is_normal
 from normbase.poly2 import (
     CyclicPoly,
@@ -220,10 +220,10 @@ def test_loop_and_table_vectors_agree_on_default_and_seeded_moduli(n, naive_subf
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 21, 32, 33, 64])
 def test_a_spec_builds_its_table_once_the_loop_has_cost_one_build(n):
-    # the loop serves _RENT vectors, about the cost of one build at every n >= 8, and the
-    # Frobenius table serves from the next one on
+    # the loop serves the "frobenius" price of vectors, about the cost of one build at every
+    # n >= 8, and the Frobenius table serves from the next one on
     spec = FieldSpec.from_degree(n)
-    for k in range(_RENT):
+    for k in range(poly2._PRICES["frobenius"]):
         corresponding_vector(spec, k % spec.order)
         assert spec._held["frobenius"] == k + 1
     vector = corresponding_vector(spec, spec.generator)
@@ -261,16 +261,16 @@ def test_field_spec_is_freed_and_its_choices_repeat():
     # per-field values live on the spec, so nothing keeps a dropped spec alive
     spec = FieldSpec.from_degree(21)
     element = find_normal(spec)
-    for _ in range(_RENT + 1):  # past the switch point, so the spec holds its Frobenius table
+    for _ in range(poly2._PRICES["frobenius"] + 1):  # past the switch, so the spec holds its table
         corresponding_vector(spec, element)
     frobenius_table = spec._held["frobenius"][0][0]
     frobenius_map = (id(frobenius_table), tuple(frobenius_table))
-    for _ in range(_RENT + 1):  # past the switch point, so the base holds its byte tables
+    for _ in range(poly2._PRICES["lift"] + 1):  # past the switch, so the base holds its tables
         prescribe(spec, CyclicPoly(21, 1))
     drawn = find_normal(spec, seed=7)
     sub = FieldSpec.from_degree(12)
     # the subfield prescriptions keep one base per subfield degree on the spec, with its tables
-    for _ in range(_RENT + 1):
+    for _ in range(poly2._PRICES["lift"] + 1):
         weight3(sub)
     compose(sub, CyclicPoly.from_support(4, {0, 1, 3}), CyclicPoly(3, 1))
     kept = ((spec, 21), (sub, 4), (sub, 3))

@@ -392,20 +392,35 @@ def test_zero_is_no_unit_and_two_power_ring_sizes_read_the_parity():
 
 
 @pytest.mark.parametrize("price", [0, 1, 20])
-def test_rent_is_none_for_price_calls_then_one_build(price):
+def test_rent_is_none_for_price_calls_then_one_build(monkeypatch, price):
+    monkeypatch.setattr(poly2, "_PRICES", {"fork": price})
     store, built = {"other": 7}, []
 
     def build():
         built.append([len(built)])
         return built[-1]
     for k in range(price):
-        assert poly2._rented(store, "key", price, build) is None
+        assert poly2._rented(store, "key", "fork", build) is None
         assert store == {"other": 7, "key": k + 1}
     assert built == []
-    held = poly2._rented(store, "key", price, build)
+    held = poly2._rented(store, "key", "fork", build)
     assert built == [held] and store["key"] is held
-    assert all(poly2._rented(store, "key", price, build) is held for _ in range(3))
+    assert all(poly2._rented(store, "key", "fork", build) is held for _ in range(3))
     assert len(built) == 1 and store["other"] == 7
+
+
+def test_rent_with_no_fork_is_price_zero_and_an_unknown_fork_raises(monkeypatch):
+    monkeypatch.setattr(poly2, "_PRICES", {"fork": 2})
+    store = {}
+    assert poly2._rented(store, "lazy", None, list) == [] and store == {"lazy": []}
+    with pytest.raises(KeyError):
+        poly2._rented(store, "key", "frok", list)
+    assert "key" not in store
+    # a held value reads no price, so a table bought is kept whatever the prices say later
+    for _ in range(3):
+        held = poly2._rented(store, "key", "fork", list)
+    monkeypatch.setattr(poly2, "_PRICES", {})
+    assert held == [] and poly2._rented(store, "key", "fork", list) is held
 
 
 def test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build(monkeypatch):
@@ -416,11 +431,12 @@ def test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build(mo
         monkeypatch.setattr(poly2, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     f = CyclicPoly.from_support(21, {0, 3, 18})  # a unit; 1 + x + x^20 shares x^3 + x + 1
-    for k in range(poly2._UNIT_RENT):
+    rent = poly2._PRICES["units"]
+    for k in range(rent):
         assert is_unit_mod_cyclic(f)
         assert poly2._units[21] == k + 1
-    assert calls == ["poly_gcd"] * poly2._UNIT_RENT
-    assert is_unit_mod_cyclic(f) and calls[poly2._UNIT_RENT] == "_unit_tables"
+    assert calls == ["poly_gcd"] * rent
+    assert is_unit_mod_cyclic(f) and calls[rent] == "_unit_tables"
     assert type(poly2._units[21]) is tuple
     built = len(calls)  # the build's own modulus search runs gcds too
     for _ in range(3):
@@ -454,7 +470,7 @@ def test_ring_size_bound_holds_every_field_degree(monkeypatch):
 def test_threads_racing_on_the_counts_get_the_gcd_answers(monkeypatch):
     # threads that race lose counts or build the same tables twice; every answer is the gcd's
     monkeypatch.setattr(poly2, "_units", {})
-    monkeypatch.setattr(poly2, "_UNIT_RENT", 5)
+    monkeypatch.setitem(poly2._PRICES, "units", 5)
     rng = random.Random(4)
     vectors = [CyclicPoly(n, rng.getrandbits(n)) for _ in range(40) for n in (15, 21, 33, 45, 63)]
     expected = [_by_gcd(f) for f in vectors]

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import normbase
+from normbase import poly2
 
 SOURCES = sorted(Path(normbase.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -152,6 +153,26 @@ def test_oracle_takes_the_spec_alone_from_field():
     # the generic tables come from poly2, field keeps no helper for the oracle, and anything
     # else from field would be the production kernel
     assert _names_imported_from("oracle.py", "field") == {"FieldSpec"}
+
+
+def test_every_rent_site_names_its_fork_in_the_one_price_table():
+    # each _rented call names a fork of poly2._PRICES by a string literal, or None for price 0,
+    # every fork is named, and no module but poly2 keeps a price of its own
+    forks, misnamed, priced = [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_rented" in _names(node.func):
+                fork = node.args[2] if len(node.args) > 2 else None
+                if isinstance(fork, ast.Constant) and fork.value in {None, *poly2._PRICES}:
+                    forks.append(fork.value)
+                else:
+                    misnamed.append(f"{path.name}:{node.lineno}")
+        if path.name != "poly2.py":
+            priced += [f"{path.name}:{name}" for name in set(_names(tree))
+                       if name == "_PRICES" or name.endswith("RENT")]
+    assert None in forks
+    assert (misnamed, set(poly2._PRICES) - set(forks), priced) == ([], set(), [])
 
 
 def _unbounded_cache(decorator: ast.expr) -> bool:

@@ -19,8 +19,8 @@ rewritten).  Run it from anywhere:
 
 The sweep is not part of the test suite, which checks only that each old
 text occurs once and each test id names an existing test
-(tests/test_source.py); the catalogue, ninety mutants, takes 110–125 s
-on a 2-core Xeon with Python 3.11.
+(tests/test_source.py); the catalogue, ninety-two mutants, takes about
+120 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ BASE_READ = "held if type(held) is tuple else _kept_base(spec, t)"
 BASE = ("    # the kept base with its tables, or a count until they are built; a forced beta is not kept\n"
         f"    held = {BASE_IF} (_base(spec, t, beta), None)\n"
         f"    base, tables = {BASE_READ}\n")
-BASE_RENTED = "_rented(spec._held, t, _RENT, _base_tables, base)"
+BASE_RENTED = '_rented(spec._held, t, "lift", _base_tables, base)'
 MONOMIAL = "CyclicPoly(t, 1 << j)"
 KEPT_TABLES = ["tests/test_construct.py::test_kept_tables_and_loops_prescribe_alike_on_every_valid_vector",
                "tests/test_construct.py::test_kept_tables_and_loops_compose_alike"]
@@ -77,14 +77,16 @@ SUBFIELD_GUARD = "    if not (_characterized(t) or t == 2):\n"
 EVERY_ELEMENT = ["tests/test_normal.py::test_loop_and_table_vectors_are_the_naive_vector_on_every_element"]
 SEEDED_VECTORS = ["tests/test_normal.py::test_loop_and_table_vectors_agree_on_default_and_seeded_moduli"]
 SWITCH = ["tests/test_normal.py::test_a_spec_builds_its_table_once_the_loop_has_cost_one_build"]
-FROBENIUS_RENTED = '    held = _rented(spec._held, "frobenius", _RENT, _frobenius_tables, spec)\n'
+FROBENIUS_RENTED = '    held = _rented(spec._held, "frobenius", "frobenius", _frobenius_tables, spec)\n'
+EACH_FORK = ["tests/test_construct.py::test_each_fork_switches_at_its_own_price"]
+PRICED = ["tests/test_source.py::test_every_rent_site_names_its_fork_in_the_one_price_table"]
 RENT = [
     "tests/test_poly2.py::test_rent_is_none_for_price_calls_then_one_build"]
 UNIT_EVERY = ["tests/test_poly2.py::test_unit_test_is_the_gcd_criterion_on_every_vector"]
 UNIT_SWITCH = [
     "tests/test_poly2.py::test_a_ring_size_builds_its_tables_once_its_gcd_tests_have_cost_one_build"]
 POW_SQUARE = "        r = _linear(square, r) if square else poly_mod(poly_mul(r, r), f)\n"
-UNIT_RENTED = "    held = _rented(_units, n, _UNIT_RENT, _unit_tables, n)\n"
+UNIT_RENTED = '    held = _rented(_units, n, "units", _unit_tables, n)\n'
 LIFT = "_picked_sum(conjugates, _factor("
 NEXT_LIFT = "_picked_sum(conjugates[1:] + conjugates[:1], _factor("
 ORDER_CHECK = ("        if all(_pow_mod(zeta, m // p, modulus) != 1 for p in primes):\n"
@@ -112,7 +114,7 @@ MUTANTS = [
     ("trace form built with the spec", FIELD,
      STORE, STORE + "        _trace_form(self)\n", [OWNERSHIP]),
     ("trace form in a module-level dict", FIELD,
-     "_rented(spec._held, \"trace\", 0,", "_rented(globals().setdefault(\"_OWNED\", {}), spec, 0,",
+     "_rented(spec._held, \"trace\", None,", "_rented(globals().setdefault(\"_OWNED\", {}), spec, None,",
      [OWNERSHIP, FREED]),
     ("store module-level, one per modulus", FIELD,
      STORE, STORE.replace("{}", "globals().setdefault(\"_HELD\", {}).setdefault(self.modulus, {})"),
@@ -128,11 +130,16 @@ MUTANTS = [
     ("Frobenius table built on the first vector", FIELD,
      FROBENIUS_RENTED, "    held = _frobenius_tables(spec)\n", SWITCH),
     ("Frobenius table never built", FIELD, FROBENIUS_RENTED, "    held = None\n", SWITCH),
-    ("Frobenius rent of _RENT + 1 reads", FIELD,
-     FROBENIUS_RENTED, FROBENIUS_RENTED.replace("_RENT,", "_RENT + 1,"), SWITCH),
+    ("Frobenius site names the lift fork", FIELD,
+     FROBENIUS_RENTED, FROBENIUS_RENTED.replace('"frobenius", _', '"lift", _'), EACH_FORK),
+    ("field keeps a price table of its own", FIELD,
+     "_STEPS = 8 ", "_PRICES = {\"frobenius\": 20}\n_STEPS = 8 ", PRICED),
     ("rent paid one use late", POLY2,
-     "        if held < price:\n", "        if held <= price:\n",
+     "held < _PRICES[fork]:", "held <= _PRICES[fork]:",
      RENT + SWITCH + BASE_SWITCH + UNIT_SWITCH),
+    ("no fork read as a price", POLY2,
+     "if fork is not None and held", "if held",
+     ["tests/test_poly2.py::test_rent_with_no_fork_is_price_zero_and_an_unknown_fork_raises"]),
     ("gcd only at n/2", FIELD,
      "for p in _prime_divisors(n))", "for p in [2])", CERTIFY),
     ("walk without the longer-than-n raise", ORACLE,
@@ -185,8 +192,8 @@ MUTANTS = [
     ("base tables built on the first use", CONSTRUCT,
      BASE_RENTED, "_base_tables(base)", BASE_SWITCH),
     ("base tables never built", CONSTRUCT, BASE_RENTED, "None", BASE_SWITCH),
-    ("base rent of _RENT + 1 prescriptions", CONSTRUCT,
-     BASE_RENTED, BASE_RENTED.replace("_RENT,", "_RENT + 1,"), BASE_SWITCH),
+    ("lift site names the frobenius fork", CONSTRUCT,
+     BASE_RENTED, BASE_RENTED.replace('"lift"', '"frobenius"'), EACH_FORK),
     ("warm read taking a count for the base", CONSTRUCT,
      BASE_READ, "held or _kept_base(spec, t)", BASE_SWITCH),
     ("held tables ignored", CONSTRUCT,
@@ -294,8 +301,8 @@ MUTANTS = [
     ("zeta of order m/p", POLY2,
      ORDER_CHECK, ORDER_CHECK.replace("break", "zeta = _pow_mod(zeta, primes[0], modulus)\n"
                                               "            break"), UNIT_EVERY),
-    ("unit rent of _UNIT_RENT + 1 tests", POLY2,
-     UNIT_RENTED, UNIT_RENTED.replace("_UNIT_RENT,", "_UNIT_RENT + 1,"), UNIT_SWITCH),
+    ("unit site names the frobenius fork", POLY2,
+     UNIT_RENTED, UNIT_RENTED.replace('"units"', '"frobenius"'), UNIT_SWITCH),
     ("unit tables never built", POLY2, UNIT_RENTED, "    held = None\n", UNIT_SWITCH),
     ("x^0 rejected as a negative exponent", POLY2,
      "if k < 0:", "if k <= 0:",
