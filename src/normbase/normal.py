@@ -42,6 +42,9 @@ from .poly2 import CyclicPoly, _byte_tables, _mirror, _rented, is_unit_mod_cycli
 # the seeded draw; every default modulus of degree n <= 64 but 63 is served
 # within 16,385 (n = 31), and seeded moduli can reach the cap too
 SCAN_CAP = 1 << 15
+# seeded draws before find_normal gives up: at every n <= 64 at least 24% of
+# GF(2^n) is normal (the fewest at n = 63), so a miss that long is a bug
+DRAW_CAP = 1 << 15
 
 
 def corresponding_vector(spec: FieldSpec, alpha: int) -> CyclicPoly:
@@ -108,13 +111,16 @@ def find_normal(spec: FieldSpec, seed: int | None = None) -> int:
     always return the same element; the scan runs once per spec, which
     keeps its result.  A seed must be an int (not a bool):
     any other value raises TypeError rather than seed a different draw.
+    The draw raises RuntimeError after DRAW_CAP candidates with none
+    normal, which only a wrong unit test can cause.
     """
     if seed is None:
         return _scanned(spec)[0]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     rng = random.Random(seed)
-    while True:
+    for _ in range(DRAW_CAP):
         a = rng.randrange(1, spec.order)
         if is_normal(spec, a):
             return a
+    raise RuntimeError(f"no normal element in {DRAW_CAP} seeded draws (implementation bug)")

@@ -29,24 +29,34 @@ e_j c_k Tr(g^(j+k)) over the bits j of e and k of c.  T holds those traces
 of the 2n - 1 monomials g^k, each g^k reduced by poly_mod and traced by the
 naive trace mask once per enumeration.  Grouped by the bits of c, Tr(e*c)
 is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1) over
-the set bits j of e.  w_e is linear in e, so those n images are tabulated
-once per call and one _linear lookup per orbit gives all n entries.  The
-oracle shares with the field's trace form only that identity, not its
-coefficients or its tables: T comes from naive conjugate sums and
-poly_mod, never from the spec.  The low n bits of T give Tr(e), the sum
-of the n conjugates of e, as the parity of e & T.
-When it is 0 the conjugates are linearly dependent, so e is never walked:
-the visited map starts with every such e marked, built from those n bits
-in n doublings, and bytearray.find jumps to the next element to decide.
-That is a rank fact, not the gcd criterion.  Every other full-length orbit
-gets its vector first, as the int of its n bits, and Gaussian rank decides
-it whenever the caller still reads that vector (a CyclicPoly is built only
-for a yielded orbit): every orbit for check_necessary, only a vector not
-yet found for achievable_vectors, only (1, 0, ..., 0) for the self-dual
-audit.  An orbit whose vector is already found cannot change the found
-set, whether it is normal or not.  Enumeration caps keep exhaustive runs
-under a second on one core (about 0.5 s for all of GF(2^20) on a 2-core
-Xeon with Python 3.11); the caps are the module constants below.
+the set bits j of e.  The oracle shares with the field's trace form only
+that identity, not its coefficients or its tables: T comes from naive
+conjugate sums and poly_mod, never from the spec.
+
+The vectors of all 2^n elements come from one bit-sliced pass (Biham, "A
+fast new DES implementation in software", FSE 1997): plane k is a 2^n-bit
+int whose bit e is bit k of e.  The n identity planes are built by
+doubling; a GF(2)-linear map of the elements is an XOR of planes, one per
+set bit of each basis image, so the planes of w_e and of each conjugate
+e^(2^i) (the oracle's naive squares, applied i times) cost no Python step
+per element.  Entry plane i, the XOR over k of C_i[k] & W[k], holds
+Tr(e * e^(2^i)) for every e; plane 0 is Tr(e).  The pass checks
+a_(n-i) = a_i for all elements at once and raises on a mismatch, so the
+trace-one elements are split into one class per vector by planes 1 to n/2
+alone, depth first.  A last plane, built by a sliced comparison with each
+conjugate, marks the orbit minima.  When Tr(e) = 0 the n conjugates sum to
+0, a linear dependency, so trace-zero elements enter no class: a rank fact,
+not the gcd criterion.  Each class's minima are read in ascending order
+(to_bytes, then find jumps to each nonzero byte), its orbits are walked by
+two half-width tables of naive squares, and Gaussian rank decides an orbit
+whenever the caller still reads its vector: every orbit for
+check_necessary, only a vector not yet found for achievable_vectors, only
+(1, 0, ..., 0) for the self-dual audit.  An orbit whose vector is already
+found cannot change the found set, whether it is normal or not, and the
+found set changes only for the class being walked.  Enumeration caps keep
+exhaustive runs under a second on one core (about 0.5 s for all of
+GF(2^20) on a 2-core Xeon with Python 3.11); the caps are the module
+constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -56,6 +66,8 @@ fields are ok, lines (the human output) and payload (the JSON record).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, xor
 from typing import Callable, Iterator
 
 from .construct import _characterized, _flags, pow2_odd_split
@@ -66,7 +78,7 @@ from .poly2 import (CyclicPoly, _byte_tables, _eliminate, _linear, cyclic_mul, p
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_NONZERO = b"\0" + b"\1" * 255  # a translate table: nonzero bytes to 1
 
 
 def _naive_square(spec: FieldSpec, a: int) -> int:
@@ -121,16 +133,74 @@ def _independent(rows: list[int]) -> bool:
     return True
 
 
-def _trace_zero_marks(n: int, traces: int) -> bytearray:
-    """Byte e is 1 - Tr(e) for every e < 2^n, bit j of traces being Tr(g^j): n doublings.
-
-    The trace is linear, so an e with bit j set has Tr(e) = Tr(e - 2^j) + Tr(g^j):
-    each doubling appends a copy of the map so far, flipped where Tr(g^j) = 1.
-    """
-    marks = bytearray(b"\1")  # Tr(0) = 0
+def _identity_planes(n: int) -> list[int]:
+    """Plane k of every e < 2^n: bit e set iff bit k of e is, built by n doublings."""
+    planes: list[int] = []
     for j in range(n):
-        marks += marks.translate(_FLIP if traces >> j & 1 else None)
-    return marks
+        size = 1 << j
+        planes = [p | p << size for p in planes] + [((1 << size) - 1) << size]
+    return planes
+
+
+def _mapped(images: list[int], planes: list[int]) -> list[int]:
+    """The planes of x -> XOR of images[j] over the set bits j of x, from the planes of x."""
+    out = [0] * len(planes)
+    for image, plane in zip(images, planes):
+        while image:
+            out[(image & -image).bit_length() - 1] ^= plane
+            image &= image - 1
+    return out
+
+
+def _classes(entries: list[int], n: int) -> Iterator[tuple[int, int]]:
+    """(bits, members) per vector of the trace-one elements, split depth-first by a_1 .. a_(n/2)."""
+    stack = [(1, entries[0], 1)]
+    while stack:
+        bits, members, i = stack.pop()
+        if i > n // 2:
+            yield bits, members
+            continue
+        ones = members & entries[i]
+        for bit, child in ((1 << i | 1 << (n - i), ones), (0, members ^ ones)):  # 0 popped first
+            if child:
+                stack.append((bits | bit, child, i + 1))
+
+
+def _ascending(mask: int) -> Iterator[int]:
+    """The set bits of a mask in ascending order: find jumps to each nonzero byte."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    nonzero, j = raw.translate(_NONZERO), -1
+    while (j := nonzero.find(1, j + 1)) != -1:
+        byte = raw[j]
+        while byte:
+            yield 8 * j + (byte & -byte).bit_length() - 1
+            byte &= byte - 1
+
+
+def _vector_planes(spec: FieldSpec) -> tuple[list[int], int]:
+    """(entries, minima) over every e < 2^n: the planes of a_0 .. a_(n/2), and of orbit minima."""
+    n = spec.n
+    traces = _monomial_traces(spec)
+    every = (1 << (1 << n)) - 1  # one bit per element
+    ident = _identity_planes(n)
+    form = _mapped([traces >> j & (1 << n) - 1 for j in range(n)], ident)  # the planes of w_e
+    squares = [_naive_square(spec, 1 << j) for j in range(n)]
+    conj, entries, minima = ident, [], every
+    for i in range(n):
+        if i:
+            conj = _mapped(squares, conj)  # the planes of e^(2^i)
+            above, same = 0, every  # e > e^(2^i): e has the first differing bit from the top
+            for x, c in zip(reversed(ident), reversed(conj)):
+                differ = same & (x ^ c)
+                above |= differ & x
+                same ^= differ
+            minima ^= minima & above
+        entry = reduce(xor, map(and_, conj, form))  # Tr(e * e^(2^i)) of every e
+        if i <= n // 2:
+            entries.append(entry)
+        elif entry != entries[n - i]:
+            raise RuntimeError("vector entries a_i and a_(n-i) differ (implementation bug)")
+    return entries, minima
 
 
 def _require_enumerable(n: int) -> None:
@@ -143,40 +213,34 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
     """Yield (e, vector) once per rank-normal orbit with a wanted vector, e its smallest element.
 
     The n conjugates of e are normal with e and share its vector, since
-    Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Each
-    full-length orbit's vector comes first, and the rank test runs only when
-    wanted(bits) holds for the vector's int bits, asked just before the
-    orbit would be yielded, so a caller can turn away the vectors it no
-    longer needs.  Elements are scanned in ascending order, so every
-    element below a yielded e has been decided.
+    Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Orbits come
+    class by class, one class per vector, in ascending order of e within a
+    class; the order of the classes is not part of the contract.  The rank
+    test runs only when wanted(bits) holds for the vector's int bits, asked
+    before each orbit of the class is walked, so a caller can turn away the
+    vectors it no longer needs; the first no ends the class, so a vector
+    turned away stays away.  Every orbit of a class below a yielded e has
+    been decided.
     """
     n = spec.n
     _require_enumerable(n)
-    traces = _monomial_traces(spec)
-    full = (1 << n) - 1
-    form = _byte_tables([(traces >> j) & full for j in range(n)])  # e -> w_e
+    entries, minima = _vector_planes(spec)
     h, low, high = _square_tables(spec)
     half = (1 << h) - 1
-    # Tr(e) = 0 sums the n conjugates to 0, a linear dependency; they share the trace,
-    # so each starts marked and find jumps to the next unvisited e with Tr(e) = 1
-    visited = _trace_zero_marks(n, traces)
-    e = 0
-    while (e := visited.find(0, e + 1)) != -1:
-        w = _linear(form, e)
-        bits, orbit = (e & w).bit_count() & 1, [e]
-        x = low[e & half] ^ high[e >> h]
-        for i in range(1, n):
-            if x == e:
-                break  # a shorter orbit lies in a proper subfield, so its conjugates repeat
-            visited[x] = 1
-            bits |= ((x & w).bit_count() & 1) << i
-            orbit.append(x)
-            x = low[x & half] ^ high[x >> h]
-        else:
-            if x != e:
-                raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
-            if wanted(bits) and _independent(orbit):
-                yield e, CyclicPoly(n, bits)
+    for bits, members in _classes(entries, n):
+        orbits = _ascending(members & minima)
+        while wanted(bits) and (e := next(orbits, 0)):  # 0 has trace 0: it ends the class
+            orbit, x = [e], low[e & half] ^ high[e >> h]
+            for _ in range(1, n):
+                if x == e:
+                    break  # a shorter orbit lies in a proper subfield, so its conjugates repeat
+                orbit.append(x)
+                x = low[x & half] ^ high[x >> h]
+            else:
+                if x != e:
+                    raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
+                if _independent(orbit):
+                    yield e, CyclicPoly(n, bits)
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
@@ -280,15 +344,17 @@ def check_necessary(spec: FieldSpec) -> Report:
     """The vector of every normal element passes the necessary conditions for composite 4 | n."""
     _require_enumerable(spec.n)  # first: an over-cap degree is reported as such
     _require_composite(spec.n)  # then the degree shape, still before the enumeration
-    count, failures = 0, []
+    count, failing = 0, []
     failed: dict[CyclicPoly, bool] = {}  # few distinct vectors: each validated once
-    for _, vec in enumerate_normal(spec):
+    for e, vec in enumerate_normal(spec):
         # counted per element: each orbit stands for its n conjugates, which share vec
         count += spec.n
         if vec not in failed:
             failed[vec] = not all(_flags(spec.n, vec))
         if failed[vec]:
-            failures += [f"vector {vec}"] * spec.n
+            failing.append((e, vec))
+    # orbits come class by class: the lines list them by e, which no two orbits share
+    failures = [f"vector {vec}" for _, vec in sorted(failing) for _ in range(spec.n)]
     return _violations("necessary", "necessary-conditions", spec.n, "normal_elements",
                        count, failures)
 

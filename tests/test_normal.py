@@ -22,6 +22,7 @@ from normbase.poly2 import (
 )
 
 from prices import at_both_prices
+from test_acceptance import Budget
 from rank_reference import is_subfield_normal_by_rank
 
 
@@ -91,6 +92,16 @@ def test_find_normal_seed_must_be_an_int(f16):
         with pytest.raises(TypeError, match="seed must be an int"):
             find_normal(f16, seed)
     assert (find_normal(f16), find_normal(f16, seed=0), find_normal(f16, 7)) == (0x800, 0xD82D, 0xF2A8)
+
+
+def test_seeded_draw_without_a_normal_element_is_an_implementation_bug(monkeypatch):
+    # a unit test that never answers yes ends the draw after DRAW_CAP candidates, not never
+    calls = []
+    monkeypatch.setattr(normal, "is_normal", lambda spec, a: calls.append(a) or False)
+    with Budget(2.0), pytest.raises(RuntimeError) as exc:
+        find_normal(FieldSpec.from_degree(16), seed=3)
+    assert str(exc.value) == f"no normal element in {normal.DRAW_CAP} seeded draws (implementation bug)"
+    assert len(calls) == normal.DRAW_CAP
 
 # the scan's element on the default modulus of every degree where the
 # uncapped scan ended (all n <= 64 but 63); the cap must not move any of them

@@ -1,6 +1,7 @@
 """Brute-force oracles: enumeration, predicted sets, factor search."""
 
 import random
+import tracemalloc
 from functools import reduce
 from operator import xor
 
@@ -24,7 +25,7 @@ from normbase.oracle import (
     _naive_square,
     _naive_trace_mask,
     _square_tables,
-    _trace_zero_marks,
+    _vector_planes,
     achievable_vectors,
     check_characterization,
     check_factorization,
@@ -35,6 +36,7 @@ from normbase.oracle import (
 )
 from normbase.poly2 import (
     CyclicPoly,
+    _mirror,
     cyclic_mul,
     find_irreducible,
     is_irreducible,
@@ -69,6 +71,13 @@ def _brute_vector(spec, a):
     return CyclicPoly(spec.n, bits)
 
 
+def _class_by_class(orbits):
+    # the orbits of one vector come in one run, ascending in e
+    runs = [vec for i, (_, vec) in enumerate(orbits) if i == 0 or vec != orbits[i - 1][1]]
+    return len(runs) == len(set(runs)) and all(
+        orbits[i - 1][0] < e for i, (e, vec) in enumerate(orbits) if i and vec == orbits[i - 1][1])
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orbit_reduction_is_sound(n, per_element):
     # one yield per orbit, expanded, equals the per-element brute force over every element
@@ -79,7 +88,7 @@ def test_orbit_reduction_is_sound(n, per_element):
     for modulus in [default] + [seeded] * (seeded is not None):
         spec = FieldSpec(n, modulus)
         orbits = list(enumerate_normal(spec))
-        assert [e for e, _ in orbits] == sorted(e for e, _ in orbits)
+        assert _class_by_class(orbits)
         expanded = {}
         for e, vec in orbits:
             orbit = [x for x, _ in per_element(spec, [(e, vec)])]
@@ -167,21 +176,93 @@ def test_trace_form_is_the_monomial_traces_regrouped(n):
                     == (poly_mul(e, c) & traces).bit_count() & 1)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_trace_first_test_is_the_sum_of_the_conjugates(n):
-    # the enumeration skips e, unwalked, when the low n bits of T give Tr(e) = 0:
-    # its visited map starts at 1 - Tr(e)
+    # only trace-one elements enter a class: the trace plane, entry plane 0, holds Tr(e) for
+    # every e, and the low n bits of T give the same sum of the n conjugates
     spec = FieldSpec(n, _random_modulus(random.Random(n), n))
-    traces = _monomial_traces(spec)
-    mask = traces & (spec.order - 1)
-    marks = _trace_zero_marks(n, traces)
-    assert len(marks) == spec.order
+    mask = _monomial_traces(spec) & (spec.order - 1)
+    plane = _vector_planes(spec)[0][0]
+    assert plane >> spec.order == 0
     for e in range(spec.order):
         orbit = _naive_orbit(spec, e)
         conjugate_sum = reduce(xor, orbit * (n // len(orbit)))  # Tr(e), n conjugates
         assert conjugate_sum in (0, 1)
         assert (e & mask).bit_count() & 1 == conjugate_sum
-        assert marks[e] == 1 - conjugate_sum
+        assert plane >> e & 1 == conjugate_sum
+
+
+def _plane_vector(entries, n, e):
+    # the vector bits of e read off the entry planes of a_0 .. a_(n/2), the rest mirrored
+    half = sum((plane >> e & 1) << i for i, plane in enumerate(entries))
+    return half | _mirror(half, n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_entry_planes_are_the_brute_vector_on_every_element(n):
+    # entry plane i is the XOR over k of C_i[k] & W[k], the planes of e^(2^i) and of w_e
+    rng = random.Random(2000 + n)
+    for modulus in (find_irreducible(n), _random_modulus(rng, n)):
+        spec = FieldSpec(n, modulus)
+        entries, _ = _vector_planes(spec)
+        assert len(entries) == n // 2 + 1 and max(entries) >> spec.order == 0
+        assert ([_plane_vector(entries, n, e) for e in range(spec.order)]
+                == [_brute_vector(spec, e).bits for e in range(spec.order)])
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_entry_planes_are_the_brute_vector_on_seeded_elements(n):
+    rng = random.Random(n)
+    spec = FieldSpec(n, _random_modulus(rng, n))
+    entries, _ = _vector_planes(spec)
+    for e in [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(100)]:
+        assert _plane_vector(entries, n, e) == _brute_vector(spec, e).bits
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_minima_plane_marks_every_orbit_minimum(n):
+    # e is marked iff e <= each of its conjugates: one mark per orbit, trace one or not, so the
+    # classes, which hold trace-one elements only, walk each trace-one orbit once
+    spec = FieldSpec(n, _random_modulus(random.Random(3000 + n), n))
+    minima = _vector_planes(spec)[1]
+    assert minima >> spec.order == 0
+    assert ({e for e in range(spec.order) if minima >> e & 1}
+            == {min(_naive_orbit(spec, e)) for e in range(spec.order)})
+
+
+def test_asymmetric_entries_are_an_implementation_bug(monkeypatch):
+    # a_(n-i) = a_i holds for a trace; flip Tr(g^n) and the form is no trace, so the pass,
+    # which splits by a_1 .. a_(n/2) alone, must refuse before any class is walked
+    spec = FieldSpec.from_degree(8)
+    traces = _monomial_traces(spec)
+    monkeypatch.setattr(oracle, "_monomial_traces", lambda spec: traces ^ 1 << spec.n)
+    with pytest.raises(RuntimeError) as exc:
+        next(enumerate_normal(spec))
+    assert str(exc.value) == "vector entries a_i and a_(n-i) differ (implementation bug)"
+
+
+def test_characterization_at_sixteen_holds_under_a_megabyte():
+    # the classes are split depth-first, so at most two masks per level are held; a
+    # breadth-first list of every class mask held about 1.3 MB at n = 16
+    spec = FieldSpec.from_degree(16)
+    assert check_characterization(spec).ok  # imports and the spec's own values first
+    tracemalloc.start()
+    try:
+        assert check_characterization(spec).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_necessary_violation_lines_keep_element_order(monkeypatch):
+    # orbits come class by class; the report lists the failing ones by their smallest element
+    spec = FieldSpec.from_degree(12)
+    reference = list(_reference_enumeration(spec))
+    assert [e for e, _ in enumerate_normal(spec)] != [e for e, _ in reference]
+    monkeypatch.setattr(oracle, "_flags", lambda n, vec: [False])
+    assert check_necessary(spec).lines[1:] == tuple(
+        f"  violation at vector {vec}" for _, vec in reference for _ in range(12))
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -190,8 +271,9 @@ def test_enumeration_matches_the_reference_loop(n):
     for modulus in (find_irreducible(n), _random_modulus(rng, n)):
         spec = FieldSpec(n, modulus)
         reference = list(_reference_enumeration(spec))
-        assert ([(e, vec.bits) for e, vec in enumerate_normal(spec)]
-                == [(e, vec.bits) for e, vec in reference])
+        orbits = list(enumerate_normal(spec))
+        assert _class_by_class(orbits)
+        assert sorted((e, vec.bits) for e, vec in orbits) == [(e, vec.bits) for e, vec in reference]
         # the audits that rank-test only the vectors they still read give the same answers
         assert achievable_vectors(spec) == {vec for _, vec in reference}
         self_dual = any(vec.bits == 1 for _, vec in reference)

@@ -10,7 +10,10 @@ tests/, tools/ and pyproject.toml, so the checkout is never edited:
    run at a time; a failing run kills the mutant, a passing one lets it
    survive.
 
-It prints one line per mutant (killed or survived, and the seconds taken)
+Each pytest run is stopped after TIMEOUT_S seconds.  A mutant whose run is
+stopped, say one that turns a bounded loop into an endless one, counts as
+killed: its tests did not pass.  It prints one line per mutant (killed,
+survived or timeout, and the seconds taken)
 and exits 1 on a survivor, or on an old text that no longer occurs exactly
 once (a stale entry: the code it names has changed, so the entry must be
 rewritten).  Run it from anywhere:
@@ -19,8 +22,8 @@ rewritten).  Run it from anywhere:
 
 The sweep is not part of the test suite, which checks only that each old
 text occurs once and each test id names an existing test
-(tests/test_source.py); the catalogue, ninety-two mutants, takes about
-120 s on a 2-core Xeon with Python 3.11.
+(tests/test_source.py); the catalogue, ninety-eight mutants, takes about
+170 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # one pytest run; the unmutated run of every listed test takes about 25 s
 FIELD = "src/normbase/field.py"
 CERTIFY = [
     "tests/test_field.py::test_certification_matches_trial_division_exhaustively",
@@ -44,6 +48,11 @@ FREED = "tests/test_normal.py::test_field_spec_is_freed_and_its_choices_repeat"
 STORE = '        object.__setattr__(self, "_held", {})  # the values built later, by key (_rented)\n'
 ORACLE = "src/normbase/oracle.py"
 REFERENCE = ["tests/test_oracle.py::test_enumeration_matches_the_reference_loop"]
+PLANES = ["tests/test_oracle.py::test_entry_planes_are_the_brute_vector_on_every_element"]
+MINIMA = ["tests/test_oracle.py::test_minima_plane_marks_every_orbit_minimum"]
+SPLIT = "for bit, child in ((1 << i | 1 << (n - i), ones), (0, members ^ ones)):"
+SYMMETRY = ("        elif entry != entries[n - i]:\n"
+            "            raise RuntimeError(\"vector entries a_i and a_(n-i) differ (implementation bug)\")\n")
 FULL_SPAN = ["tests/test_oracle.py::test_independent_is_a_full_span"]
 CONSTRUCT = "src/normbase/construct.py"
 BASE_IF = "spec._held.get(t) if beta is None else"
@@ -143,20 +152,32 @@ MUTANTS = [
     ("gcd only at n/2", FIELD,
      "for p in _prime_divisors(n))", "for p in [2])", CERTIFY),
     ("walk without the longer-than-n raise", ORACLE,
-     "            if x != e:\n"
-     "                raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n",
+     "                if x != e:\n"
+     "                    raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n",
      "",
      ["tests/test_oracle.py::test_enumeration_orbit_longer_than_n_is_an_implementation_bug"]),
     ("walk one step short", ORACLE,
-     "for i in range(1, n):", "for i in range(1, n - 1):", REFERENCE),
-    ("walk leaves conjugates unvisited", ORACLE,
-     "            visited[x] = 1\n", "", REFERENCE),
+     "for _ in range(1, n):", "for _ in range(1, n - 1):", REFERENCE),
+    ("every element taken as its orbit's minimum", ORACLE,
+     "            minima ^= minima & above\n", "", REFERENCE + MINIMA),
     ("high half shifted by h - 1", ORACLE,
      "x = low[x & half] ^ high[x >> h]", "x = low[x & half] ^ high[x >> (h - 1)]", REFERENCE),
     ("yield without the rank test", ORACLE,
-     "if wanted(bits) and _independent(orbit):", "if wanted(bits):", REFERENCE),
-    ("skip on odd parity", ORACLE,
-     "_FLIP if traces >> j & 1 else None", "None if traces >> j & 1 else _FLIP", REFERENCE),
+     "if _independent(orbit):", "if True:", REFERENCE),
+    ("classes of the trace-zero elements", ORACLE,
+     "stack = [(1, entries[0], 1)]", "stack = [(1, entries[0] ^ (1 << (1 << n)) - 1, 1)]", REFERENCE),
+    ("symmetry raise removed", ORACLE, SYMMETRY, "",
+     ["tests/test_oracle.py::test_asymmetric_entries_are_an_implementation_bug"]),
+    ("minima comparison reading the conjugate's bit", ORACLE,
+     "above |= differ & x", "above |= differ & c", REFERENCE + MINIMA),
+    ("split drops the zero child", ORACLE,
+     SPLIT, SPLIT.replace(", (0, members ^ ones))", ",)"), REFERENCE),
+    ("entry plane i from conjugate set i + 1", ORACLE,
+     "entry = reduce(xor, map(and_, conj, form))",
+     "entry = reduce(xor, map(and_, _mapped(squares, conj), form))", PLANES),
+    ("necessary lines in class order", ORACLE,
+     "for _, vec in sorted(failing) for", "for _, vec in failing for",
+     ["tests/test_oracle.py::test_necessary_violation_lines_keep_element_order"]),
     ("dependent row taken as independent", ORACLE,
      "        if not (r := _eliminate(basis, r)):\n            return False\n",
      "        if not (r := _eliminate(basis, r)):\n            continue\n", FULL_SPAN),
@@ -166,10 +187,10 @@ MUTANTS = [
      ["tests/test_oracle.py::test_monomial_traces_are_the_production_traces",
       "tests/test_field.py::test_trace_basics"]),
     ("wanted sees a shifted vector", ORACLE,
-     "if wanted(bits) and", "if wanted(bits >> 1) and", REFERENCE),
+     "while wanted(bits) and", "while wanted(bits >> 1) and", REFERENCE),
     ("form rows shifted by one", ORACLE,
-     "[(traces >> j) & full for j in range(n)]", "[(traces >> (j + 1)) & full for j in range(n)]",
-     REFERENCE),
+     "[traces >> j & (1 << n) - 1 for j in range(n)]",
+     "[traces >> (j + 1) & (1 << n) - 1 for j in range(n)]", REFERENCE + PLANES),
     ("monomial traced one power up", ORACLE,
      "        x = 1 << i\n", "        x = 1 << (i + 1)\n", ["tests/test_field.py::test_trace_basics"]),
     ("verdict swaps ok and FAIL", CONSTRUCT,
@@ -290,6 +311,9 @@ MUTANTS = [
     ("first block of 257 encodings", NORMAL,
      "range(H, H + 256)", "range(H, H + 257)",
      ["tests/test_normal.py::test_first_block_yields_each_encoding_once"]),
+    ("seeded draw one candidate past its cap", NORMAL,
+     "for _ in range(DRAW_CAP):", "for _ in range(DRAW_CAP + 1):",
+     ["tests/test_normal.py::test_seeded_draw_without_a_normal_element_is_an_implementation_bug"]),
     ("SCAN_CAP = 2^14", NORMAL,
      "SCAN_CAP = 1 << 15", "SCAN_CAP = 1 << 14",
      ["tests/test_normal.py::test_find_normal_pinned_by_degree[31]"]),
@@ -335,13 +359,16 @@ MUTANTS = [
 ]
 
 
-def _pytest(copy: Path, tests: list[str]) -> bool:
-    """True iff the tests pass on the tree at copy."""
+def _pytest(copy: Path, tests: list[str]) -> str:
+    """"passed", "failed" or "timeout": the tests on the tree at copy, stopped after TIMEOUT_S."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                         stderr=subprocess.DEVNULL)
-    return run.returncode == 0
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if run.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -352,7 +379,7 @@ def main() -> int:
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
         listed = sorted({test for *_, tests in MUTANTS for test in tests})
-        if not _pytest(copy, listed):
+        if _pytest(copy, listed) != "passed":
             print("the listed tests fail on the unmutated tree", file=sys.stderr)
             return 1
         failed = False
@@ -364,11 +391,11 @@ def main() -> int:
                 continue
             (copy / file).write_text(text.replace(old, new))
             start = time.perf_counter()
-            killed = not _pytest(copy, tests)
+            outcome = _pytest(copy, tests)
             (copy / file).write_text(text)
-            verdict = "killed" if killed else "survived"
+            verdict = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
             print(f"{name:40s} {verdict:8s} {time.perf_counter() - start:5.1f} s")
-            failed |= not killed
+            failed |= outcome == "passed"
     return int(failed)
 
 
