@@ -10,9 +10,9 @@ its squaring tables, which the spec uses only to certify its modulus, nor
 its trace form.  Squaring is GF(2)-linear, so the oracle squares by tables
 of its own naive squares of g^j, built once per call: the trace mask, each
 Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
-and an enumeration by two half-width tables.  The generic helpers
-_byte_tables and _linear only tabulate and apply the values they are
-given, so a wrong spec table can reach an audit only through that
+and the rank test by translate tables of the same n squares.  The generic
+helpers _byte_tables and _linear only tabulate and apply the values they
+are given, so a wrong spec table can reach an audit only through that
 certification.  The rank test reduces by poly2's _eliminate, as the factor
 solver does; the audits stay non-circular, since the factorization audit
 checks that solver against a brute force over G, and the rank test is
@@ -43,20 +43,33 @@ per element.  Entry plane i, the XOR over k of C_i[k] & W[k], holds
 Tr(e * e^(2^i)) for every e; plane 0 is Tr(e).  The pass checks
 a_(n-i) = a_i for all elements at once and raises on a mismatch, so the
 trace-one elements are split into one class per vector by planes 1 to n/2
-alone, depth first.  A last plane, built by a sliced comparison with each
-conjugate, marks the orbit minima.  When Tr(e) = 0 the n conjugates sum to
-0, a linear dependency, so trace-zero elements enter no class: a rank fact,
-not the gcd criterion.  Each class's minima are read in ascending order
-(to_bytes, then find jumps to each nonzero byte), its orbits are walked by
-two half-width tables of naive squares, and Gaussian rank decides an orbit
-whenever the caller still reads its vector: every orbit for
-check_necessary, only a vector not yet found for achievable_vectors, only
-(1, 0, ..., 0) for the self-dual audit.  An orbit whose vector is already
-found cannot change the found set, whether it is normal or not, and the
-found set changes only for the class being walked.  Enumeration caps keep
-exhaustive runs under a second on one core (about 0.5 s for all of
-GF(2^20) on a 2-core Xeon with Python 3.11); the caps are the module
-constants below.
+alone, depth first.  When Tr(e) = 0 the n conjugates sum to 0, a linear
+dependency, so trace-zero elements enter no class: a rank fact, not the
+gcd criterion.
+
+Gaussian rank decides the orbits a round needs all at once, in the style
+of SIMD within a register (Fisher and Dietz, "Compiling for SIMD Within a
+Register", LCPC 1998): each orbit's n conjugates are the rows of its own
+matrix, one lane of ceil(n/8) bytes per orbit in one Python int.
+_eliminate reduces every lane's row by its own pivots at once, each
+residue is placed at its leading bit, and every lane is squared by
+ceil(n/8)^2 bytes.translate calls, so the interpreter pays its per-step
+cost once per round, not once per orbit.  After n squarings every lane
+must be back at its element, or the pass raises.  A subfield orbit repeats
+a row, so it comes out dependent.  Round 1 ranks the smallest element of
+every class the caller wants; a class holds whole orbits, so that element
+is its orbit's minimum.  Round 2, after round 1's yields, splits the
+classes again and ranks the other orbits of each class still wanted,
+their minima read from a last plane, built by a sliced comparison with
+each conjugate only when round 2 has work, in ascending order (to_bytes,
+then find jumps to each nonzero byte).  A class of at most n elements has
+no other orbit of n elements, so it needs no round 2.  The callers want
+every class for check_necessary, only a vector not yet found for
+achievable_vectors, and only (1, 0, ..., 0) for the self-dual audit: an
+orbit whose vector is already found cannot change the found set, whether
+it is normal or not.  Enumeration caps keep exhaustive runs under a
+second on one core (about 0.2 s for all of GF(2^20) on a 2-core Xeon with
+Python 3.11); the caps are the module constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -115,24 +128,6 @@ def _monomial_traces(spec: FieldSpec) -> int:
     return traces
 
 
-def _square_tables(spec: FieldSpec) -> tuple[int, list[int], list[int]]:
-    """(h, low, high): x^2 = low[x & (2^h - 1)] ^ high[x >> h], h = ceil(n/2), g^(2j) naive."""
-    h = (spec.n + 1) // 2
-    tables = _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)], h)
-    low, high = (tables + [[0]])[:2]  # n = 1 has no high half
-    return h, low, high
-
-
-def _independent(rows: list[int]) -> bool:
-    """GF(2) elimination: True iff the rows are independent (stops at the first dependent)."""
-    basis = [0] * max(rows).bit_length()  # pivots by leading bit: sized by width, not row count
-    for r in rows:
-        if not (r := _eliminate(basis, r)):
-            return False
-        basis[r.bit_length() - 1] = r
-    return True
-
-
 def _identity_planes(n: int) -> list[int]:
     """Plane k of every e < 2^n: bit e set iff bit k of e is, built by n doublings."""
     planes: list[int] = []
@@ -177,30 +172,94 @@ def _ascending(mask: int) -> Iterator[int]:
             byte &= byte - 1
 
 
-def _vector_planes(spec: FieldSpec) -> tuple[list[int], int]:
-    """(entries, minima) over every e < 2^n: the planes of a_0 .. a_(n/2), and of orbit minima."""
+def _conjugate_planes(squares: list[int]) -> Iterator[list[int]]:
+    """The planes of e, e^2, ..., e^(2^(n-1)) for every e < 2^n, each set mapped from the last."""
+    conj = _identity_planes(len(squares))
+    yield conj
+    for _ in range(1, len(squares)):
+        conj = _mapped(squares, conj)
+        yield conj
+
+
+def _vector_planes(spec: FieldSpec, squares: list[int]) -> list[int]:
+    """The planes of a_0 .. a_(n/2) over every e < 2^n; squares[j] is the naive square of g^j."""
     n = spec.n
     traces = _monomial_traces(spec)
-    every = (1 << (1 << n)) - 1  # one bit per element
-    ident = _identity_planes(n)
-    form = _mapped([traces >> j & (1 << n) - 1 for j in range(n)], ident)  # the planes of w_e
-    squares = [_naive_square(spec, 1 << j) for j in range(n)]
-    conj, entries, minima = ident, [], every
-    for i in range(n):
-        if i:
-            conj = _mapped(squares, conj)  # the planes of e^(2^i)
-            above, same = 0, every  # e > e^(2^i): e has the first differing bit from the top
-            for x, c in zip(reversed(ident), reversed(conj)):
-                differ = same & (x ^ c)
-                above |= differ & x
-                same ^= differ
-            minima ^= minima & above
+    entries: list[int] = []
+    for i, conj in enumerate(_conjugate_planes(squares)):
+        if not i:  # the identity planes
+            form = _mapped([traces >> j & (1 << n) - 1 for j in range(n)], conj)  # planes of w_e
         entry = reduce(xor, map(and_, conj, form))  # Tr(e * e^(2^i)) of every e
         if i <= n // 2:
             entries.append(entry)
         elif entry != entries[n - i]:
             raise RuntimeError("vector entries a_i and a_(n-i) differ (implementation bug)")
-    return entries, minima
+    return entries
+
+
+def _minima(squares: list[int]) -> int:
+    """The plane of orbit minima: bit e set iff e <= each of its conjugates."""
+    conjugates = _conjugate_planes(squares)
+    ident = next(conjugates)
+    every = minima = (1 << (1 << len(squares))) - 1  # one bit per element
+    for conj in conjugates:
+        above, same = 0, every  # e > e^(2^i): e has the first differing bit from the top
+        for x, c in zip(reversed(ident), reversed(conj)):
+            differ = same & (x ^ c)
+            above |= differ & x
+            same ^= differ
+        minima ^= minima & above
+    return minima
+
+
+def _lane_tables(n: int, squares: list[int]) -> list[list[bytes]]:
+    """T[p][q]: the translate table of byte q of the naive square of a byte at byte position p.
+
+    The 256 squares of byte position p are one int, ceil(n/8) bytes an entry,
+    doubled one image at a time: entry v + 2^j is entry v XOR squares[8p + j].
+    """
+    width = (n + 7) // 8
+    lane, tables = b"\1".ljust(width, b"\0"), []
+    for p in range(0, n, 8):
+        table, images = 0, squares[p:p + 8]
+        for j, image in enumerate(images):
+            table |= (table ^ image * int.from_bytes(lane * (1 << j), "little")) << (8 * width << j)
+        raw = table.to_bytes(width << len(images), "little") * (256 >> len(images))  # bits past n: 0
+        tables.append([raw[q::width] for q in range(width)])
+    return tables
+
+
+def _normal_lanes(n: int, tables: list[list[bytes]], es: list[int]) -> bytes:
+    """One byte per e in es, 1 iff its n conjugates are independent: every e ranked at once.
+
+    Lane i of one int holds a row of e_i, len(tables) bytes wide.  Each of
+    the n rows is reduced by _eliminate, then each lane's residue is placed
+    at its leading bit, and every lane is squared by the translate tables;
+    after n squarings each lane must hold its e again.  A lane is normal iff
+    bit k of basis[k] is set in it for every k.
+    """
+    width = len(tables)
+    size = width * len(es)
+    start = int.from_bytes(b"".join(e.to_bytes(width, "little") for e in es), "little")
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(es), "little")  # bit 0 of every lane
+    fill, x, basis = (1 << n) - 1, start, [0] * n
+    for _ in range(n):
+        r = _eliminate(basis, x, ones, fill)
+        for k in range(n - 1, -1, -1):
+            if not r:
+                break
+            lead = (r >> k & ones) * fill & r  # the lanes whose residue leads with bit k
+            basis[k] |= lead
+            r ^= lead
+        raw, x = x.to_bytes(size, "little"), 0
+        for p, table in enumerate(tables):  # byte p of every lane, squared into all its bytes
+            lanes, out = raw[p::width], bytearray(size)
+            for q, t in enumerate(table):
+                out[q::width] = lanes.translate(t)
+            x ^= int.from_bytes(out, "little")
+    if x != start:
+        raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
+    return reduce(and_, (b >> k & ones for k, b in enumerate(basis))).to_bytes(size, "little")[::width]
 
 
 def _require_enumerable(n: int) -> None:
@@ -214,39 +273,52 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
 
     The n conjugates of e are normal with e and share its vector, since
     Tr(x^2) = Tr(x); each normal orbit has exactly n elements.  Orbits come
-    class by class, one class per vector, in ascending order of e within a
-    class; the order of the classes is not part of the contract.  The rank
-    test runs only when wanted(bits) holds for the vector's int bits, asked
-    before each orbit of the class is walked, so a caller can turn away the
-    vectors it no longer needs; the first no ends the class, so a vector
-    turned away stays away.  Every orbit of a class below a yielded e has
-    been decided.
+    in two rounds, each ranked by one _normal_lanes pass.  Round 1 ranks the
+    smallest element of each class, one class per vector; round 2, run after
+    round 1's yields, ranks the other orbits of each class still wanted
+    that has more than n elements.  Within a round orbits come in class
+    order, ascending within a class; the order of the classes is not part
+    of the contract.  wanted(bits), for the vector's int bits, is asked per
+    class before each round, so a caller can turn away the vectors it no
+    longer needs; a class turned away in round 1 is not asked again.
     """
     n = spec.n
     _require_enumerable(n)
-    entries, minima = _vector_planes(spec)
-    h, low, high = _square_tables(spec)
-    half = (1 << h) - 1
+    squares = [_naive_square(spec, 1 << j) for j in range(n)]
+    entries = _vector_planes(spec, squares)
+    # a class holds whole orbits, so its smallest element is its first orbit's minimum
+    first = {bits: (members ^ members - 1).bit_length() - 1
+             for bits, members in _classes(entries, n) if wanted(bits)}
+    if not first:
+        return
+    tables = _lane_tables(n, squares)
+    yield from _ranked(n, tables, list(first.items()))
+    later = {bits for bits in first if wanted(bits)}
+    if not later:
+        return
+    minima, orbits = None, []
     for bits, members in _classes(entries, n):
-        orbits = _ascending(members & minima)
-        while wanted(bits) and (e := next(orbits, 0)):  # 0 has trace 0: it ends the class
-            orbit, x = [e], low[e & half] ^ high[e >> h]
-            for _ in range(1, n):
-                if x == e:
-                    break  # a shorter orbit lies in a proper subfield, so its conjugates repeat
-                orbit.append(x)
-                x = low[x & half] ^ high[x >> h]
-            else:
-                if x != e:
-                    raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
-                if _independent(orbit):
-                    yield e, CyclicPoly(n, bits)
+        # n elements or fewer hold no second orbit of n: a shorter orbit repeats a row
+        if bits in later and members.bit_count() > n:
+            minima = _minima(squares) if minima is None else minima
+            others = members & minima
+            orbits += ((bits, e) for e in _ascending(others & others - 1))
+    yield from _ranked(n, tables, orbits)
+
+
+def _ranked(n: int, tables: list[list[bytes]], orbits: list[tuple[int, int]]
+            ) -> Iterator[tuple[int, CyclicPoly]]:
+    """(e, vector) for each (bits, e) of orbits, in order, whose e is normal by one lane pass."""
+    if orbits:
+        normal = _normal_lanes(n, tables, [e for _, e in orbits])
+        yield from ((e, CyclicPoly(n, bits)) for (bits, e), ok in zip(orbits, normal) if ok)
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:
     """Distinct corresponding vectors over all (rank-)normal elements.
 
-    Only an orbit whose vector is not yet found is rank-tested: an orbit
+    Only a class whose vector is not yet found is ranked: round 2 passes
+    over every class whose smallest element was normal, since an orbit
     whose vector is already in the set cannot change it, whether it is
     normal or not.  The set is kept as ints, and rebuilt as vectors once.
     """

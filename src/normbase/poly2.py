@@ -128,10 +128,18 @@ def _rented(store: dict, key, fork: str | None, build, *args):
     return held
 
 
-def _eliminate(basis: Sequence[int], r: int) -> int:
-    """XOR into the GF(2) row r the pivot basis[i] at its leading bit i while there is one."""
-    while r and (b := basis[r.bit_length() - 1]):
-        r ^= b
+def _eliminate(basis: Sequence[int], r: int, ones: int = 1, fill: int = -1) -> int:
+    """Reduce the GF(2) row r by the pivots of basis, top column first, in every lane at once.
+
+    Lanes are fixed-width fields of one int, one matrix's row in each: ones
+    holds bit 0 of every lane and fill a lane of ones.  basis[k] holds, in
+    each lane, a row led by bit k, or 0, and is XORed into each lane of r
+    that has bit k set.  The defaults are one unbounded lane.
+    """
+    for k in range(len(basis) - 1, -1, -1):
+        if b := basis[k]:  # an empty column reduces nothing
+            hit = r >> k & b >> k & ones
+            r ^= b & hit * fill
     return r
 
 

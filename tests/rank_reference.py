@@ -1,12 +1,24 @@
 """The rank reference for subfield normality, which the tests compare the production path with.
 
 alpha is normal in GF(2^t) exactly when it has t distinct conjugates and they
-are linearly independent: the oracle's naive squaring and its GF(2)
-elimination decide both, with no production kernel.
+are linearly independent: the oracle's naive squaring and the package's one
+GF(2) elimination routine, on its one-lane default, decide both, with no
+production kernel.
 """
 
 from normbase.field import FieldSpec, _check_divisor, _check_elem
-from normbase.oracle import _independent, _naive_square
+from normbase.oracle import _naive_square
+from normbase.poly2 import _eliminate
+
+
+def _independent(rows: list[int]) -> bool:
+    """True iff the GF(2) rows are independent: each reduces to a new leading bit by _eliminate."""
+    basis = [0] * max(rows).bit_length()  # pivots by leading bit: sized by width, not row count
+    for r in rows:
+        if not (r := _eliminate(basis, r)):
+            return False
+        basis[r.bit_length() - 1] = r
+    return True
 
 
 def _orbit(spec: FieldSpec, alpha: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Reciprocal-product factorization in the cyclic ring."""
 
+import hashlib
 import random
 
 import pytest
@@ -305,6 +306,15 @@ def test_rank_deficient_system_is_an_implementation_bug(monkeypatch):
     finally:
         factor._images.cache_clear()
     assert str(exc.value) == "factorization system is rank-deficient (implementation bug)"
+
+
+def test_images_are_pinned_at_every_ring_size_they_serve():
+    # the images of every odd and 2-power ring size up to MAX_DEGREE, as the leading-bit
+    # elimination gave them: _eliminate's one-lane default, which reduces every column top
+    # down, solves the 2-power systems to the same images
+    sizes = [t for t in range(1, MAX_DEGREE + 1) if t % 2 or t & (t - 1) == 0]
+    digest = hashlib.sha256(repr([_images(t) for t in sizes]).encode()).hexdigest()
+    assert digest == "6bc2d538778559ed99855301dfc8bff3948dcdbee73888185181983868c674ff"
 
 
 def test_images_cache_holds_every_ring_size_it_serves():

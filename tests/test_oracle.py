@@ -20,11 +20,11 @@ from normbase.field import (
 from normbase.normal import corresponding_vector, is_normal
 from normbase.oracle import (
     _factors_in_G,
-    _independent,
+    _lane_tables,
+    _minima,
     _monomial_traces,
     _naive_square,
     _naive_trace_mask,
-    _square_tables,
     _vector_planes,
     achievable_vectors,
     check_characterization,
@@ -36,6 +36,7 @@ from normbase.oracle import (
 )
 from normbase.poly2 import (
     CyclicPoly,
+    _eliminate,
     _mirror,
     cyclic_mul,
     find_irreducible,
@@ -45,7 +46,7 @@ from normbase.poly2 import (
 )
 
 import rank_reference
-from rank_reference import _orbit, is_subfield_normal_by_rank
+from rank_reference import _independent, _orbit, is_subfield_normal_by_rank
 
 
 def test_enumeration_counts(per_element):
@@ -78,6 +79,19 @@ def _class_by_class(orbits):
         orbits[i - 1][0] < e for i, (e, vec) in enumerate(orbits) if i and vec == orbits[i - 1][1])
 
 
+def _round_by_round(orbits):
+    # round 1 yields at most one orbit per vector; round 2 the others class by class, ascending
+    # within a class and above the class's round-1 orbit.  The longest prefix of distinct vectors
+    # is taken as round 1: whenever some split passes, this one does
+    first = {}
+    for e, vec in orbits:
+        if vec in first:
+            break
+        first[vec] = e
+    later = orbits[len(first):]
+    return _class_by_class(later) and all(first.get(vec, -1) < e for e, vec in later)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_orbit_reduction_is_sound(n, per_element):
     # one yield per orbit, expanded, equals the per-element brute force over every element
@@ -88,7 +102,7 @@ def test_orbit_reduction_is_sound(n, per_element):
     for modulus in [default] + [seeded] * (seeded is not None):
         spec = FieldSpec(n, modulus)
         orbits = list(enumerate_normal(spec))
-        assert _class_by_class(orbits)
+        assert _round_by_round(orbits)
         expanded = {}
         for e, vec in orbits:
             orbit = [x for x, _ in per_element(spec, [(e, vec)])]
@@ -108,17 +122,31 @@ def _random_modulus(rng, n):
             return f
 
 
+def _squares(spec):
+    return [_naive_square(spec, 1 << j) for j in range(spec.n)]
+
+
+def _lane_square(tables, a):
+    # byte p of a picks byte q of its square from T[p][q], as the lane pass reads every lane
+    width = len(tables)
+    raw = a.to_bytes(width, "little")
+    return reduce(xor, (table[q][raw[p]] << 8 * q for p, table in enumerate(tables)
+                        for q in range(width)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
 def test_table_square_is_the_naive_square(n):
     # the tables are built from _naive_square of the basis monomials only
     rng = random.Random(n)
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
-        h, low, high = _square_tables(spec)
-        # two half-width tables: h = ceil(n/2), at most 2 * 2^10 entries up to the cap
-        assert h == n - n // 2 and len(low) == 1 << h and len(high) == 1 << (n - h)
+        tables = _lane_tables(n, _squares(spec))
+        # ceil(n/8) byte positions, each with ceil(n/8) translate tables of 256 bytes
+        width = (n + 7) // 8
+        assert len(tables) == width and all(
+            len(table) == width and all(len(t) == 256 for t in table) for table in tables)
         samples = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)]
-        assert ([low[a & ((1 << h) - 1)] ^ high[a >> h] for a in samples]
+        assert ([_lane_square(tables, a) for a in samples]
                 == [_naive_square(spec, a) for a in samples])
 
 
@@ -182,7 +210,7 @@ def test_trace_first_test_is_the_sum_of_the_conjugates(n):
     # every e, and the low n bits of T give the same sum of the n conjugates
     spec = FieldSpec(n, _random_modulus(random.Random(n), n))
     mask = _monomial_traces(spec) & (spec.order - 1)
-    plane = _vector_planes(spec)[0][0]
+    plane = _vector_planes(spec, _squares(spec))[0]
     assert plane >> spec.order == 0
     for e in range(spec.order):
         orbit = _naive_orbit(spec, e)
@@ -204,7 +232,7 @@ def test_entry_planes_are_the_brute_vector_on_every_element(n):
     rng = random.Random(2000 + n)
     for modulus in (find_irreducible(n), _random_modulus(rng, n)):
         spec = FieldSpec(n, modulus)
-        entries, _ = _vector_planes(spec)
+        entries = _vector_planes(spec, _squares(spec))
         assert len(entries) == n // 2 + 1 and max(entries) >> spec.order == 0
         assert ([_plane_vector(entries, n, e) for e in range(spec.order)]
                 == [_brute_vector(spec, e).bits for e in range(spec.order)])
@@ -214,17 +242,17 @@ def test_entry_planes_are_the_brute_vector_on_every_element(n):
 def test_entry_planes_are_the_brute_vector_on_seeded_elements(n):
     rng = random.Random(n)
     spec = FieldSpec(n, _random_modulus(rng, n))
-    entries, _ = _vector_planes(spec)
+    entries = _vector_planes(spec, _squares(spec))
     for e in [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(100)]:
         assert _plane_vector(entries, n, e) == _brute_vector(spec, e).bits
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_minima_plane_marks_every_orbit_minimum(n):
-    # e is marked iff e <= each of its conjugates: one mark per orbit, trace one or not, so the
-    # classes, which hold trace-one elements only, walk each trace-one orbit once
+    # e is marked iff e <= each of its conjugates: one mark per orbit, trace one or not, so
+    # round 2, which reads the classes' trace-one elements only, ranks each orbit once
     spec = FieldSpec(n, _random_modulus(random.Random(3000 + n), n))
-    minima = _vector_planes(spec)[1]
+    minima = _minima(_squares(spec))
     assert minima >> spec.order == 0
     assert ({e for e in range(spec.order) if minima >> e & 1}
             == {min(_naive_orbit(spec, e)) for e in range(spec.order)})
@@ -255,6 +283,25 @@ def test_characterization_at_sixteen_holds_under_a_megabyte():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("audit", [check_necessary, achievable_vectors],
+                         ids=["necessary", "achievable"])
+def test_enumeration_at_the_cap_keeps_its_class_masks_lazy(audit):
+    # round 2 splits the classes again rather than holding each class's 2^20-bit mask from
+    # round 1: held, they peaked at 34 MB traced at n = 20, against about 11 MB for the
+    # planes, the minima and the lanes
+    from test_acceptance import Budget
+
+    spec = FieldSpec.from_degree(20)
+    with Budget(5.0):
+        tracemalloc.start()
+        try:
+            audit(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_necessary_violation_lines_keep_element_order(monkeypatch):
     # orbits come class by class; the report lists the failing ones by their smallest element
     spec = FieldSpec.from_degree(12)
@@ -272,7 +319,7 @@ def test_enumeration_matches_the_reference_loop(n):
         spec = FieldSpec(n, modulus)
         reference = list(_reference_enumeration(spec))
         orbits = list(enumerate_normal(spec))
-        assert _class_by_class(orbits)
+        assert _round_by_round(orbits)
         assert sorted((e, vec.bits) for e, vec in orbits) == [(e, vec.bits) for e, vec in reference]
         # the audits that rank-test only the vectors they still read give the same answers
         assert achievable_vectors(spec) == {vec for _, vec in reference}
@@ -285,15 +332,17 @@ def test_enumeration_matches_the_reference_loop(n):
 
 @pytest.mark.parametrize("seeded", [False, True])
 def test_audits_rank_test_only_the_vectors_they_read(seeded, monkeypatch):
-    # characterization: a vector not yet found; self-dual: (1, 0, ..., 0); necessary: every
-    # full-length orbit with Tr(e) = 1.  The counts do not depend on the modulus
-    calls, independent = [], oracle._independent
+    # lanes per round: round 1 ranks the smallest element of each wanted class, round 2 the other
+    # orbits of each class still wanted with more than n elements.  characterization: a vector
+    # not yet found; self-dual: (1, 0, ..., 0); necessary: every class.  The counts do not
+    # depend on the modulus
+    calls, normal_lanes = [], oracle._normal_lanes
 
-    def counted(rows):
-        calls.append(rows)
-        return independent(rows)
+    def counted(n, tables, es):
+        calls.append(len(es))
+        return normal_lanes(n, tables, es)
 
-    monkeypatch.setattr(oracle, "_independent", counted)
+    monkeypatch.setattr(oracle, "_normal_lanes", counted)
     rng = random.Random(7)
 
     def spec(n):
@@ -303,15 +352,17 @@ def test_audits_rank_test_only_the_vectors_they_read(seeded, monkeypatch):
         calls.clear()
         report = audit(arg)
         assert report.ok
-        return len(calls)
+        return calls[:]
 
-    assert count(check_characterization, spec(13)) == 63
-    # 45 achievable vectors and 416 non-normal orbits with a vector not yet found
-    assert count(check_characterization, spec(15)) == 461
-    assert count(check_characterization, spec(16)) == 64
-    assert count(check_necessary, spec(12)) == 170
+    # 63 normal smallest elements and the class of 1 alone, which has no round 2
+    assert count(check_characterization, spec(13)) == [64]
+    # round 1 finds all 45 achievable vectors; round 2 ranks the 338 other orbits of the 68
+    # classes of more than 15 elements among the other 83, and none is normal
+    assert count(check_characterization, spec(15)) == [128, 338]
+    assert count(check_characterization, spec(16)) == [64]
+    assert count(check_necessary, spec(12)) == [11, 161]
     if not seeded:  # the self-dual audit runs on the default moduli only
-        assert count(check_self_dual_existence, 12) == 8
+        assert count(check_self_dual_existence, 12) == [1] * 8
 
 
 def _naive_orbit(spec, alpha):
@@ -323,12 +374,12 @@ def _naive_orbit(spec, alpha):
 
 
 def _table_orbit(spec, alpha):
-    # the chain the enumeration walks: x^2 = low[x & (2^h - 1)] ^ high[x >> h]
-    h, low, high = _square_tables(spec)
-    orbit, x = [alpha], low[alpha & ((1 << h) - 1)] ^ high[alpha >> h]
+    # the rows a lane of the enumeration takes, squared byte by byte by the translate tables
+    tables = _lane_tables(spec.n, _squares(spec))
+    orbit, x = [alpha], _lane_square(tables, alpha)
     while x != alpha:
         orbit.append(x)
-        x = low[x & ((1 << h) - 1)] ^ high[x >> h]
+        x = _lane_square(tables, x)
     return orbit
 
 
@@ -405,7 +456,8 @@ def _span_size(rows):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_independent_is_a_full_span(n):
     # t rows are independent iff their XOR span has 2^t elements; t <= n rows of n bits,
-    # so the pivots are indexed by width, with a zero or a repeated row at any position
+    # so the pivots are indexed by width, with a zero or a repeated row at any position.
+    # rank_reference's _independent reduces by _eliminate's one-lane default
     rng = random.Random(n)
     for t in range(1, n + 1):
         for _ in range(20):
@@ -415,6 +467,50 @@ def test_independent_is_a_full_span(n):
                          rng.sample(rows + [rng.choice(rows)], t + 1)):
                 assert _independent(case) == (_span_size(case) == 1 << len(case)), case
     assert _independent([0]) is False and _independent([1 << n]) is True
+
+
+def _lane_independent(lanes, n, width):
+    # every lane's rows at once: row j of each lane packed in one int, reduced by the multi-lane
+    # _eliminate, each residue placed at its leading bit; a zero residue makes its lane dependent
+    bits = 8 * width
+    ones = sum(1 << bits * i for i in range(len(lanes)))
+    basis, verdicts = [0] * n, [True] * len(lanes)
+    for j in range(len(lanes[0])):
+        r = _eliminate(basis, sum(rows[j] << bits * i for i, rows in enumerate(lanes)), ones,
+                       (1 << n) - 1)
+        for i in range(len(lanes)):
+            residue = r >> bits * i & (1 << bits) - 1
+            if residue:
+                basis[residue.bit_length() - 1] |= residue << bits * i
+            else:
+                verdicts[i] = False
+    return verdicts
+
+
+def _row_set(rng, n, t, independent):
+    # t rows of n bits, drawn until independent, or with one row made a zero, a repeat or a sum
+    rows = [rng.randrange(1 << n) for _ in range(t)]
+    if independent:
+        return rows if _span_size(rows) == 1 << t else _row_set(rng, n, t, True)
+    k = rng.randrange(t)
+    rest = rows[:k] + rows[k + 1:]
+    rows[k] = reduce(xor, rng.sample(rest, rng.randrange(min(t - 1, 2) + 1)), 0)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_lane_elimination_is_the_one_lane_verdict_and_the_span(n):
+    # up to 10 rows of n bits per lane (the span is a set of 2^t), lanes 1 to 3 bytes wide:
+    # every lane independent, every lane dependent, and a mix
+    rng = random.Random(4000 + n)
+    for width in range((n + 7) // 8, 4):
+        for t in range(1, min(n, 10) + 1):
+            for kinds in ([True] * 5, [False] * 5, [rng.random() < 0.5 for _ in range(9)]):
+                lanes = [_row_set(rng, n, t, kind) for kind in kinds]
+                verdicts = _lane_independent(lanes, n, width)
+                assert verdicts == kinds
+                assert verdicts == [_independent(rows) for rows in lanes]
+                assert verdicts == [_span_size(rows) == 1 << t for rows in lanes]
 
 
 def test_achievable_vectors_are_symmetric_with_leading_one(f12):
@@ -542,10 +638,11 @@ def test_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
 
 
 def test_enumeration_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
-    # the enumeration walks its own tables: tabulate x -> g*x, of order 51 on the default modulus
+    # the lanes square by their own tables: tabulate x -> g*x, of order 51 on the default
+    # modulus, so no lane is back at its element after n steps
     spec = FieldSpec.from_degree(8)
-    times_g = _byte_tables([elem_mul(spec, 2, 1 << j) for j in range(spec.n)], 4)
-    monkeypatch.setattr(oracle, "_square_tables", lambda spec: (4, *times_g))
+    times_g = _lane_tables(spec.n, [elem_mul(spec, 2, 1 << j) for j in range(spec.n)])
+    monkeypatch.setattr(oracle, "_lane_tables", lambda n, squares: times_g)
     with pytest.raises(RuntimeError) as exc:
         list(enumerate_normal(spec))
     assert str(exc.value) == "Frobenius orbit longer than n (implementation bug)"
