@@ -5,32 +5,33 @@ coordinate matrix, deliberately NOT by the gcd criterion the production
 path uses; the two are compared in tests, so theorem audits stay
 non-circular; vectors are computed naively, multiply then trace, all n
 entries.  The oracle has its own naive square (spread the bits, then
-reduce) and its own trace mask, and reads none of the spec's tables: neither
-its squaring tables, which the spec uses only to certify its modulus, nor
-its trace form.  Squaring is GF(2)-linear, so the oracle squares by tables
-of its own naive squares of g^j, built once per call: the trace mask, each
-Tr(g^i) a sum of n conjugates, by byte tables (n naive squares in all),
-and the rank test by translate tables of the same n squares.  The generic
-helpers _byte_tables and _linear only tabulate and apply the values they
-are given, so a wrong spec table can reach an audit only through that
-certification.  The rank test reduces by poly2's _eliminate, as the factor
-solver does; the audits stay non-circular, since the factorization audit
-checks that solver against a brute force over G, and the rank test is
-checked against is_normal's unit test (Euclid, then evaluation at roots of
-unity), which never eliminates.  The subfield construction is the same
-pipeline as the full-field one; the tests check it by rank on the first t
-conjugates.  The enumeration decides each Frobenius orbit once: conjugates
-share normality and the vector, so one rank test and one vector stand for
-the orbit's n elements, and the audits count per element.
+reduce) and reads none of the spec's tables: neither its squaring tables,
+which the spec uses only to certify its modulus, nor its trace form.
+Squaring is GF(2)-linear, so the oracle squares by its own naive squares
+of g^j alone, computed once per call, and imports no production table
+helper: a wrong spec table can reach an audit only through that
+certification.  One generator, _conjugate_lanes, squares many values at
+once, each in a lane of one int (see below), and both the trace pass and
+the rank test square through it.  The rank test reduces by poly2's
+_eliminate, as the factor solver does; the audits stay non-circular, since
+the factorization audit checks that solver against a brute force over G,
+and the rank test is checked against is_normal's unit test (Euclid, then
+evaluation at roots of unity), which never eliminates.  The subfield
+construction is the same pipeline as the full-field one; the tests check
+it by rank on the first t conjugates.  The enumeration decides each
+Frobenius orbit once: conjugates share normality and the vector, so one
+rank test and one vector stand for the orbit's n elements, and the audits
+count per element.
 
-Each vector entry is still a product traced: reduction mod the modulus
-and the trace are both GF(2)-linear, so Tr(e*c) is the sum of
-e_j c_k Tr(g^(j+k)) over the bits j of e and k of c.  T holds those traces
-of the 2n - 1 monomials g^k, each g^k reduced by poly_mod and traced by the
-naive trace mask once per enumeration.  Grouped by the bits of c, Tr(e*c)
-is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1) over
-the set bits j of e.  The oracle shares with the field's trace form only
-that identity, not its coefficients or its tables: T comes from naive
+Each vector entry is still a product traced: reduction mod the modulus and
+the trace are both GF(2)-linear, so Tr(e*c) is the sum of e_j c_k
+Tr(g^(j+k)) over the bits j of e and k of c.  T holds those traces of the
+2n - 1 monomials g^k, each g^k reduced by poly_mod, one lane each, and
+traced as the sum of its n conjugates, once per enumeration; a lane whose
+sum is not 0 or 1 makes the pass raise.  Grouped by the bits of c, Tr(e*c)
+is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1)
+over the set bits j of e.  The oracle shares with the field's trace form
+only that identity, not its coefficients or its tables: T comes from naive
 conjugate sums and poly_mod, never from the spec.
 
 The vectors of all 2^n elements come from one bit-sliced pass (Biham, "A
@@ -51,25 +52,27 @@ Gaussian rank decides the orbits a round needs all at once, in the style
 of SIMD within a register (Fisher and Dietz, "Compiling for SIMD Within a
 Register", LCPC 1998): each orbit's n conjugates are the rows of its own
 matrix, one lane of ceil(n/8) bytes per orbit in one Python int.
-_eliminate reduces every lane's row by its own pivots at once, each
-residue is placed at its leading bit, and every lane is squared by
-ceil(n/8)^2 bytes.translate calls, so the interpreter pays its per-step
-cost once per round, not once per orbit.  After n squarings every lane
-must be back at its element, or the pass raises.  A subfield orbit repeats
-a row, so it comes out dependent.  Round 1 ranks the smallest element of
-every class the caller wants; a class holds whole orbits, so that element
-is its orbit's minimum.  Round 2, after round 1's yields, splits the
-classes again and ranks the other orbits of each class still wanted,
-their minima read from a last plane, built by a sliced comparison with
-each conjugate only when round 2 has work, in ascending order (to_bytes,
-then find jumps to each nonzero byte).  A class of at most n elements has
-no other orbit of n elements, so it needs no round 2.  The callers want
-every class for check_necessary, only a vector not yet found for
-achievable_vectors, and only (1, 0, ..., 0) for the self-dual audit: an
-orbit whose vector is already found cannot change the found set, whether
-it is normal or not.  Enumeration caps keep exhaustive runs under a
-second on one core (about 0.2 s for all of GF(2^20) on a 2-core Xeon with
-Python 3.11); the caps are the module constants below.
+_eliminate reduces every lane's row by its own pivots at once, and each
+residue is placed at its leading bit.  Every lane is squared at once, as
+the XOR over j of (x >> j & ones) * squares[j], ones holding bit 0 of each
+lane: each product fits in its lane, since squares[j] < 2^n.  So the
+interpreter pays its per-step cost once per round, not once per orbit.
+After n squarings every lane must be back at its element, or the generator
+raises.  A subfield orbit repeats a row, so it comes out dependent.  Round
+1 ranks the smallest element of every class the caller wants; a class
+holds whole orbits, so that element is its orbit's minimum.  Round 2,
+after round 1's yields, splits the classes again and ranks the other
+orbits of each class still wanted, their minima read from a last plane,
+built by a sliced comparison with each conjugate only when round 2 has
+work, in ascending order (to_bytes, then find jumps to each nonzero byte).
+A class of at most n elements has no other orbit of n elements, so it
+needs no round 2.  The callers want every class for check_necessary, only
+a vector not yet found for achievable_vectors, and only (1, 0, ..., 0) for
+the self-dual audit: an orbit whose vector is already found cannot change
+the found set, whether it is normal or not.  Enumeration caps keep
+exhaustive runs under a second on one core (about 0.2 s for all of
+GF(2^20) on a 2-core Xeon with Python 3.11); the caps are the module
+constants below.
 
 This module owns every audit: check_characterization, check_factorization,
 check_necessary and check_self_dual_existence.  Each returns a Report, whose
@@ -86,8 +89,7 @@ from typing import Callable, Iterator
 from .construct import _characterized, _flags, pow2_odd_split
 from .factor import _require_pow2, factor_2power, iter_G, iter_H
 from .field import FieldSpec
-from .poly2 import (CyclicPoly, _byte_tables, _eliminate, _linear, cyclic_mul, poly_mod, reciprocal,
-                    symmetric_vectors)
+from .poly2 import CyclicPoly, _eliminate, cyclic_mul, poly_mod, reciprocal, symmetric_vectors
 
 ENUMERATION_CAP = 20
 G_SEARCH_CAP = 24
@@ -103,29 +105,38 @@ def _naive_square(spec: FieldSpec, a: int) -> int:
     return poly_mod(sq, spec.modulus)
 
 
-def _naive_trace_mask(spec: FieldSpec) -> int:
-    """Bit i set iff Tr(g^i) = 1 (g^i = 1 << i), the sum of n conjugates squared by naive tables."""
-    square = _byte_tables([_naive_square(spec, 1 << j) for j in range(spec.n)])
-    mask = 0
-    for i in range(spec.n):
-        tr = 0
-        x = 1 << i
-        for _ in range(spec.n):
-            tr ^= x
-            x = _linear(square, x)
-        if tr not in (0, 1):
-            raise RuntimeError("trace must land in GF(2) (implementation bug)")
-        mask |= tr << i
-    return mask
+def _lanes(values: list[int], width: int) -> tuple[int, int]:
+    """values packed in one int, lane i of width bytes holding values[i], and bit 0 of every lane."""
+    x = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    return x, int.from_bytes(b"\1".ljust(width, b"\0") * len(values), "little")
 
 
-def _monomial_traces(spec: FieldSpec) -> int:
-    """Bit k set iff Tr(g^k) = 1, for k < 2n - 1: each g^k reduced by poly_mod, then traced."""
-    mask = _naive_trace_mask(spec)
-    traces = 0
-    for k in range(2 * spec.n - 1):
-        traces |= ((poly_mod(1 << k, spec.modulus) & mask).bit_count() & 1) << k
-    return traces
+def _conjugate_lanes(squares: list[int], x: int, ones: int) -> Iterator[int]:
+    """x, x^2, ..., x^(2^(n-1)) in every lane of x at once; squares[j] is the naive square of g^j.
+
+    A lane's square is the XOR of squares[j] over its set bits j: x >> j & ones
+    holds bit j of every lane at the lane's bit 0, and each product fits in its
+    lane, since squares[j] < 2^n.  After n squarings every lane must be back
+    at its start, or the generator raises.
+    """
+    start = x
+    for _ in squares:
+        yield x
+        x = reduce(xor, [(x >> j & ones) * s for j, s in enumerate(squares)])
+    if x != start:
+        raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
+
+
+def _monomial_traces(spec: FieldSpec, squares: list[int]) -> int:
+    """Bit k set iff Tr(g^k) = 1, k < 2n - 1: each g^k reduced by poly_mod, its n conjugates summed."""
+    width = (spec.n + 7) // 8
+    monomials = [poly_mod(1 << k, spec.modulus) for k in range(2 * spec.n - 1)]
+    x, ones = _lanes(monomials, width)
+    tr = reduce(xor, _conjugate_lanes(squares, x, ones))
+    if tr & ~ones:
+        raise RuntimeError("trace must land in GF(2) (implementation bug)")
+    raw = tr.to_bytes(width * len(monomials), "little")
+    return sum(bit << k for k, bit in enumerate(raw[::width]))
 
 
 def _identity_planes(n: int) -> list[int]:
@@ -184,7 +195,7 @@ def _conjugate_planes(squares: list[int]) -> Iterator[list[int]]:
 def _vector_planes(spec: FieldSpec, squares: list[int]) -> list[int]:
     """The planes of a_0 .. a_(n/2) over every e < 2^n; squares[j] is the naive square of g^j."""
     n = spec.n
-    traces = _monomial_traces(spec)
+    traces = _monomial_traces(spec, squares)
     entries: list[int] = []
     for i, conj in enumerate(_conjugate_planes(squares)):
         if not i:  # the identity planes
@@ -212,54 +223,27 @@ def _minima(squares: list[int]) -> int:
     return minima
 
 
-def _lane_tables(n: int, squares: list[int]) -> list[list[bytes]]:
-    """T[p][q]: the translate table of byte q of the naive square of a byte at byte position p.
-
-    The 256 squares of byte position p are one int, ceil(n/8) bytes an entry,
-    doubled one image at a time: entry v + 2^j is entry v XOR squares[8p + j].
-    """
-    width = (n + 7) // 8
-    lane, tables = b"\1".ljust(width, b"\0"), []
-    for p in range(0, n, 8):
-        table, images = 0, squares[p:p + 8]
-        for j, image in enumerate(images):
-            table |= (table ^ image * int.from_bytes(lane * (1 << j), "little")) << (8 * width << j)
-        raw = table.to_bytes(width << len(images), "little") * (256 >> len(images))  # bits past n: 0
-        tables.append([raw[q::width] for q in range(width)])
-    return tables
-
-
-def _normal_lanes(n: int, tables: list[list[bytes]], es: list[int]) -> bytes:
+def _normal_lanes(n: int, squares: list[int], es: list[int]) -> bytes:
     """One byte per e in es, 1 iff its n conjugates are independent: every e ranked at once.
 
-    Lane i of one int holds a row of e_i, len(tables) bytes wide.  Each of
-    the n rows is reduced by _eliminate, then each lane's residue is placed
-    at its leading bit, and every lane is squared by the translate tables;
-    after n squarings each lane must hold its e again.  A lane is normal iff
-    bit k of basis[k] is set in it for every k.
+    Lane i of one int holds a row of e_i, ceil(n/8) bytes wide.  Each of the
+    n conjugate rows is reduced by _eliminate, then each lane's residue is
+    placed at its leading bit.  A lane is normal iff bit k of basis[k] is set
+    in it for every k.
     """
-    width = len(tables)
-    size = width * len(es)
-    start = int.from_bytes(b"".join(e.to_bytes(width, "little") for e in es), "little")
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(es), "little")  # bit 0 of every lane
-    fill, x, basis = (1 << n) - 1, start, [0] * n
-    for _ in range(n):
-        r = _eliminate(basis, x, ones, fill)
+    width = (n + 7) // 8
+    x, ones = _lanes(es, width)
+    fill, basis = (1 << n) - 1, [0] * n
+    for row in _conjugate_lanes(squares, x, ones):
+        r = _eliminate(basis, row, ones, fill)
         for k in range(n - 1, -1, -1):
             if not r:
                 break
             lead = (r >> k & ones) * fill & r  # the lanes whose residue leads with bit k
             basis[k] |= lead
             r ^= lead
-        raw, x = x.to_bytes(size, "little"), 0
-        for p, table in enumerate(tables):  # byte p of every lane, squared into all its bytes
-            lanes, out = raw[p::width], bytearray(size)
-            for q, t in enumerate(table):
-                out[q::width] = lanes.translate(t)
-            x ^= int.from_bytes(out, "little")
-    if x != start:
-        raise RuntimeError("Frobenius orbit longer than n (implementation bug)")
-    return reduce(and_, (b >> k & ones for k, b in enumerate(basis))).to_bytes(size, "little")[::width]
+    normal = reduce(and_, (b >> k & ones for k, b in enumerate(basis)))
+    return normal.to_bytes(width * len(es), "little")[::width]
 
 
 def _require_enumerable(n: int) -> None:
@@ -291,8 +275,7 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
              for bits, members in _classes(entries, n) if wanted(bits)}
     if not first:
         return
-    tables = _lane_tables(n, squares)
-    yield from _ranked(n, tables, list(first.items()))
+    yield from _ranked(n, squares, list(first.items()))
     later = {bits for bits in first if wanted(bits)}
     if not later:
         return
@@ -303,14 +286,14 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
             minima = _minima(squares) if minima is None else minima
             others = members & minima
             orbits += ((bits, e) for e in _ascending(others & others - 1))
-    yield from _ranked(n, tables, orbits)
+    yield from _ranked(n, squares, orbits)
 
 
-def _ranked(n: int, tables: list[list[bytes]], orbits: list[tuple[int, int]]
+def _ranked(n: int, squares: list[int], orbits: list[tuple[int, int]]
             ) -> Iterator[tuple[int, CyclicPoly]]:
     """(e, vector) for each (bits, e) of orbits, in order, whose e is normal by one lane pass."""
     if orbits:
-        normal = _normal_lanes(n, tables, [e for _, e in orbits])
+        normal = _normal_lanes(n, squares, [e for _, e in orbits])
         yield from ((e, CyclicPoly(n, bits)) for (bits, e), ok in zip(orbits, normal) if ok)
 
 

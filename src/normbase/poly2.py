@@ -77,12 +77,12 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _byte_tables(images: list[int], width: int = 8) -> list[list[int]]:
-    """Tables of the GF(2)-linear map that sends bit j to images[j], one per width input bits."""
+def _byte_tables(images: list[int]) -> list[list[int]]:
+    """Tables of the GF(2)-linear map that sends bit j to images[j], one per input byte."""
     tables = []
-    for start in range(0, len(images), width):
+    for start in range(0, len(images), 8):
         table = [0]
-        for image in images[start:start + width]:
+        for image in images[start:start + 8]:
             table += [t ^ image for t in table]
         tables.append(table)
     return tables

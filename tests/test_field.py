@@ -19,7 +19,7 @@ from normbase.field import (
     rel_trace,
 )
 from normbase.normal import corresponding_vector
-from normbase.oracle import _naive_square, _naive_trace_mask
+from normbase.oracle import _monomial_traces, _naive_square
 from normbase.poly2 import (
     CyclicPoly,
     find_irreducible,
@@ -199,10 +199,16 @@ def test_frobenius_is_field_automorphism(f16):
                 == elem_mul(f16, frobenius(f16, a, 1), frobenius(f16, b, 1)))
 
 
+def _naive_traces(spec):
+    # the oracle's Tr(g^k), k < 2n - 1, each a sum of n conjugates squared by its naive squares;
+    # the low n bits are its trace mask
+    return _monomial_traces(spec, [_naive_square(spec, 1 << j) for j in range(spec.n)])
+
+
 def _trace_of(spec):
     """The absolute trace as the parity of a & trace_mask, after checking the mask naively."""
     mask = field._trace_form(spec)[0]
-    assert mask == _naive_trace_mask(spec)
+    assert mask == _naive_traces(spec) & (spec.order - 1)
     return lambda a: (a & mask).bit_count() & 1
 
 
@@ -320,7 +326,7 @@ def _moduli(n):
 
 
 def _assert_kernel_matches_reference(spec, elements):
-    mask = _naive_trace_mask(spec)
+    mask = _naive_traces(spec) & (spec.order - 1)
     assert field._trace_form(spec)[0] == mask  # so the field's trace is the parity of a & mask
     assert spec.n != 1 or mask & 1  # Tr(1) = n mod 2: 1 in GF(2) itself
     assert spec.n % 2 or not mask & 1  # and 0 for every even n
@@ -407,13 +413,12 @@ def test_hex_modulus_above_the_degree_bound_is_named_as_written():
 def test_form_reads_the_one_gram_table_as_the_byte_tables():
     # the Gram map is Hankel: row j is the power-sum sequence >> j, so one byte table,
     # shifted by 8p for byte p, gives what byte tables of the n rows give byte by byte
-    from normbase.oracle import _monomial_traces
     for n in range(1, 65):
         rng = random.Random(n)
         while not is_irreducible(seeded := rng.randrange(1 << n, 1 << (n + 1))):
             pass
         for spec in (FieldSpec.from_degree(n), FieldSpec(n, seeded)):
-            traces = _monomial_traces(spec)
+            traces = _naive_traces(spec)
             tables = field._byte_tables([traces >> j & ((1 << n) - 1) for j in range(n)])
             table = field._trace_form(spec)[1]
             elements = [1 << j for j in range(n)] + [rng.randrange(spec.order) for _ in range(200)]

@@ -19,12 +19,12 @@ from normbase.field import (
 )
 from normbase.normal import corresponding_vector, is_normal
 from normbase.oracle import (
+    _conjugate_lanes,
     _factors_in_G,
-    _lane_tables,
+    _lanes,
     _minima,
     _monomial_traces,
     _naive_square,
-    _naive_trace_mask,
     _vector_planes,
     achievable_vectors,
     check_characterization,
@@ -126,28 +126,30 @@ def _squares(spec):
     return [_naive_square(spec, 1 << j) for j in range(spec.n)]
 
 
-def _lane_square(tables, a):
-    # byte p of a picks byte q of its square from T[p][q], as the lane pass reads every lane
-    width = len(tables)
-    raw = a.to_bytes(width, "little")
-    return reduce(xor, (table[q][raw[p]] << 8 * q for p, table in enumerate(tables)
-                        for q in range(width)))
+def _lane_rows(spec, values):
+    # the n rows of the lane generator, every value in its own lane of ceil(n/8) bytes, read
+    # back lane by lane; running it to its end makes its closure check
+    width = (spec.n + 7) // 8
+    rows = [row.to_bytes(width * len(values), "little")
+            for row in _conjugate_lanes(_squares(spec), *_lanes(values, width))]
+    return [[int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+            for raw in rows]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
 def test_table_square_is_the_naive_square(n):
-    # the tables are built from _naive_square of the basis monomials only
+    # the lanes square by _naive_square of the basis monomials only: every element at n <= 12,
+    # and samples above
     rng = random.Random(n)
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
-        tables = _lane_tables(n, _squares(spec))
-        # ceil(n/8) byte positions, each with ceil(n/8) translate tables of 256 bytes
-        width = (n + 7) // 8
-        assert len(tables) == width and all(
-            len(table) == width and all(len(t) == 256 for t in table) for table in tables)
-        samples = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)]
-        assert ([_lane_square(tables, a) for a in samples]
-                == [_naive_square(spec, a) for a in samples])
+        samples = (list(range(spec.order)) if n <= 12 else
+                   [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(200)])
+        rows = _lane_rows(spec, samples)
+        assert rows[0] == samples
+        # row 1 holds the squares; at n = 1 squaring is the identity, and the closure check
+        # compared the square with row 0
+        assert rows[1 % n] == [_naive_square(spec, a) for a in samples]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 13, 16, 20])
@@ -156,12 +158,12 @@ def test_monomial_traces_are_the_production_traces(n):
     rng = random.Random(n)
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
-        traces = _monomial_traces(spec)
+        traces = _monomial_traces(spec, _squares(spec))
         assert traces >> (2 * n - 1) == 0
         assert [traces >> k & 1 for k in range(2 * n - 1)] == [
             rel_trace(spec, elem_pow(spec, spec.generator, k), 1) for k in range(2 * n - 1)]
         # the trace of an unreduced product is the trace of the reduced one
-        mask = _naive_trace_mask(spec)
+        mask = traces & (spec.order - 1)
         pairs = [(spec.order - 1, spec.order - 1)] + [
             (rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(200)]
         for a, b in pairs:
@@ -172,7 +174,7 @@ def test_monomial_traces_are_the_production_traces(n):
 def _reference_enumeration(spec):
     # the loop before the monomial traces and the zero-sum skip: reduce each product,
     # trace it by the naive mask, and decide every full-length orbit by elimination
-    mask = _naive_trace_mask(spec)
+    mask = _monomial_traces(spec, _squares(spec)) & (spec.order - 1)
     visited = bytearray(spec.order)
     for e in range(1, spec.order):
         if visited[e]:
@@ -195,7 +197,7 @@ def test_trace_form_is_the_monomial_traces_regrouped(n):
     full = (1 << n) - 1
     for modulus in {find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)}:
         spec = FieldSpec(n, modulus)
-        traces = _monomial_traces(spec)
+        traces = _monomial_traces(spec, _squares(spec))
         form = _byte_tables([traces >> j & full for j in range(n)])
         assert [_linear(form, 1 << j) for j in range(n)] == [traces >> j & full for j in range(n)]
         for _ in range(200):
@@ -209,7 +211,7 @@ def test_trace_first_test_is_the_sum_of_the_conjugates(n):
     # only trace-one elements enter a class: the trace plane, entry plane 0, holds Tr(e) for
     # every e, and the low n bits of T give the same sum of the n conjugates
     spec = FieldSpec(n, _random_modulus(random.Random(n), n))
-    mask = _monomial_traces(spec) & (spec.order - 1)
+    mask = _monomial_traces(spec, _squares(spec)) & (spec.order - 1)
     plane = _vector_planes(spec, _squares(spec))[0]
     assert plane >> spec.order == 0
     for e in range(spec.order):
@@ -262,8 +264,8 @@ def test_asymmetric_entries_are_an_implementation_bug(monkeypatch):
     # a_(n-i) = a_i holds for a trace; flip Tr(g^n) and the form is no trace, so the pass,
     # which splits by a_1 .. a_(n/2) alone, must refuse before any class is walked
     spec = FieldSpec.from_degree(8)
-    traces = _monomial_traces(spec)
-    monkeypatch.setattr(oracle, "_monomial_traces", lambda spec: traces ^ 1 << spec.n)
+    traces = _monomial_traces(spec, _squares(spec))
+    monkeypatch.setattr(oracle, "_monomial_traces", lambda spec, squares: traces ^ 1 << spec.n)
     with pytest.raises(RuntimeError) as exc:
         next(enumerate_normal(spec))
     assert str(exc.value) == "vector entries a_i and a_(n-i) differ (implementation bug)"
@@ -373,14 +375,10 @@ def _naive_orbit(spec, alpha):
     return orbit
 
 
-def _table_orbit(spec, alpha):
-    # the rows a lane of the enumeration takes, squared byte by byte by the translate tables
-    tables = _lane_tables(spec.n, _squares(spec))
-    orbit, x = [alpha], _lane_square(tables, alpha)
-    while x != alpha:
-        orbit.append(x)
-        x = _lane_square(tables, x)
-    return orbit
+def _lane_orbit(spec, alpha):
+    # the rows a lane of the enumeration takes, up to its first return to alpha
+    rows = [row for row, in _lane_rows(spec, [alpha])]
+    return rows[:(rows + [alpha]).index(alpha, 1)]
 
 
 @pytest.mark.parametrize("n", [1, 6, 12, 13, 20])
@@ -393,7 +391,7 @@ def test_orbit_is_the_naive_squaring_chain(n):
     lengths = set()
     for alpha in [0, 1] + subfield + [rng.randrange(spec.order) for _ in range(50)]:
         orbit = _orbit(spec, alpha)
-        assert orbit == _naive_orbit(spec, alpha) == _table_orbit(spec, alpha)
+        assert orbit == _naive_orbit(spec, alpha) == _lane_orbit(spec, alpha)
         lengths.add(len(orbit))
     assert lengths == {t for t in range(1, n + 1) if n % t == 0}
 
@@ -578,7 +576,7 @@ def test_audits_leave_a_spec_its_squaring_tables_alone(monkeypatch):
         assert "trace" not in spec._held
         corresponding_vector(spec, spec.generator)
         assert "trace" in spec._held
-        assert _trace_form(spec)[0] == _naive_trace_mask(spec)
+        assert _trace_form(spec)[0] == _monomial_traces(spec, _squares(spec)) & (spec.order - 1)
 
 
 def test_brute_factor_golden_target():
@@ -620,11 +618,10 @@ def test_self_dual_existence_small():
             check_self_dual_existence(max_n)
 
 
-def test_trace_outside_gf2_is_an_implementation_bug(monkeypatch):
+def test_trace_outside_gf2_is_an_implementation_bug():
     # with squaring the identity, Tr(g) sums g n times: g itself for odd n
-    monkeypatch.setattr(oracle, "_naive_square", lambda spec, a: a)
     with pytest.raises(RuntimeError) as exc:
-        _naive_trace_mask(FieldSpec.from_degree(5))
+        _monomial_traces(FieldSpec.from_degree(5), [1 << j for j in range(5)])
     assert str(exc.value) == "trace must land in GF(2) (implementation bug)"
 
 
@@ -638,11 +635,10 @@ def test_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
 
 
 def test_enumeration_orbit_longer_than_n_is_an_implementation_bug(monkeypatch):
-    # the lanes square by their own tables: tabulate x -> g*x, of order 51 on the default
+    # the lanes square by the oracle's naive squares: take x -> g*x, of order 51 on the default
     # modulus, so no lane is back at its element after n steps
     spec = FieldSpec.from_degree(8)
-    times_g = _lane_tables(spec.n, [elem_mul(spec, 2, 1 << j) for j in range(spec.n)])
-    monkeypatch.setattr(oracle, "_lane_tables", lambda n, squares: times_g)
+    monkeypatch.setattr(oracle, "_naive_square", lambda spec, a: elem_mul(spec, 2, a))
     with pytest.raises(RuntimeError) as exc:
         list(enumerate_normal(spec))
     assert str(exc.value) == "Frobenius orbit longer than n (implementation bug)"

@@ -89,7 +89,7 @@ def test_oracle_does_not_use_the_field_kernel():
                   "is_normal", "gram", "trace_mask", "_square", "_trace", "_trace_form",
                   "_frobenius", "_frobenius_table", "_frobenius_tables", "_half_vector", "_held"}
     names = set(_names(ast.parse(oracle.read_text())))
-    assert "_naive_trace_mask" in names  # the oracle's own helper is a different name
+    assert "_naive_square" in names  # the oracle's own helper is a different name
     assert not production & names
 
 
@@ -154,8 +154,8 @@ def test_no_module_but_poly2_holds_an_elimination_loop():
 
 
 def test_oracle_imports_are_pinned():
-    # the oracle takes rules and solvers from construct and factor, the spec from field and plain
-    # tables from poly2, never the normal module's vectors: a new import could bring the
+    # the oracle takes rules and solvers from construct and factor, the spec from field and
+    # ring arithmetic from poly2, never the normal module's vectors: a new import could bring the
     # production kernel in
     assert _package_imports("oracle.py") == {".construct", ".factor", ".field", ".poly2"}
 
@@ -183,9 +183,16 @@ def test_construct_takes_the_bare_factor_map_from_factor():
 
 
 def test_oracle_takes_the_spec_alone_from_field():
-    # the generic tables come from poly2, field keeps no helper for the oracle, and anything
-    # else from field would be the production kernel
+    # field keeps no helper for the oracle, and anything else from field would be the
+    # production kernel
     assert _names_imported_from("oracle.py", "field") == {"FieldSpec"}
+
+
+def test_oracle_takes_no_table_helper_from_poly2():
+    # the oracle squares by its own naive squares alone: poly2's table helpers would be a second
+    # way to square, and the elimination routine and ring arithmetic are all it takes
+    assert _names_imported_from("oracle.py", "poly2") == {
+        "CyclicPoly", "_eliminate", "cyclic_mul", "poly_mod", "reciprocal", "symmetric_vectors"}
 
 
 def test_every_rent_site_names_its_fork_in_the_one_price_table():
