@@ -8,6 +8,8 @@ from operator import xor
 import pytest
 
 from normbase import oracle
+from normbase.construct import _characterized
+from normbase.factor import iter_H
 from normbase.field import (
     FieldSpec,
     _byte_tables,
@@ -19,12 +21,16 @@ from normbase.field import (
 )
 from normbase.normal import corresponding_vector, is_normal
 from normbase.oracle import (
+    ENUMERATION_CAP,
+    G_SEARCH_CAP,
     _conjugate_lanes,
+    _factorization_reference,
     _factors_in_G,
     _lanes,
     _minima,
     _monomial_traces,
     _naive_square,
+    _predicted,
     _vector_planes,
     achievable_vectors,
     check_characterization,
@@ -606,6 +612,99 @@ def test_brute_factor_caps():
         _factors_in_G(32)
     with pytest.raises(ValueError, match="ring size must be a power of two >= 4, got 17"):
         _factors_in_G(17)
+
+
+# ---------- the references held per degree ----------
+
+CHARACTERIZED = [n for n in range(ENUMERATION_CAP + 1) if _characterized(n)]
+POWERS = [n for n in range(4, G_SEARCH_CAP + 1) if n & (n - 1) == 0]
+
+
+WARM_AUDITS = ([(check_characterization, _predicted, n) for n in CHARACTERIZED if n <= 17]
+               + [(check_factorization, _factorization_reference, n) for n in POWERS])
+
+
+@pytest.mark.parametrize("check, memo, n", WARM_AUDITS,
+                         ids=[f"{check.__name__[6:]}-{n}" for check, _, n in WARM_AUDITS])
+def test_a_warm_audit_is_the_cold_one(check, memo, n):
+    spec = FieldSpec.from_degree(n)
+    memo.cache_clear()
+    cold = check(spec)
+    warm = check(spec)
+    assert memo.cache_info()[:2] == (1, 1)  # hits, misses: the second call read the memo
+    assert (warm.ok, warm.lines, warm.payload) == (cold.ok, cold.lines, cold.payload)
+
+
+def test_warm_audits_still_check_production_in_full(monkeypatch):
+    # the references are held; the field's enumeration and the solver run on every call
+    enumerations, solved = [], []
+    enumerate_once, solve = oracle.enumerate_normal, oracle.factor_2power
+    monkeypatch.setattr(oracle, "enumerate_normal",
+                        lambda spec, wanted: enumerations.append(spec.n) or enumerate_once(spec, wanted))
+    monkeypatch.setattr(oracle, "factor_2power", lambda h: solved.append(h) or solve(h))
+    for _ in range(2):
+        assert check_characterization(FieldSpec.from_degree(8)).ok
+        assert check_factorization(FieldSpec.from_degree(16)).ok
+    assert enumerations == [8, 8]
+    assert solved == 2 * list(iter_H(16))
+
+
+def test_a_patched_flags_never_reads_the_held_predicted_set(monkeypatch):
+    spec = FieldSpec.from_degree(8)
+    assert check_characterization(spec).ok  # the memo now holds n = 8 under the real rules
+    monkeypatch.setattr(oracle, "_flags", lambda n, a: [False])
+    report = check_characterization(spec)
+    assert report.lines[0] == "characterization audit, n = 8: achievable 4, predicted 0"
+    assert report.lines[-1] == "  agreement: VIOLATION" and not report.ok
+
+
+def test_the_predicted_set_handed_out_is_a_copy():
+    handed = predicted_vectors(8)
+    assert type(handed) is set and len(handed) == 4
+    handed.clear()
+    handed.add(CyclicPoly(8, 1))
+    report = check_characterization(FieldSpec.from_degree(8))
+    assert report.ok and report.lines[-1] == "  agreement: exact"
+    assert len(predicted_vectors(8)) == 4
+
+
+def test_each_memo_holds_every_degree_it_is_asked_for():
+    assert len(CHARACTERIZED) == 13 and POWERS == [4, 8, 16]
+    for memo, degrees, fill in [(_predicted, CHARACTERIZED, lambda n: _predicted(n, oracle._flags)),
+                                (_factorization_reference, POWERS, _factorization_reference)]:
+        assert memo.cache_info().maxsize >= len(degrees)
+        memo.cache_clear()
+        for _ in range(2):
+            for n in degrees:
+                fill(n)
+        assert memo.cache_info()[:2] == (len(degrees), len(degrees))  # no degree was evicted
+
+
+def test_memos_hold_only_immutable_values():
+    for n in CHARACTERIZED:
+        held = _predicted(n, oracle._flags)
+        assert type(held) is frozenset and all(type(v) is CyclicPoly for v in held)
+        assert held == predicted_vectors(n)
+    for n in POWERS:
+        held, factors = _factorization_reference(n), _factors_in_G(n)
+        assert type(held) is tuple and all(type(pair) is tuple for pair in held)
+        assert [h for h, _ in held] == list(iter_H(n))  # the targets in iter_H order
+        for h, gs in held:
+            assert type(gs) is tuple and gs == tuple(factors.get(h, []))
+
+
+def test_rejected_audits_fill_no_memo():
+    # the bound checks run before any work, and an error is not held
+    _predicted.cache_clear()
+    _factorization_reference.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="characterization covers"):
+            check_characterization(FieldSpec.from_degree(2))
+        with pytest.raises(ValueError, match="capped at n <= 20, got 21"):
+            check_characterization(FieldSpec.from_degree(21))
+        with pytest.raises(ValueError, match="capped at n <= 24, got 32"):
+            check_factorization(FieldSpec.from_degree(32))
+    assert _predicted.cache_info().currsize == _factorization_reference.cache_info().currsize == 0
 
 
 def test_self_dual_existence_small():

@@ -22,8 +22,8 @@ rewritten).  Run it from anywhere:
 
 The sweep is not part of the test suite, which checks only that each old
 text occurs once and each test id names an existing test
-(tests/test_source.py); the catalogue, a hundred and five mutants, takes
-about 220 s on a 2-core Xeon with Python 3.11.
+(tests/test_source.py); the catalogue, a hundred and seven mutants, takes
+about 160-220 s on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ LANE_SPAN = ["tests/test_oracle.py::test_lane_elimination_is_the_one_lane_verdic
 CLOSURE = ("    if x != start:\n"
            "        raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n")
 LANE_SQUARE = ["tests/test_oracle.py::test_table_square_is_the_naive_square"]
+PREDICTED_MEMO = "@lru_cache(maxsize=sum(map(_characterized, range(ENUMERATION_CAP + 1))))"
 PLACE = "            basis[k] |= lead\n            r ^= lead\n"
 CONSTRUCT = "src/normbase/construct.py"
 BASE_IF = "spec._held.get(t) if beta is None else"
@@ -203,6 +204,12 @@ MUTANTS = [
     ("form rows shifted by one", ORACLE,
      "[traces >> j & (1 << n) - 1 for j in range(n)]",
      "[traces >> (j + 1) & (1 << n) - 1 for j in range(n)]", REFERENCE + PLANES),
+    ("predicted memo keyed on n alone", ORACLE, PREDICTED_MEMO,
+     "@lambda build, memo={}: lambda n, flags: memo[n] if n in memo else memo.setdefault(n, build(n, flags))",
+     ["tests/test_oracle.py::test_a_patched_flags_never_reads_the_held_predicted_set"]),
+    ("predicted_vectors hands out the memo itself", ORACLE,
+     "return set(_predicted(n, _flags))", "return _predicted(n, _flags)",
+     ["tests/test_oracle.py::test_the_predicted_set_handed_out_is_a_copy"]),
     ("monomial traced one power up", ORACLE,
      "poly_mod(1 << k, spec.modulus)", "poly_mod(1 << k + 1, spec.modulus)",
      ["tests/test_field.py::test_trace_basics",
