@@ -7,8 +7,9 @@ machine-readable JSON with stable key order.  Every emitted element record
 is re-verified in-process before printing: its vector is recomputed, and a
 construction's must equal its target, or the run exits 2.  The oracle
 module decides each audit; audit prints the report's lines or, with
---json, its payload.  Each subcommand's parser names its handler, which
-main calls.
+--json, its payload.  Only the audit handler reads the oracle, so the
+first audit in a process loads it, and a process that runs no audit never
+compiles it.  Each subcommand's parser names its handler, which main calls.
 
 Exit codes: 0 ok, 1 invalid input vector (or unsupported construction),
 2 verification/audit failure, 64 usage error.
@@ -21,7 +22,7 @@ import json
 import sys
 from functools import lru_cache
 
-from . import construct, field, normal, oracle, poly2
+from . import construct, field, normal, poly2
 
 EX_OK = 0
 EX_INVALID = 1
@@ -189,6 +190,8 @@ def _cmd_element(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import oracle  # loaded by the first audit: no other command reads it
+
     if args.mode != "selfdual":
         report = getattr(oracle, f"check_{args.mode}")(_spec_from(args))
     elif args.modulus is not None:

@@ -59,15 +59,18 @@ lane: each product fits in its lane, since squares[j] < 2^n.  So the
 interpreter pays its per-step cost once per round, not once per orbit.
 After n squarings every lane must be back at its element, or the generator
 raises.  A subfield orbit repeats a row, so it comes out dependent.  Round
-1 ranks the smallest element of every class the caller wants; a class
-holds whole orbits, so that element is its orbit's minimum.  Round 2,
-after round 1's yields, splits the classes again and ranks the other
-orbits of each class still wanted, their minima read from a last plane,
-built by a sliced comparison with each conjugate only when round 2 has
-work, in ascending order (to_bytes, then find jumps to each nonzero byte).
-A class of at most n elements has no other orbit of n elements, so it
-needs no round 2.  The callers want every class for check_necessary, only
-a vector not yet found for achievable_vectors, and only (1, 0, ..., 0) for
+1 ranks the smallest element of every class the caller wants, read by
+_lowest through windows that double, so its cost follows that element's
+position, not the 2^n-bit plane; a class holds whole orbits, so that
+element is its orbit's minimum.  Round 2, after round 1's yields, splits
+the classes again and ranks the other orbits of each class still wanted,
+their minima read from a last plane, built by a sliced comparison with
+each conjugate only when round 2 has work, in ascending order (to_bytes,
+then find jumps to each nonzero byte); the first orbit's minimum, which
+round 1 read, is dropped by one XOR.  A class of at most n elements has
+no other orbit of n elements, so it needs no round 2.  The callers want
+every class for check_necessary, only a vector not yet found for
+achievable_vectors, and only (1, 0, ..., 0) for
 the self-dual audit: an orbit whose vector is already found cannot change
 the found set, whether it is normal or not.  Enumeration caps keep
 exhaustive runs under a second on one core (about 0.2 s for all of
@@ -185,6 +188,21 @@ def _classes(entries: list[int], n: int) -> Iterator[tuple[int, int]]:
                 stack.append((bits | bit, child, i + 1))
 
 
+def _lowest(mask: int) -> int:
+    """The lowest set bit of mask, read through low windows that double from 64 bits.
+
+    Its cost follows the position of that bit, where (mask ^ mask - 1) passes
+    the whole mask twice.  A window never grows past the mask, so a mask of
+    no set bit raises rather than loops.
+    """
+    window = 64
+    while not (low := mask & (1 << window) - 1) and window < mask.bit_length():
+        window *= 2
+    if not low:
+        raise ValueError("a mask with no set bit has no lowest bit")
+    return (low & -low).bit_length() - 1
+
+
 def _ascending(mask: int) -> Iterator[int]:
     """The set bits of a mask in ascending order: find jumps to each nonzero byte."""
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
@@ -284,8 +302,7 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
     squares = [_naive_square(spec, 1 << j) for j in range(n)]
     entries = _vector_planes(spec, squares)
     # a class holds whole orbits, so its smallest element is its first orbit's minimum
-    first = {bits: (members ^ members - 1).bit_length() - 1
-             for bits, members in _classes(entries, n) if wanted(bits)}
+    first = {bits: _lowest(members) for bits, members in _classes(entries, n) if wanted(bits)}
     if not first:
         return
     yield from _ranked(n, squares, list(first.items()))
@@ -298,7 +315,7 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
         if bits in later and members.bit_count() > n:
             minima = _minima(squares) if minima is None else minima
             others = members & minima
-            orbits += ((bits, e) for e in _ascending(others & others - 1))
+            orbits += ((bits, e) for e in _ascending(others ^ 1 << first[bits]))  # but the first
     yield from _ranked(n, squares, orbits)
 
 

@@ -30,6 +30,7 @@ rejected) or LSB-first hex "0x1002D".  Bit vectors render as "1,0,1,...".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 # the uses a fork's loop serves before its tables are built (_rented): a spec's vector reads
@@ -169,8 +170,13 @@ def _prime_divisors(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
+@lru_cache(maxsize=64)  # keyed on the degree; every degree up to field.MAX_DEGREE
 def find_irreducible(n: int) -> int:
-    """Smallest (by integer encoding) irreducible polynomial of degree n."""
+    """Smallest (by integer encoding) irreducible polynomial of degree n.
+
+    The search runs once per degree per process; a FieldSpec built on the
+    result still certifies it by Rabin's test.  An error is raised, not held.
+    """
     if n < 1:
         raise ValueError("degree must be positive")
     for f in range(1 << n, 1 << (n + 1)):

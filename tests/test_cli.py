@@ -421,6 +421,52 @@ def test_module_entry_point_exit_codes(argv, code, err):
         assert done.stderr == err
 
 
+NO_AUDIT = [
+    (["field", "find", "--degree", "16"], EX_OK),
+    (["normal", "find", "--degree", "16"], EX_OK),
+    (["normal", "check", "--degree", "16", "--element", "0x3"], EX_OK),
+    (["vector", "--degree", "16", "--element", "pow:1,126"], EX_OK),
+    (["prescribe", "--degree", "16", "--vector", GOLDEN_VECTOR], EX_OK),
+    (["compose", "--degree", "12", "--vector-pow2", "1,1,0,1", "--vector-odd", "1,0,0"], EX_OK),
+    (["weight3", "--degree", "12"], EX_OK),
+    (["prescribe", "--degree", "16", "--vector", ",".join(["1"] + ["0"] * 15)], EX_INVALID),
+    (["frobnicate"], EX_USAGE),
+    (["--help"], EX_OK),
+]
+FRESH = """
+import contextlib, io, json, sys
+from normbase import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help and usage errors leave from the parser
+            code = exc.code
+    return code, out.getvalue()
+
+codes = [run(argv)[0] for argv in json.loads(sys.argv[1])]
+before = "normbase.oracle" in sys.modules
+audit = run(["audit", "--degree", "8", "--mode", "characterization"])
+print(json.dumps([codes, before, audit, "normbase.oracle" in sys.modules]))
+"""
+
+
+def test_only_an_audit_loads_the_oracle():
+    # a fresh interpreter: no other command compiles the oracle, and the first audit loads it
+    env = {**os.environ, "PYTHONPATH": str(Path(normbase.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", FRESH, json.dumps([a for a, _ in NO_AUDIT])],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    codes, before, audit, after = json.loads(done.stdout)
+    assert codes == [code for _, code in NO_AUDIT]
+    assert before is False
+    assert audit == [EX_OK, "characterization audit, n = 8: achievable 4, predicted 4\n"
+                            "  agreement: exact\n"]
+    assert after is True
+
+
 def test_audit_violation_exits_with_the_documented_code_2(capsys, monkeypatch):
     # README documents exit code 2 for a failed verification or audit
     _broken_characterization(monkeypatch)

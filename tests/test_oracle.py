@@ -27,6 +27,7 @@ from normbase.oracle import (
     _factorization_reference,
     _factors_in_G,
     _lanes,
+    _lowest,
     _minima,
     _monomial_traces,
     _naive_square,
@@ -264,6 +265,24 @@ def test_minima_plane_marks_every_orbit_minimum(n):
     assert minima >> spec.order == 0
     assert ({e for e in range(spec.order) if minima >> e & 1}
             == {min(_naive_orbit(spec, e)) for e in range(spec.order)})
+
+
+@pytest.mark.parametrize("low", [0, 63, 64, 65, 127, 128, (1 << 20) - 1])
+def test_lowest_is_the_full_plane_read(low):
+    # the windowed read agrees with (mask ^ mask - 1) at and around each window edge, with and
+    # without bits above the lowest, and on a mask of one bit; no set bit is an error
+    rng = random.Random(low)
+    for mask in (1 << low, rng.getrandbits(1 << 21) << low | 1 << low):
+        assert _lowest(mask) == (mask ^ mask - 1).bit_length() - 1 == low
+    with pytest.raises(ValueError, match="no set bit"):
+        _lowest(0)
+
+
+def test_lowest_is_the_full_plane_read_on_random_masks():
+    rng = random.Random(51)
+    for _ in range(500):
+        mask = rng.getrandbits(rng.randrange(1, 1 << 12)) << rng.randrange(1 << 12) or 1
+        assert _lowest(mask) == (mask ^ mask - 1).bit_length() - 1
 
 
 def test_asymmetric_entries_are_an_implementation_bug(monkeypatch):

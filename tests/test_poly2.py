@@ -168,6 +168,27 @@ def test_find_irreducible_pinned_at_nist_degrees():
         n: (1 << n) | low for n, low in NIST_LOW_TERMS.items()}
 
 
+def test_find_irreducible_answers_warm_as_its_search_cold():
+    # the search runs once per degree: the first call and every later one give the smallest
+    # irreducible by the search itself, at every degree a FieldSpec takes
+    searched = {n: next(f for f in range(1 << n, 2 << n) if is_irreducible(f))
+                for n in range(1, MAX_DEGREE + 1)}
+    find_irreducible.cache_clear()
+    for _ in range(2):
+        assert {n: find_irreducible(n) for n in searched} == searched
+    assert find_irreducible.cache_info().misses == len(searched)
+
+
+def test_find_irreducible_holds_every_field_degree_and_no_error():
+    # a sweep over the degrees keeps each one's modulus; a rejected degree is raised each time
+    assert find_irreducible.cache_info().maxsize >= MAX_DEGREE
+    held = find_irreducible.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            find_irreducible(0)
+    assert find_irreducible.cache_info().currsize == held
+
+
 # ---- text formats ----
 
 def test_hex_and_caret_forms():

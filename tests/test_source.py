@@ -160,6 +160,23 @@ def test_oracle_imports_are_pinned():
     assert _package_imports("oracle.py") == {".construct", ".factor", ".field", ".poly2"}
 
 
+def _imports_oracle(node: ast.AST) -> bool:
+    # from . import oracle, from .oracle import x, import normbase.oracle and the like
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+    return any("oracle" in name.split(".") for name in names)
+
+
+def test_cli_imports_the_oracle_in_the_audit_handler_alone():
+    # a module-level import would compile the oracle in every CLI process, audit or not
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    sites = {top.name if isinstance(top, ast.FunctionDef) else f"line {top.lineno}"
+             for top in ast.parse(cli.read_text()).body
+             if any(_imports_oracle(node) for node in ast.walk(top))}
+    assert sites == {"_cmd_audit"}
+
+
 def _names_imported_from(name: str, module: str) -> set[str]:
     # the names a module imports from one package module, relative or absolute
     source = next(path for path in SOURCES if path.name == name)

@@ -22,7 +22,7 @@ rewritten).  Run it from anywhere:
 
 The sweep is not part of the test suite, which checks only that each old
 text occurs once and each test id names an existing test
-(tests/test_source.py); the catalogue, a hundred and seven mutants, takes
+(tests/test_source.py); the catalogue, a hundred and eleven mutants, takes
 about 160-220 s on a 2-core Xeon with Python 3.11.
 """
 
@@ -58,6 +58,8 @@ LANE_SPAN = ["tests/test_oracle.py::test_lane_elimination_is_the_one_lane_verdic
 CLOSURE = ("    if x != start:\n"
            "        raise RuntimeError(\"Frobenius orbit longer than n (implementation bug)\")\n")
 LANE_SQUARE = ["tests/test_oracle.py::test_table_square_is_the_naive_square"]
+LOWEST = ["tests/test_oracle.py::test_lowest_is_the_full_plane_read",
+          "tests/test_oracle.py::test_lowest_is_the_full_plane_read_on_random_masks"]
 PREDICTED_MEMO = "@lru_cache(maxsize=sum(map(_characterized, range(ENUMERATION_CAP + 1))))"
 PLACE = "            basis[k] |= lead\n            r ^= lead\n"
 CONSTRUCT = "src/normbase/construct.py"
@@ -177,7 +179,11 @@ MUTANTS = [
      "* len(values), \"little\")", "* len(values), \"little\") << 1", REFERENCE),
     ("round 2 skipped", ORACLE, "    yield from _ranked(n, squares, orbits)\n", "", REFERENCE),
     ("round 2 ranking each class's first orbit again", ORACLE,
-     "_ascending(others & others - 1)", "_ascending(others)", REFERENCE),
+     "_ascending(others ^ 1 << first[bits])", "_ascending(others)", REFERENCE),
+    ("lowest bit read in one window that never doubles", ORACLE,
+     "        window *= 2\n", "        break\n", LOWEST),
+    ("lowest-bit window one bit short", ORACLE,
+     "mask & (1 << window) - 1)", "mask & (1 << window - 1) - 1)", LOWEST),
     ("round 2 skipping classes of two orbits", ORACLE,
      "members.bit_count() > n:", "members.bit_count() > 2 * n:", REFERENCE),
     ("classes of the trace-zero elements", ORACLE,
@@ -354,6 +360,10 @@ MUTANTS = [
      ["tests/test_poly2.py::test_parse_poly_reads_x_to_the_zero_as_the_constant_term"]),
     ("human column one wider", CLI, "{key:14}", "{key:15}",
      ["tests/test_cli_digest.py::test_cli_output_matches_the_recorded_digest"]),
+    ("cli imports the oracle at module level", CLI,
+     "from . import construct, field, normal, poly2\n",
+     "from . import construct, field, normal, oracle, poly2\n",
+     ["tests/test_cli.py::test_only_an_audit_loads_the_oracle"]),
     ("audit violation exit code 3", CLI,
      "EX_VERIFY = 2", "EX_VERIFY = 3",
      ["tests/test_cli.py::test_audit_violation_exits_with_the_documented_code_2"]),
@@ -376,6 +386,12 @@ MUTANTS = [
     ("window entry x*a + a taken as x*a", POLY2,
      "(0, a, a << 1, a << 1 ^ a)", "(0, a, a << 1, a << 1)",
      ["tests/test_poly2.py::test_poly_mul_matches_the_bit_serial_product"]),
+    ("find_irreducible memo keyed on n // 2", POLY2,
+     "@lru_cache(maxsize=64)  # keyed on the degree",
+     "@lambda search, memo={}: lambda n: memo[n // 2] if n // 2 in memo else "
+     "memo.setdefault(n // 2, search(n))  # keyed on the degree",
+     ["tests/test_poly2.py::test_find_irreducible_pinned",
+      "tests/test_poly2.py::test_find_irreducible_answers_warm_as_its_search_cold"]),
     ("doubling pair without mod n", POLY2,
      "1 << (n - k) % n", "1 << n - k",
      ["tests/test_poly2.py::test_symmetric_vectors_are_the_mirrored_count_in_order"]),
