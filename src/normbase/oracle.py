@@ -1,98 +1,64 @@
 """Independent brute-force ground truth at desk scale, and the four audits.
 
-Normality here is decided by the rank of the Frobenius-conjugate
-coordinate matrix, deliberately NOT by the gcd criterion the production
-path uses; the two are compared in tests, so theorem audits stay
-non-circular; vectors are computed naively, multiply then trace, all n
-entries.  The oracle has its own naive square (spread the bits, then
-reduce) and reads none of the spec's tables: neither its squaring tables,
-which the spec uses only to certify its modulus, nor its trace form.
-Squaring is GF(2)-linear, so the oracle squares by its own naive squares
-of g^j alone, computed once per call, and imports no production table
-helper: a wrong spec table can reach an audit only through that
-certification.  One generator, _conjugate_lanes, squares many values at
-once, each in a lane of one int (see below), and both the trace pass and
-the rank test square through it.  The rank test reduces by poly2's
-_eliminate, as the factor solver does; the audits stay non-circular, since
-the factorization audit checks that solver against a brute force over G,
-and the rank test is checked against is_normal's unit test (Euclid, then
-evaluation at roots of unity), which never eliminates.  The subfield
-construction is the same pipeline as the full-field one; the tests check
-it by rank on the first t conjugates.  The enumeration decides each
-Frobenius orbit once: conjugates share normality and the vector, so one
-rank test and one vector stand for the orbit's n elements, and the audits
-count per element.
+Normality is decided by the rank of the Frobenius-conjugate coordinate
+matrix, deliberately NOT by the gcd criterion the production path uses, and
+vectors naively, multiply then trace, all n entries; the tests compare both
+with production, so the theorem audits stay non-circular.  The oracle
+squares by its own naive squares of g^j (spread the bits, then reduce),
+computed once per call, and reads none of the spec's tables nor its trace
+form: a wrong spec table can reach an audit only through the certification
+of its modulus.  One generator, _conjugate_lanes, squares many values at
+once, each in a lane of one int, for both the trace pass and the rank test.
+The rank test reduces by poly2's _eliminate, as the factor solver does; the
+factorization audit checks that solver against a brute force over G, and
+the rank test is checked against is_normal's unit test, which never
+eliminates.
 
-Each vector entry is still a product traced: reduction mod the modulus and
-the trace are both GF(2)-linear, so Tr(e*c) is the sum of e_j c_k
-Tr(g^(j+k)) over the bits j of e and k of c.  T holds those traces of the
-2n - 1 monomials g^k, each g^k reduced by poly_mod, one lane each, and
-traced as the sum of its n conjugates, once per enumeration; a lane whose
-sum is not 0 or 1 makes the pass raise.  Grouped by the bits of c, Tr(e*c)
-is the parity of c & w_e, where w_e is the XOR of (T >> j) & (2^n - 1)
-over the set bits j of e.  The oracle shares with the field's trace form
-only that identity, not its coefficients or its tables: T comes from naive
-conjugate sums and poly_mod, never from the spec.
+Reduction and the trace are GF(2)-linear, so Tr(e*c) is the sum of
+e_j c_k Tr(g^(j+k)).  T holds the traces of the 2n - 1 monomials g^k, each
+reduced by poly_mod and traced as the sum of its n conjugates; a lane whose
+sum is not 0 or 1 makes the pass raise.  So Tr(e*c) is the parity of
+c & w_e, w_e the XOR of (T >> j) & (2^n - 1) over the set bits j of e.
 
-The vectors of all 2^n elements come from one bit-sliced pass (Biham, "A
-fast new DES implementation in software", FSE 1997): plane k is a 2^n-bit
-int whose bit e is bit k of e.  The n identity planes are built by
-doubling; a GF(2)-linear map of the elements is an XOR of planes, one per
-set bit of each basis image, so the planes of w_e and of each conjugate
-e^(2^i) (the oracle's naive squares, applied i times) cost no Python step
-per element.  Entry plane i, the XOR over k of C_i[k] & W[k], holds
-Tr(e * e^(2^i)) for every e; plane 0 is Tr(e).  The pass checks
-a_(n-i) = a_i for all elements at once and raises on a mismatch, so the
-trace-one elements are split into one class per vector by planes 1 to n/2
-alone, depth first.  When Tr(e) = 0 the n conjugates sum to 0, a linear
-dependency, so trace-zero elements enter no class: a rank fact, not the
-gcd criterion.
+The vectors come from one bit-sliced pass (Biham, FSE 1997) over the
+2^(n-1) trace-one elements alone: the n conjugates of a trace-zero element
+sum to 0, a linear dependency, so no such element is normal.  Plane k is a
+2^(n-1)-bit int whose bit t is bit k of the element at index t: t with bit
+j, the lowest set bit of the trace mask (the low n bits of T), put in so
+that the trace is 1.  That bit depends only on the bits above j, so t -> e
+is increasing, and the lowest or ascending indices of a set give its lowest
+or ascending elements.  A GF(2)-linear map of the elements is an XOR of
+planes, one per set bit of each basis image, so the planes of w_e and of
+each conjugate e^(2^i) cost no Python step per element.  Entry plane i, the
+XOR over k of C_i[k] & W[k], holds Tr(e * e^(2^i)).  Plane 0, Tr(e), must
+be all ones and a_(n-i) must equal a_i at every index, or the pass raises;
+planes 1 to n/2 then split the coset depth first, one class per vector.
 
-Gaussian rank decides the orbits a round needs all at once, in the style
-of SIMD within a register (Fisher and Dietz, "Compiling for SIMD Within a
-Register", LCPC 1998): each orbit's n conjugates are the rows of its own
-matrix, one lane of ceil(n/8) bytes per orbit in one Python int.
-_eliminate reduces every lane's row by its own pivots at once, and each
-residue is placed at its leading bit.  Every lane is squared at once, as
-the XOR over j of (x >> j & ones) * squares[j], ones holding bit 0 of each
-lane: each product fits in its lane, since squares[j] < 2^n.  So the
-interpreter pays its per-step cost once per round, not once per orbit.
-After n squarings every lane must be back at its element, or the generator
-raises.  A subfield orbit repeats a row, so it comes out dependent.  Round
-1 ranks the smallest element of every class the caller wants, read by
-_lowest through windows that double, so its cost follows that element's
-position, not the 2^n-bit plane; a class holds whole orbits, so that
-element is its orbit's minimum.  Round 2, after round 1's yields, splits
-the classes again and ranks the other orbits of each class still wanted,
-their minima read from a last plane, built by a sliced comparison with
-each conjugate only when round 2 has work, in ascending order (to_bytes,
-then find jumps to each nonzero byte); the first orbit's minimum, which
-round 1 read, is dropped by one XOR.  A class of at most n elements has
-no other orbit of n elements, so it needs no round 2.  The callers want
-every class for check_necessary, only a vector not yet found for
-achievable_vectors, and only (1, 0, ..., 0) for
-the self-dual audit: an orbit whose vector is already found cannot change
-the found set, whether it is normal or not.  Enumeration caps keep
-exhaustive runs under a second on one core (about 0.2 s for all of
-GF(2^20) on a 2-core Xeon with Python 3.11); the caps are the module
+Rank is decided lane-parallel (Fisher and Dietz, LCPC 1998): each orbit's n
+conjugates are the rows of its own matrix, one lane of ceil(n/8) bytes per
+orbit, all reduced by one _eliminate pass, each residue placed at its
+leading bit.  A subfield orbit repeats a row, so it comes out dependent, and
+after n squarings every lane must be back at its element, or the generator
+raises.  Round 1 ranks the smallest element of every wanted class, read by
+_lowest through windows that double; a class holds whole orbits, so that
+element is its orbit's minimum.  Round 2 ranks the other orbits of each
+class still wanted, ascending, from a plane of orbit minima built only when
+round 2 has work; a class of at most n elements skips it.  The callers want
+every class for check_necessary, a vector not yet found for
+achievable_vectors and (1, 0, ..., 0) for the self-dual audit: an orbit
+whose vector is found cannot change the found set.  On one core of a 2-core
+Xeon with Python 3.11, all of GF(2^20) takes about 0.04 s for
+achievable_vectors and 0.17 s for check_necessary; the caps are the module
 constants below.
 
-This module owns every audit: check_characterization, check_factorization,
-check_necessary and check_self_dual_existence.  Each returns a Report, whose
-fields are ok, lines (the human output) and payload (the JSON record).
-
-Two references depend on the degree alone, so each is built once per degree
-per process and held in a bounded lru_cache as immutable values: the
-characterization's predicted set (_predicted, a frozenset keyed on n and the
-module's current _flags, so a patched _flags never reads a stale set) and
-the brute force of G -> H (_factorization_reference, each target of H in
-iter_H order with its factors in G as a tuple).  The references stand for
-the paper's claims, which do not change between calls; the program under
-audit might, so every call still checks production in full: a
-characterization call enumerates its own field and compares the two sets,
-and a factorization call runs factor_2power, with its own in_H check and
-product verification, on every target.  The bounds are checked before any
-work and raise, so no error is held.
+Each audit (check_characterization, check_factorization, check_necessary
+and check_self_dual_existence) returns a Report of ok, lines (the human
+output) and payload (the JSON record).  The characterization's predicted
+set (_predicted, keyed on n and the current _flags) and the brute force of
+G -> H (_factorization_reference) depend on the degree alone, so each is
+held once per degree per process in a bounded lru_cache of immutable
+values; every call still checks production in full, and the bounds raise
+before any work.
 """
 
 from __future__ import annotations
@@ -214,22 +180,41 @@ def _ascending(mask: int) -> Iterator[int]:
             byte &= byte - 1
 
 
-def _conjugate_planes(squares: list[int]) -> Iterator[list[int]]:
-    """The planes of e, e^2, ..., e^(2^(n-1)) for every e < 2^n, each set mapped from the last."""
-    conj = _identity_planes(len(squares))
-    yield conj
+def _coset_planes(mask: int, n: int) -> list[int]:
+    """The n planes of the trace-one elements: bit t of plane k is bit k of the element at index t.
+
+    That element is t with bit j, the lowest set bit of the trace mask, put in
+    so that parity(e & mask) = Tr(e) = 1.  Bit j depends on the bits above it
+    alone, so t -> e is increasing.
+    """
+    j = (mask & -mask).bit_length() - 1
+    low = _identity_planes(n - 1)
+    planes = low[:j] + [0] + low[j:]
+    every = (1 << (1 << n - 1)) - 1  # one bit per index
+    planes[j] = reduce(xor, [p for k, p in enumerate(planes) if mask >> k & 1], every)
+    return planes
+
+
+def _element(t: int, j: int, mask: int) -> int:
+    """The trace-one element at index t: t with bit j put in so that parity(e & mask) = 1."""
+    e = t >> j << j + 1 | t & (1 << j) - 1
+    return e | (1 ^ (e & mask).bit_count() & 1) << j
+
+
+def _conjugate_planes(squares: list[int], planes: list[int]) -> Iterator[list[int]]:
+    """The planes of e, e^2, ..., e^(2^(n-1)) from those of e, each set mapped from the last."""
+    yield planes
     for _ in range(1, len(squares)):
-        conj = _mapped(squares, conj)
-        yield conj
+        planes = _mapped(squares, planes)
+        yield planes
 
 
-def _vector_planes(spec: FieldSpec, squares: list[int]) -> list[int]:
-    """The planes of a_0 .. a_(n/2) over every e < 2^n; squares[j] is the naive square of g^j."""
-    n = spec.n
-    traces = _monomial_traces(spec, squares)
+def _vector_planes(squares: list[int], traces: int, planes: list[int]) -> list[int]:
+    """The planes of a_0 .. a_(n/2) over the elements of planes; traces as _monomial_traces."""
+    n = len(squares)
     entries: list[int] = []
-    for i, conj in enumerate(_conjugate_planes(squares)):
-        if not i:  # the identity planes
+    for i, conj in enumerate(_conjugate_planes(squares, planes)):
+        if not i:  # the planes of e itself
             form = _mapped([traces >> j & (1 << n) - 1 for j in range(n)], conj)  # planes of w_e
         entry = reduce(xor, map(and_, conj, form))  # Tr(e * e^(2^i)) of every e
         if i <= n // 2:
@@ -239,11 +224,11 @@ def _vector_planes(spec: FieldSpec, squares: list[int]) -> list[int]:
     return entries
 
 
-def _minima(squares: list[int]) -> int:
-    """The plane of orbit minima: bit e set iff e <= each of its conjugates."""
-    conjugates = _conjugate_planes(squares)
+def _minima(squares: list[int], planes: list[int]) -> int:
+    """The plane of orbit minima over the elements of planes: bit t set iff e <= each conjugate."""
+    conjugates = _conjugate_planes(squares, planes)
     ident = next(conjugates)
-    every = minima = (1 << (1 << len(squares))) - 1  # one bit per element
+    every = minima = (1 << (1 << len(squares) - 1)) - 1  # one bit per trace-one element
     for conj in conjugates:
         above, same = 0, every  # e > e^(2^i): e has the first differing bit from the top
         for x, c in zip(reversed(ident), reversed(conj)):
@@ -300,12 +285,18 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
     n = spec.n
     _require_enumerable(n)
     squares = [_naive_square(spec, 1 << j) for j in range(n)]
-    entries = _vector_planes(spec, squares)
-    # a class holds whole orbits, so its smallest element is its first orbit's minimum
+    traces = _monomial_traces(spec, squares)
+    mask = traces & (1 << n) - 1
+    j = (mask & -mask).bit_length() - 1
+    planes = _coset_planes(mask, n)
+    entries = _vector_planes(squares, traces, planes)
+    if entries[0] != (1 << (1 << n - 1)) - 1:
+        raise RuntimeError("trace-zero element in the trace-one coset (implementation bug)")
+    # a class holds whole orbits, so its smallest index is its first orbit's minimum
     first = {bits: _lowest(members) for bits, members in _classes(entries, n) if wanted(bits)}
     if not first:
         return
-    yield from _ranked(n, squares, list(first.items()))
+    yield from _ranked(n, squares, list(first.items()), j, mask)
     later = {bits for bits in first if wanted(bits)}
     if not later:
         return
@@ -313,18 +304,22 @@ def enumerate_normal(spec: FieldSpec, wanted: Callable[[int], bool] = lambda bit
     for bits, members in _classes(entries, n):
         # n elements or fewer hold no second orbit of n: a shorter orbit repeats a row
         if bits in later and members.bit_count() > n:
-            minima = _minima(squares) if minima is None else minima
-            others = members & minima
-            orbits += ((bits, e) for e in _ascending(others ^ 1 << first[bits]))  # but the first
-    yield from _ranked(n, squares, orbits)
+            minima = _minima(squares, planes) if minima is None else minima
+            # but the first orbit, which round 1 ranked
+            orbits += ((bits, t) for t in _ascending(members & minima) if t != first[bits])
+    yield from _ranked(n, squares, orbits, j, mask)
 
 
-def _ranked(n: int, squares: list[int], orbits: list[tuple[int, int]]
+def _ranked(n: int, squares: list[int], orbits: list[tuple[int, int]], j: int, mask: int
             ) -> Iterator[tuple[int, CyclicPoly]]:
-    """(e, vector) for each (bits, e) of orbits, in order, whose e is normal by one lane pass."""
+    """(e, vector) for each (bits, t) of orbits, in order, e the element at index t, if e is normal.
+
+    Every e is ranked by one lane pass.
+    """
     if orbits:
-        normal = _normal_lanes(n, squares, [e for _, e in orbits])
-        yield from ((e, CyclicPoly(n, bits)) for (bits, e), ok in zip(orbits, normal) if ok)
+        es = [_element(t, j, mask) for _, t in orbits]
+        normal = _normal_lanes(n, squares, es)
+        yield from ((e, CyclicPoly(n, bits)) for (bits, _), e, ok in zip(orbits, es, normal) if ok)
 
 
 def achievable_vectors(spec: FieldSpec) -> set[CyclicPoly]:

@@ -24,6 +24,8 @@ from normbase.oracle import (
     ENUMERATION_CAP,
     G_SEARCH_CAP,
     _conjugate_lanes,
+    _coset_planes,
+    _element,
     _factorization_reference,
     _factors_in_G,
     _lanes,
@@ -133,6 +135,13 @@ def _squares(spec):
     return [_naive_square(spec, 1 << j) for j in range(spec.n)]
 
 
+def _coset(spec):
+    # the monomial traces, the trace mask, its lowest set bit j and the trace-one coset's planes
+    traces = _monomial_traces(spec, _squares(spec))
+    mask = traces & (spec.order - 1)
+    return traces, mask, (mask & -mask).bit_length() - 1, _coset_planes(mask, spec.n)
+
+
 def _lane_rows(spec, values):
     # the n rows of the lane generator, every value in its own lane of ceil(n/8) bytes, read
     # back lane by lane; running it to its end makes its closure check
@@ -215,56 +224,80 @@ def test_trace_form_is_the_monomial_traces_regrouped(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_trace_first_test_is_the_sum_of_the_conjugates(n):
-    # only trace-one elements enter a class: the trace plane, entry plane 0, holds Tr(e) for
-    # every e, and the low n bits of T give the same sum of the n conjugates
-    spec = FieldSpec(n, _random_modulus(random.Random(n), n))
-    mask = _monomial_traces(spec, _squares(spec)) & (spec.order - 1)
-    plane = _vector_planes(spec, _squares(spec))[0]
-    assert plane >> spec.order == 0
-    for e in range(spec.order):
-        orbit = _naive_orbit(spec, e)
-        conjugate_sum = reduce(xor, orbit * (n // len(orbit)))  # Tr(e), n conjugates
-        assert conjugate_sum in (0, 1)
-        assert (e & mask).bit_count() & 1 == conjugate_sum
-        assert plane >> e & 1 == conjugate_sum
+    # only trace-one elements are sliced: the low n bits of T give the sum of the n conjugates,
+    # _element is an increasing bijection from the indices onto the elements where it is 1, the
+    # coset planes hold those elements' bits, and the trace plane, entry plane 0, is all ones.
+    # j, the lowest mask bit, is Tr(1) = 1 at odd n and above 0 at even n
+    rng = random.Random(n)
+    for modulus in (find_irreducible(n), _random_modulus(rng, n), _random_modulus(rng, n)):
+        spec = FieldSpec(n, modulus)
+        traces, mask, j, planes = _coset(spec)
+        assert (j == 0) == (n % 2 == 1)
+        trace_one = []
+        for e in range(spec.order):
+            orbit = _naive_orbit(spec, e)
+            conjugate_sum = reduce(xor, orbit * (n // len(orbit)))  # Tr(e), n conjugates
+            assert conjugate_sum in (0, 1)
+            assert (e & mask).bit_count() & 1 == conjugate_sum
+            trace_one += [e] * conjugate_sum
+        indices = range(spec.order // 2)
+        assert [_element(t, j, mask) for t in indices] == trace_one  # ascending, every one once
+        assert len(planes) == n
+        sliced = [sum((p >> t & 1) << k for k, p in enumerate(planes)) for t in indices]
+        assert sliced == trace_one
+        assert _vector_planes(_squares(spec), traces, planes)[0] == (1 << spec.order // 2) - 1
 
 
-def _plane_vector(entries, n, e):
-    # the vector bits of e read off the entry planes of a_0 .. a_(n/2), the rest mirrored
-    half = sum((plane >> e & 1) << i for i, plane in enumerate(entries))
+def _plane_vector(entries, n, t):
+    # the vector bits of the element at index t read off the entry planes of a_0 .. a_(n/2), the
+    # rest mirrored
+    half = sum((plane >> t & 1) << i for i, plane in enumerate(entries))
     return half | _mirror(half, n)
+
+
+def _coset_entries(spec):
+    # the entry planes over the trace-one coset, and the element at each index
+    traces, mask, j, planes = _coset(spec)
+    return _vector_planes(_squares(spec), traces, planes), lambda t: _element(t, j, mask)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_entry_planes_are_the_brute_vector_on_every_element(n):
-    # entry plane i is the XOR over k of C_i[k] & W[k], the planes of e^(2^i) and of w_e
+    # entry plane i is the XOR over k of C_i[k] & W[k], the planes of e^(2^i) and of w_e, at
+    # every index of the trace-one coset
     rng = random.Random(2000 + n)
     for modulus in (find_irreducible(n), _random_modulus(rng, n)):
         spec = FieldSpec(n, modulus)
-        entries = _vector_planes(spec, _squares(spec))
-        assert len(entries) == n // 2 + 1 and max(entries) >> spec.order == 0
-        assert ([_plane_vector(entries, n, e) for e in range(spec.order)]
-                == [_brute_vector(spec, e).bits for e in range(spec.order)])
+        entries, element = _coset_entries(spec)
+        indices = range(spec.order // 2)
+        assert len(entries) == n // 2 + 1 and max(entries) >> len(indices) == 0
+        assert ([_plane_vector(entries, n, t) for t in indices]
+                == [_brute_vector(spec, element(t)).bits for t in indices])
 
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_entry_planes_are_the_brute_vector_on_seeded_elements(n):
     rng = random.Random(n)
     spec = FieldSpec(n, _random_modulus(rng, n))
-    entries = _vector_planes(spec, _squares(spec))
-    for e in [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(100)]:
-        assert _plane_vector(entries, n, e) == _brute_vector(spec, e).bits
+    entries, element = _coset_entries(spec)
+    half = spec.order // 2
+    for t in [0, 1, half - 1] + [rng.randrange(half) for _ in range(100)]:
+        assert _plane_vector(entries, n, t) == _brute_vector(spec, element(t)).bits
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_minima_plane_marks_every_orbit_minimum(n):
-    # e is marked iff e <= each of its conjugates: one mark per orbit, trace one or not, so
-    # round 2, which reads the classes' trace-one elements only, ranks each orbit once
+    # index t is marked iff its element e <= each of its conjugates: one mark per trace-one
+    # orbit, so round 2, which reads the classes' minima, ranks each orbit once
     spec = FieldSpec(n, _random_modulus(random.Random(3000 + n), n))
-    minima = _minima(_squares(spec))
-    assert minima >> spec.order == 0
-    assert ({e for e in range(spec.order) if minima >> e & 1}
-            == {min(_naive_orbit(spec, e)) for e in range(spec.order)})
+    traces, mask, j, planes = _coset(spec)
+    minima = _minima(_squares(spec), planes)
+    half = spec.order // 2
+    assert minima >> half == 0
+    marked = [_element(t, j, mask) for t in range(half) if minima >> t & 1]
+    assert len(marked) == len(set(marked))
+    assert set(marked) == {min(_naive_orbit(spec, e)) for e in range(spec.order)
+                           if (e & mask).bit_count() & 1}
 
 
 @pytest.mark.parametrize("low", [0, 63, 64, 65, 127, 128, (1 << 20) - 1])
@@ -294,6 +327,20 @@ def test_asymmetric_entries_are_an_implementation_bug(monkeypatch):
     with pytest.raises(RuntimeError) as exc:
         next(enumerate_normal(spec))
     assert str(exc.value) == "vector entries a_i and a_(n-i) differ (implementation bug)"
+
+
+def test_a_trace_zero_element_in_the_coset_is_an_implementation_bug(monkeypatch):
+    # the coset comes from the mask's parity and entry plane 0 from the form of T: slice by a
+    # wrong mask, whose coset holds trace-zero elements, and the pass must refuse before any
+    # class is walked
+    spec = FieldSpec.from_degree(8)
+    coset, walked = oracle._coset_planes, []
+    monkeypatch.setattr(oracle, "_coset_planes", lambda mask, n: coset(mask ^ 1, n))
+    monkeypatch.setattr(oracle, "_classes", lambda entries, n: walked.append(n) or iter(()))
+    with pytest.raises(RuntimeError) as exc:
+        next(enumerate_normal(spec))
+    assert str(exc.value) == "trace-zero element in the trace-one coset (implementation bug)"
+    assert not walked
 
 
 def test_characterization_at_sixteen_holds_under_a_megabyte():
